@@ -18,7 +18,6 @@ from .core import (
     distortion_bound,
     enumerate_language,
     phi_hat,
-    set_thread_count,
     subword,
 )
 from .models import (

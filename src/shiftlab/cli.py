@@ -5,11 +5,11 @@ A config is a single JSON document selecting one shift family, one
 potential, and an ordered list of analyses.  Reports are deterministic
 given the config: every float is serialized as a 17-significant-digit
 decimal string, reductions are canonical-order, and wall-clock timing goes
-to a separate sidecar so report bytes are identical across runs and thread
-counts.
+to a separate sidecar so report bytes are identical across runs.
 
 Exit codes: 0 = all analyses executed (failed verdicts included), 1 =
-invalid config, 2 = internal error.
+invalid config or a shift that cannot be built (such as an empty
+language), 2 = internal error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .core import (
     Potential,
     Word,
     WordSet,
-    set_thread_count,
 )
 from .errors import ConfigError, ShiftLabError
 from .models import (
@@ -118,11 +117,14 @@ def validate(config: dict) -> list[dict]:
     pot = config.get("potential", "zero")
     if pot != "zero" and not isinstance(pot, dict):
         err("potential", "potential must be \"zero\" or an object")
+    guard = config.get("depth_guard", 40)
+    if not _is_int(guard):
+        err("depth_guard", f"must be an integer, got {guard!r}")
+        guard = None
     analyses = config.get("analyses")
     if not isinstance(analyses, list) or not analyses:
         err("analyses", "need a nonempty list of analyses")
     else:
-        guard = int(config.get("depth_guard", 40))
         for i, a in enumerate(analyses):
             if not isinstance(a, dict) or "op" not in a:
                 err(f"analyses[{i}]", "each analysis needs an op field")
@@ -130,9 +132,17 @@ def validate(config: dict) -> list[dict]:
             if a["op"] not in _ANALYSES:
                 err(f"analyses[{i}].op", f"unknown op {a['op']!r}")
             for key in ("n_max", "depth", "horizon", "cert_depth"):
-                if key in a and isinstance(a[key], int) and a[key] > guard:
+                if key not in a:
+                    continue
+                if not _is_int(a[key]):
+                    err(f"analyses[{i}].{key}", f"must be an integer, got {a[key]!r}")
+                elif guard is not None and a[key] > guard:
                     warn(f"analyses[{i}].{key}", f"{a[key]} exceeds the depth guard {guard}")
     return diags
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _build_oracle(shift: dict, depth_guard: int | None) -> LanguageOracle:
@@ -435,11 +445,11 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
     """Execute the analyses in order; a failure in one analysis is recorded
     as an error block and later analyses still run.  Returns the report
     dict; when out_dir is given, writes report.json, one CSV per analysis,
-    gnuplot .dat files, and a timing sidecar."""
+    gnuplot .dat files, and a timing sidecar.  ``threads`` is accepted for
+    compatibility and ignored: every analysis runs serially."""
     diags = validate(config)
     if any(d["level"] == "error" for d in diags):
         raise ConfigError("config invalid", diags)
-    set_thread_count(threads)
     started = time.perf_counter()
     oracle = _build_oracle(config["shift"], depth_guard)
     potential = _build_potential(config.get("potential", "zero"), oracle)
@@ -488,7 +498,7 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
         for name, text in artifacts:
             (out / name).write_text(text, encoding="utf-8")
         # timing is deliberately kept out of report.json so report bytes are
-        # deterministic across runs and thread counts
+        # deterministic across runs
         (out / "timing.json").write_text(
             json.dumps({"wall_seconds": wall}) + "\n", encoding="utf-8"
         )
@@ -506,7 +516,8 @@ def main(argv: list[str] | None = None) -> int:
     runp = sub.add_parser("run", help="Run the analyses in a config.")
     runp.add_argument("config", metavar="CONFIG_JSON")
     runp.add_argument("--out", default=None, metavar="DIR")
-    runp.add_argument("--threads", type=int, default=1)
+    runp.add_argument("--threads", type=int, default=1,
+                      help="accepted for compatibility; analyses run serially")
     runp.add_argument("--depth-guard", type=int, default=None)
 
     valp = sub.add_parser("validate", help="Validate a config without running it.")
@@ -534,6 +545,9 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(f"{d['level']}: {d['field']}: {d['message']}", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ShiftLabError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal error path
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -2,14 +2,12 @@
 
 Words are stored as tuples of alphabet indices.  All enumeration is
 lexicographic in the alphabet order, and every floating-point reduction in
-the package accumulates in that canonical order so results do not depend on
-the degree of parallelism.
+the package accumulates in that canonical order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -19,21 +17,9 @@ Word = tuple[int, ...]
 
 EMPTY_WORD: Word = ()
 
-#: chunk size for canonical-order partial sums (fixed, so results are
-#: identical for any thread count)
+#: chunk size for canonical-order partial sums; fixed, because another
+#: chunking would round differently and change report bytes
 _SUM_CHUNK = 4096
-
-_THREADS = 1
-
-
-def set_thread_count(n: int) -> None:
-    """Set the worker count used for chunked reductions (1 = serial)."""
-    global _THREADS
-    _THREADS = max(1, int(n))
-
-
-def get_thread_count() -> int:
-    return _THREADS
 
 
 def default_depth_guard(alphabet_size: int) -> int:
@@ -109,7 +95,7 @@ class Alphabet:
         return self.separator.join(self.symbols[i] for i in w)
 
     def valid(self, w: Word) -> bool:
-        return all(0 <= i < len(self.symbols) for i in w)
+        return not w or (min(w) >= 0 and max(w) < len(self.symbols))
 
 
 class LanguageOracle:
@@ -154,10 +140,10 @@ class LanguageOracle:
         self._cache: dict[int, tuple[Word, ...]] = {}
 
     def contains(self, w: Word) -> bool:
+        if not w:
+            return True
         if not self.alphabet.valid(w):
             return False
-        if len(w) == 0:
-            return True
         return self._membership(w)
 
     def words(self, n: int) -> tuple[Word, ...]:
@@ -204,6 +190,10 @@ class WordSet:
     over the backing oracle's language for lazy enumeration.  Enumeration
     at each length is duplicate-free and lexicographically sorted, and every
     member is admissible in the backing oracle.
+
+    A predicate must be a pure function of the word: ``contains`` memoises
+    its answer per word for the lifetime of the set.  An exception raised
+    by the predicate (such as DepthExceededError) is not memoised.
     """
 
     def __init__(
@@ -229,6 +219,7 @@ class WordSet:
         self.is_full_language = is_full_language
         self.name = name
         self._cache: dict[int, tuple[Word, ...]] = {}
+        self._memo: dict[Word, bool] = {}
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -283,11 +274,11 @@ class WordSet:
     def contains(self, w: Word) -> bool:
         if self._explicit is not None:
             return w in self._explicit.get(len(w), ())
-        if not self.oracle.contains(w):
-            return False
-        if self.is_full_language:
-            return True
-        return bool(self._predicate(w))
+        got = self._memo.get(w)
+        if got is None:
+            got = self.oracle.contains(w) and (self.is_full_language or bool(self._predicate(w)))
+            self._memo[w] = got
+        return got
 
     def at(self, n: int) -> tuple[Word, ...]:
         if n > self.depth:
@@ -480,18 +471,8 @@ def check_extendable(oracle: LanguageOracle, n_max: int) -> list[Word]:
 
 
 def chunked_fsum(terms: Sequence[float]) -> float:
-    """fsum over fixed-size chunks in canonical order.
-
-    Chunk boundaries are independent of the thread count, so the result is
-    bit-identical whether chunks are evaluated serially or by a pool.
-    """
+    """fsum of the fsums of fixed-size chunks, taken in canonical order."""
     n = len(terms)
     if n <= _SUM_CHUNK:
         return math.fsum(terms)
-    chunks = [terms[i : i + _SUM_CHUNK] for i in range(0, n, _SUM_CHUNK)]
-    if _THREADS > 1:
-        with ThreadPoolExecutor(max_workers=_THREADS) as pool:
-            partial = list(pool.map(math.fsum, chunks))
-    else:
-        partial = [math.fsum(c) for c in chunks]
-    return math.fsum(partial)
+    return math.fsum([math.fsum(terms[i : i + _SUM_CHUNK]) for i in range(0, n, _SUM_CHUNK)])

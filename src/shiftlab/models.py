@@ -54,34 +54,31 @@ class SftSpec:
 
 class _SftData:
     """De Bruijn graph of an SFT after pruning states with no bi-infinite
-    continuation."""
+    continuation.
+
+    States are the live m-words (m = memory), and the edges are the live
+    (m+1)-words in ``windows``; for m = 0 the single empty state carries one
+    self-loop per allowed symbol.  ``factors`` holds every nonempty factor
+    of a live state (the admissible words of length <= m).
+    """
 
     def __init__(self, spec: SftSpec):
         self.spec = spec
-        self.memory = max(spec.memory, 0)
-        m = self.memory
+        self.memory = m = max(spec.memory, 0)
         k = spec.alphabet.size
-        forbidden = spec.forbidden
-        if m == 0:
-            self.states: list[Word] = [EMPTY_WORD]
-            self.edges: dict[Word, list[Word]] = {EMPTY_WORD: [EMPTY_WORD] * k}
-            self.live: set[Word] = {EMPTY_WORD}
-            return
+        forbidden = frozenset(spec.forbidden)
 
         def clean(w: Word) -> bool:
-            return not _has_factor(w, forbidden)
+            return not any(w[i:j] in forbidden
+                           for i in range(len(w)) for j in range(i + 1, len(w) + 1))
 
         states = [w for w in itertools.product(range(k), repeat=m) if clean(w)]
-        succ: dict[Word, list[Word]] = {}
-        pred_count: dict[Word, int] = {s: 0 for s in states}
         state_set = set(states)
-        for u in states:
-            outs = []
-            for a in range(k):
-                v = u[1:] + (a,)
-                if v in state_set and clean(u + (a,)):
-                    outs.append(v)
-            succ[u] = outs
+        # out-edges of each state as (m+1)-words; an edge e leads to e[1:]
+        out: dict[Word, list[Word]] = {
+            u: [e for e in (u + (a,) for a in range(k)) if e[1:] in state_set and clean(e)]
+            for u in states
+        }
         # prune states with no outgoing or no incoming edge, to a fixpoint
         live = set(states)
         changed = True
@@ -89,81 +86,49 @@ class _SftData:
             changed = False
             indeg = {s: 0 for s in live}
             for u in live:
-                for v in succ[u]:
-                    if v in live:
-                        indeg[v] += 1
-            drop = {u for u in live if not any(v in live for v in succ[u]) or indeg[u] == 0}
+                for e in out[u]:
+                    if e[1:] in live:
+                        indeg[e[1:]] += 1
+            drop = {u for u in live if not any(e[1:] in live for e in out[u]) or indeg[u] == 0}
             if drop:
                 live -= drop
                 changed = True
         self.states = sorted(live)
         self.live = live
-        self.edges = {u: [v for v in succ[u] if v in live] for u in self.states}
+        self.windows = frozenset(e for u in self.states for e in out[u] if e[1:] in live)
+        self.factors = frozenset(s[i:j] for s in self.states
+                                 for i in range(m) for j in range(i + 1, m + 1))
 
     def adjacency(self) -> np.ndarray:
-        # the m = 0 graph keeps one state with k parallel self-loops, so
-        # accumulate multiplicities rather than writing 1s
+        # the m = 0 graph keeps one state with a self-loop per allowed
+        # symbol, so accumulate multiplicities rather than writing 1s
         idx = {s: i for i, s in enumerate(self.states)}
         a = np.zeros((len(self.states), len(self.states)))
-        for u, outs in self.edges.items():
-            for v in outs:
-                a[idx[u], idx[v]] += 1.0
+        for e in self.windows:
+            a[idx[e[:-1]], idx[e[1:]]] += 1.0
         return a
 
     def count(self, n: int, allowed: set[int] | None = None) -> int:
         """Exact number of admissible length-n words (optionally restricted
         to words using only the allowed symbol indices), by integer DP."""
         m = self.memory
-        if m == 0:
-            k = self.spec.alphabet.size if allowed is None else len(allowed)
-            return k ** n
+
+        def ok(w: Word) -> bool:
+            return allowed is None or all(c in allowed for c in w)
+
+        if n == 0:
+            return 1
         if n < m:
-            # small lengths: factors of live states
-            seen: set[Word] = set()
-            for s in self.states:
-                for i in range(m - n + 1):
-                    w = s[i : i + n]
-                    if allowed is None or all(c in allowed for c in w):
-                        seen.add(w)
-            return len(seen) if n > 0 else 1
-
-        def ok(state: Word) -> bool:
-            return allowed is None or all(c in allowed for c in state)
-
+            return sum(1 for w in self.factors if len(w) == n and ok(w))
+        # extend every allowed state along the allowed (m+1)-windows
         vec = {s: 1 for s in self.states if ok(s)}
+        steps = [(e[:-1], e[1:]) for e in self.windows if ok(e)]
         for _ in range(n - m):
-            nxt = {s: 0 for s in self.states if ok(s)}
-            for u, c in vec.items():
-                if c == 0:
-                    continue
-                for v in self.edges[u]:
-                    if ok(v):
-                        nxt[v] += c
+            nxt = dict.fromkeys(vec, 0)
+            for u, v in steps:
+                nxt[v] += vec[u]
             vec = nxt
         return sum(vec.values())
-
-
-def _has_factor(w: Word, forbidden: Sequence[Word]) -> bool:
-    if not forbidden:
-        return False
-    by_len: dict[int, frozenset[Word]] = _forbidden_index(tuple(forbidden))
-    n = len(w)
-    for lf, bucket in by_len.items():
-        if lf > n:
-            continue
-        for i in range(n - lf + 1):
-            if w[i : i + lf] in bucket:
-                return True
-    return False
-
-
-@lru_cache(maxsize=64)
-def _forbidden_index(forbidden: tuple[Word, ...]) -> dict[int, frozenset[Word]]:
-    by_len: dict[int, set[Word]] = {}
-    for f in forbidden:
-        if f:
-            by_len.setdefault(len(f), set()).add(f)
-    return {k: frozenset(v) for k, v in by_len.items()}
 
 
 def sft_from_forbidden(spec: SftSpec, enumeration_limit: int | None = None) -> LanguageOracle:
@@ -172,23 +137,30 @@ def sft_from_forbidden(spec: SftSpec, enumeration_limit: int | None = None) -> L
     Symbols and windows with no bi-infinite continuation are pruned at
     construction, so the oracle satisfies the extendability invariant.
     Raises EmptyLanguageError when nothing survives.
+
+    Membership is one pass over the word, against sets built once from the
+    pruned de Bruijn graph: a word longer than the memory m is admissible
+    iff every (m+1)-window is an edge of the graph, and a shorter word iff
+    it is a factor of a live state.
     """
     data = _SftData(spec)
     if not data.live:
         raise EmptyLanguageError("every symbol is stranded by the forbidden set")
     m = data.memory
-    forbidden = spec.forbidden
-    live = data.live
-    states = data.states
+    windows = data.windows
+    factors = data.factors
+    # zip(*(w[i:] for i in 0..m)) yields the (m+1)-windows of w
+    shifts = [slice(i, None) for i in range(m + 1)]
 
-    def member(w: Word) -> bool:
-        if _has_factor(w, forbidden):
-            return False
-        if m == 0:
+    if len(windows) == spec.alphabet.size ** (m + 1):
+        # every window is an edge: the full shift, where every word is admissible
+        def member(w: Word) -> bool:
             return True
-        if len(w) >= m:
-            return all(w[i : i + m] in live for i in range(len(w) - m + 1))
-        return any(_contains(s, w) for s in states)
+    else:
+        def member(w: Word) -> bool:
+            if len(w) > m:
+                return windows.issuperset(zip(*map(w.__getitem__, shifts)))
+            return w in factors
 
     limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(spec.alphabet.size)
     oracle = LanguageOracle(
@@ -202,11 +174,6 @@ def sft_from_forbidden(spec: SftSpec, enumeration_limit: int | None = None) -> L
     )
     oracle.sft_data = data
     return oracle
-
-
-def _contains(haystack: Word, needle: Word) -> bool:
-    ln = len(needle)
-    return any(haystack[i : i + ln] == needle for i in range(len(haystack) - ln + 1))
 
 
 def full_shift(k: int, enumeration_limit: int | None = None) -> LanguageOracle:
@@ -440,39 +407,35 @@ class SGapSpec:
     def unbounded(self) -> bool:
         return self.tail_start is not None
 
-    def contains_gap(self, g: int) -> bool:
-        if g in self.values:
-            return True
-        if self.tail_start is not None and g >= self.tail_start:
-            return (g - self.tail_start) % (self.tail_period or 1) == 0
-        return False
-
-    def has_gap_at_least(self, g: int) -> bool:
-        if self.unbounded:
-            return True
-        return any(s >= g for s in self.values)
-
     def max_finite(self) -> int | None:
         return None if self.unbounded else max(self.values)
 
 
 def s_gap_shift(spec: SGapSpec, enumeration_limit: int | None = None) -> LanguageOracle:
     """Binary shift whose internal runs of 0s between consecutive 1s have
-    lengths in S; boundary runs only need some gap at least as long."""
+    lengths in S; boundary runs only need some gap at least as long.
+
+    Membership is one pass over the runs of 0s: the boundary runs are
+    compared with max(S) (no bound when S has a tail), and each internal
+    run length is looked up in the finite part of S or tested against the
+    tail rule.
+    """
     alphabet = Alphabet.binary()
+    mx = spec.max_finite()
+    top = math.inf if mx is None else mx
+    values = frozenset(spec.values)
+    tail_start = spec.tail_start
+    tail_period = spec.tail_period or 1
+
+    def gap_ok(g: int) -> bool:
+        return g in values or (tail_start is not None and g >= tail_start
+                               and (g - tail_start) % tail_period == 0)
 
     def member(w: Word) -> bool:
-        ones = [i for i, c in enumerate(w) if c == 1]
-        if not ones:
-            return spec.has_gap_at_least(len(w))
-        if not spec.has_gap_at_least(ones[0]):
+        runs = bytes(w).split(b"\x01")
+        if len(runs[0]) > top or len(runs[-1]) > top:
             return False
-        if not spec.has_gap_at_least(len(w) - 1 - ones[-1]):
-            return False
-        for a, b in zip(ones, ones[1:]):
-            if not spec.contains_gap(b - a - 1):
-                return False
-        return True
+        return all(map(gap_ok, map(len, runs[1:-1])))
 
     def periodic_check(p: Word) -> bool:
         ones = [i for i, c in enumerate(p) if c == 1]
@@ -480,10 +443,9 @@ def s_gap_shift(spec: SGapSpec, enumeration_limit: int | None = None) -> Languag
             return spec.unbounded
         cyc = [b - a - 1 for a, b in zip(ones, ones[1:])]
         cyc.append(ones[0] + len(p) - 1 - ones[-1])
-        return all(spec.contains_gap(g) for g in cyc)
+        return all(gap_ok(g) for g in cyc)
 
     limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(2)
-    mx = spec.max_finite()
     return LanguageOracle(
         alphabet,
         member,

@@ -40,7 +40,7 @@ def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
 
     Zero potentials use exact integer counts.  Otherwise terms are
     accumulated with compensated summation in lexicographic order after a
-    max shift, so the result is reproducible for any thread count.
+    max shift, so the result is reproducible.
     """
     if potential.is_zero:
         c = words.count(n)

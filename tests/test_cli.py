@@ -6,7 +6,7 @@ import math
 import pytest
 
 from shiftlab import cli
-from shiftlab.errors import ConfigError
+from shiftlab.errors import ConfigError, EmptyLanguageError
 
 GOLDEN_CONFIG = {
     "shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
@@ -47,6 +47,26 @@ def test_validate_unknown_op():
     assert any(d["field"].endswith(".op") for d in diags)
 
 
+@pytest.mark.parametrize("guard", ["abc", "40", 4.5, None, True])
+def test_validate_non_integer_depth_guard(guard, tmp_path):
+    cfg = dict(GOLDEN_CONFIG, depth_guard=guard)
+    diags = cli.validate(cfg)
+    assert any(d["level"] == "error" and d["field"] == "depth_guard" for d in diags)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["validate", str(cfg_path)]) == 1
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("key", ["n_max", "depth", "horizon", "cert_depth"])
+def test_validate_non_integer_analysis_depth(key):
+    cfg = dict(GOLDEN_CONFIG, analyses=[{"op": "sync_gap", "word": "0", key: "abc"}])
+    diags = cli.validate(cfg)
+    assert [d["field"] for d in diags if d["level"] == "error"] == [f"analyses[0].{key}"]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+
+
 def test_run_rejects_invalid():
     with pytest.raises(ConfigError):
         cli.run({"shift": {"family": "sft"}, "analyses": []})
@@ -84,6 +104,29 @@ def test_run_records_analysis_errors(tmp_path):
     assert report["analyses"][0]["status"] == "error"
     assert "NotInLanguage" in report["analyses"][0]["error"]
     assert report["analyses"][1]["status"] == "ok"  # later analyses still run
+
+
+def test_run_memory_zero_sft(tmp_path):
+    cfg = {
+        "shift": {"family": "sft", "alphabet": ["0", "1", "2"], "forbidden": ["2"]},
+        "analyses": [{"op": "entropy_exact"}, {"op": "pressure_estimate", "n_max": 6}],
+    }
+    report = cli.run(cfg, tmp_path)
+    assert float(report["analyses"][0]["result"]["entropy"]) == pytest.approx(math.log(2))
+    rows = report["analyses"][1]["result"]["rows"]
+    assert [r["count"] for r in rows] == [2 ** n for n in range(1, 7)]
+
+
+def test_run_reports_empty_memory_zero_sft(tmp_path):
+    cfg = {
+        "shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["0", "1"]},
+        "analyses": [{"op": "entropy_exact"}],
+    }
+    with pytest.raises(EmptyLanguageError):
+        cli.run(cfg, tmp_path)
+    cfg_path = tmp_path / "empty.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
 
 
 def test_run_not_one_one_pipeline(tmp_path):

@@ -1,0 +1,205 @@
+"""Differential tests: the one-pass SFT and S-gap membership rules and the
+memoised predicate word sets against plain reference implementations.
+
+The references are the original whole-word scans: a forbidden-factor scan
+plus a live-window scan for SFTs, and a per-run gap-set query for S-gap
+shifts.  Every word up to length 10 is compared where that is at most a
+few thousand words (all binary cases); larger alphabets compare every word
+up to the length where k**n passes 1024, plus drawn words up to length 10.
+Drawn words may use symbols outside the alphabet.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import shiftlab as sl
+from shiftlab.errors import DepthExceededError, EmptyLanguageError
+
+MAX_LEN = 10
+
+
+# -- references ---------------------------------------------------------------
+
+def _valid(k, w):
+    return all(0 <= i < k for i in w)
+
+
+def _contains(haystack, needle):
+    ln = len(needle)
+    return any(haystack[i : i + ln] == needle for i in range(len(haystack) - ln + 1))
+
+
+def _has_factor(w, forbidden):
+    return any(_contains(w, f) for f in forbidden if f)
+
+
+def reference_sft_contains(oracle, forbidden):
+    """Forbidden-factor scan, then every m-window live (long words) or a
+    factor of a live state (short words)."""
+    data = oracle.sft_data
+    m, live, states, k = data.memory, data.live, data.states, oracle.alphabet.size
+
+    def contains(w):
+        if not _valid(k, w):
+            return False
+        if len(w) == 0:
+            return True
+        if _has_factor(w, forbidden):
+            return False
+        if m == 0:
+            return True
+        if len(w) >= m:
+            return all(w[i : i + m] in live for i in range(len(w) - m + 1))
+        return any(_contains(s, w) for s in states)
+
+    return contains
+
+
+def reference_sgap_contains(spec):
+    """Boundary runs need some gap at least as long; internal runs need a
+    gap in S."""
+
+    def has_gap_at_least(g):
+        return spec.unbounded or any(s >= g for s in spec.values)
+
+    def contains_gap(g):
+        if g in spec.values:
+            return True
+        if spec.tail_start is not None and g >= spec.tail_start:
+            return (g - spec.tail_start) % (spec.tail_period or 1) == 0
+        return False
+
+    def contains(w):
+        if not _valid(2, w):
+            return False
+        if len(w) == 0:
+            return True
+        ones = [i for i, c in enumerate(w) if c == 1]
+        if not ones:
+            return has_gap_at_least(len(w))
+        if not has_gap_at_least(ones[0]) or not has_gap_at_least(len(w) - 1 - ones[-1]):
+            return False
+        return all(contains_gap(b - a - 1) for a, b in zip(ones, ones[1:]))
+
+    return contains
+
+
+def _all_words(k):
+    n_max = MAX_LEN
+    while k ** n_max > 1024:
+        n_max -= 1
+    for n in range(n_max + 1):
+        yield from itertools.product(range(k), repeat=n)
+
+
+def _drawn_words(k):
+    return st.lists(st.lists(st.integers(-1, k), max_size=MAX_LEN).map(tuple), max_size=40)
+
+
+def _assert_agree(oracle, reference, drawn):
+    for w in itertools.chain(_all_words(oracle.alphabet.size), drawn):
+        assert oracle.contains(w) == reference(w), w
+
+
+# -- SFTs ---------------------------------------------------------------------
+
+@st.composite
+def sft_instances(draw):
+    k = draw(st.integers(2, 4))
+    forbidden = draw(st.lists(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=3).map(tuple),
+        max_size=6, unique=True,
+    ))
+    words = draw(_drawn_words(k))
+    return k, tuple(sorted(forbidden)), words
+
+
+@settings(max_examples=80, deadline=None)
+@given(sft_instances())
+def test_sft_membership_matches_reference(instance):
+    k, forbidden, drawn = instance
+    spec = sl.SftSpec(sl.Alphabet.of_size(k), forbidden)
+    try:
+        oracle = sl.sft_from_forbidden(spec)
+    except EmptyLanguageError:
+        return
+    _assert_agree(oracle, reference_sft_contains(oracle, forbidden), drawn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sft_instances())
+def test_sft_count_hook_matches_enumeration(instance):
+    k, forbidden, _ = instance
+    spec = sl.SftSpec(sl.Alphabet.of_size(k), forbidden)
+    try:
+        oracle = sl.sft_from_forbidden(spec, enumeration_limit=6)
+    except EmptyLanguageError:
+        return
+    data = oracle.sft_data
+    allowed = set(range(1, k))
+    for n in range(7):
+        words = oracle.words(n)
+        assert oracle.count(n) == len(words)
+        assert data.count(n, allowed) == sum(1 for w in words if 0 not in w)
+
+
+# -- S-gap shifts --------------------------------------------------------------
+
+@st.composite
+def sgap_instances(draw):
+    values = tuple(sorted(draw(st.sets(st.integers(0, 6), max_size=4))))
+    if draw(st.booleans()) or not values:
+        tail_start = draw(st.integers(0, 8))
+        tail_period = draw(st.sampled_from([None, 1, 2, 3]))
+        spec = sl.SGapSpec(values, tail_start=tail_start, tail_period=tail_period)
+    else:
+        spec = sl.SGapSpec(values)
+    return spec, draw(_drawn_words(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sgap_instances())
+def test_sgap_membership_matches_reference(instance):
+    spec, drawn = instance
+    oracle = sl.s_gap_shift(spec)
+    _assert_agree(oracle, reference_sgap_contains(spec), drawn)
+
+
+# -- memoised predicate word sets ------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(modulus=st.integers(2, 4), residue=st.integers(0, 3))
+def test_memoised_predicate_agrees_with_raw_predicate(golden, modulus, residue):
+    def predicate(w):
+        return sum(w) % modulus == residue % modulus
+
+    ws = sl.WordSet.from_predicate(golden, predicate)
+    both = ws.union(sl.WordSet.from_words(golden, [(0, 1, 0)]))
+    for w in _all_words(2):
+        if len(w) > 8:
+            break
+        expect = golden.contains(w) and predicate(w)
+        for _ in range(2):  # the second query is answered from the memo
+            assert ws.contains(w) == expect
+            assert both.contains(w) == (expect or w == (0, 1, 0))
+
+
+def test_predicate_error_is_not_memoised(golden):
+    calls = []
+
+    def predicate(w):
+        calls.append(w)
+        if len(calls) == 1:
+            raise DepthExceededError("not certified yet")
+        return True
+
+    ws = sl.WordSet.from_predicate(golden, predicate)
+    with pytest.raises(DepthExceededError):
+        ws.contains((0, 1))
+    assert ws.contains((0, 1))
+    assert ws.contains((0, 1))
+    assert calls == [(0, 1), (0, 1)]

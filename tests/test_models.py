@@ -47,6 +47,23 @@ def test_empty_language_raises():
         sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["00", "01", "10", "11"]))
 
 
+def test_memory_zero_sft_drops_forbidden_symbol():
+    # forbidding a single symbol leaves the full shift on the other two
+    x = sl.sft_from_forbidden(sl.SftSpec.from_strings("012", ["2"]))
+    assert x.count(3) == len(x.words(3)) == 8
+    assert sl.sft_entropy_exact(x) == pytest.approx(math.log(2), abs=1e-11)
+    rep = sl.pressure_estimate(sl.WordSet.language(x), sl.Potential.zero(x.alphabet), 6)
+    assert [r.count for r in rep.rows] == [2 ** n for n in range(1, 7)]
+    assert rep.point_estimate == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_memory_zero_sft_forbidding_every_symbol_is_empty():
+    with pytest.raises(EmptyLanguageError):
+        sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["0", "1"]))
+    with pytest.raises(EmptyLanguageError):
+        sl.sft_entropy_exact(sl.SftSpec.from_strings("01", ["0", "1"]))
+
+
 def test_entropy_oracles(golden, forbid111):
     assert sl.sft_entropy_exact(sl.full_shift(3)) == pytest.approx(math.log(3), abs=1e-11)
     assert sl.sft_entropy_exact(golden) == pytest.approx(LOG_GOLDEN, abs=1e-11)
