@@ -28,6 +28,7 @@ from .core import (
     Potential,
     Word,
     WordSet,
+    default_depth_guard,
 )
 from .errors import ConfigError, ShiftLabError
 from .models import (
@@ -47,6 +48,7 @@ from .models import (
     sft_from_forbidden,
 )
 from .thermo import (
+    csv_text,
     cylinder_count_table,
     format17,
     hyperbolicity_diagnostic,
@@ -117,10 +119,17 @@ def validate(config: dict) -> list[dict]:
     pot = config.get("potential", "zero")
     if pot != "zero" and not isinstance(pot, dict):
         err("potential", "potential must be \"zero\" or an object")
-    guard = config.get("depth_guard", 40)
-    if not _is_int(guard):
-        err("depth_guard", f"must be an integer, got {guard!r}")
-        guard = None
+    # an explicit depth_guard bounds every word length asked for; the default,
+    # the oracle's enumeration limit, binds only lengths that are enumerated
+    guard, counted = None, False
+    if "depth_guard" in config:
+        guard = config["depth_guard"]
+        if not _is_int(guard):
+            err("depth_guard", f"must be an integer, got {guard!r}")
+            guard = None
+    elif not diags:
+        guard = _enumeration_limit(shift)
+        counted = pot == "zero" and shift["family"] in ("sft", "full", "cycle")
     analyses = config.get("analyses")
     if not isinstance(analyses, list) or not analyses:
         err("analyses", "need a nonempty list of analyses")
@@ -136,13 +145,42 @@ def validate(config: dict) -> list[dict]:
                     continue
                 if not _is_int(a[key]):
                     err(f"analyses[{i}].{key}", f"must be an integer, got {a[key]!r}")
-                elif guard is not None and a[key] > guard:
+                elif (guard is not None and a[key] > guard and a["op"] not in _NO_WORDS
+                      and not (counted and (a["op"], key) in _COUNTED)):
                     warn(f"analyses[{i}].{key}", f"{a[key]} exceeds the depth guard {guard}")
     return diags
 
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: analyses that only test code words for membership and enumerate no words
+_NO_WORDS = {"ud_check", "tower_loops", "spr", "marking"}
+#: knobs that only count words at zero potential on sft, full and cycle shifts
+_COUNTED = {("pressure_estimate", "n_max"), ("avoid_symbol_rate", "depth")}
+
+
+def _enumeration_limit(shift: dict) -> int | None:
+    """The enumeration limit _build_oracle gives a validated shift section
+    when run gets no depth guard; None where a field has a type run fails on."""
+    fam, limit = shift["family"], shift.get("depth")
+    try:
+        if fam == "beta":
+            limit = 24 if limit is None else limit
+            if "beta" not in shift and not shift.get("z_period"):
+                limit = min(limit, len(shift["z_pre"]))
+        elif limit is None and fam == "cycle":
+            limit = max(18, default_depth_guard(shift["k"]))
+        elif limit is None:
+            limit = default_depth_guard(
+                2 if fam == "s_gap"
+                else shift.get("k", len(shift.get("alphabet", "01"))) if fam == "full"
+                else len(shift.get("symbols") or shift["matrices"]) if fam == "cocyclic"
+                else len(shift["alphabet"]))
+    except TypeError:
+        return None
+    return limit if _is_int(limit) else None
 
 
 def _build_oracle(shift: dict, depth_guard: int | None) -> LanguageOracle:
@@ -224,11 +262,9 @@ def _analysis_cylinder(oracle, potential, params):
          "gibbs_ratio": format17(r.gibbs_ratio)}
         for r in table.rows
     ]
-    csv = "n,count_or_sum,rate,upper_bound\n" + "".join(
-        f"{r.position},{r.count if r.count is not None else format17(r.log_sum)},"
-        f"{format17(r.gibbs_ratio)},\n"
-        for r in table.rows
-    )
+    csv = csv_text("i,count_or_log_sum,gibbs_ratio", (
+        (r.position, r.count if r.count is not None else r.log_sum, r.gibbs_ratio)
+        for r in table.rows))
     return {"word": params["word"], "n": n, "pressure_used": format17(table.pressure_used),
             "rows": rows}, csv, None
 
@@ -248,9 +284,7 @@ def _analysis_hyperbolicity(oracle, potential, params):
          "gap": format17(r.gap)}
         for r in rep.rows
     ]
-    csv = "n,count_or_sum,rate,upper_bound\n" + "".join(
-        f"{r.n},{format17(r.sup_rate)},{format17(r.rate)},\n" for r in rep.rows
-    )
+    csv = csv_text("n,sup_rate,rate,gap", (row.values() for row in rows))
     return {"verdict": rep.verdict, "point_estimate": format17(rep.point_estimate),
             "rows": rows}, csv, None
 
@@ -337,9 +371,8 @@ def _analysis_sync_pipeline(oracle, potential, params):
     block["fraction_monotone"] = all(
         b[3] <= a[3] + 1e-12 for a, b in zip(rows, rows[1:])
     )
-    csv = "n,count_or_sum,rate,upper_bound\n" + "".join(
-        f"{n},{bad},{format17(frac)},{total}\n" for n, bad, total, frac in rows
-    )
+    csv = csv_text("n,obstructed,fraction,total",
+                   ((n, bad, frac, total) for n, bad, total, frac in rows))
     dat = "\n".join(f"{n} {format17(frac)}" for n, bad, total, frac in rows) + "\n"
     return block, csv, dat
 

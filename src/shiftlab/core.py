@@ -476,3 +476,9 @@ def chunked_fsum(terms: Sequence[float]) -> float:
     if n <= _SUM_CHUNK:
         return math.fsum(terms)
     return math.fsum([math.fsum(terms[i : i + _SUM_CHUNK]) for i in range(0, n, _SUM_CHUNK)])
+
+
+def log_sum_exp(vals: Sequence[float]) -> float:
+    """log of the sum of exp(v), shifted by the max and chunk-summed."""
+    m = max(vals)
+    return m + math.log(chunked_fsum([math.exp(v - m) for v in vals]))

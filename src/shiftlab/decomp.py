@@ -20,7 +20,7 @@ from .core import (
     WordSet,
 )
 from .errors import DepthExceededError, NotSynchronisingError, NoValidParametersError
-from .thermo import NEG_INF, PressureReport, format17, pressure_estimate
+from .thermo import NEG_INF, PressureReport, format17, pressure_estimate, rate_estimate
 
 DEFAULT_MARGIN = 0.05
 
@@ -473,14 +473,7 @@ def _phat_rate(ws: WordSet, potential: Potential, depth: int) -> float:
     """Finite-depth point estimate of the pressure of a collection."""
     from .thermo import log_partition_sum
 
-    logs = [(m, log_partition_sum(ws, potential, m)) for m in range(1, depth + 1)]
-    supported = [(m, v) for m, v in logs if v > NEG_INF]
-    if len(supported) >= 2:
-        (m1, v1), (m2, v2) = supported[-2], supported[-1]
-        return (v2 - v1) / (m2 - m1)
-    if supported:
-        return supported[0][1] / supported[0][0]
-    return NEG_INF
+    return rate_estimate((m, log_partition_sum(ws, potential, m)) for m in range(1, depth + 1))
 
 
 def _surrogate_ok(ws: WordSet, potential: Potential, cutoff: int, depth: int,
@@ -591,12 +584,6 @@ class QftReport:
     exact: bool
     left: dict[int, tuple[Word, ...]]
     right: dict[int, tuple[Word, ...]]
-
-    def left_all(self) -> list[Word]:
-        return [w for ws in self.left.values() for w in ws]
-
-    def right_all(self) -> list[Word]:
-        return [w for ws in self.right.values() for w in ws]
 
 
 def _is_left_constraint(oracle: LanguageOracle, w: Word, bound: int) -> bool:

@@ -473,10 +473,6 @@ class CodedSpec:
         gens = tuple(sorted(alphabet.word(g) for g in generators))
         return cls(gens, alphabet, truncated)
 
-    @property
-    def pad(self) -> int:
-        return max((len(g) for g in self.generators), default=0)
-
 
 def coded_shift(spec: CodedSpec, enumeration_limit: int | None = None) -> LanguageOracle:
     """A word is admissible iff it occurs in some bi-infinite concatenation

@@ -18,6 +18,7 @@ from .core import (
     WordSet,
     chunked_fsum,
     distortion_bound,
+    log_sum_exp,
     phi_hat,
 )
 from .errors import NoPeriodicPointsError, NotInLanguageError
@@ -35,6 +36,26 @@ def format17(x: float) -> str:
     return f"{x:.17g}"
 
 
+def rate_estimate(points) -> float:
+    """The one pressure point estimate from (n, log sum) pairs: the slope
+    through the last two with a finite log sum, that log sum over n when
+    only one has one, -inf when none has."""
+    supported = [(n, v) for n, v in points if v > NEG_INF]
+    if len(supported) >= 2:
+        (n1, v1), (n2, v2) = supported[-2:]
+        return (v2 - v1) / (n2 - n1)
+    return supported[0][1] / supported[0][0] if supported else NEG_INF
+
+
+def csv_text(header: str, rows) -> str:
+    """The one CSV writer: the header line, then a line per row of fields,
+    floats rendered by format17 and anything else by str."""
+    return header + "\n" + "".join(
+        ",".join(format17(f) if isinstance(f, float) else str(f) for f in row) + "\n"
+        for row in rows
+    )
+
+
 def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
     """log Lambda_n(D, phi); -inf when D_n is empty.
 
@@ -48,11 +69,7 @@ def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
     elems = words.at(n)
     if not elems:
         return NEG_INF
-    oracle = words.oracle
-    vals = [phi_hat(potential, oracle, w) for w in elems]
-    m = max(vals)
-    s = chunked_fsum([math.exp(v - m) for v in vals])
-    return m + math.log(s)
+    return log_sum_exp([phi_hat(potential, words.oracle, w) for w in elems])
 
 
 def partition_sum(words: WordSet, potential: Potential, n: int) -> float:
@@ -71,9 +88,11 @@ def partition_sum(words: WordSet, potential: Potential, n: int) -> float:
     vals = [phi_hat(potential, oracle, w) for w in elems]
     if max(vals) <= _EXP_CAP:
         return chunked_fsum([math.exp(v) for v in vals])
-    m = max(vals)
-    log_value = m + math.log(chunked_fsum([math.exp(v - m) for v in vals]))
-    return math.exp(log_value) if log_value <= _EXP_CAP else float("inf")
+    return capped_exp(log_sum_exp(vals))
+
+
+def capped_exp(x: float) -> float:
+    return math.exp(x) if x <= _EXP_CAP else float("inf")
 
 
 def word_count(words: WordSet, n: int) -> int:
@@ -139,12 +158,9 @@ class PressureReport:
         }
 
     def to_csv_text(self) -> str:
-        lines = ["n,count_or_sum,rate,upper_bound"]
-        for r in self.rows:
-            mid = str(r.count) if r.count is not None else format17(math.exp(r.log_sum) if r.log_sum <= _EXP_CAP else float("inf"))
-            ub = "" if r.upper_bound is None else format17(r.upper_bound)
-            lines.append(f"{r.n},{mid},{format17(r.rate)},{ub}")
-        return "\n".join(lines) + "\n"
+        return csv_text("n,count_or_sum,rate,upper_bound", (
+            (r.n, r.count if r.count is not None else capped_exp(r.log_sum), r.rate,
+             "" if r.upper_bound is None else r.upper_bound) for r in self.rows))
 
 
 def pressure_estimate(
@@ -173,13 +189,7 @@ def pressure_estimate(
         rows.append(PressureRow(n, ls, count, rate, ub))
 
     supported = [r for r in rows if r.log_sum > NEG_INF]
-    if len(supported) >= 2:
-        a, b = supported[-2], supported[-1]
-        point = (b.log_sum - a.log_sum) / (b.n - a.n)
-    elif supported:
-        point = supported[-1].rate
-    else:
-        point = NEG_INF
+    point = rate_estimate((r.n, r.log_sum) for r in rows)
 
     fekete_upper = None
     if use_fekete and supported:
@@ -252,9 +262,7 @@ def cylinder_count_table(
         else:
             count = None
             if hits:
-                vals = [phi_hat(potential, oracle, w) for w in hits]
-                m = max(vals)
-                ls = m + math.log(chunked_fsum([math.exp(x - m) for x in vals]))
+                ls = log_sum_exp([phi_hat(potential, oracle, w) for w in hits])
             else:
                 ls = NEG_INF
         ratio = math.exp(ls - (n - k) * p_hat - pv) if ls > NEG_INF else 0.0
@@ -351,10 +359,8 @@ class PeriodicMeasure:
         }
 
     def to_csv_text(self, alphabet) -> str:
-        lines = ["cylinder,weight"]
-        for u, wt in sorted(self.cylinder_weights.items()):
-            lines.append(f"{alphabet.text(u)},{format17(wt)}")
-        return "\n".join(lines) + "\n"
+        return csv_text("cylinder,weight", (
+            (alphabet.text(u), wt) for u, wt in sorted(self.cylinder_weights.items())))
 
 
 def periodic_orbit_measure(
@@ -434,8 +440,7 @@ def hyperbolicity_diagnostic(
         else:
             vals = [phi_hat(potential, oracle, w) for w in elems]
             sup = max(vals) / n
-            m = max(vals)
-            log_sum = m + math.log(chunked_fsum([math.exp(v - m) for v in vals]))
+            log_sum = log_sum_exp(vals)
         if prev_log is not None and prev_log > NEG_INF and log_sum > NEG_INF:
             rate = log_sum - prev_log
         else:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .core import (
@@ -19,8 +21,8 @@ from .core import (
     Potential,
     Word,
     WordSet,
-    chunked_fsum,
     distortion_bound,
+    log_sum_exp,
     phi_hat,
 )
 from .errors import (
@@ -29,7 +31,7 @@ from .errors import (
     NotSpecifiedError,
     PeriodicFamilyError,
 )
-from .thermo import NEG_INF, format17
+from .thermo import NEG_INF, capped_exp, csv_text, format17, rate_estimate
 
 LOG2 = math.log(2.0)
 
@@ -299,13 +301,9 @@ class FreeFamily:
     def contains(self, w: Word) -> bool:
         return w in self._member_sets.get(len(w), frozenset())
 
-    @property
+    @cached_property
     def _member_sets(self) -> dict[int, frozenset[Word]]:
-        cached = getattr(self, "_msets", None)
-        if cached is None:
-            cached = {n: frozenset(ws) for n, ws in self.members.items()}
-            self._msets = cached
-        return cached
+        return {n: frozenset(ws) for n, ws in self.members.items()}
 
     def irreducible_words(self) -> list[Word]:
         return [w for n in sorted(self.irreducibles) for w in self.irreducibles[n]]
@@ -319,14 +317,6 @@ class FreeFamily:
         for j in range(1, n + 1):
             f[j] = sum(f[i] for i in range(j) if w[i:j] in irr)
         return f[n]
-
-    def as_word_set(self) -> WordSet:
-        return WordSet.from_words(
-            self.oracle,
-            [w for ws in self.members.values() for w in ws],
-            depth=self.depth,
-            name="F",
-        )
 
 
 def build_free_family(
@@ -355,7 +345,9 @@ def free_family_from_irreducibles(
     """The star closure of an explicit irreducible set, enumerated to depth.
 
     Validates that the concatenations stay in the language and that no
-    irreducible word splits into others (I n II must be empty)."""
+    irreducible word splits into others (I n II must be empty).  Only the
+    supplied words need the split test: every other member is u + v for a
+    supplied u and a nonempty member v, so it is reducible."""
     irr = sorted(set(irreducibles), key=lambda w: (len(w), w))
     if any(len(w) == 0 for w in irr):
         raise ValueError("irreducible words must be nonempty")
@@ -374,9 +366,12 @@ def free_family_from_irreducibles(
                 raise ValueError(f"concatenation {w} leaves the language; not a free family")
         members[n] = sorted(seen)
     fam = {n: tuple(ws) for n, ws in members.items() if n > 0}
-    out = _finish_family(oracle, depth, fam, None)
-    supplied = {w for w in irr if len(w) <= depth}
-    computed = {w for ws in out.irreducibles.values() for w in ws}
+    kept = [w for w in irr if len(w) <= depth]
+    irreducibles = {n: tuple(ws) for n, ws in groupby(kept, key=len)}
+    out = FreeFamily(oracle, depth, fam, irreducibles, math.gcd(*irreducibles), None)
+    supplied = set(kept)
+    computed = {w for w in kept
+                if not any(out.contains(w[:t]) and out.contains(w[t:]) for t in range(1, len(w)))}
     if supplied != computed:
         raise ValueError(
             f"supplied set is not the irreducible set of its star closure: "
@@ -529,21 +524,6 @@ class TowerGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_tower(
-    irreducibles: Iterable[Word] | FreeFamily,
-    depth: int,
-    base_word: Word,
-) -> TowerGraph:
-    if isinstance(irreducibles, FreeFamily):
-        oracle = irreducibles.oracle
-        words = [w for w in irreducibles.irreducible_words() if len(w) <= depth]
-    else:
-        raise TypeError("pass a FreeFamily or use build_tower_over")
-    if base_word not in words:
-        raise ValueError("base word must be an enumerated irreducible")
-    return TowerGraph(oracle, tuple(words), (base_word, 1), depth)
-
-
 def build_tower_over(
     oracle: LanguageOracle,
     irreducibles: Iterable[Word],
@@ -583,11 +563,7 @@ class LoopTable:
     cross_check_max_gap: float
 
     def z_rate_estimate(self) -> float:
-        supported = [(r.n, r.z) for r in self.rows if r.z > NEG_INF]
-        if len(supported) >= 2:
-            (n1, z1), (n2, z2) = supported[-2], supported[-1]
-            return (z2 - z1) / (n2 - n1)
-        return supported[0][1] / supported[0][0] if supported else NEG_INF
+        return rate_estimate((r.n, r.z) for r in self.rows)
 
     def z_star_rate_estimate(self) -> float:
         half = [r for r in self.rows if r.n > self.n_max // 2 and r.z_star > NEG_INF]
@@ -603,12 +579,10 @@ class LoopTable:
         return g
 
     def to_csv_text(self) -> str:
-        lines = ["n,Z_n,Z_n_star,rate,rate_star"]
-        for r in self.rows:
-            z = str(r.z_count) if r.z_count is not None else format17(math.exp(r.z) if r.z <= 300 else float("inf"))
-            zs = str(r.z_star_count) if r.z_star_count is not None else format17(math.exp(r.z_star) if r.z_star <= 300 else float("inf"))
-            lines.append(f"{r.n},{z},{zs},{format17(r.rate)},{format17(r.rate_star)}")
-        return "\n".join(lines) + "\n"
+        return csv_text("n,Z_n,Z_n_star,rate,rate_star", (
+            (r.n, r.z_count if r.z_count is not None else capped_exp(r.z),
+             r.z_star_count if r.z_star_count is not None else capped_exp(r.z_star),
+             r.rate, r.rate_star) for r in self.rows))
 
 
 def _distinct_star_counts(irreducibles: Sequence[Word], n_max: int, n_symbols: int) -> list[int]:
@@ -650,22 +624,24 @@ def _distinct_star_counts(irreducibles: Sequence[Word], n_max: int, n_symbols: i
     return totals
 
 
-def _loop_count_dp(tower: TowerGraph, n: int, star: bool) -> int:
-    """Exact integer count of length-n loops at the base (first-return loops
-    when star=True)."""
+def _loop_counts(tower: TowerGraph, n_max: int, star: bool) -> list[int]:
+    """Exact integer counts of the length-n loops at the base (first-return
+    loops when star=True) for every n <= n_max, indexed by n, from one DP
+    pass: after n-1 steps the table counts the paths of n vertices."""
     base = tower.base
+    out = [0] * (n_max + 1)
     counts: dict[tuple[Word, int], int] = {base: 1}
-    for step in range(n - 1):
-        nxt: dict[tuple[Word, int], int] = {}
-        for v, c in counts.items():
-            for u in tower.successors(v):
-                if star and u == base:
-                    continue
-                nxt[u] = nxt.get(u, 0) + c
-        counts = nxt
-        if not counts:
-            return 0
-    return sum(c for v, c in counts.items() if base in tower.successors(v))
+    for n in range(1, n_max + 1):
+        if n > 1:
+            nxt: dict[tuple[Word, int], int] = {}
+            for v, c in counts.items():
+                for u in tower.successors(v):
+                    if not (star and u == base):
+                        nxt[u] = nxt.get(u, 0) + c
+            counts = nxt
+        # the base (b, 1) follows exactly the last position of each word
+        out[n] = sum(c for (w, k), c in counts.items() if k == len(w))
+    return out
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -677,77 +653,74 @@ def _logaddexp(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _loop_log_dp(tower: TowerGraph, potential: Potential, n: int, star: bool) -> float:
-    """log of the phi-weighted loop sum, the Birkhoff sum being evaluated
-    along the projected periodic word (windows wrap around)."""
+def _loop_logs(tower: TowerGraph, potential: Potential, n_max: int, star: bool) -> list[float]:
+    """log of the phi-weighted loop sums for every n <= n_max, indexed by n,
+    the Birkhoff sum being evaluated along the projected periodic word
+    (windows wrap around).
+
+    Loops shorter than max(2(r-1), 2) go to _loop_brute.  The rest come from
+    one DP pass: the table after n-1 steps does not depend on the target n,
+    nor does the closing term of a state, so each is computed once.  The
+    tables are visited in sorted order, stub by stub, as a separate pass per
+    n would visit them, so every sum is the same float.
+    """
     r = potential.window
     base = tower.base
-    if n < max(2 * (r - 1), 2):
-        return _loop_brute(tower, potential, n, star)
     value = potential.value
     sym = tower.symbol
+    short = max(2 * (r - 1), 2)
+    out = [NEG_INF] * (n_max + 1)
+    for n in range(1, min(short, n_max + 1)):
+        out[n] = _loop_brute(tower, potential, n, star)
+    if n_max < short:
+        return out
 
-    if r == 1:
-        # each position contributes its own symbol; no wrap bookkeeping
-        table: dict[tuple[Word, int], float] = {base: value((sym(base),))}
-        for _ in range(1, n):
-            nxt: dict[tuple[Word, int], float] = {}
-            for v, acc in sorted(table.items()):
-                for u in tower.successors(v):
-                    if star and u == base:
-                        continue
-                    cand = acc + value((sym(u),))
-                    nxt[u] = _logaddexp(nxt.get(u, NEG_INF), cand)
-            table = nxt
-            if not table:
-                return NEG_INF
-        total = NEG_INF
-        for v, acc in sorted(table.items()):
-            if base in tower.successors(v):
-                total = _logaddexp(total, acc)
-        return total
-
-    h = r - 1
+    h = max(r - 1, 1)
     # wrap windows read the first r-2 vertices past the base; condition on them
     stubs: list[tuple] = [()]
     for _ in range(r - 2):
         grown = []
         for st in stubs:
             last = st[-1] if st else base
-            for u in tower.successors(last):
-                if star and u == base:
-                    continue
-                grown.append(st + (u,))
+            grown.extend(st + (u,) for u in tower.successors(last) if not (star and u == base))
         stubs = grown
 
-    total = NEG_INF
-    for stub in stubs:
-        prefix = (base,) + stub  # z_0 .. z_{r-2}, h vertices
-        table2: dict[tuple, float] = {tuple(prefix): 0.0}
-        for m in range(h, n):
-            nxt2: dict[tuple, float] = {}
-            for st, acc in sorted(table2.items()):
+    # per stub, the last h vertices z_{n-h}..z_{n-1} of the paths z_0..z_{n-1}
+    # that start with base + stub, and the closing terms met so far; at r = 1
+    # the base's own window opens the sum and nothing wraps
+    start = value((sym(base),)) if r == 1 else 0.0
+    tables: list[dict[tuple, float]] = [{(base,) + stub: start} for stub in stubs]
+    closings: list[dict[tuple, float]] = [{} for _ in stubs]
+    for n in range(h + 1, n_max + 1):
+        total = NEG_INF
+        for i, stub in enumerate(stubs):
+            nxt: dict[tuple, float] = {}
+            for st, acc in sorted(tables[i].items()):
+                head = tuple(sym(x) for x in st[h + 1 - r :])  # the r-1 symbols before u
                 for u in tower.successors(st[-1]):
-                    if star and u == base:
-                        continue
-                    wlog = value(tuple(sym(x) for x in st) + (sym(u),))
-                    st2 = st[1:] + (u,)
-                    cand = acc + wlog
-                    nxt2[st2] = _logaddexp(nxt2.get(st2, NEG_INF), cand)
-            table2 = nxt2
-            if not table2:
-                break
-        if not table2:
-            continue
-        for st, acc in sorted(table2.items()):
-            if base not in tower.successors(st[-1]):
+                    if not (star and u == base):
+                        st2 = st[1:] + (u,)
+                        nxt[st2] = _logaddexp(nxt.get(st2, NEG_INF), acc + value(head + (sym(u),)))
+            tables[i] = nxt
+            if n < short:
                 continue
-            ctx = st + (base,) + stub  # z_{n-r+1}..z_{n-1}, z_0, z_1..z_{r-2}
-            closing = math.fsum(
-                value(tuple(sym(x) for x in ctx[t : t + r])) for t in range(r - 1)
-            )
-            total = _logaddexp(total, acc + closing)
-    return total
+            memo = closings[i]
+            for st, acc in sorted(nxt.items()):
+                w, k = st[-1]
+                if k != len(w):  # the base follows only the last position of a word
+                    continue
+                if r > 1:
+                    closing = memo.get(st)
+                    if closing is None:
+                        ctx = st + (base,) + stub  # z_{n-r+1}..z_{n-1}, z_0, z_1..z_{r-2}
+                        closing = memo[st] = math.fsum(
+                            value(tuple(sym(x) for x in ctx[t : t + r])) for t in range(r - 1)
+                        )
+                    acc += closing
+                total = _logaddexp(total, acc)
+        if n >= short:
+            out[n] = total
+    return out
 
 
 def _loop_brute(tower: TowerGraph, potential: Potential, n: int, star: bool) -> float:
@@ -783,8 +756,9 @@ def loop_sums(
 ) -> LoopTable:
     """Z_n and first-return Z*_n tables at the tower base.
 
-    Computed by graph DP, and (when requested) cross-checked against the
-    word-side sums over parses of the family words: under unique
+    Computed by graph DP, one pass for all n <= n_max (the table after n-1
+    steps serves every longer n too), and (when requested) cross-checked
+    against the word-side sums over parses of the family words: under unique
     decipherability the two agree exactly at zero potential and within a
     distortion envelope otherwise; a larger disagreement raises
     InconsistentDecipherabilityError.
@@ -792,25 +766,28 @@ def loop_sums(
     base_word = tower.base[0]
     rows: list[LoopRow] = []
     zero = potential.is_zero
-    logs: list[float] = []
+    if zero:
+        full, first = _loop_counts(tower, n_max, False), _loop_counts(tower, n_max, True)
+    else:
+        full = _loop_logs(tower, potential, n_max, False)
+        first = _loop_logs(tower, potential, n_max, True)
+    prior: tuple[int, float] | None = None  # the last n with Z_n > 0, and log Z_n
     for n in range(1, n_max + 1):
         if zero:
-            zc = _loop_count_dp(tower, n, star=False)
-            zsc = _loop_count_dp(tower, n, star=True)
+            zc, zsc = full[n], first[n]
             z = math.log(zc) if zc else NEG_INF
             zs = math.log(zsc) if zsc else NEG_INF
         else:
             zc = zsc = None
-            z = _loop_log_dp(tower, potential, n, star=False)
-            zs = _loop_log_dp(tower, potential, n, star=True)
-        prior = [(m, lz) for m, lz in enumerate(logs, start=1) if lz > NEG_INF]
-        if z > NEG_INF and prior:
-            m0, z0 = prior[-1]
+            z, zs = full[n], first[n]
+        if z > NEG_INF and prior is not None:
+            m0, z0 = prior
             rate = (z - z0) / (n - m0)
         else:
             rate = z / n if z > NEG_INF else NEG_INF
         rate_star = zs / n if zs > NEG_INF else NEG_INF
-        logs.append(z)
+        if z > NEG_INF:
+            prior = (n, z)
         rows.append(LoopRow(n, z, zc, zs, zsc, rate, rate_star))
 
     word_side: dict[int, float] = {}
@@ -818,8 +795,7 @@ def loop_sums(
     tol = 0.0
     if cross_check:
         irr = list(tower.irreducibles)
-        lens = sorted({len(w) for w in irr})
-        lmin = lens[0]
+        lmin = min(len(w) for w in irr)
         if zero:
             k = tower.oracle.alphabet.size
             g = _distinct_star_counts(irr, n_max, k)
@@ -837,7 +813,6 @@ def loop_sums(
                         f"counts ({g[m]}, {g_star[m]}) at n={n}; the irreducible set is "
                         "not uniquely decipherable"
                     )
-            tol = 0.0
         else:
             oracle = tower.oracle
             weights = {w: phi_hat(potential, oracle, w) for w in irr}
@@ -939,9 +914,7 @@ def spr_diagnostic(
         elif potential.is_zero:
             gen_logs.append(math.log(len(ws)))
         else:
-            vals = [phi_hat(potential, oracle, w) for w in ws]
-            m = max(vals)
-            gen_logs.append(m + math.log(chunked_fsum([math.exp(v - m) for v in vals])))
+            gen_logs.append(log_sum_exp([phi_hat(potential, oracle, w) for w in ws]))
     gen_sup = [(n, v / n) for n, v in enumerate(gen_logs, start=1) if v > NEG_INF]
     generator_rate = max((r for _, r in gen_sup), default=NEG_INF)
     family_rate = z_rate

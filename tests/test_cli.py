@@ -37,6 +37,71 @@ def test_validate_guard_warning():
     assert any(d["level"] == "warning" and "99" in d["message"] for d in diags)
 
 
+def test_validate_guard_is_the_oracle_limit():
+    # without a depth_guard key the guard is the enumeration limit the run's
+    # oracle gets: the shift's depth, else the family default (24 for binary)
+    pot = {"range": 1, "table": {"0": 0.5, "1": -0.5}}
+    shallow = {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"], "depth": 10}
+    cfg = {"shift": shallow, "potential": pot,
+           "analyses": [{"op": "pressure_estimate", "n_max": 12}]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("warning", "analyses[0].n_max")]
+    assert "depth guard 10" in cli.validate(cfg)[0]["message"]
+    # the warning predicts the run's failure
+    report = cli.run(cfg)
+    assert report["analyses"][0]["error"].startswith("DepthExceededError")
+    assert cli.validate(dict(cfg, analyses=[{"op": "pressure_estimate", "n_max": 10}])) == []
+
+    golden = {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]}
+    cfg = {"shift": golden, "potential": pot, "analyses": [{"op": "hyperbolicity", "n_max": 30}]}
+    diags = cli.validate(cfg)
+    assert [d["level"] for d in diags] == ["warning"]
+    assert "depth guard 24" in diags[0]["message"]
+    cfg = {"shift": {"family": "full", "k": 3}, "analyses": [{"op": "qft", "depth": 16}]}
+    assert "depth guard 15" in cli.validate(cfg)[0]["message"]
+
+
+@pytest.mark.parametrize("shift", [
+    {"family": "full", "k": 2},
+    {"family": "full", "k": 3},
+    {"family": "full", "alphabet": "abcd"},
+    {"family": "sft", "alphabet": ["0", "1", "2"], "forbidden": ["00"]},
+    {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"], "depth": 12},
+    {"family": "cycle", "k": 5},
+    {"family": "cycle", "k": 40},
+    {"family": "beta", "beta": 1.8},
+    {"family": "beta", "beta": 1.8, "depth": 14},
+    {"family": "beta", "z_pre": [1, 0, 1]},
+    {"family": "beta", "z_pre": [1], "z_period": [0, 1]},
+    {"family": "s_gap", "values": [1, 2]},
+    {"family": "coded", "alphabet": ["0", "1", "2"], "generators": ["01", "2"]},
+    {"family": "cocyclic", "matrices": [[[1]], [[1]], [[1]]]},
+    {"family": "cocyclic", "matrices": [[[1]], [[1]]], "symbols": ["a", "b"]},
+])
+def test_validate_guard_equals_built_oracle_limit(shift):
+    assert cli._enumeration_limit(shift) == cli._build_oracle(shift, None).enumeration_limit
+
+
+@pytest.mark.parametrize("op", ["tower_loops", "spr"])
+def test_validate_tower_n_max_is_not_guarded(op):
+    # the loop DP enumerates no words, so a long table is no guard breach
+    cfg = {"shift": {"family": "full", "k": 2},
+           "analyses": [{"op": op, "irreducibles": ["0", "01"], "base": "0", "n_max": 80}]}
+    assert cli.validate(cfg) == []
+
+
+@pytest.mark.parametrize("shift", [
+    {"family": "full", "k": "x"},
+    {"family": "sft", "alphabet": 7},
+    {"family": "cycle", "k": 5, "depth": "deep"},
+    {"family": "beta", "z_pre": 3},
+    {"family": "cocyclic", "matrices": 5},
+])
+def test_validate_guard_survives_malformed_shift(shift):
+    cfg = {"shift": shift, "analyses": [{"op": "hyperbolicity", "n_max": 30}]}
+    assert all(d["level"] in ("error", "warning") for d in cli.validate(cfg))
+
+
 def test_validate_clean_config():
     assert cli.validate(GOLDEN_CONFIG) == []
 
@@ -201,6 +266,43 @@ def test_run_kitchen_sink_ops(tmp_path):
     assert blocks["cgc"]["spec_I"]["pass"] is True
     assert blocks["cgc"]["stay_good_III"]["pass"] is True
     assert (tmp_path / "06_periodic_measure.csv").exists()
+
+
+def test_csv_headers_name_their_columns(tmp_path):
+    # each table gets its own header instead of the pressure header
+    cfg = {
+        "shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
+        "analyses": [
+            {"op": "cylinder_table", "word": "0", "n": 6},
+            {"op": "hyperbolicity", "n_max": 8},
+            {"op": "sync_pipeline", "tau": 1, "seed": "0", "cert_depth": 6,
+             "family_depth": 8, "fraction_lo": 6, "fraction_hi": 9},
+        ],
+    }
+    report = cli.run(cfg, tmp_path)
+    assert all(b["status"] == "ok" for b in report["analyses"])
+    blocks = {b["op"]: b for b in report["analyses"]}
+
+    def table(op):
+        lines = (tmp_path / blocks[op]["csv"]).read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(len(row) == len(lines[0].split(",")) for row in rows)
+        return lines[0], rows
+
+    header, rows = table("cylinder_table")
+    assert header == "i,count_or_log_sum,gibbs_ratio"
+    assert rows == [[str(r["i"]), str(r["count"]), r["gibbs_ratio"]]
+                    for r in blocks["cylinder_table"]["result"]["rows"]]
+    header, rows = table("hyperbolicity")
+    assert header == "n,sup_rate,rate,gap"
+    assert rows == [[str(r["n"]), r["sup_rate"], r["rate"], r["gap"]]
+                    for r in blocks["hyperbolicity"]["result"]["rows"]]
+    header, rows = table("sync_pipeline")
+    assert header == "n,obstructed,fraction,total"
+    dat = (tmp_path / blocks["sync_pipeline"]["dat"]).read_text().split()
+    assert [row[0] for row in rows] == dat[0::2] == ["6", "7", "8", "9"]
+    assert [row[2] for row in rows] == dat[1::2]
+    assert all(0 <= int(row[1]) <= int(row[3]) for row in rows)
 
 
 def test_run_sync_gap_op(tmp_path):

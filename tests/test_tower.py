@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab.core import WordSet
@@ -12,6 +14,11 @@ from shiftlab.errors import (
     PeriodicFamilyError,
 )
 from shiftlab.tower import (
+    TowerGraph,
+    _finish_family,
+    _loop_brute,
+    _loop_counts,
+    _loop_logs,
     check_free_concatenation,
     loop_sums,
     obstruction_fraction_table,
@@ -321,16 +328,15 @@ def test_loops_with_potential_word_side_envelope(full2):
 
 def test_loops_range3_star_multi_code_brute(full2):
     # three irreducibles, first-return and full loops, window-3 potential
-    from shiftlab.tower import _loop_brute, _loop_log_dp
-
     a = full2.alphabet
     tw = sl.build_tower_over(full2, [a.word("0"), a.word("01"), a.word("1")], 2, a.word("0"))
     table3 = {w: 0.07 * i - 0.1 for i, w in enumerate(full2.words(3))}
     pot = sl.Potential(3, table3)
-    for n in range(1, 9):
-        for star in (False, True):
+    for star in (False, True):
+        logs = _loop_logs(tw, pot, 8, star)
+        for n in range(1, 9):
             brute = _loop_brute(tw, pot, n, star)
-            dp = _loop_log_dp(tw, pot, n, star)
+            dp = logs[n]
             if brute == float("-inf"):
                 assert dp == float("-inf")
             else:
@@ -384,6 +390,123 @@ def test_loops_range3_potential_brute(full2):
 
     for n in range(1, 9):
         assert table.rows[n - 1].z == pytest.approx(brute(n), abs=1e-10)
+
+
+# -- all-n loop DP and the generator split test against references -----------------
+
+def _enumerated_loop_counts(tw, n_max, star):
+    """Loops at the base of each length <= n_max, by listing every path."""
+    out = [0] * (n_max + 1)
+    stack = [(tw.base, 1)]
+    while stack:
+        v, n = stack.pop()
+        if tw.base in tw.successors(v):
+            out[n] += 1
+        if n < n_max:
+            stack.extend((u, n + 1) for u in tw.successors(v) if not (star and u == tw.base))
+    return out
+
+
+def _reference_free_family(oracle, supply, depth):
+    """free_family_from_irreducibles by the generic split scan of every
+    member of the star closure (_finish_family)."""
+    irr = sorted(set(supply), key=lambda w: (len(w), w))
+    if any(len(w) == 0 for w in irr):
+        raise ValueError("irreducible words must be nonempty")
+    members = {0: [()]}
+    for n in range(1, depth + 1):
+        seen = {u + t for u in irr if len(u) <= n for t in members[n - len(u)]}
+        for w in seen:
+            if not oracle.contains(w):
+                raise ValueError(f"concatenation {w} leaves the language; not a free family")
+        members[n] = sorted(seen)
+    fam = {n: tuple(ws) for n, ws in members.items() if n > 0}
+    out = _finish_family(oracle, depth, fam, None)
+    supplied = {w for w in irr if len(w) <= depth}
+    computed = {w for ws in out.irreducibles.values() for w in ws}
+    if supplied != computed:
+        raise ValueError(
+            f"supplied set is not the irreducible set of its star closure: "
+            f"extra {supplied - computed}, missing {computed - supplied}"
+        )
+    return out
+
+
+@st.composite
+def tower_instances(draw):
+    k = draw(st.integers(2, 3))
+    word = st.lists(st.integers(0, k - 1), min_size=1, max_size=4).map(tuple)
+    code = draw(st.lists(word, min_size=1, max_size=4, unique=True))
+    r = draw(st.integers(1, 3))
+    values = draw(st.lists(st.integers(-4, 4), min_size=k**r, max_size=k**r))
+    table = {w: v / 4 for w, v in zip(itertools.product(range(k), repeat=r), values)}
+    return k, code, sl.Potential(r, table)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tower_instances())
+def test_all_n_loop_dp_matches_enumeration(instance):
+    # every code word in turn is the base, so one-letter bases (whose wrap
+    # windows depend on which word follows) come up often
+    k, code, pot = instance
+    for base, star in itertools.product(code, (False, True)):
+        tw = sl.build_tower_over(sl.full_shift(k), code, 4, base)
+        assert _loop_counts(tw, 10, star) == _enumerated_loop_counts(tw, 10, star)
+        logs = _loop_logs(tw, pot, 8, star)
+        for n in range(1, 9):
+            brute = _loop_brute(tw, pot, n, star)
+            if brute == float("-inf"):
+                assert logs[n] == brute
+            else:
+                assert logs[n] == pytest.approx(brute, abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tower_instances(),
+    st.lists(st.lists(st.integers(0, 2), max_size=4).map(tuple), max_size=2),
+    st.integers(0, 9),
+    st.booleans(),
+)
+def test_free_family_split_test_matches_reference(instance, extra, depth, golden_mean):
+    # extra words (possibly empty, reducible or outside the alphabet) and the
+    # golden-mean shift, where concatenations can leave the language,
+    # exercise every ValueError
+    k, code, _ = instance
+    oracle = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["11"])) if golden_mean else sl.full_shift(k)
+    supply = code + extra
+
+    def outcome(build):
+        try:
+            fam = build(oracle, supply, depth)
+        except ValueError as exc:
+            return str(exc)
+        return fam.members, list(fam.irreducibles.items()), fam.gcd_lengths
+
+    assert outcome(sl.free_family_from_irreducibles) == outcome(_reference_free_family)
+
+
+def test_loop_sums_work_grows_linearly(full2, monkeypatch):
+    # one DP pass for all n: doubling n_max about doubles the steps, where a
+    # separate pass per n would quadruple them
+    calls = [0]
+    successors = TowerGraph.successors
+
+    def counted(self, vertex):
+        calls[0] += 1
+        return successors(self, vertex)
+
+    monkeypatch.setattr(TowerGraph, "successors", counted)
+    a = full2.alphabet
+    tw = sl.build_tower_over(full2, [a.word("0"), a.word("01"), a.word("011")], 3, a.word("0"))
+    table3 = {w: 0.05 * i for i, w in enumerate(full2.words(3))}
+    for pot in (zero(full2), sl.Potential(3, table3)):
+        work = []
+        for n_max in (20, 40):
+            calls[0] = 0
+            loop_sums(tw, pot, n_max)
+            work.append(calls[0])
+        assert work[1] <= 2.5 * work[0]
 
 
 # -- SPR diagnostic ------------------------------------------------------------------
