@@ -116,6 +116,8 @@ def validate(config: dict) -> list[dict]:
             err("shift.generators", "coded shifts need generators")
         elif fam == "cocyclic" and not shift.get("matrices"):
             err("shift.matrices", "cocyclic shifts need matrices")
+        if "depth" in shift and not _is_int(shift["depth"]):
+            err("shift.depth", f"must be an integer, got {shift['depth']!r}")
     pot = config.get("potential", "zero")
     if pot != "zero" and not isinstance(pot, dict):
         err("potential", "potential must be \"zero\" or an object")
@@ -140,7 +142,12 @@ def validate(config: dict) -> list[dict]:
                 continue
             if a["op"] not in _ANALYSES:
                 err(f"analyses[{i}].op", f"unknown op {a['op']!r}")
-            for key in ("n_max", "depth", "horizon", "cert_depth"):
+            keys = ["n_max", "depth", "horizon", "cert_depth"]
+            if a["op"] == "cylinder_table":
+                keys.append("n")
+                if "n" not in a:
+                    err(f"analyses[{i}].n", "cylinder_table needs a word length n")
+            for key in keys:
                 if key not in a:
                     continue
                 if not _is_int(a[key]):

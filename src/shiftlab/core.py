@@ -138,6 +138,8 @@ class LanguageOracle:
         self.periodic_check = periodic_check
         self.count_hook = count_hook
         self._cache: dict[int, tuple[Word, ...]] = {}
+        #: id(potential) -> (potential, {word: phi_hat}); see phi_hat
+        self._phi_memo: dict[int, tuple[Potential, dict[Word, float]]] = {}
 
     def contains(self, w: Word) -> bool:
         if not w:
@@ -353,6 +355,17 @@ class Potential:
                 f"potential table has no entry for window {window_word}"
             ) from None
 
+    def window_sum(self, w: Word, start: int, stop: int) -> float:
+        """fsum of the values of the windows of w that start at offsets
+        start..stop-1 (0-based)."""
+        r, table = self.window, self.table
+        try:
+            return math.fsum([table[w[j : j + r]] for j in range(start, stop)])
+        except KeyError as exc:
+            raise NotInLanguageError(
+                f"potential table has no entry for window {exc.args[0]}"
+            ) from None
+
     def sup_norm(self) -> float:
         if isinstance(self.table, _IndicatorTable):
             return abs(self.table.scale)
@@ -403,43 +416,58 @@ def phi_hat(potential: Potential, oracle: LanguageOracle, w: Word) -> float:
     extensions of w by r-1 symbols; the search extends symbol by symbol and
     prunes inadmissible prefixes (sound because the language is factorial).
     phi_hat of the empty word is 0 by convention.
+
+    Values are memoised per (oracle, potential) for the oracle's lifetime,
+    keyed by word, so a potential's table must not be mutated after its
+    first use.  An evaluation that raises (such as NotInLanguageError) is
+    not memoised.
     """
-    if len(w) == 0:
+    if not w:
         return 0.0
-    if not oracle.contains(w):
+    entry = oracle._phi_memo.get(id(potential))
+    if entry is None:
+        # the entry keeps the potential alive, so its id cannot be reused
+        entry = oracle._phi_memo[id(potential)] = (potential, {})
+    memo = entry[1]
+    got = memo.get(w)
+    if got is None:
+        got = memo[w] = _phi_hat(potential, oracle, w)
+    return got
+
+
+def _phi_hat(potential: Potential, oracle: LanguageOracle, w: Word) -> float:
+    """phi_hat without the memo."""
+    contains = oracle.contains
+    if not contains(w):
         raise NotInLanguageError(f"word {w} not in language of {oracle.name}")
     if potential.is_zero:
         return 0.0
     r = potential.window
-    value = potential.value
-    fixed = 0.0
-    if len(w) >= r:
-        fixed = math.fsum(value(w[j : j + r]) for j in range(len(w) - r + 1))
-    need = r - 1
-    if need == 0:
+    n = len(w)
+    fixed = potential.window_sum(w, 0, n - r + 1) if n >= r else 0.0
+    if r == 1:
         return fixed
     k = oracle.alphabet.size
+    end = n + r - 1
+    start = max(0, n - r + 1)
 
     best: float | None = None
     # depth-first max over admissible (r-1)-symbol right extensions
-    stack: list[Word] = [EMPTY_WORD]
+    stack: list[Word] = [w]
     while stack:
-        ext = stack.pop()
-        if len(ext) == need:
-            full = w + ext
-            tail = math.fsum(
-                value(full[j : j + r]) for j in range(max(0, len(w) - r + 1), len(w))
-            )
+        full = stack.pop()
+        if len(full) == end:
+            tail = potential.window_sum(full, start, n)
             if best is None or tail > best:
                 best = tail
             continue
         for a in range(k - 1, -1, -1):
-            cand = w + ext + (a,)
-            if oracle.contains(cand):
-                stack.append(ext + (a,))
+            cand = full + (a,)
+            if contains(cand):
+                stack.append(cand)
     if best is None:
         raise NotInLanguageError(
-            f"word {w} has no admissible {need}-symbol extension (oracle not extendable)"
+            f"word {w} has no admissible {r - 1}-symbol extension (oracle not extendable)"
         )
     return fixed + best
 

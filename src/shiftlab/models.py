@@ -369,9 +369,14 @@ def beta_shift(spec: BetaSpec, enumeration_limit: int | None = None) -> Language
     if spec.z_period is None and limit > len(spec.z_pre):
         limit = len(spec.z_pre)
 
+    prefixes: dict[int, Word] = {}
+
     def member(w: Word) -> bool:
         n = len(w)
-        z = spec.prefix(n)  # raises DepthExceededError if uncertified
+        z = prefixes.get(n)
+        if z is None:
+            # raises DepthExceededError if uncertified, and a raise is not cached
+            z = prefixes[n] = spec.prefix(n)
         for k in range(n):
             suffix = w[k:]
             if suffix > z[: n - k]:

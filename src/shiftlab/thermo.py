@@ -315,7 +315,7 @@ def _cyclic_birkhoff(potential: Potential, p: Word) -> float:
     k = len(p)
     reps = 1 + -(-(r) // k)
     ext = p * reps
-    return math.fsum(potential.value(ext[j : j + r]) for j in range(k))
+    return potential.window_sum(ext, 0, k)
 
 
 @dataclass
@@ -425,12 +425,16 @@ def hyperbolicity_diagnostic(
     """Compares sup_w phi_hat(w)/n against the pressure estimate.
 
     The per-n gap is the successive-ratio pressure increment
-    log Lambda_n - log Lambda_{n-1} minus the sup Birkhoff rate.  Verdict is
+    log Lambda_n - log Lambda_{n-1} minus the sup Birkhoff rate.  The point
+    estimate is ``rate_estimate`` of the table's own (n, log Lambda_n)
+    values, the ones pressure_estimate over the full language would
+    compute, so every word is summed once.  Verdict is
     "hyperbolic-at-depth" iff over the last quarter of the table the gap is
     positive and does not shrink on net (the oscillation tolerance scales
     with the gap size, so a gap decaying to zero is rejected while a stable
     positive gap passes)."""
     rows: list[HyperbolicityRow] = []
+    log_sums: list[tuple[int, float]] = []
     prev_log = None
     for n in range(1, n_max + 1):
         elems = oracle.words(n)
@@ -446,8 +450,13 @@ def hyperbolicity_diagnostic(
         else:
             rate = log_sum / n if log_sum > NEG_INF else NEG_INF
         prev_log = log_sum
+        log_sums.append((n, log_sum))
         rows.append(HyperbolicityRow(n, sup, rate, rate - sup))
-    point = pressure_estimate(WordSet.language(oracle), potential, n_max).point_estimate
+    # raised after the table, so that an error inside the table (a depth or
+    # membership failure) is the one reported
+    if n_max < 4:
+        raise ValueError("n_max must be >= 4")
+    point = rate_estimate(log_sums)
     tail = rows[-max(3, len(rows) // 4) :]
     gaps = [r.gap for r in tail]
     positive = all(g > 0 for g in gaps)

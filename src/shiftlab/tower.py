@@ -727,7 +727,6 @@ def _loop_brute(tower: TowerGraph, potential: Potential, n: int, star: bool) -> 
     """Direct enumeration for very short loops (windows wrap several times)."""
     base = tower.base
     r = potential.window
-    value = potential.value
     total = NEG_INF
     stack: list[tuple[tuple[Word, int], ...]] = [(base,)]
     while stack:
@@ -736,7 +735,7 @@ def _loop_brute(tower: TowerGraph, potential: Potential, n: int, star: bool) -> 
             if base in tower.successors(path[-1]):
                 word = tuple(tower.symbol(v) for v in path)
                 ext = word * (1 + -(-r // n))
-                s = math.fsum(value(ext[j : j + r]) for j in range(n))
+                s = potential.window_sum(ext, 0, n)
                 total = _logaddexp(total, s)
             continue
         for u in tower.successors(path[-1]):

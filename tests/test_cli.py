@@ -132,6 +132,49 @@ def test_validate_non_integer_analysis_depth(key):
         cli.run(cfg)
 
 
+@pytest.mark.parametrize("depth", ["deep", 12.5, None, True])
+def test_validate_non_integer_shift_depth(depth, tmp_path):
+    # run would raise ValueError from int() while building the oracle (exit 2)
+    cfg = {"shift": {"family": "full", "k": 2, "depth": depth},
+           "analyses": [{"op": "pressure_estimate", "n_max": 6}]}
+    diags = cli.validate(cfg)
+    assert [d["field"] for d in diags if d["level"] == "error"] == ["shift.depth"]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("n", ["x", 6.0, None])
+def test_validate_non_integer_cylinder_n(n):
+    cfg = dict(GOLDEN_CONFIG, analyses=[{"op": "cylinder_table", "word": "0", "n": n}])
+    diags = cli.validate(cfg)
+    assert [d["field"] for d in diags if d["level"] == "error"] == ["analyses[0].n"]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+
+
+def test_validate_missing_cylinder_n():
+    cfg = dict(GOLDEN_CONFIG, analyses=[{"op": "cylinder_table", "word": "0"}])
+    assert [d["field"] for d in cli.validate(cfg) if d["level"] == "error"] == ["analyses[0].n"]
+
+
+def test_validate_warns_cylinder_n_past_guard():
+    # the table enumerates words of length n, so the guard binds n even at
+    # zero potential on a counted family
+    cfg = {"shift": {"family": "full", "k": 2},
+           "analyses": [{"op": "cylinder_table", "word": "0", "n": 40}]}
+    diags = cli.validate(cfg)
+    assert [(d["level"], d["field"]) for d in diags] == [("warning", "analyses[0].n")]
+    assert "depth guard 24" in diags[0]["message"]
+    report = cli.run(cfg)
+    assert report["analyses"][0]["error"].startswith("DepthExceededError")
+    assert cli.validate(dict(cfg, analyses=[{"op": "cylinder_table", "word": "0", "n": 8}])) == []
+    # other ops read no n, so an n there is neither checked nor guarded
+    assert cli.validate(dict(cfg, analyses=[{"op": "qft", "depth": 5, "n": "x"}])) == []
+
+
 def test_run_rejects_invalid():
     with pytest.raises(ConfigError):
         cli.run({"shift": {"family": "sft"}, "analyses": []})

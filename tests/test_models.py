@@ -6,7 +6,7 @@ import pytest
 
 import shiftlab as sl
 from shiftlab.core import check_extendable, check_factorial
-from shiftlab.errors import EmptyLanguageError, ExpansionUncertainError
+from shiftlab.errors import DepthExceededError, EmptyLanguageError, ExpansionUncertainError
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 LOG_GOLDEN = math.log(GOLDEN_RATIO)
@@ -154,6 +154,22 @@ def test_beta_driving_sequence_admissible():
         b = sl.beta_shift(spec, 20)
         for n in (5, 12, 20):
             assert b.contains(spec.prefix(n))
+
+
+def test_beta_without_period_raises_past_certified_depth_every_time():
+    # the membership rule caches the prefix of z per length; a length past
+    # the certified depth has no prefix to cache and must raise each time
+    spec = sl.BetaSpec.from_sequence((1, 0, 1), None)
+    b = sl.beta_shift(spec)
+    assert b.enumeration_limit == 3
+    for _ in range(3):
+        with pytest.raises(DepthExceededError):
+            b.contains((0, 0, 0, 0))
+        assert b.contains((1, 0, 1)) and not b.contains((1, 1, 0))
+        with pytest.raises(DepthExceededError):
+            b.contains((1, 0, 1, 0, 0))
+    with pytest.raises(DepthExceededError):
+        b.words(4)
 
 
 def test_beta_factorial_extendable():
