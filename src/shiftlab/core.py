@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DepthExceededError, NotInLanguageError
@@ -98,23 +99,56 @@ class Alphabet:
         return not w or (min(w) >= 0 and max(w) < len(self.symbols))
 
 
+class CodeAutomaton:
+    """Subset automaton of the parse automaton of a code (Lind & Marcus,
+    ch. 3), with its transitions memoised per (state set, symbol).
+
+    A parse state (i, j) means that the next symbol to read is
+    ``code[i][j]``; finishing a codeword moves to ``boundary``, the set of
+    every (i, 0).  A word is a factor of a concatenation of codewords iff
+    its run from ``positions`` (every parse state) never becomes empty, and
+    it is a concatenation iff its run from ``boundary`` ends on a set
+    holding ``boundary``.
+    """
+
+    def __init__(self, code: Sequence[Word]):
+        self.code = tuple(code)
+        self.boundary = frozenset((i, 0) for i in range(len(self.code)))
+        self.positions = frozenset((i, j) for i, w in enumerate(self.code) for j in range(len(w)))
+        self._delta: dict[tuple[frozenset, int], frozenset] = {}
+
+    def step(self, states: frozenset, a: int) -> frozenset:
+        got = self._delta.get((states, a))
+        if got is None:
+            out = set()
+            for i, j in states:
+                w = self.code[i]
+                if w[j] == a:
+                    if j + 1 < len(w):
+                        out.add((i, j + 1))
+                    else:
+                        out |= self.boundary
+            got = self._delta[states, a] = frozenset(out)
+        return got
+
+
 class LanguageOracle:
     """Membership + enumeration for the language of a shift space.
 
     The language is factorial (subwords of members are members) and the
     empty word is always a member.  ``enumeration_limit`` is the depth to
     which the oracle certifies enumeration; deeper requests raise
-    DepthExceededError.  Optional hooks:
+    DepthExceededError.  Optional fields:
 
-    * ``count_hook(n)``: exact integer word count (used for zero-potential
-      partition sums without enumeration),
-    * ``locality``: window size within which membership is decidable
-      (SFT memory); ``None`` for non-local rules,
-    * ``periodicity_window``: m such that p^infinity is admissible iff a
-      repetition of p of length >= |p| + m is admissible (exact periodic
-      point detection); ``None`` falls back to a depth-certified check,
+    * ``locality``: window size m within which membership is decidable (SFT
+      memory + 1); then p^infinity is admissible iff a repetition of p of
+      length >= |p| + m is, so periodic points are exact.  ``None`` for
+      non-local rules, whose periodic points are depth-certified,
     * ``periodic_check(p)``: exact periodic-point predicate overriding the
-      window rule (used by cocyclic shifts).
+      window rule (used by S-gap shifts),
+    * ``sft_data``: the pruned de Bruijn graph of an SFT
+      (``models._SftData``), which counts words exactly without enumeration
+      and gives the transition matrix of the exact entropy.
     """
 
     def __init__(
@@ -125,18 +159,16 @@ class LanguageOracle:
         *,
         name: str = "",
         locality: int | None = None,
-        periodicity_window: int | None = None,
         periodic_check: Callable[[Word], bool] | None = None,
-        count_hook: Callable[[int], int] | None = None,
+        sft_data=None,
     ):
         self.alphabet = alphabet
         self._membership = membership
         self.enumeration_limit = int(enumeration_limit)
         self.name = name or "shift"
         self.locality = locality
-        self.periodicity_window = periodicity_window
         self.periodic_check = periodic_check
-        self.count_hook = count_hook
+        self.sft_data = sft_data
         self._cache: dict[int, tuple[Word, ...]] = {}
         #: id(potential) -> (potential, {word: phi_hat}); see phi_hat
         self._phi_memo: dict[int, tuple[Potential, dict[Word, float]]] = {}
@@ -177,8 +209,8 @@ class LanguageOracle:
         return out
 
     def count(self, n: int) -> int:
-        if self.count_hook is not None:
-            return int(self.count_hook(n))
+        if self.sft_data is not None:
+            return self.sft_data.count(n)
         return len(self.words(n))
 
     def __repr__(self):
@@ -227,7 +259,6 @@ class WordSet:
     @classmethod
     def language(cls, oracle: LanguageOracle, name: str = "") -> "WordSet":
         return cls(oracle, predicate=lambda w: True, is_full_language=True,
-                   count_hook=oracle.count_hook and (lambda n: oracle.count(n)),
                    name=name or f"L({oracle.name})")
 
     @classmethod
@@ -341,8 +372,9 @@ class Potential:
         w = alphabet.word(pattern)
         return cls(len(w), _IndicatorTable(w, scale))
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
+        """Computed once: like phi_hat's memo, it needs the table unchanged."""
         if isinstance(self.table, _IndicatorTable):
             return self.table.scale == 0.0
         return all(v == 0.0 for v in self.table.values())

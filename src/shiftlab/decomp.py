@@ -134,7 +134,6 @@ def check_stay_good_III(
     n: int,
     *,
     mode: str = "full",
-    x_bound: int | None = None,
 ) -> Verdict:
     """[III] and its one-sided variants over all admissible u,v,w with
     |uvw| <= n, |v| >= L, uv and vw good, uvw admissible.
@@ -142,7 +141,7 @@ def check_stay_good_III(
     mode "full": require v and uvw good ([III]);
     mode "inter": require v good ([III_a]);
     mode "union": require uvw good whenever additionally some admissible x
-    has x.uvw good ([III_b]); x is searched to ``x_bound`` symbols.
+    has x.uvw good ([III_b]); x is searched to n - |uvw| symbols.
     """
     if collections.L_param is None:
         raise ValueError("check_stay_good_III needs L_param")
@@ -160,10 +159,9 @@ def check_stay_good_III(
                         continue
                     checked += 1
                     if mode == "union":
-                        bound = x_bound if x_bound is not None else max(0, n - m)
                         trigger = any(
                             good.contains(x + t)
-                            for ell in range(1, bound + 1)
+                            for ell in range(1, n - m + 1)
                             for x in oracle.words(ell)
                         )
                         if not trigger:
@@ -326,13 +324,10 @@ def check_complete_list_Istar(
     oracle: LanguageOracle,
     M_list: Sequence[int],
     n: int,
-    *,
-    tau_cap: int | None = None,
 ) -> Verdict:
-    """[I*]: for each M, the minimal tau such that all pairs from
+    """[I*]: for each M, the minimal tau <= n such that all pairs from
     G(C^+-, M) up to depth n glue into the language (not necessarily into
     the good set) with a connector of length <= tau."""
-    cap = tau_cap if tau_cap is not None else n
     table: dict[int, int] = {}
     witnesses: list = []
     for M in M_list:
@@ -342,7 +337,7 @@ def check_complete_list_Istar(
         failed = None
         for v, w in itertools.product(words, repeat=2):
             need = None
-            for ell in range(cap + 1):
+            for ell in range(n + 1):
                 if any(oracle.contains(v + u + w) for u in oracle.words(ell)):
                     need = ell
                     break
@@ -360,7 +355,7 @@ def check_complete_list_Istar(
         n,
         not witnesses,
         witnesses,
-        parameters={"tau_of_M": dict(sorted(table.items())), "tau_cap": cap},
+        parameters={"tau_of_M": dict(sorted(table.items())), "tau_cap": n},
     )
 
 
@@ -421,12 +416,11 @@ def cgc_construct(
     depth: int | None = None,
     M_grid: Sequence[int] = (2, 3, 4),
     N_grid: Sequence[int] = (2, 3, 4, 6, 8, 10),
-    margin: float | None = None,
-    tau_depth: int | None = None,
 ) -> CgcResult:
     """Builds prefix/good/suffix collections from a persistent complete
     obstruction list, scanning (M, N) over the grid and returning the
-    smallest pair that passes the margin rule.
+    smallest pair that passes the margin rule with margin eps; [I*] is
+    checked to depth min(depth, 6).
 
     The construction follows the three-step recipe: choose M and tau(M),
     derive the near-obstruction collections D^-+ (words extendable into an
@@ -436,8 +430,7 @@ def cgc_construct(
     Raises NoValidParametersError when no grid pair meets the margin rule.
     """
     work_depth = depth if depth is not None else min(oracle.enumeration_limit, 12)
-    glue_depth = tau_depth if tau_depth is not None else min(work_depth, 6)
-    use_margin = margin if margin is not None else eps
+    glue_depth = min(work_depth, 6)
     cminus, cplus = pair.cminus, pair.cplus
     rate_minus = _phat_rate(cminus, potential, work_depth)
     rate_plus = _phat_rate(cplus, potential, work_depth)
@@ -461,7 +454,7 @@ def cgc_construct(
             if not _surrogate_ok(dplus, potential, N, work_depth, rate_plus, eps):
                 continue
             result = _assemble_cgc(pair, oracle, potential, M, N, tau,
-                                   dminus, dplus, work_depth, use_margin)
+                                   dminus, dplus, work_depth, eps)
             if result is not None:
                 return result
     raise NoValidParametersError(
@@ -606,19 +599,19 @@ def _is_right_constraint(oracle: LanguageOracle, w: Word, bound: int) -> bool:
     return False
 
 
-def _constraint_bound(oracle: LanguageOracle, search_bound: int | None) -> tuple[int, bool]:
+def _constraint_bound(oracle: LanguageOracle) -> tuple[int, bool]:
     if oracle.locality is not None:
         return max(0, oracle.locality - 1), True
-    return (search_bound if search_bound is not None else 4), False
+    return 4, False
 
 
-def qft_constraints(oracle: LanguageOracle, n: int, *, search_bound: int | None = None) -> QftReport:
+def qft_constraints(oracle: LanguageOracle, n: int) -> QftReport:
     """Left/right constraint words up to length n.
 
     Exact for window-local oracles (the witness extension never needs more
-    than the memory); otherwise the extension search is bounded and the
-    result is depth-certified (exact=False)."""
-    bound, exact = _constraint_bound(oracle, search_bound)
+    than the memory); otherwise the extension search is bounded by 4
+    symbols and the result is depth-certified (exact=False)."""
+    bound, exact = _constraint_bound(oracle)
     left: dict[int, tuple[Word, ...]] = {}
     right: dict[int, tuple[Word, ...]] = {}
     for m in range(1, n + 1):
@@ -628,9 +621,9 @@ def qft_constraints(oracle: LanguageOracle, n: int, *, search_bound: int | None 
     return QftReport(n, exact, left, right)
 
 
-def qft_obstruction_pair(oracle: LanguageOracle, *, search_bound: int | None = None) -> ObstructionPair:
+def qft_obstruction_pair(oracle: LanguageOracle) -> ObstructionPair:
     """C^+ = left constraints, C^- = right constraints, as predicate sets."""
-    bound, _ = _constraint_bound(oracle, search_bound)
+    bound, _ = _constraint_bound(oracle)
     cplus = WordSet.from_predicate(oracle, lambda w: _is_left_constraint(oracle, w, bound),
                                    name="C^l")
     cminus = WordSet.from_predicate(oracle, lambda w: _is_right_constraint(oracle, w, bound),
@@ -647,11 +640,10 @@ def sync_decomposition(
     s: Word,
     *,
     depth: int | None = None,
-    connector_bound: int | None = None,
 ) -> TripleCollections:
     """Collections for a synchronising word: good words start and end with
     s, prefix/suffix obstructions avoid s entirely, and tau is the length
-    of the least connector c with s.c.s admissible.
+    of the least connector c with s.c.s admissible, searched to the depth.
 
     The synchronising property (vs, sw admissible implies vsw admissible)
     is verified exhaustively to the given depth; a failing pair raises
@@ -670,9 +662,8 @@ def sync_decomposition(
                             f"{v} and {w} witness failure of synchronisation for {s}",
                             witness=(v, w),
                         )
-    bound = connector_bound if connector_bound is not None else d
     connector = None
-    for ell in range(bound + 1):
+    for ell in range(d + 1):
         for c in oracle.words(ell):
             if oracle.contains(s + c + s):
                 connector = c
@@ -680,7 +671,7 @@ def sync_decomposition(
         if connector is not None:
             break
     if connector is None:
-        raise NotSynchronisingError(f"no connector c with scs admissible within {bound}")
+        raise NotSynchronisingError(f"no connector c with scs admissible within {d}")
 
     ls = len(s)
 

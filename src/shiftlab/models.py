@@ -2,7 +2,7 @@
 
 Each constructor returns a :class:`~shiftlab.core.LanguageOracle` whose
 membership rule is exact for the family (SFT forbidden-factor scan, beta
-lexicographic rule, S-gap run scan, coded-window certificate, cocyclic
+lexicographic rule, S-gap run scan, coded subset automaton, cocyclic
 matrix products).  Construction-time checks record how far factoriality and
 extendability were certified.
 """
@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     Alphabet,
+    CodeAutomaton,
     EMPTY_WORD,
     LanguageOracle,
     Word,
@@ -163,17 +164,14 @@ def sft_from_forbidden(spec: SftSpec, enumeration_limit: int | None = None) -> L
             return w in factors
 
     limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(spec.alphabet.size)
-    oracle = LanguageOracle(
+    return LanguageOracle(
         spec.alphabet,
         member,
         limit,
         name=f"sft({','.join(spec.alphabet.text(f) for f in spec.forbidden) or 'full'})",
         locality=m + 1 if spec.forbidden else 0,
-        periodicity_window=m + 1 if spec.forbidden else 0,
-        count_hook=data.count,
+        sft_data=data,
     )
-    oracle.sft_data = data
-    return oracle
 
 
 def full_shift(k: int, enumeration_limit: int | None = None) -> LanguageOracle:
@@ -184,32 +182,19 @@ def full_shift(k: int, enumeration_limit: int | None = None) -> LanguageOracle:
     return sft_from_forbidden(spec, enumeration_limit)
 
 
-def sft_entropy_exact(source: SftSpec | LanguageOracle, tol: float = 1e-12) -> float:
-    """log of the spectral radius of the de Bruijn transition matrix,
-    via power iteration on A + I to relative tolerance ``tol``."""
+def sft_entropy_exact(source: SftSpec | LanguageOracle) -> float:
+    """log of the spectral radius of the de Bruijn transition matrix, from
+    one eigensolve.  Every live state has an out-edge, so the pruned graph
+    has a cycle and the radius is at least 1."""
     if isinstance(source, LanguageOracle):
-        data = getattr(source, "sft_data", None)
+        data = source.sft_data
         if data is None:
             raise ValueError("oracle does not carry SFT transition data")
     else:
         data = _SftData(source)
         if not data.live:
             raise EmptyLanguageError("empty language has no entropy")
-    a = data.adjacency() + np.eye(len(data.states))
-    x = np.ones(len(data.states))
-    x /= np.linalg.norm(x)
-    lam = 1.0
-    for _ in range(500000):
-        y = a @ x
-        lam = float(y @ x)
-        residual = float(np.linalg.norm(y - lam * x))
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            raise EmptyLanguageError("transition matrix is nilpotent")
-        x = y / nrm
-        if residual <= tol * abs(lam):
-            break
-    return math.log(lam - 1.0)
+    return math.log(float(np.abs(np.linalg.eigvals(data.adjacency())).max()))
 
 
 def cycle_sft(k: int, enumeration_limit: int | None = None) -> LanguageOracle:
@@ -235,7 +220,7 @@ def avoid_symbol_set(oracle: LanguageOracle, symbol: str) -> WordSet:
     when the oracle carries SFT transition data."""
     a = oracle.alphabet.index(symbol)
     allowed = set(range(oracle.alphabet.size)) - {a}
-    data = getattr(oracle, "sft_data", None)
+    data = oracle.sft_data
     hook = (lambda n: data.count(n, allowed)) if data is not None else None
     return WordSet.from_predicate(
         oracle,
@@ -384,7 +369,7 @@ def beta_shift(spec: BetaSpec, enumeration_limit: int | None = None) -> Language
         return True
 
     label = f"beta({spec.beta})" if spec.beta is not None else "beta(z)"
-    return LanguageOracle(alphabet, member, limit, name=label, locality=None)
+    return LanguageOracle(alphabet, member, limit, name=label)
 
 
 # ---------------------------------------------------------------------------
@@ -481,50 +466,30 @@ class CodedSpec:
 
 def coded_shift(spec: CodedSpec, enumeration_limit: int | None = None) -> LanguageOracle:
     """A word is admissible iff it occurs in some bi-infinite concatenation
-    of generators; decided by a boundary-reachability scan over a window
-    padded by the longest generator on each side."""
+    of generators, that is iff its run through the generators'
+    :class:`~shiftlab.core.CodeAutomaton` from every parse position never
+    becomes empty."""
     if not spec.generators or any(len(g) == 0 for g in spec.generators):
         raise ValueError("generators must be nonempty words")
     gens = spec.generators
+    automaton = CodeAutomaton(gens)
+    start, step = automaton.positions, automaton.step
 
     def member(w: Word) -> bool:
-        n = len(w)
-        starts = {0}
-        for g in gens:
-            lg = len(g)
-            for j in range(1, lg):
-                avail = lg - j
-                if avail >= n:
-                    if g[j : j + n] == w:
-                        return True
-                elif g[j:] == w[:avail]:
-                    starts.add(avail)
-        seen = set(starts)
-        queue = sorted(starts)
-        while queue:
-            i = queue.pop()
-            if i == n:
-                return True
-            for g in gens:
-                lg = len(g)
-                if i + lg <= n:
-                    if w[i : i + lg] == g and (i + lg) not in seen:
-                        seen.add(i + lg)
-                        queue.append(i + lg)
-                elif g[: n - i] == w[i:]:
-                    return True
-        return False
+        states = start
+        for a in w:
+            states = step(states, a)
+            if not states:
+                return False
+        return True
 
     limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(spec.alphabet.size)
-    oracle = LanguageOracle(
+    return LanguageOracle(
         spec.alphabet,
         member,
         limit,
         name=f"coded({len(gens)} gens{', truncated' if spec.truncated else ''})",
-        locality=None,
     )
-    oracle.coded_truncated = spec.truncated
-    return oracle
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +548,7 @@ def cocyclic_shift(spec: CocyclicSpec, enumeration_limit: int | None = None) -> 
         return not _mat_is_zero(product(w))
 
     limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(spec.alphabet.size)
-    oracle = LanguageOracle(
-        spec.alphabet,
-        member,
-        limit,
-        name=f"cocyclic(d={d})",
-        locality=None,
-    )
-    oracle.cocyclic_product = product
-    return oracle
+    return LanguageOracle(spec.alphabet, member, limit, name=f"cocyclic(d={d})")
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +595,7 @@ def sliding_block_factor(source: LanguageOracle, code: BlockCode,
     def member(w: Word) -> bool:
         return w in image_at(len(w))
 
-    return LanguageOracle(
-        code.target_alphabet,
-        member,
-        limit,
-        name=f"factor({source.name}, m={m})",
-        locality=None,
-    )
+    return LanguageOracle(code.target_alphabet, member, limit, name=f"factor({source.name}, m={m})")
 
 
 def compose_block_codes(source: LanguageOracle, inner: BlockCode, outer: BlockCode) -> BlockCode:

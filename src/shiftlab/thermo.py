@@ -232,25 +232,18 @@ def cylinder_count_table(
     potential: Potential,
     v: Word,
     n: int,
-    *,
-    pressure_hint: float | None = None,
 ) -> CylinderTable:
     """Partition sums over the words of length n containing v at each start
     position i (the finite-length analogue of a cylinder), plus the ratios
-    Lambda_n(H) * e^{-(n-|v|) P - phi_hat(v)} as empirical Gibbs constants.
-
-    ``pressure_hint`` substitutes for the point estimate of the full
-    language at depth n.
+    Lambda_n(H) * e^{-(n-|v|) P - phi_hat(v)} as empirical Gibbs constants,
+    P being the point estimate of the full language at depth n.
     """
     if not oracle.contains(v):
         raise NotInLanguageError(f"{v} is not admissible")
     k = len(v)
     if k == 0 or k > n:
         raise ValueError("need 1 <= |v| <= n")
-    p_hat = pressure_hint
-    if p_hat is None:
-        lang = WordSet.language(oracle)
-        p_hat = pressure_estimate(lang, potential, n).point_estimate
+    p_hat = pressure_estimate(WordSet.language(oracle), potential, n).point_estimate
     pv = phi_hat(potential, oracle, v)
     all_words = oracle.words(n)
     rows: list[CylinderRow] = []
@@ -284,16 +277,16 @@ class PeriodicPoints:
 def periodic_points(oracle: LanguageOracle, n: int) -> PeriodicPoints:
     """All length-n words whose infinite repetition is admissible.
 
-    Exact when the oracle is window-local (SFTs) or provides a periodic
-    check (S-gap); otherwise the repetition is tested to the enumeration
-    limit and the result is flagged approximate.
+    Exact when the oracle provides a periodic check (S-gap) or is
+    window-local (SFTs, by their ``locality``); otherwise the repetition is
+    tested to the enumeration limit and the result is flagged approximate.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
     out: list[Word] = []
     exact = True
     check = oracle.periodic_check
-    window = oracle.periodicity_window
+    window = oracle.locality
     for p in oracle.words(n):
         if check is not None:
             ok = check(p)

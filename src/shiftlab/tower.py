@@ -16,6 +16,7 @@ from itertools import groupby
 from typing import Iterable, Sequence
 
 from .core import (
+    CodeAutomaton,
     EMPTY_WORD,
     LanguageOracle,
     Potential,
@@ -101,8 +102,6 @@ def find_sync_triple(
     seed_v: Word,
     seed_w: Word,
     cert_depth: int,
-    *,
-    extension_cap: int | None = None,
 ) -> SyncTriple:
     """Connector-set refinement: grow the seed pair (extending one word on
     the right, the other on the left) while the set of connectors strictly
@@ -115,7 +114,6 @@ def find_sync_triple(
     when the gluing condition itself fails at depth, otherwise
     CertExhaustedError.
     """
-    cap = extension_cap if extension_cap is not None else cert_depth
     q = seed_v  # will absorb right-extensions (starts every good continuation)
     p = seed_w  # will absorb left-extensions (ends every good continuation)
     if not (good.contains(q) and good.contains(p)):
@@ -127,8 +125,8 @@ def find_sync_triple(
         )
     while True:
         shrunk = False
-        for qc in _starting_with(good, q, cap):
-            for pc in _ending_with(good, p, cap):
+        for qc in _starting_with(good, q, cert_depth):
+            for pc in _ending_with(good, p, cert_depth):
                 cs = _connector_set(oracle, good, pc, qc, tau)
                 if cs < current:
                     if not cs:
@@ -587,40 +585,26 @@ class LoopTable:
 
 def _distinct_star_counts(irreducibles: Sequence[Word], n_max: int, n_symbols: int) -> list[int]:
     """Exact counts of *distinct* words of each length in the star closure,
-    by counting accepted paths in the subset automaton of the parse NFA.
+    by counting the runs of the code's subset automaton from the boundary
+    that end on a set holding the boundary (each word has one run).
 
-    Parse positions inside codewords are the NFA states, plus a boundary
-    state; a word lies in the closure iff some run ends on the boundary.
     Counting distinct words (rather than parses) is what makes the
     loop-sum cross-check sensitive to failures of unique decipherability.
     """
-    boundary = "B"
-
-    def step(states: frozenset, a: int) -> frozenset:
-        out = set()
-        for st in states:
-            if st == boundary:
-                for w in irreducibles:
-                    if w[0] == a:
-                        out.add(boundary if len(w) == 1 else (w, 1))
-            else:
-                w, k = st
-                if w[k] == a:
-                    out.add(boundary if k + 1 == len(w) else (w, k + 1))
-        return frozenset(out)
-
-    counts: dict[frozenset, int] = {frozenset({boundary}): 1}
+    automaton = CodeAutomaton(irreducibles)
+    boundary = automaton.boundary
+    counts: dict[frozenset, int] = {boundary: 1}
     totals = [0] * (n_max + 1)
     totals[0] = 1
     for m in range(1, n_max + 1):
         nxt: dict[frozenset, int] = {}
         for states, c in counts.items():
             for a in range(n_symbols):
-                t = step(states, a)
+                t = automaton.step(states, a)
                 if t:
                     nxt[t] = nxt.get(t, 0) + c
         counts = nxt
-        totals[m] = sum(c for states, c in counts.items() if boundary in states)
+        totals[m] = sum(c for states, c in counts.items() if boundary <= states)
     return totals
 
 
@@ -751,7 +735,6 @@ def loop_sums(
     n_max: int,
     *,
     cross_check: bool = True,
-    slack: float = 1e-9,
 ) -> LoopTable:
     """Z_n and first-return Z*_n tables at the tower base.
 
@@ -834,7 +817,7 @@ def loop_sums(
                 row = rows[n - 1]
                 if ws > NEG_INF and row.z > NEG_INF:
                     parts = 1 + n // lmin
-                    tol = dist * (2 + parts) + len(base_word) * sup + slack
+                    tol = dist * (2 + parts) + len(base_word) * sup + 1e-9  # float slack
                     gap = abs(row.z - ws)
                     max_gap = max(max_gap, gap)
                     if gap > tol:
@@ -939,7 +922,6 @@ def marking_analysis(
     family: FreeFamily,
     *,
     check_union_closure: bool = False,
-    max_sets: int = 500,
 ) -> MarkingReport:
     """All maximal marking sets spanning the window: sets of cut positions
     containing both ends, whose consecutive blocks lie in the family,
@@ -949,7 +931,7 @@ def marking_analysis(
     family words, so the maximal sets are exactly the end-to-end paths in
     the DAG of unrefinable blocks.  The verdict is injective-at-window iff
     exactly one maximal set exists (the finite echo of injectivity of the
-    tower coding)."""
+    tower coding).  The search stops, flagged truncated, at 500 sets."""
     n = len(x_window)
     cuts = list(range(1, n + 2))
 
@@ -982,7 +964,7 @@ def marking_analysis(
         cur, path = stack.pop()
         if cur == end:
             maximal.append(path)
-            if len(maximal) >= max_sets:
+            if len(maximal) >= 500:
                 truncated = True
                 break
             continue

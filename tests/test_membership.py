@@ -1,12 +1,14 @@
-"""Differential tests: the one-pass SFT and S-gap membership rules and the
-memoised predicate word sets against plain reference implementations.
+"""Differential tests: the one-pass SFT and S-gap membership rules, the
+coded-shift subset automaton and the memoised predicate word sets against
+plain reference implementations.
 
 The references are the original whole-word scans: a forbidden-factor scan
-plus a live-window scan for SFTs, and a per-run gap-set query for S-gap
-shifts.  Every word up to length 10 is compared where that is at most a
-few thousand words (all binary cases); larger alphabets compare every word
-up to the length where k**n passes 1024, plus drawn words up to length 10.
-Drawn words may use symbols outside the alphabet.
+plus a live-window scan for SFTs, a per-run gap-set query for S-gap shifts
+and a boundary-reachability scan for coded shifts.  Every word up to length
+10 is compared where that is at most a few thousand words (all binary
+cases); larger alphabets compare every word up to the length where k**n
+passes 1024, plus drawn words up to length 10.  Drawn words may use symbols
+outside the alphabet.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab.errors import DepthExceededError, EmptyLanguageError
+from shiftlab.tower import _distinct_star_counts
 
 MAX_LEN = 10
 
@@ -167,6 +170,79 @@ def test_sgap_membership_matches_reference(instance):
     spec, drawn = instance
     oracle = sl.s_gap_shift(spec)
     _assert_agree(oracle, reference_sgap_contains(spec), drawn)
+
+
+# -- coded shifts -------------------------------------------------------------
+
+def reference_coded_contains(k, gens):
+    """Boundary reachability: the word is read from a partial generator
+    suffix (or a boundary) across whole generators, and may end inside one."""
+
+    def member(w):
+        n = len(w)
+        starts = {0}
+        for g in gens:
+            lg = len(g)
+            for j in range(1, lg):
+                avail = lg - j
+                if avail >= n:
+                    if g[j : j + n] == w:
+                        return True
+                elif g[j:] == w[:avail]:
+                    starts.add(avail)
+        seen = set(starts)
+        queue = sorted(starts)
+        while queue:
+            i = queue.pop()
+            if i == n:
+                return True
+            for g in gens:
+                lg = len(g)
+                if i + lg <= n:
+                    if w[i : i + lg] == g and (i + lg) not in seen:
+                        seen.add(i + lg)
+                        queue.append(i + lg)
+                elif g[: n - i] == w[i:]:
+                    return True
+        return False
+
+    return lambda w: _valid(k, w) and (len(w) == 0 or member(w))
+
+
+def reference_star_counts(gens, n_max):
+    """Number of distinct concatenations of each length, by listing them."""
+    levels = [{()}]
+    for n in range(1, n_max + 1):
+        levels.append({g + v for g in gens if len(g) <= n for v in levels[n - len(g)]})
+    return [len(words) for words in levels]
+
+
+@st.composite
+def coded_instances(draw):
+    k = draw(st.integers(2, 3))
+    gens = draw(st.lists(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=4).map(tuple),
+        min_size=1, max_size=4, unique=True,
+    ))
+    return k, tuple(sorted(gens)), draw(_drawn_words(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coded_instances())
+def test_coded_membership_matches_reference(instance):
+    k, gens, drawn = instance
+    oracle = sl.coded_shift(sl.CodedSpec(gens, sl.Alphabet.of_size(k)))
+    _assert_agree(oracle, reference_coded_contains(k, gens), drawn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coded_instances())
+def test_distinct_star_counts_match_listing(instance):
+    # 12 symbols over two letters; over three the closure can hold 3**12
+    # words, so the listing stops at 10
+    k, gens, _ = instance
+    n_max = 12 if k == 2 else 10
+    assert _distinct_star_counts(gens, n_max, k) == reference_star_counts(gens, n_max)
 
 
 # -- memoised predicate word sets ------------------------------------------------
