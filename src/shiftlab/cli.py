@@ -131,7 +131,7 @@ def validate(config: dict) -> list[dict]:
             guard = None
     elif not diags:
         guard = _enumeration_limit(shift)
-        counted = pot == "zero" and shift["family"] in ("sft", "full", "cycle")
+        counted = pot == "zero" and shift["family"] in _FINITE_LAYER
     analyses = config.get("analyses")
     if not isinstance(analyses, list) or not analyses:
         err("analyses", "need a nonempty list of analyses")
@@ -142,6 +142,10 @@ def validate(config: dict) -> list[dict]:
                 continue
             if a["op"] not in _ANALYSES:
                 err(f"analyses[{i}].op", f"unknown op {a['op']!r}")
+            elif (a["op"] == "entropy_exact" and isinstance(shift, dict)
+                  and shift.get("family") in _FAMILIES - _FINITE_LAYER):
+                err(f"analyses[{i}].op", f"entropy_exact needs a finite-state family, "
+                    f"one of {sorted(_FINITE_LAYER)}")
             keys = ["n_max", "depth", "horizon", "cert_depth"]
             if a["op"] == "cylinder_table":
                 keys.append("n")
@@ -164,7 +168,9 @@ def _is_int(value: Any) -> bool:
 
 #: analyses that only test code words for membership and enumerate no words
 _NO_WORDS = {"ud_check", "tower_loops", "spr", "marking"}
-#: knobs that only count words at zero potential on sft, full and cycle shifts
+#: families whose oracle has a finite layer: exact entropy, counts by DP
+_FINITE_LAYER = {"sft", "full", "cycle", "s_gap", "coded"}
+#: knobs that only count words at zero potential on a finite layer
 _COUNTED = {("pressure_estimate", "n_max"), ("avoid_symbol_rate", "depth")}
 
 
@@ -249,7 +255,7 @@ def _analysis_pressure(oracle, potential, params):
 def _analysis_avoid_symbol(oracle, potential, params):
     depth = int(params.get("depth", 12))
     ws = avoid_symbol_set(oracle, params["symbol"])
-    rep = pressure_estimate(ws, potential, depth, fekete=False)
+    rep = pressure_estimate(ws, potential, depth)
     block = rep.to_json_dict()
     dat = "\n".join(f"{r.n} {format17(r.rate)}" for r in rep.rows) + "\n"
     return block, rep.to_csv_text(), dat

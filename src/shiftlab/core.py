@@ -65,10 +65,6 @@ class Alphabet:
             object.__setattr__(self, "separator", ",")
 
     @classmethod
-    def binary(cls) -> "Alphabet":
-        return cls(("0", "1"))
-
-    @classmethod
     def of_size(cls, k: int) -> "Alphabet":
         if k <= 10:
             return cls(tuple(str(i) for i in range(k)))
@@ -138,29 +134,35 @@ class LanguageOracle:
     The language is factorial (subwords of members are members) and the
     empty word is always a member.  ``enumeration_limit`` is the depth to
     which the oracle certifies enumeration; deeper requests raise
-    DepthExceededError.  Optional fields:
+    DepthExceededError.
+
+    One layer reads every word: a ``start`` state and ``step(state, a)``,
+    the state after symbol a or None once the word leaves the language.
+    ``words(n)`` extends each stored (word, state) pair by one symbol.  A
+    finite layer (SFT, S-gap and coded shifts, see :meth:`finite_state`)
+    tabulates its ``transitions`` once: ``contains`` is one run and
+    ``count(n)`` a count DP.  Otherwise (beta, cocyclic and factor shifts)
+    the state is the word itself, ``step`` asks ``membership``, and
+    ``contains`` asks it once behind the ``Alphabet.valid`` guard.
+    Optional fields:
 
     * ``locality``: window size m within which membership is decidable (SFT
       memory + 1); then p^infinity is admissible iff a repetition of p of
       length >= |p| + m is, so periodic points are exact.  ``None`` for
       non-local rules, whose periodic points are depth-certified,
     * ``periodic_check(p)``: exact periodic-point predicate overriding the
-      window rule (used by S-gap shifts),
-    * ``sft_data``: the pruned de Bruijn graph of an SFT
-      (``models._SftData``), which counts words exactly without enumeration
-      and gives the transition matrix of the exact entropy.
+      window rule (used by S-gap shifts).
     """
 
     def __init__(
         self,
         alphabet: Alphabet,
-        membership: Callable[[Word], bool],
+        membership: Callable[[Word], bool] | None,
         enumeration_limit: int,
         *,
         name: str = "",
         locality: int | None = None,
         periodic_check: Callable[[Word], bool] | None = None,
-        sft_data=None,
     ):
         self.alphabet = alphabet
         self._membership = membership
@@ -168,17 +170,48 @@ class LanguageOracle:
         self.name = name or "shift"
         self.locality = locality
         self.periodic_check = periodic_check
-        self.sft_data = sft_data
+        self.start = EMPTY_WORD
+        #: rows {symbol: next state} of a finite layer, by state; else None
+        self.transitions: list[dict[int, int]] | None = None
         self._cache: dict[int, tuple[Word, ...]] = {}
+        #: n -> the finite-layer states of words(n), in the same order
+        self._states: dict[int, list[int]] = {0: [0]}
         #: id(potential) -> (potential, {word: phi_hat}); see phi_hat
         self._phi_memo: dict[int, tuple[Potential, dict[Word, float]]] = {}
 
+    @classmethod
+    def finite_state(cls, alphabet: Alphabet, start, step: Callable, enumeration_limit: int,
+                     **options) -> "LanguageOracle":
+        """An oracle over the states reachable from ``start`` under ``step``,
+        numbered in breadth-first order (0 is the start, symbols ascending)."""
+        oracle = cls(alphabet, None, enumeration_limit, **options)
+        labels, ids, rows = [start], {start: 0}, []
+        for q in labels:  # grows as new states are found
+            targets = [(a, t) for a in range(alphabet.size) if (t := step(q, a)) is not None]
+            for _, t in targets:
+                if t not in ids:
+                    ids[t] = len(labels)
+                    labels.append(t)
+            rows.append({a: ids[t] for a, t in targets})
+        oracle.start, oracle.transitions = 0, rows
+        return oracle
+
+    def step(self, state, a: int):
+        if self.transitions is not None:
+            return self.transitions[state].get(a)
+        w = state + (a,)
+        return w if 0 <= a < self.alphabet.size and self._membership(w) else None
+
     def contains(self, w: Word) -> bool:
-        if not w:
-            return True
-        if not self.alphabet.valid(w):
-            return False
-        return self._membership(w)
+        rows = self.transitions
+        if rows is None:
+            return not w or (self.alphabet.valid(w) and self._membership(w))
+        q = 0
+        for a in w:
+            q = rows[q].get(a)
+            if q is None:
+                return False
+        return True
 
     def words(self, n: int) -> tuple[Word, ...]:
         """All admissible words of length n, lexicographically sorted."""
@@ -193,28 +226,46 @@ class LanguageOracle:
             return got
         if n == 0:
             out: tuple[Word, ...] = (EMPTY_WORD,)
+        elif self.transitions is None:
+            # the generic step, inlined: the word is its own state
+            member, k = self._membership, self.alphabet.size
+            out = tuple(w for p in self.words(n - 1) for a in range(k) if member(w := p + (a,)))
         else:
-            # depth-first extension with factorial pruning: a prefix that is
-            # not admissible has no admissible extension
-            prev = self.words(n - 1)
-            k = self.alphabet.size
             acc: list[Word] = []
-            for p in prev:
-                for a in range(k):
-                    w = p + (a,)
-                    if self._membership(w):
-                        acc.append(w)
+            states: list[int] = []
+            for p, q in zip(self.words(n - 1), self._states[n - 1]):
+                for a, t in self.transitions[q].items():
+                    acc.append(p + (a,))
+                    states.append(t)
             out = tuple(acc)
+            self._states[n] = states
         self._cache[n] = out
         return out
 
     def count(self, n: int) -> int:
-        if self.sft_data is not None:
-            return self.sft_data.count(n)
-        return len(self.words(n))
+        """The count DP over a finite layer (no depth limit), else len(words(n))."""
+        rows = self.transitions
+        if rows is None or n < 0:
+            return len(self.words(n))
+        return sum(path_counts(0, lambda q: rows[q].values(), n)[-1].values())
 
     def __repr__(self):
         return f"LanguageOracle({self.name}, k={self.alphabet.size}, n_max={self.enumeration_limit})"
+
+
+def path_counts(start, successors: Callable, steps: int) -> list[dict]:
+    """Exact number of paths from ``start`` to each state after 0, 1, ...,
+    ``steps`` steps, one {state: count} dict per step count (the one count
+    DP of finite layers, code automata and tower graphs)."""
+    vec = {start: 1}
+    out = [vec]
+    for _ in range(steps):
+        nxt: dict = {}
+        for q, c in vec.items():
+            for t in successors(q):
+                nxt[t] = nxt.get(t, 0) + c
+        out.append(vec := nxt)
+    return out
 
 
 class WordSet:

@@ -71,10 +71,9 @@ class Verdict:
         }
 
 
-def _collection_words(ws: WordSet, n: int, include_empty: bool = False) -> list[Word]:
+def _collection_words(ws: WordSet, n: int) -> list[Word]:
     out: list[Word] = []
-    lo = 0 if include_empty else 1
-    for m in range(lo, n + 1):
+    for m in range(1, n + 1):
         out.extend(ws.at(m))
     return out
 
@@ -86,19 +85,17 @@ def _collection_words(ws: WordSet, n: int, include_empty: bool = False) -> list[
 def check_spec_I(collections: TripleCollections, oracle: LanguageOracle, n: int) -> Verdict:
     """[I]: every pair of good words glues with a connector u, |u| <= tau."""
     return _check_gluing(collections.good, oracle, collections.tau, n,
-                         exact_length=False, condition="[I]",
-                         target=collections.good)
+                         exact_length=False, condition="[I]")
 
 
 def check_strong_spec_Iprime(collections: TripleCollections, oracle: LanguageOracle, n: int) -> Verdict:
     """[I']: as [I] but the connector has length exactly tau."""
     return _check_gluing(collections.good, oracle, collections.tau, n,
-                         exact_length=True, condition="[I']",
-                         target=collections.good)
+                         exact_length=True, condition="[I']")
 
 
 def _check_gluing(good: WordSet, oracle: LanguageOracle, tau: int, n: int,
-                  *, exact_length: bool, condition: str, target: WordSet) -> Verdict:
+                  *, exact_length: bool, condition: str) -> Verdict:
     if getattr(good, "_explicit", None) is not None and 2 * n + tau > good.depth:
         raise DepthExceededError(
             f"gluing check needs membership at length {2 * n + tau}, set certified to {good.depth}"
@@ -111,7 +108,7 @@ def _check_gluing(good: WordSet, oracle: LanguageOracle, tau: int, n: int,
     for v, w in itertools.product(words, repeat=2):
         hit = None
         for u in connectors:
-            if target.contains(v + u + w):
+            if good.contains(v + u + w):
                 hit = u
                 break
         if hit is None:
@@ -268,7 +265,7 @@ def pressure_gap_II(
 
     obstructions = WordSet.from_predicate(oracle, in_obstructions, name="C")
     lang = WordSet.language(oracle)
-    rep_c = pressure_estimate(obstructions, potential, n_max, fekete=False)
+    rep_c = pressure_estimate(obstructions, potential, n_max)
     rep_l = pressure_estimate(lang, potential, n_max)
     return GapReport("[II]", rep_c, rep_l, margin, margin_rule(rep_c, rep_l, margin))
 

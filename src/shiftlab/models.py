@@ -1,10 +1,11 @@
 """Constructors for concrete shift families and sliding-block factor maps.
 
-Each constructor returns a :class:`~shiftlab.core.LanguageOracle` whose
-membership rule is exact for the family (SFT forbidden-factor scan, beta
-lexicographic rule, S-gap run scan, coded subset automaton, cocyclic
-matrix products).  Construction-time checks record how far factoriality and
-extendability were certified.
+Each constructor returns an exact :class:`~shiftlab.core.LanguageOracle`.
+SFT, S-gap and coded shifts have a finite layer (live suffixes, run and gap
+lengths, code-automaton position sets); beta, cocyclic and factor shifts
+answer a membership predicate over the whole word.  No constructor checks
+factoriality or extendability; ``core.check_factorial`` and
+``core.check_extendable`` test them by enumeration.
 """
 
 from __future__ import annotations
@@ -53,6 +54,19 @@ class SftSpec:
         return max((len(f) for f in self.forbidden), default=1) - 1
 
 
+def _recurrent(succ: Mapping) -> set:
+    """The states of a graph (state -> successors) that lie on a
+    bi-infinite path: states with no in-edge or no out-edge among the rest
+    are dropped, to a fixpoint."""
+    live = set(succ)
+    while True:
+        entered = {t for q in live for t in succ[q] if t in live}
+        keep = {q for q in live & entered if any(t in live for t in succ[q])}
+        if keep == live:
+            return live
+        live = keep
+
+
 class _SftData:
     """De Bruijn graph of an SFT after pruning states with no bi-infinite
     continuation.
@@ -64,7 +78,6 @@ class _SftData:
     """
 
     def __init__(self, spec: SftSpec):
-        self.spec = spec
         self.memory = m = max(spec.memory, 0)
         k = spec.alphabet.size
         forbidden = frozenset(spec.forbidden)
@@ -80,56 +93,12 @@ class _SftData:
             u: [e for e in (u + (a,) for a in range(k)) if e[1:] in state_set and clean(e)]
             for u in states
         }
-        # prune states with no outgoing or no incoming edge, to a fixpoint
-        live = set(states)
-        changed = True
-        while changed:
-            changed = False
-            indeg = {s: 0 for s in live}
-            for u in live:
-                for e in out[u]:
-                    if e[1:] in live:
-                        indeg[e[1:]] += 1
-            drop = {u for u in live if not any(e[1:] in live for e in out[u]) or indeg[u] == 0}
-            if drop:
-                live -= drop
-                changed = True
+        live = _recurrent({u: [e[1:] for e in out[u]] for u in states})
         self.states = sorted(live)
         self.live = live
         self.windows = frozenset(e for u in self.states for e in out[u] if e[1:] in live)
         self.factors = frozenset(s[i:j] for s in self.states
                                  for i in range(m) for j in range(i + 1, m + 1))
-
-    def adjacency(self) -> np.ndarray:
-        # the m = 0 graph keeps one state with a self-loop per allowed
-        # symbol, so accumulate multiplicities rather than writing 1s
-        idx = {s: i for i, s in enumerate(self.states)}
-        a = np.zeros((len(self.states), len(self.states)))
-        for e in self.windows:
-            a[idx[e[:-1]], idx[e[1:]]] += 1.0
-        return a
-
-    def count(self, n: int, allowed: set[int] | None = None) -> int:
-        """Exact number of admissible length-n words (optionally restricted
-        to words using only the allowed symbol indices), by integer DP."""
-        m = self.memory
-
-        def ok(w: Word) -> bool:
-            return allowed is None or all(c in allowed for c in w)
-
-        if n == 0:
-            return 1
-        if n < m:
-            return sum(1 for w in self.factors if len(w) == n and ok(w))
-        # extend every allowed state along the allowed (m+1)-windows
-        vec = {s: 1 for s in self.states if ok(s)}
-        steps = [(e[:-1], e[1:]) for e in self.windows if ok(e)]
-        for _ in range(n - m):
-            nxt = dict.fromkeys(vec, 0)
-            for u, v in steps:
-                nxt[v] += vec[u]
-            vec = nxt
-        return sum(vec.values())
 
 
 def sft_from_forbidden(spec: SftSpec, enumeration_limit: int | None = None) -> LanguageOracle:
@@ -139,62 +108,56 @@ def sft_from_forbidden(spec: SftSpec, enumeration_limit: int | None = None) -> L
     construction, so the oracle satisfies the extendability invariant.
     Raises EmptyLanguageError when nothing survives.
 
-    Membership is one pass over the word, against sets built once from the
-    pruned de Bruijn graph: a word longer than the memory m is admissible
-    iff every (m+1)-window is an edge of the graph, and a shorter word iff
-    it is a factor of a live state.
+    The layer state is the word's suffix of length <= m (the memory): a
+    word of length <= m is its own state while it is a factor of a live
+    state, and a longer word steps on while each (m+1)-window is an edge of
+    the pruned de Bruijn graph.
     """
     data = _SftData(spec)
     if not data.live:
         raise EmptyLanguageError("every symbol is stranded by the forbidden set")
-    m = data.memory
-    windows = data.windows
-    factors = data.factors
-    # zip(*(w[i:] for i in 0..m)) yields the (m+1)-windows of w
-    shifts = [slice(i, None) for i in range(m + 1)]
+    m, windows, factors = data.memory, data.windows, data.factors
 
-    if len(windows) == spec.alphabet.size ** (m + 1):
-        # every window is an edge: the full shift, where every word is admissible
-        def member(w: Word) -> bool:
-            return True
-    else:
-        def member(w: Word) -> bool:
-            if len(w) > m:
-                return windows.issuperset(zip(*map(w.__getitem__, shifts)))
-            return w in factors
+    def step(u: Word, a: int) -> Word | None:
+        v = u + (a,)
+        if len(v) <= m:
+            return v if v in factors else None
+        return v[1:] if v in windows else None
 
     limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(spec.alphabet.size)
-    return LanguageOracle(
+    return LanguageOracle.finite_state(
         spec.alphabet,
-        member,
+        EMPTY_WORD,
+        step,
         limit,
         name=f"sft({','.join(spec.alphabet.text(f) for f in spec.forbidden) or 'full'})",
         locality=m + 1 if spec.forbidden else 0,
-        sft_data=data,
     )
 
 
 def full_shift(k: int, enumeration_limit: int | None = None) -> LanguageOracle:
-    if k == 2:
-        spec = SftSpec(Alphabet.binary(), ())
-    else:
-        spec = SftSpec(Alphabet.of_size(k), ())
-    return sft_from_forbidden(spec, enumeration_limit)
+    return sft_from_forbidden(SftSpec(Alphabet.of_size(k), ()), enumeration_limit)
 
 
 def sft_entropy_exact(source: SftSpec | LanguageOracle) -> float:
-    """log of the spectral radius of the de Bruijn transition matrix, from
-    one eigensolve.  Every live state has an out-edge, so the pruned graph
-    has a cycle and the radius is at least 1."""
-    if isinstance(source, LanguageOracle):
-        data = source.sft_data
-        if data is None:
-            raise ValueError("oracle does not carry SFT transition data")
-    else:
-        data = _SftData(source)
-        if not data.live:
-            raise EmptyLanguageError("empty language has no entropy")
-    return math.log(float(np.abs(np.linalg.eigvals(data.adjacency())).max()))
+    """Exact entropy of a shift with a finite layer (SFT, S-gap, coded): the
+    layer is deterministic, so its paths from the start are the words, and
+    the entropy is the log spectral radius of its transition matrix on the
+    states of bi-infinite paths (for an SFT, the pruned de Bruijn graph),
+    from one eigensolve.  Raises ValueError for an oracle with no finite
+    layer."""
+    oracle = sft_from_forbidden(source) if isinstance(source, SftSpec) else source
+    rows = oracle.transitions
+    if rows is None:
+        raise ValueError(f"{oracle.name} has no finite layer")
+    states = sorted(_recurrent({q: row.values() for q, row in enumerate(rows)}))
+    idx = {q: i for i, q in enumerate(states)}
+    a = np.zeros((len(states), len(states)))
+    for q in states:
+        for t in rows[q].values():
+            if t in idx:
+                a[idx[q], idx[t]] += 1.0
+    return math.log(float(np.abs(np.linalg.eigvals(a)).max()))
 
 
 def cycle_sft(k: int, enumeration_limit: int | None = None) -> LanguageOracle:
@@ -216,12 +179,15 @@ def cycle_sft(k: int, enumeration_limit: int | None = None) -> LanguageOracle:
 
 
 def avoid_symbol_set(oracle: LanguageOracle, symbol: str) -> WordSet:
-    """Words of the language avoiding one symbol, with an exact count hook
-    when the oracle carries SFT transition data."""
+    """Words of the language avoiding one symbol.  Over a finite layer the
+    count hook is the layer's count DP without that symbol's transitions."""
     a = oracle.alphabet.index(symbol)
-    allowed = set(range(oracle.alphabet.size)) - {a}
-    data = oracle.sft_data
-    hook = (lambda n: data.count(n, allowed)) if data is not None else None
+    hook = None
+    if oracle.transitions is not None:
+        hook = LanguageOracle.finite_state(
+            oracle.alphabet, oracle.start, lambda q, b: None if b == a else oracle.step(q, b),
+            oracle.enumeration_limit,
+        ).count
     return WordSet.from_predicate(
         oracle,
         lambda w: a not in w,
@@ -405,14 +371,14 @@ def s_gap_shift(spec: SGapSpec, enumeration_limit: int | None = None) -> Languag
     """Binary shift whose internal runs of 0s between consecutive 1s have
     lengths in S; boundary runs only need some gap at least as long.
 
-    Membership is one pass over the runs of 0s: the boundary runs are
-    compared with max(S) (no bound when S has a tail), and each internal
-    run length is looked up in the finite part of S or tested against the
-    tail rule.
+    The layer state is ("lead", r), the r 0s before the first 1, or
+    ("gap", g), the g 0s since the last 1, which a 1 closes only if g is in
+    S.  Both stay at most max(S); with a tail the leading run is not
+    counted, and a gap past the tail start and every finite value is folded
+    back by the tail period, which keeps its verdict.
     """
-    alphabet = Alphabet.binary()
+    alphabet = Alphabet.of_size(2)
     mx = spec.max_finite()
-    top = math.inf if mx is None else mx
     values = frozenset(spec.values)
     tail_start = spec.tail_start
     tail_period = spec.tail_period or 1
@@ -421,11 +387,19 @@ def s_gap_shift(spec: SGapSpec, enumeration_limit: int | None = None) -> Languag
         return g in values or (tail_start is not None and g >= tail_start
                                and (g - tail_start) % tail_period == 0)
 
-    def member(w: Word) -> bool:
-        runs = bytes(w).split(b"\x01")
-        if len(runs[0]) > top or len(runs[-1]) > top:
-            return False
-        return all(map(gap_ok, map(len, runs[1:-1])))
+    if mx is None:
+        # every gap >= fold - tail_period is past the tail start and every value
+        fold = max(tail_start, max(values, default=-1) + 1) + tail_period
+
+    def step(q: tuple[str, int], a: int) -> tuple[str, int] | None:
+        phase, g = q
+        if a == 1:
+            return ("gap", 0) if phase == "lead" or gap_ok(g) else None
+        if mx is not None:
+            return (phase, g + 1) if g < mx else None
+        if phase == "lead":
+            return q
+        return ("gap", g + 1 if g + 1 < fold else g + 1 - tail_period)
 
     def periodic_check(p: Word) -> bool:
         ones = [i for i, c in enumerate(p) if c == 1]
@@ -436,9 +410,10 @@ def s_gap_shift(spec: SGapSpec, enumeration_limit: int | None = None) -> Languag
         return all(gap_ok(g) for g in cyc)
 
     limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(2)
-    return LanguageOracle(
+    return LanguageOracle.finite_state(
         alphabet,
-        member,
+        ("lead", 0),
+        step,
         limit,
         name=f"s_gap({list(spec.values)}{'+' if spec.unbounded else ''})",
         locality=None if spec.unbounded else mx + 2,
@@ -468,25 +443,17 @@ def coded_shift(spec: CodedSpec, enumeration_limit: int | None = None) -> Langua
     """A word is admissible iff it occurs in some bi-infinite concatenation
     of generators, that is iff its run through the generators'
     :class:`~shiftlab.core.CodeAutomaton` from every parse position never
-    becomes empty."""
+    becomes empty.  The layer's states are the nonempty position sets that
+    run reaches."""
     if not spec.generators or any(len(g) == 0 for g in spec.generators):
         raise ValueError("generators must be nonempty words")
     gens = spec.generators
     automaton = CodeAutomaton(gens)
-    start, step = automaton.positions, automaton.step
-
-    def member(w: Word) -> bool:
-        states = start
-        for a in w:
-            states = step(states, a)
-            if not states:
-                return False
-        return True
-
     limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(spec.alphabet.size)
-    return LanguageOracle(
+    return LanguageOracle.finite_state(
         spec.alphabet,
-        member,
+        automaton.positions,
+        lambda states, a: automaton.step(states, a) or None,
         limit,
         name=f"coded({len(gens)} gens{', truncated' if spec.truncated else ''})",
     )

@@ -167,18 +167,15 @@ def pressure_estimate(
     words: WordSet,
     potential: Potential,
     n_max: int,
-    *,
-    fekete: bool | None = None,
 ) -> PressureReport:
     """Pressure table for lengths 1..n_max.
 
-    The Fekete upper bound is included when the set is the full language
-    (where Lambda_{m+n} <= Lambda_m Lambda_n holds exactly) unless
-    overridden by ``fekete``.
+    The Fekete upper bound is included when the set is the full language,
+    where Lambda_{m+n} <= Lambda_m Lambda_n holds exactly.
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
-    use_fekete = words.is_full_language if fekete is None else fekete
+    use_fekete = words.is_full_language
     dist = distortion_bound(potential)
     rows: list[PressureRow] = []
     for n in range(1, n_max + 1):
@@ -412,8 +409,6 @@ def hyperbolicity_diagnostic(
     oracle: LanguageOracle,
     potential: Potential,
     n_max: int,
-    *,
-    tolerance: float | None = None,
 ) -> HyperbolicityReport:
     """Compares sup_w phi_hat(w)/n against the pressure estimate.
 
@@ -454,7 +449,7 @@ def hyperbolicity_diagnostic(
     gaps = [r.gap for r in tail]
     positive = all(g > 0 for g in gaps)
     scale = sorted(abs(g) for g in gaps)[len(gaps) // 2]
-    tol = tolerance if tolerance is not None else max(1e-9, 0.05 * scale)
+    tol = max(1e-9, 0.05 * scale)
     widening = gaps[-1] >= gaps[0] - tol
     verdict = "hyperbolic-at-depth" if (positive and widening) else "not-hyperbolic-at-depth"
     return HyperbolicityReport(rows, point, verdict)

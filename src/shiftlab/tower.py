@@ -24,6 +24,7 @@ from .core import (
     WordSet,
     distortion_bound,
     log_sum_exp,
+    path_counts,
     phi_hat,
 )
 from .errors import (
@@ -284,24 +285,55 @@ def _doubling_scale(good: WordSet, c_len: int, depth: int) -> int:
 # Free families and irreducible generators
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FreeFamily:
-    """A freely concatenable family enumerated to a depth, its irreducible
-    words, and the gcd of their lengths."""
+    """A freely concatenable family to a depth, its irreducible words, and
+    the gcd of their lengths.  With ``members`` None it is the star closure
+    of its irreducible words: ``contains`` runs their code automaton from
+    the boundary, and ``members`` is listed only when read."""
 
-    oracle: LanguageOracle
-    depth: int
-    members: dict[int, tuple[Word, ...]]
-    irreducibles: dict[int, tuple[Word, ...]]
-    gcd_lengths: int
-    triple: SyncTriple | None = None
+    def __init__(self, oracle: LanguageOracle, depth: int,
+                 members: dict[int, tuple[Word, ...]] | None,
+                 irreducibles: dict[int, tuple[Word, ...]], gcd_lengths: int,
+                 triple: SyncTriple | None = None):
+        self.oracle = oracle
+        self.depth = depth
+        self.irreducibles = irreducibles
+        self.gcd_lengths = gcd_lengths
+        self.triple = triple
+        self._code = CodeAutomaton(self.irreducible_words()) if members is None else None
+        if members is not None:
+            self.members = members
+
+    @cached_property
+    def members(self) -> dict[int, tuple[Word, ...]]:
+        # the words whose code run from the boundary stays nonempty are the
+        # prefixes of concatenations; keep the concatenations
+        code = self._code
+        prefixes = LanguageOracle.finite_state(
+            self.oracle.alphabet, code.boundary, lambda states, a: code.step(states, a) or None,
+            self.depth)
+        return {n: tuple(filter(self.contains, prefixes.words(n))) for n in range(1, self.depth + 1)}
 
     def contains(self, w: Word) -> bool:
-        return w in self._member_sets.get(len(w), frozenset())
+        code = self._code
+        if code is None:
+            return w in self._member_sets.get(len(w), frozenset())
+        if not 0 < len(w) <= self.depth:
+            return False
+        states = code.boundary
+        for a in w:
+            states = code.step(states, a)
+            if not states:
+                return False
+        return code.boundary <= states
 
     @cached_property
     def _member_sets(self) -> dict[int, frozenset[Word]]:
         return {n: frozenset(ws) for n, ws in self.members.items()}
+
+    def splits(self, w: Word) -> bool:
+        """Whether w is the concatenation of two members."""
+        return any(self.contains(w[:t]) and self.contains(w[t:]) for t in range(1, len(w)))
 
     def irreducible_words(self) -> list[Word]:
         return [w for n in sorted(self.irreducibles) for w in self.irreducibles[n]]
@@ -340,36 +372,43 @@ def free_family_from_irreducibles(
     irreducibles: Iterable[Word],
     depth: int,
 ) -> FreeFamily:
-    """The star closure of an explicit irreducible set, enumerated to depth.
+    """The star closure of an explicit irreducible set, to depth.
 
-    Validates that the concatenations stay in the language and that no
-    irreducible word splits into others (I n II must be empty).  Only the
-    supplied words need the split test: every other member is u + v for a
-    supplied u and a nonempty member v, so it is reducible."""
+    Validates that the concatenations of length <= depth stay in the
+    language and that no irreducible word splits into others (I n II must
+    be empty).  The first check is a breadth-first search of the product of
+    the code automaton, run from its boundary, with the oracle's layer, so
+    the closure is never listed; it names the lexicographically least
+    concatenation that leaves the language, at the shortest length.  Only
+    the supplied words need the split test: every other member is u + v
+    for a supplied u and a nonempty member v, so it is reducible."""
     irr = sorted(set(irreducibles), key=lambda w: (len(w), w))
     if any(len(w) == 0 for w in irr):
         raise ValueError("irreducible words must be nonempty")
-    members: dict[int, list[Word]] = {0: [EMPTY_WORD]}
-    for n in range(1, depth + 1):
-        seen = set()
-        for u in irr:
-            if len(u) > n:
-                break
-            for tail in members.get(n - len(u), ()):  # shorter members first
-                w = u + tail
-                if w not in seen:
-                    seen.add(w)
-        for w in seen:
-            if not oracle.contains(w):
-                raise ValueError(f"concatenation {w} leaves the language; not a free family")
-        members[n] = sorted(seen)
-    fam = {n: tuple(ws) for n, ws in members.items() if n > 0}
     kept = [w for w in irr if len(w) <= depth]
+    code = CodeAutomaton(kept)
+    symbols = sorted({a for w in kept for a in w})
+    # (code state, oracle state or None once out of the language) -> the
+    # least word reaching it; words are extended in lexicographic order, so
+    # the first word to reach a pair is the least
+    level = {(code.boundary, oracle.start): EMPTY_WORD}
+    for _ in range(depth):
+        nxt: dict[tuple, Word] = {}
+        for (states, q), w in level.items():
+            for a in symbols:
+                t = code.step(states, a)
+                if t:
+                    key = (t, None if q is None else oracle.step(q, a))
+                    if key not in nxt:
+                        nxt[key] = w + (a,)
+        for (states, q), w in nxt.items():
+            if q is None and code.boundary <= states:
+                raise ValueError(f"concatenation {w} leaves the language; not a free family")
+        level = nxt
     irreducibles = {n: tuple(ws) for n, ws in groupby(kept, key=len)}
-    out = FreeFamily(oracle, depth, fam, irreducibles, math.gcd(*irreducibles), None)
+    out = FreeFamily(oracle, depth, None, irreducibles, math.gcd(*irreducibles))
     supplied = set(kept)
-    computed = {w for w in kept
-                if not any(out.contains(w[:t]) and out.contains(w[t:]) for t in range(1, len(w)))}
+    computed = {w for w in kept if not out.splits(w)}
     if supplied != computed:
         raise ValueError(
             f"supplied set is not the irreducible set of its star closure: "
@@ -379,28 +418,19 @@ def free_family_from_irreducibles(
 
 
 def _finish_family(oracle, depth, fam: dict[int, tuple[Word, ...]], triple) -> FreeFamily:
-    msets = {n: frozenset(ws) for n, ws in fam.items()}
-
-    def in_f(w: Word) -> bool:
-        return w in msets.get(len(w), frozenset())
-
-    irreducibles: dict[int, tuple[Word, ...]] = {}
+    out = FreeFamily(oracle, depth, fam, {}, 0, triple)
     for n in sorted(fam):
-        keep = []
-        for w in fam[n]:
-            if not any(in_f(w[:t]) and in_f(w[t:]) for t in range(1, n)):
-                keep.append(w)
+        keep = tuple(w for w in fam[n] if not out.splits(w))
         if keep:
-            irreducibles[n] = tuple(keep)
-    g = 0
-    for n in irreducibles:
-        g = math.gcd(g, n)
-    return FreeFamily(oracle, depth, fam, irreducibles, g, triple)
+            out.irreducibles[n] = keep
+    out.gcd_lengths = math.gcd(*out.irreducibles)
+    return out
 
 
-def check_free_concatenation(family: FreeFamily, depth: int | None = None) -> list[tuple[Word, Word]]:
-    """Exhaustive check of closure under juxtaposition; returns violations."""
-    d = depth if depth is not None else family.depth
+def check_free_concatenation(family: FreeFamily) -> list[tuple[Word, Word]]:
+    """Exhaustive check of closure under juxtaposition to the family's
+    depth; returns violations."""
+    d = family.depth
     words = [w for n in sorted(family.members) if n <= d for w in family.members[n]]
     bad = []
     for v in words:
@@ -593,19 +623,12 @@ def _distinct_star_counts(irreducibles: Sequence[Word], n_max: int, n_symbols: i
     """
     automaton = CodeAutomaton(irreducibles)
     boundary = automaton.boundary
-    counts: dict[frozenset, int] = {boundary: 1}
-    totals = [0] * (n_max + 1)
-    totals[0] = 1
-    for m in range(1, n_max + 1):
-        nxt: dict[frozenset, int] = {}
-        for states, c in counts.items():
-            for a in range(n_symbols):
-                t = automaton.step(states, a)
-                if t:
-                    nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
-        totals[m] = sum(c for states, c in counts.items() if boundary <= states)
-    return totals
+
+    def successors(states: frozenset) -> list[frozenset]:
+        return [t for a in range(n_symbols) if (t := automaton.step(states, a))]
+
+    return [sum(c for states, c in vec.items() if boundary <= states)
+            for vec in path_counts(boundary, successors, n_max)]
 
 
 def _loop_counts(tower: TowerGraph, n_max: int, star: bool) -> list[int]:
@@ -613,19 +636,13 @@ def _loop_counts(tower: TowerGraph, n_max: int, star: bool) -> list[int]:
     loops when star=True) for every n <= n_max, indexed by n, from one DP
     pass: after n-1 steps the table counts the paths of n vertices."""
     base = tower.base
-    out = [0] * (n_max + 1)
-    counts: dict[tuple[Word, int], int] = {base: 1}
-    for n in range(1, n_max + 1):
-        if n > 1:
-            nxt: dict[tuple[Word, int], int] = {}
-            for v, c in counts.items():
-                for u in tower.successors(v):
-                    if not (star and u == base):
-                        nxt[u] = nxt.get(u, 0) + c
-            counts = nxt
-        # the base (b, 1) follows exactly the last position of each word
-        out[n] = sum(c for (w, k), c in counts.items() if k == len(w))
-    return out
+
+    def successors(v: tuple[Word, int]) -> list[tuple[Word, int]]:
+        return [u for u in tower.successors(v) if not (star and u == base)]
+
+    # the base (b, 1) follows exactly the last position of each word
+    return [0] + [sum(c for (w, k), c in vec.items() if k == len(w))
+                  for vec in path_counts(base, successors, n_max - 1)]
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -1029,14 +1046,12 @@ def sync_times(
     triple: SyncTriple,
     good: WordSet,
     oracle: LanguageOracle,
-    *,
-    mode: str = "auto",
 ) -> SyncTimes:
     """Synchronising times of a word: 1-based positions i marking the end of
-    an occurrence of r with c.s following.  In non-uniform mode (good set
-    smaller than the language) the prefix w[.. i] and the tail past the
-    connector must also be good."""
-    uniform = good.is_full_language if mode == "auto" else (mode == "uniform")
+    an occurrence of r with c.s following.  When the good set is smaller
+    than the language, the prefix w[.. i] and the tail past the connector
+    must also be good."""
+    uniform = good.is_full_language
     pat = triple.pattern
     lr, lc, ls = len(triple.r), len(triple.c), len(triple.s)
     out = []
@@ -1057,13 +1072,11 @@ def obstruction_fraction_table(
     triple: SyncTriple,
     good: WordSet,
     n_range: Sequence[int],
-    *,
-    mode: str = "auto",
 ) -> list[tuple[int, int, int, float]]:
     """(n, #E_n, #L_n, fraction) for the words with no synchronising time."""
     rows = []
     for n in n_range:
         words = oracle.words(n)
-        bad = sum(1 for w in words if sync_times(w, triple, good, oracle, mode=mode).in_obstruction_set)
+        bad = sum(1 for w in words if sync_times(w, triple, good, oracle).in_obstruction_set)
         rows.append((n, bad, len(words), bad / len(words) if words else 0.0))
     return rows

@@ -54,7 +54,7 @@ def test_criterion_2_cycle_sft_collection_entropy(k):
     oracle = sl.cycle_sft(k)
     assert sl.sft_entropy_exact(oracle) == pytest.approx(LOG2, abs=1e-9)
     ws = sl.avoid_symbol_set(oracle, "1")
-    rep = sl.pressure_estimate(ws, sl.Potential.zero(oracle.alphabet), 18, fekete=False)
+    rep = sl.pressure_estimate(ws, sl.Potential.zero(oracle.alphabet), 18)
     assert rep.point_estimate >= (1 - 4 / k) * LOG2 - 0.02
 
 

@@ -237,6 +237,47 @@ def test_run_reports_empty_memory_zero_sft(tmp_path):
     assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("shift, entropy", [
+    # odd gaps: sum of z**(s+1) over odd s is 1 at z**2 = 1/2
+    ({"family": "s_gap", "values": [1, 3], "tail": {"start": 5, "period": 2}},
+     0.34657359027997264),
+    # the prefix code {0, 011}: -log of the real root of x**3 + x - 1
+    ({"family": "coded", "alphabet": ["0", "1"], "generators": ["0", "011"]},
+     0.3822450858400354),
+])
+def test_run_entropy_exact_on_finite_state_families(shift, entropy):
+    cfg = {"shift": shift, "analyses": [{"op": "entropy_exact"}]}
+    assert cli.validate(cfg) == []
+    block = cli.run(cfg)["analyses"][0]
+    assert block["status"] == "ok", block
+    assert float(block["result"]["entropy"]) == pytest.approx(entropy, abs=1e-12)
+
+
+@pytest.mark.parametrize("shift", [
+    {"family": "beta", "beta": 1.8},
+    {"family": "cocyclic", "matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]},
+])
+def test_validate_rejects_entropy_exact_without_a_finite_layer(shift):
+    cfg = {"shift": shift, "analyses": [{"op": "pressure_estimate"}, {"op": "entropy_exact"}]}
+    diags = cli.validate(cfg)
+    assert [(d["level"], d["field"]) for d in diags] == [("error", "analyses[1].op")]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+
+
+@pytest.mark.parametrize("shift", [
+    {"family": "s_gap", "values": [1, 2]},
+    {"family": "coded", "alphabet": ["0", "1"], "generators": ["0", "011"]},
+])
+def test_validate_counts_zero_potential_depths_on_finite_state_families(shift):
+    # the layer's count DP reads no words, so these depths pass the guard
+    cfg = {"shift": shift, "analyses": [{"op": "pressure_estimate", "n_max": 40},
+                                        {"op": "avoid_symbol_rate", "symbol": "1", "depth": 40}]}
+    assert cli.validate(cfg) == []
+    blocks = cli.run(cfg)["analyses"]
+    assert [b["status"] for b in blocks] == ["ok", "ok"]
+
+
 def test_run_not_one_one_pipeline(tmp_path):
     cfg = {
         "shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["111"]},

@@ -188,7 +188,7 @@ def test_cycle_avoid_symbol_complement_rate():
     # the words avoiding one symbol, whose rate stays above (1-4/k) log 2
     c8 = sl.cycle_sft(8)
     ws = sl.avoid_symbol_set(c8, "1")
-    rep = sl.pressure_estimate(ws, zero(c8), 18, fekete=False)
+    rep = sl.pressure_estimate(ws, zero(c8), 18)
     assert rep.point_estimate >= 0.34
 
 

@@ -1,14 +1,14 @@
-"""Differential tests: the one-pass SFT and S-gap membership rules, the
-coded-shift subset automaton and the memoised predicate word sets against
-plain reference implementations.
+"""Differential tests: the finite layers of SFT, S-gap and coded shifts
+(membership runs and count DPs) and the memoised predicate word sets
+against plain reference implementations.
 
-The references are the original whole-word scans: a forbidden-factor scan
-plus a live-window scan for SFTs, a per-run gap-set query for S-gap shifts
-and a boundary-reachability scan for coded shifts.  Every word up to length
-10 is compared where that is at most a few thousand words (all binary
-cases); larger alphabets compare every word up to the length where k**n
-passes 1024, plus drawn words up to length 10.  Drawn words may use symbols
-outside the alphabet.
+The references are whole-word scans: a forbidden-factor scan plus a
+live-window scan for SFTs, a per-run gap-set query for S-gap shifts and a
+boundary-reachability scan for coded shifts.  Every word up to length 10 is
+compared where that is at most a few thousand words (all binary cases);
+larger alphabets compare every word up to the length where k**n passes
+1024, plus drawn words up to length 10.  Drawn words may use the symbols -1
+and k outside the alphabet, which the layer run must reject on its own.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
+from shiftlab import models
 from shiftlab.errors import DepthExceededError, EmptyLanguageError
 from shiftlab.tower import _distinct_star_counts
 
@@ -40,11 +41,12 @@ def _has_factor(w, forbidden):
     return any(_contains(w, f) for f in forbidden if f)
 
 
-def reference_sft_contains(oracle, forbidden):
+def reference_sft_contains(spec):
     """Forbidden-factor scan, then every m-window live (long words) or a
     factor of a live state (short words)."""
-    data = oracle.sft_data
-    m, live, states, k = data.memory, data.live, data.states, oracle.alphabet.size
+    data = models._SftData(spec)
+    m, live, states, k = data.memory, data.live, data.states, spec.alphabet.size
+    forbidden = spec.forbidden
 
     def contains(w):
         if not _valid(k, w):
@@ -130,24 +132,7 @@ def test_sft_membership_matches_reference(instance):
         oracle = sl.sft_from_forbidden(spec)
     except EmptyLanguageError:
         return
-    _assert_agree(oracle, reference_sft_contains(oracle, forbidden), drawn)
-
-
-@settings(max_examples=40, deadline=None)
-@given(sft_instances())
-def test_sft_count_hook_matches_enumeration(instance):
-    k, forbidden, _ = instance
-    spec = sl.SftSpec(sl.Alphabet.of_size(k), forbidden)
-    try:
-        oracle = sl.sft_from_forbidden(spec, enumeration_limit=6)
-    except EmptyLanguageError:
-        return
-    data = oracle.sft_data
-    allowed = set(range(1, k))
-    for n in range(7):
-        words = oracle.words(n)
-        assert oracle.count(n) == len(words)
-        assert data.count(n, allowed) == sum(1 for w in words if 0 not in w)
+    _assert_agree(oracle, reference_sft_contains(spec), drawn)
 
 
 # -- S-gap shifts --------------------------------------------------------------
@@ -243,6 +228,28 @@ def test_distinct_star_counts_match_listing(instance):
     k, gens, _ = instance
     n_max = 12 if k == 2 else 10
     assert _distinct_star_counts(gens, n_max, k) == reference_star_counts(gens, n_max)
+
+
+# -- count DPs -------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    sft_instances().map(lambda i: (sl.sft_from_forbidden, sl.SftSpec(sl.Alphabet.of_size(i[0]), i[1]))),
+    sgap_instances().map(lambda i: (sl.s_gap_shift, i[0])),
+    coded_instances().map(lambda i: (sl.coded_shift, sl.CodedSpec(i[1], sl.Alphabet.of_size(i[0])))),
+))
+def test_sft_count_hook_matches_enumeration(instance):
+    build, spec = instance
+    try:
+        oracle = build(spec, enumeration_limit=6)
+    except EmptyLanguageError:
+        return
+    symbol = oracle.alphabet.symbols[0]
+    avoid = sl.avoid_symbol_set(oracle, symbol)
+    for n in range(7):
+        words = oracle.words(n)
+        assert oracle.count(n) == len(words)
+        assert avoid.count(n) == sum(1 for w in words if 0 not in w)
 
 
 # -- memoised predicate word sets ------------------------------------------------

@@ -103,7 +103,7 @@ def test_cycle_sft_needs_k_at_least_4():
 def test_cycle_avoid_symbol_rate_bound():
     c8 = sl.cycle_sft(8)
     ws = sl.avoid_symbol_set(c8, "1")
-    rep = sl.pressure_estimate(ws, sl.Potential.zero(c8.alphabet), 18, fekete=False)
+    rep = sl.pressure_estimate(ws, sl.Potential.zero(c8.alphabet), 18)
     assert rep.point_estimate >= (1 - 4 / 8) * math.log(2) - 0.02
 
 

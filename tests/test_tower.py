@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab.core import WordSet
@@ -130,6 +130,8 @@ def test_free_family_full_shift_alphabet(full2):
     assert fam.irreducible_words() == [(0,), (1,)]
     for n in range(1, 9):
         assert len(fam.members[n]) == 2 ** n
+    # the family stops at its depth, and the empty word is no member
+    assert fam.contains((1,) * 8) and not fam.contains((1,) * 9) and not fam.contains(())
 
 
 def test_free_family_rejects_reducible_supply(full2):
@@ -408,15 +410,17 @@ def _enumerated_loop_counts(tw, n_max, star):
 
 
 def _reference_free_family(oracle, supply, depth):
-    """free_family_from_irreducibles by the generic split scan of every
-    member of the star closure (_finish_family)."""
+    """free_family_from_irreducibles by listing the star closure, testing
+    each member for membership (the least failing word of the shortest
+    failing length is reported) and the generic split scan of every member
+    (_finish_family)."""
     irr = sorted(set(supply), key=lambda w: (len(w), w))
     if any(len(w) == 0 for w in irr):
         raise ValueError("irreducible words must be nonempty")
     members = {0: [()]}
     for n in range(1, depth + 1):
         seen = {u + t for u in irr if len(u) <= n for t in members[n - len(u)]}
-        for w in seen:
+        for w in sorted(seen):
             if not oracle.contains(w):
                 raise ValueError(f"concatenation {w} leaves the language; not a free family")
         members[n] = sorted(seen)
@@ -466,14 +470,21 @@ def test_all_n_loop_dp_matches_enumeration(instance):
     tower_instances(),
     st.lists(st.lists(st.integers(0, 2), max_size=4).map(tuple), max_size=2),
     st.integers(0, 9),
-    st.booleans(),
+    st.sampled_from(["full", "golden", "beta"]),
 )
-def test_free_family_split_test_matches_reference(instance, extra, depth, golden_mean):
+# 011 and 110 both leave the golden-mean language at length 3: the least is named
+@example((2, [(0, 1, 1), (1, 1, 0)], sl.Potential(1, {(0,): 0.0, (1,): 0.0})), [], 6, "golden")
+def test_free_family_split_test_matches_reference(instance, extra, depth, shift):
     # extra words (possibly empty, reducible or outside the alphabet) and the
-    # golden-mean shift, where concatenations can leave the language,
-    # exercise every ValueError
+    # golden-mean and beta = 1.8 shifts, where concatenations can leave the
+    # language, exercise every ValueError; the beta shift has no finite
+    # layer, so the product search runs its word-state step
     k, code, _ = instance
-    oracle = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["11"])) if golden_mean else sl.full_shift(k)
+    oracle = {
+        "full": lambda: sl.full_shift(k),
+        "golden": lambda: sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["11"])),
+        "beta": lambda: sl.beta_shift(sl.BetaSpec.from_beta(1.8)),
+    }[shift]()
     supply = code + extra
 
     def outcome(build):
@@ -631,7 +642,7 @@ def test_generator_obstruction_gap_golden(golden):
     a = golden.alphabet
     irr = [a.word("0"), a.word("010"), a.word("01010")]
     d = sl.generator_obstruction_set(irr, golden, depth=14)
-    rep_d = sl.pressure_estimate(d, zero(golden), 14, fekete=False)
+    rep_d = sl.pressure_estimate(d, zero(golden), 14)
     rep_l = sl.pressure_estimate(lang(golden), zero(golden), 14)
     from shiftlab.decomp import margin_rule
 
