@@ -171,7 +171,8 @@ _NO_WORDS = {"ud_check", "tower_loops", "spr", "marking"}
 #: families whose oracle has a finite layer: exact entropy, counts by DP
 _FINITE_LAYER = {"sft", "full", "cycle", "s_gap", "coded"}
 #: knobs that only count words at zero potential on a finite layer
-_COUNTED = {("pressure_estimate", "n_max"), ("avoid_symbol_rate", "depth")}
+_COUNTED = {("pressure_estimate", "n_max"), ("hyperbolicity", "n_max"),
+            ("avoid_symbol_rate", "depth")}
 
 
 def _enumeration_limit(shift: dict) -> int | None:

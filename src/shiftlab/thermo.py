@@ -416,7 +416,8 @@ def hyperbolicity_diagnostic(
     log Lambda_n - log Lambda_{n-1} minus the sup Birkhoff rate.  The point
     estimate is ``rate_estimate`` of the table's own (n, log Lambda_n)
     values, the ones pressure_estimate over the full language would
-    compute, so every word is summed once.  Verdict is
+    compute, so every word is summed once; at zero potential they are the
+    oracle's counts, a DP on a finite layer.  Verdict is
     "hyperbolic-at-depth" iff over the last quarter of the table the gap is
     positive and does not shrink on net (the oscillation tolerance scales
     with the gap size, so a gap decaying to zero is rejected while a stable
@@ -425,12 +426,12 @@ def hyperbolicity_diagnostic(
     log_sums: list[tuple[int, float]] = []
     prev_log = None
     for n in range(1, n_max + 1):
-        elems = oracle.words(n)
         if potential.is_zero:
+            count = oracle.count(n)
             sup = 0.0
-            log_sum = math.log(len(elems)) if elems else NEG_INF
+            log_sum = math.log(count) if count else NEG_INF
         else:
-            vals = [phi_hat(potential, oracle, w) for w in elems]
+            vals = [phi_hat(potential, oracle, w) for w in oracle.words(n)]
             sup = max(vals) / n
             log_sum = log_sum_exp(vals)
         if prev_log is not None and prev_log > NEG_INF and log_sum > NEG_INF:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby
 from typing import Iterable, Sequence
 
@@ -655,95 +655,43 @@ def _logaddexp(a: float, b: float) -> float:
 
 
 def _loop_logs(tower: TowerGraph, potential: Potential, n_max: int, star: bool) -> list[float]:
-    """log of the phi-weighted loop sums for every n <= n_max, indexed by n,
-    the Birkhoff sum being evaluated along the projected periodic word
-    (windows wrap around).
+    """log of the phi-weighted loop sums at the base (first-return loops when
+    star=True) for every n <= n_max, indexed by n, as closed walks on the
+    tower's (r-1)-block graph (Lind & Marcus, section 2.3).
 
-    Loops shorter than max(2(r-1), 2) go to _loop_brute.  The rest come from
-    one DP pass: the table after n-1 steps does not depend on the target n,
-    nor does the closing term of a state, so each is computed once.  The
-    tables are visited in sorted order, stub by stub, as a separate pass per
-    n would visit them, so every sum is the same float.
+    A state is a path of h = max(r-1, 1) vertices.  An edge appends a
+    successor u of the last vertex and weighs phi of the first r vertices of
+    block + (u,), so a closed walk of n steps sums phi along the periodic
+    word, windows wrapping.  Closed walks correspond one to one with the
+    periodic paths of the tower, so the sums are exact for every n >= 1.
+    Z_n adds up the walks from B back to B over the start blocks B that
+    begin at the base; for Z*_n the walks whose block begins at the base
+    again are dropped once their step is recorded.  Out-edges are computed
+    once per block, and tables are visited in sorted order, so every sum is
+    reproducible.
     """
-    r = potential.window
-    base = tower.base
-    value = potential.value
-    sym = tower.symbol
-    short = max(2 * (r - 1), 2)
+    r, base = potential.window, tower.base
+    value, sym = potential.value, tower.symbol
+
+    @cache
+    def out_edges(block: tuple) -> list[tuple[tuple, float]]:
+        return [(block[1:] + (u,), value(tuple(sym(x) for x in (block + (u,))[:r])))
+                for u in tower.successors(block[-1])]
+
+    starts = [(base,)]  # the h-vertex paths from the base
+    for _ in range(r - 2):  # grow them to h vertices
+        starts = [b + (u,) for b in starts for u in tower.successors(b[-1])]
     out = [NEG_INF] * (n_max + 1)
-    for n in range(1, min(short, n_max + 1)):
-        out[n] = _loop_brute(tower, potential, n, star)
-    if n_max < short:
-        return out
-
-    h = max(r - 1, 1)
-    # wrap windows read the first r-2 vertices past the base; condition on them
-    stubs: list[tuple] = [()]
-    for _ in range(r - 2):
-        grown = []
-        for st in stubs:
-            last = st[-1] if st else base
-            grown.extend(st + (u,) for u in tower.successors(last) if not (star and u == base))
-        stubs = grown
-
-    # per stub, the last h vertices z_{n-h}..z_{n-1} of the paths z_0..z_{n-1}
-    # that start with base + stub, and the closing terms met so far; at r = 1
-    # the base's own window opens the sum and nothing wraps
-    start = value((sym(base),)) if r == 1 else 0.0
-    tables: list[dict[tuple, float]] = [{(base,) + stub: start} for stub in stubs]
-    closings: list[dict[tuple, float]] = [{} for _ in stubs]
-    for n in range(h + 1, n_max + 1):
-        total = NEG_INF
-        for i, stub in enumerate(stubs):
+    for start in sorted(starts):
+        table = {start: 0.0}
+        for n in range(1, n_max + 1):
             nxt: dict[tuple, float] = {}
-            for st, acc in sorted(tables[i].items()):
-                head = tuple(sym(x) for x in st[h + 1 - r :])  # the r-1 symbols before u
-                for u in tower.successors(st[-1]):
-                    if not (star and u == base):
-                        st2 = st[1:] + (u,)
-                        nxt[st2] = _logaddexp(nxt.get(st2, NEG_INF), acc + value(head + (sym(u),)))
-            tables[i] = nxt
-            if n < short:
-                continue
-            memo = closings[i]
-            for st, acc in sorted(nxt.items()):
-                w, k = st[-1]
-                if k != len(w):  # the base follows only the last position of a word
-                    continue
-                if r > 1:
-                    closing = memo.get(st)
-                    if closing is None:
-                        ctx = st + (base,) + stub  # z_{n-r+1}..z_{n-1}, z_0, z_1..z_{r-2}
-                        closing = memo[st] = math.fsum(
-                            value(tuple(sym(x) for x in ctx[t : t + r])) for t in range(r - 1)
-                        )
-                    acc += closing
-                total = _logaddexp(total, acc)
-        if n >= short:
-            out[n] = total
+            for block, acc in sorted(table.items()):
+                for block2, weight in out_edges(block):
+                    nxt[block2] = _logaddexp(nxt.get(block2, NEG_INF), acc + weight)
+            out[n] = _logaddexp(out[n], nxt.get(start, NEG_INF))
+            table = {b: v for b, v in nxt.items() if b[0] != base} if star else nxt
     return out
-
-
-def _loop_brute(tower: TowerGraph, potential: Potential, n: int, star: bool) -> float:
-    """Direct enumeration for very short loops (windows wrap several times)."""
-    base = tower.base
-    r = potential.window
-    total = NEG_INF
-    stack: list[tuple[tuple[Word, int], ...]] = [(base,)]
-    while stack:
-        path = stack.pop()
-        if len(path) == n:
-            if base in tower.successors(path[-1]):
-                word = tuple(tower.symbol(v) for v in path)
-                ext = word * (1 + -(-r // n))
-                s = potential.window_sum(ext, 0, n)
-                total = _logaddexp(total, s)
-            continue
-        for u in tower.successors(path[-1]):
-            if star and u == base:
-                continue
-            stack.append(path + (u,))
-    return total
 
 
 def loop_sums(
@@ -755,12 +703,14 @@ def loop_sums(
 ) -> LoopTable:
     """Z_n and first-return Z*_n tables at the tower base.
 
-    Computed by graph DP, one pass for all n <= n_max (the table after n-1
-    steps serves every longer n too), and (when requested) cross-checked
-    against the word-side sums over parses of the family words: under unique
-    decipherability the two agree exactly at zero potential and within a
-    distortion envelope otherwise; a larger disagreement raises
-    InconsistentDecipherabilityError.
+    Computed in one pass for all n <= n_max: exact integer counts by a DP
+    over the tower at zero potential, else closed walks on the tower's
+    (r-1)-block graph (see _loop_logs), exact for every n.  The ``rate``
+    column is ``rate_estimate`` of the supported rows so far.  When
+    requested, the table is cross-checked against the word-side sums over
+    parses of the family words: under unique decipherability the two agree
+    exactly at zero potential and within a distortion envelope otherwise; a
+    larger disagreement raises InconsistentDecipherabilityError.
     """
     base_word = tower.base[0]
     rows: list[LoopRow] = []
@@ -770,7 +720,7 @@ def loop_sums(
     else:
         full = _loop_logs(tower, potential, n_max, False)
         first = _loop_logs(tower, potential, n_max, True)
-    prior: tuple[int, float] | None = None  # the last n with Z_n > 0, and log Z_n
+    supported: list[tuple[int, float]] = []  # (n, log Z_n) where Z_n > 0
     for n in range(1, n_max + 1):
         if zero:
             zc, zsc = full[n], first[n]
@@ -779,14 +729,10 @@ def loop_sums(
         else:
             zc = zsc = None
             z, zs = full[n], first[n]
-        if z > NEG_INF and prior is not None:
-            m0, z0 = prior
-            rate = (z - z0) / (n - m0)
-        else:
-            rate = z / n if z > NEG_INF else NEG_INF
-        rate_star = zs / n if zs > NEG_INF else NEG_INF
         if z > NEG_INF:
-            prior = (n, z)
+            supported.append((n, z))
+        rate = rate_estimate(supported[-2:]) if z > NEG_INF else NEG_INF
+        rate_star = zs / n if zs > NEG_INF else NEG_INF
         rows.append(LoopRow(n, z, zc, zs, zsc, rate, rate_star))
 
     word_side: dict[int, float] = {}
@@ -879,14 +825,13 @@ def spr_diagnostic(
     n_max: int,
     *,
     margin: float = 0.05,
-    table: LoopTable | None = None,
 ) -> SprReport:
     """Strong-positive-recurrence diagnostic: the growth rate of the
     first-return sums must stay below the growth rate of the full loop sums
     by the margin over the top half of the table.  Also reports the finite
     rates of the generator sums versus the family sums (the strict
     inequality that removing a generator would force)."""
-    t = table if table is not None else loop_sums(tower, potential, n_max)
+    t = loop_sums(tower, potential, n_max)
     z_rate = t.z_rate_estimate()
     zs_rate = t.z_star_rate_estimate()
     gap = z_rate - zs_rate if zs_rate > NEG_INF else float("inf")

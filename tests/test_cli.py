@@ -278,6 +278,14 @@ def test_validate_counts_zero_potential_depths_on_finite_state_families(shift):
     assert [b["status"] for b in blocks] == ["ok", "ok"]
 
 
+def test_validate_counts_zero_potential_hyperbolicity():
+    # at zero potential the diagnostic counts words, so its n_max passes the guard
+    cfg = {"shift": {"family": "full", "k": 2, "depth": 12},
+           "analyses": [{"op": "hyperbolicity", "n_max": 30}]}
+    assert cli.validate(cfg) == []
+    assert [b["status"] for b in cli.run(cfg)["analyses"]] == ["ok"]
+
+
 def test_run_not_one_one_pipeline(tmp_path):
     cfg = {
         "shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["111"]},

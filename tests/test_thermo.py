@@ -229,6 +229,15 @@ def test_hyperbolic_zero_potential(golden):
     assert rep.is_hyperbolic_at_depth
 
 
+def test_hyperbolicity_counts_words_at_zero_potential():
+    # the layer's count DP reads past the enumeration limit (12 here)
+    full = sl.full_shift(2, 12)
+    rep = sl.hyperbolicity_diagnostic(full, zero(full), 30)
+    assert [r.n for r in rep.rows] == list(range(1, 31))
+    for row in rep.rows:
+        assert row.rate == pytest.approx(math.log(2), rel=1e-12, abs=0)
+
+
 def test_not_hyperbolic_single_orbit():
     orbit = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["1"]))
     rep = sl.hyperbolicity_diagnostic(orbit, zero(orbit), 8)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import shiftlab as sl
+from shiftlab import tower
 from shiftlab.core import WordSet
 from shiftlab.errors import (
     InconsistentDecipherabilityError,
@@ -16,7 +17,7 @@ from shiftlab.errors import (
 from shiftlab.tower import (
     TowerGraph,
     _finish_family,
-    _loop_brute,
+    _logaddexp,
     _loop_counts,
     _loop_logs,
     check_free_concatenation,
@@ -289,31 +290,11 @@ def test_loops_with_potential_match_brute_force(full2):
     tw = sl.build_tower_over(full2, [a.word("0"), a.word("01")], 2, a.word("0"))
     pot = sl.Potential.from_strings(a, 2, {"00": 0.3, "01": -0.4, "10": 0.2, "11": 0.7})
     table = loop_sums(tw, pot, 9, cross_check=False)
-
-    def brute(n, star):
-        total = []
-        stack = [((tw.base),)]
-        while stack:
-            path = stack.pop()
-            if len(path) == n:
-                if tw.base in tw.successors(path[-1]):
-                    word = tuple(tw.symbol(v) for v in path)
-                    ext = word + word
-                    total.append(math.fsum(pot.value(ext[j : j + 2]) for j in range(n)))
-                continue
-            for u in tw.successors(path[-1]):
-                if star and u == tw.base:
-                    continue
-                stack.append(path + (u,))
-        if not total:
-            return float("-inf")
-        m = max(total)
-        return m + math.log(math.fsum(math.exp(x - m) for x in total))
-
     for n in range(1, 10):
-        assert table.rows[n - 1].z == pytest.approx(brute(n, False), abs=1e-10)
+        z = _enumerated_loop_logs(tw, pot, n, False)
+        assert table.rows[n - 1].z == pytest.approx(z, abs=1e-10)
         zs = table.rows[n - 1].z_star
-        b = brute(n, True)
+        b = _enumerated_loop_logs(tw, pot, n, True)
         if b == float("-inf"):
             assert zs == float("-inf")
         else:
@@ -337,7 +318,7 @@ def test_loops_range3_star_multi_code_brute(full2):
     for star in (False, True):
         logs = _loop_logs(tw, pot, 8, star)
         for n in range(1, 9):
-            brute = _loop_brute(tw, pot, n, star)
+            brute = _enumerated_loop_logs(tw, pot, n, star)
             dp = logs[n]
             if brute == float("-inf"):
                 assert dp == float("-inf")
@@ -373,25 +354,9 @@ def test_loops_range3_potential_brute(full2):
     table3 = {w: 0.1 * i for i, w in enumerate(full2.words(3))}
     pot = sl.Potential(3, table3)
     table = loop_sums(tw, pot, 8, cross_check=False)
-
-    def brute(n):
-        total = []
-        stack = [((tw.base),)]
-        while stack:
-            path = stack.pop()
-            if len(path) == n:
-                if tw.base in tw.successors(path[-1]):
-                    word = tuple(tw.symbol(v) for v in path)
-                    ext = word * 4
-                    total.append(math.fsum(pot.value(ext[j : j + 3]) for j in range(n)))
-                continue
-            for u in tw.successors(path[-1]):
-                stack.append(path + (u,))
-        m = max(total)
-        return m + math.log(math.fsum(math.exp(x - m) for x in total))
-
     for n in range(1, 9):
-        assert table.rows[n - 1].z == pytest.approx(brute(n), abs=1e-10)
+        z = _enumerated_loop_logs(tw, pot, n, False)
+        assert table.rows[n - 1].z == pytest.approx(z, abs=1e-10)
 
 
 # -- all-n loop DP and the generator split test against references -----------------
@@ -407,6 +372,24 @@ def _enumerated_loop_counts(tw, n_max, star):
         if n < n_max:
             stack.extend((u, n + 1) for u in tw.successors(v) if not (star and u == tw.base))
     return out
+
+
+def _enumerated_loop_logs(tw, potential, n, star):
+    """log of the phi-weighted sum over the loops of length n at the base,
+    by listing every path; the Birkhoff sum runs along the periodic word."""
+    r = potential.window
+    total = float("-inf")
+    stack = [(tw.base,)]
+    while stack:
+        path = stack.pop()
+        if len(path) == n:
+            if tw.base in tw.successors(path[-1]):
+                word = tuple(tw.symbol(v) for v in path)
+                ext = word * (1 + -(-r // n))
+                total = _logaddexp(total, potential.window_sum(ext, 0, n))
+            continue
+        stack.extend(path + (u,) for u in tw.successors(path[-1]) if not (star and u == tw.base))
+    return total
 
 
 def _reference_free_family(oracle, supply, depth):
@@ -441,7 +424,7 @@ def tower_instances(draw):
     k = draw(st.integers(2, 3))
     word = st.lists(st.integers(0, k - 1), min_size=1, max_size=4).map(tuple)
     code = draw(st.lists(word, min_size=1, max_size=4, unique=True))
-    r = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 4))
     values = draw(st.lists(st.integers(-4, 4), min_size=k**r, max_size=k**r))
     table = {w: v / 4 for w, v in zip(itertools.product(range(k), repeat=r), values)}
     return k, code, sl.Potential(r, table)
@@ -458,7 +441,7 @@ def test_all_n_loop_dp_matches_enumeration(instance):
         assert _loop_counts(tw, 10, star) == _enumerated_loop_counts(tw, 10, star)
         logs = _loop_logs(tw, pot, 8, star)
         for n in range(1, 9):
-            brute = _loop_brute(tw, pot, n, star)
+            brute = _enumerated_loop_logs(tw, pot, n, star)
             if brute == float("-inf"):
                 assert logs[n] == brute
             else:
@@ -499,7 +482,9 @@ def test_free_family_split_test_matches_reference(instance, extra, depth, shift)
 
 def test_loop_sums_work_grows_linearly(full2, monkeypatch):
     # one DP pass for all n: doubling n_max about doubles the steps, where a
-    # separate pass per n would quadruple them
+    # separate pass per n would quadruple them.  The count DP asks for the
+    # successors at every step; the weighted DP computes each block's
+    # out-edges once, so there its log-sum-exp calls are counted
     calls = [0]
     successors = TowerGraph.successors
 
@@ -507,7 +492,12 @@ def test_loop_sums_work_grows_linearly(full2, monkeypatch):
         calls[0] += 1
         return successors(self, vertex)
 
+    def counted_logaddexp(a, b):
+        calls[0] += 1
+        return _logaddexp(a, b)
+
     monkeypatch.setattr(TowerGraph, "successors", counted)
+    monkeypatch.setattr(tower, "_logaddexp", counted_logaddexp)
     a = full2.alphabet
     tw = sl.build_tower_over(full2, [a.word("0"), a.word("01"), a.word("011")], 3, a.word("0"))
     table3 = {w: 0.05 * i for i, w in enumerate(full2.words(3))}
@@ -518,6 +508,25 @@ def test_loop_sums_work_grows_linearly(full2, monkeypatch):
             loop_sums(tw, pot, n_max)
             work.append(calls[0])
         assert work[1] <= 2.5 * work[0]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_loops_with_constant_potential_are_weighted_counts(full2, r):
+    # phi = c on every window adds n*c to every loop of length n, so both
+    # tables are the exact counts shifted, at every n, short loops included
+    a = full2.alphabet
+    c = 0.25
+    pot = sl.Potential(r, {w: c for w in itertools.product((0, 1), repeat=r)})
+    for base in ("0", "01", "110"):
+        tw = sl.build_tower_over(full2, [a.word("0"), a.word("01"), a.word("110")], 3, a.word(base))
+        for star in (False, True):
+            counts = _loop_counts(tw, 80, star)
+            logs = _loop_logs(tw, pot, 80, star)
+            for n in range(1, 81):
+                if counts[n] == 0:
+                    assert logs[n] == float("-inf")
+                else:
+                    assert logs[n] == pytest.approx(math.log(counts[n]) + n * c, rel=1e-12)
 
 
 # -- SPR diagnostic ------------------------------------------------------------------
