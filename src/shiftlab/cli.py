@@ -28,7 +28,6 @@ from .core import (
     Potential,
     Word,
     WordSet,
-    default_depth_guard,
 )
 from .errors import ConfigError, ShiftLabError
 from .models import (
@@ -85,8 +84,18 @@ _ANALYSES = {
 
 
 def validate(config: dict) -> list[dict]:
-    """Schema and guard-limit diagnostics; no computation is performed."""
+    """Schema and guard-limit diagnostics.  The shift and the potential are
+    built as run builds them; no analysis runs."""
+    return _checked(config, None)[0]
+
+
+def _checked(config: Any, depth_guard: int | None) -> tuple[
+        list[dict], LanguageOracle | None, Potential | None, ShiftLabError | None]:
+    """validate's diagnostics, the oracle and potential that run uses (None
+    where they were not built) and the domain error that stopped the
+    shift's build, reported as a warning."""
     diags: list[dict] = []
+    oracle = potential = failure = None
 
     def err(field: str, message: str) -> None:
         diags.append({"level": "error", "field": field, "message": message})
@@ -96,7 +105,7 @@ def validate(config: dict) -> list[dict]:
 
     if not isinstance(config, dict):
         err("", "config must be a JSON object")
-        return diags
+        return diags, oracle, potential, failure
     shift = config.get("shift")
     if not isinstance(shift, dict):
         err("shift", "missing shift section")
@@ -118,9 +127,22 @@ def validate(config: dict) -> list[dict]:
             err("shift.matrices", "cocyclic shifts need matrices")
         if "depth" in shift and not _is_int(shift["depth"]):
             err("shift.depth", f"must be an integer, got {shift['depth']!r}")
+        if not diags:
+            try:
+                oracle = _build_oracle(shift, depth_guard)
+            except ShiftLabError as exc:  # such as an empty language: run raises it
+                failure = exc
+                warn("shift", f"{type(exc).__name__}: {exc}")
+            except _MALFORMED as exc:
+                err("shift", f"{type(exc).__name__}: {exc}")
     pot = config.get("potential", "zero")
     if pot != "zero" and not isinstance(pot, dict):
         err("potential", "potential must be \"zero\" or an object")
+    elif oracle is not None:
+        try:
+            potential = _build_potential(pot, oracle)
+        except _MALFORMED as exc:
+            err("potential", f"{type(exc).__name__}: {exc}")
     # an explicit depth_guard bounds every word length asked for; the default,
     # the oracle's enumeration limit, binds only lengths that are enumerated
     guard, counted = None, False
@@ -129,9 +151,9 @@ def validate(config: dict) -> list[dict]:
         if not _is_int(guard):
             err("depth_guard", f"must be an integer, got {guard!r}")
             guard = None
-    elif not diags:
-        guard = _enumeration_limit(shift)
-        counted = pot == "zero" and shift["family"] in _FINITE_LAYER
+    elif not diags and oracle is not None:
+        guard = oracle.enumeration_limit
+        counted = pot == "zero" and oracle.transitions is not None
     analyses = config.get("analyses")
     if not isinstance(analyses, list) or not analyses:
         err("analyses", "need a nonempty list of analyses")
@@ -142,10 +164,9 @@ def validate(config: dict) -> list[dict]:
                 continue
             if a["op"] not in _ANALYSES:
                 err(f"analyses[{i}].op", f"unknown op {a['op']!r}")
-            elif (a["op"] == "entropy_exact" and isinstance(shift, dict)
-                  and shift.get("family") in _FAMILIES - _FINITE_LAYER):
-                err(f"analyses[{i}].op", f"entropy_exact needs a finite-state family, "
-                    f"one of {sorted(_FINITE_LAYER)}")
+            elif a["op"] == "entropy_exact" and oracle is not None and oracle.transitions is None:
+                err(f"analyses[{i}].op",
+                    f"entropy_exact needs a finite-state family; {oracle.name} has no finite layer")
             keys = ["n_max", "depth", "horizon", "cert_depth"]
             if a["op"] == "cylinder_table":
                 keys.append("n")
@@ -159,42 +180,20 @@ def validate(config: dict) -> list[dict]:
                 elif (guard is not None and a[key] > guard and a["op"] not in _NO_WORDS
                       and not (counted and (a["op"], key) in _COUNTED)):
                     warn(f"analyses[{i}].{key}", f"{a[key]} exceeds the depth guard {guard}")
-    return diags
+    return diags, oracle, potential, failure
 
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+#: what the constructors raise on a malformed field
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 #: analyses that only test code words for membership and enumerate no words
 _NO_WORDS = {"ud_check", "tower_loops", "spr", "marking"}
-#: families whose oracle has a finite layer: exact entropy, counts by DP
-_FINITE_LAYER = {"sft", "full", "cycle", "s_gap", "coded"}
 #: knobs that only count words at zero potential on a finite layer
 _COUNTED = {("pressure_estimate", "n_max"), ("hyperbolicity", "n_max"),
             ("avoid_symbol_rate", "depth")}
-
-
-def _enumeration_limit(shift: dict) -> int | None:
-    """The enumeration limit _build_oracle gives a validated shift section
-    when run gets no depth guard; None where a field has a type run fails on."""
-    fam, limit = shift["family"], shift.get("depth")
-    try:
-        if fam == "beta":
-            limit = 24 if limit is None else limit
-            if "beta" not in shift and not shift.get("z_period"):
-                limit = min(limit, len(shift["z_pre"]))
-        elif limit is None and fam == "cycle":
-            limit = max(18, default_depth_guard(shift["k"]))
-        elif limit is None:
-            limit = default_depth_guard(
-                2 if fam == "s_gap"
-                else shift.get("k", len(shift.get("alphabet", "01"))) if fam == "full"
-                else len(shift.get("symbols") or shift["matrices"]) if fam == "cocyclic"
-                else len(shift["alphabet"]))
-    except TypeError:
-        return None
-    return limit if _is_int(limit) else None
 
 
 def _build_oracle(shift: dict, depth_guard: int | None) -> LanguageOracle:
@@ -494,12 +493,12 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
     dict; when out_dir is given, writes report.json, one CSV per analysis,
     gnuplot .dat files, and a timing sidecar.  ``threads`` is accepted for
     compatibility and ignored: every analysis runs serially."""
-    diags = validate(config)
+    started = time.perf_counter()
+    diags, oracle, potential, failure = _checked(config, depth_guard)
     if any(d["level"] == "error" for d in diags):
         raise ConfigError("config invalid", diags)
-    started = time.perf_counter()
-    oracle = _build_oracle(config["shift"], depth_guard)
-    potential = _build_potential(config.get("potential", "zero"), oracle)
+    if failure is not None:
+        raise failure
 
     blocks: list[dict] = []
     artifacts: list[tuple[str, str]] = []
@@ -518,10 +517,7 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
                 name = f"{idx:02d}_{op}.dat"
                 artifacts.append((name, dat_text))
                 entry["dat"] = name
-        except ShiftLabError as exc:
-            entry["status"] = "error"
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-        except Exception as exc:  # analysis bugs should not kill the batch
+        except Exception as exc:  # neither a finding nor a bug kills the batch
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         blocks.append(entry)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DepthExceededError, NotInLanguageError
 
@@ -176,6 +176,9 @@ class LanguageOracle:
         self._cache: dict[int, tuple[Word, ...]] = {}
         #: n -> the finite-layer states of words(n), in the same order
         self._states: dict[int, list[int]] = {0: [0]}
+        #: count(n) for n < len, and the count DP that extends them
+        self._counts: list[int] = []
+        self._count_walk = None
         #: id(potential) -> (potential, {word: phi_hat}); see phi_hat
         self._phi_memo: dict[int, tuple[Potential, dict[Word, float]]] = {}
 
@@ -243,29 +246,33 @@ class LanguageOracle:
         return out
 
     def count(self, n: int) -> int:
-        """The count DP over a finite layer (no depth limit), else len(words(n))."""
+        """The count DP over a finite layer (no depth limit), else len(words(n)).
+        The DP is kept and extended, so each length is counted once."""
         rows = self.transitions
         if rows is None or n < 0:
             return len(self.words(n))
-        return sum(path_counts(0, lambda q: rows[q].values(), n)[-1].values())
+        if self._count_walk is None:
+            self._count_walk = path_counts(0, lambda q: rows[q].values())
+        while len(self._counts) <= n:
+            self._counts.append(sum(next(self._count_walk).values()))
+        return self._counts[n]
 
     def __repr__(self):
         return f"LanguageOracle({self.name}, k={self.alphabet.size}, n_max={self.enumeration_limit})"
 
 
-def path_counts(start, successors: Callable, steps: int) -> list[dict]:
-    """Exact number of paths from ``start`` to each state after 0, 1, ...,
-    ``steps`` steps, one {state: count} dict per step count (the one count
-    DP of finite layers, code automata and tower graphs)."""
+def path_counts(start, successors: Callable) -> Iterator[dict]:
+    """Exact number of paths from ``start`` to each state after 0, 1, 2, ...
+    steps, one {state: count} dict per step count, for as long as asked
+    (the one count DP of finite layers, code automata and tower graphs)."""
     vec = {start: 1}
-    out = [vec]
-    for _ in range(steps):
+    while True:
+        yield vec
         nxt: dict = {}
         for q, c in vec.items():
             for t in successors(q):
                 nxt[t] = nxt.get(t, 0) + c
-        out.append(vec := nxt)
-    return out
+        vec = nxt
 
 
 class WordSet:
@@ -374,7 +381,7 @@ class WordSet:
         elif self.is_full_language:
             out = self.oracle.words(n)
         else:
-            out = tuple(w for w in self.oracle.words(n) if self._predicate(w))
+            out = tuple(filter(self._predicate, self.oracle.words(n)))
         self._cache[n] = out
         return out
 

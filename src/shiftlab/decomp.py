@@ -20,6 +20,7 @@ from .core import (
     WordSet,
 )
 from .errors import DepthExceededError, NotSynchronisingError, NoValidParametersError
+from . import thermo
 from .thermo import NEG_INF, PressureReport, format17, pressure_estimate, rate_estimate
 
 DEFAULT_MARGIN = 0.05
@@ -384,18 +385,6 @@ def star_closure(base: WordSet, oracle: LanguageOracle, name: str = "") -> WordS
     return WordSet.from_predicate(oracle, member, name=name or f"({base.name})*")
 
 
-def _phat(ws: WordSet, potential: Potential, lo: int, hi: int) -> float:
-    """sup over computed n in [lo, hi] of (1/n) log Lambda_n."""
-    from .thermo import log_partition_sum
-
-    best = NEG_INF
-    for m in range(max(1, lo), hi + 1):
-        ls = log_partition_sum(ws, potential, m)
-        if ls > NEG_INF:
-            best = max(best, ls / m)
-    return best
-
-
 @dataclass
 class CgcResult:
     collections: TripleCollections
@@ -429,13 +418,34 @@ def cgc_construct(
     work_depth = depth if depth is not None else min(oracle.enumeration_limit, 12)
     glue_depth = min(work_depth, 6)
     cminus, cplus = pair.cminus, pair.cplus
-    rate_minus = _phat_rate(cminus, potential, work_depth)
-    rate_plus = _phat_rate(cplus, potential, work_depth)
+    rate_minus, rate_plus = (
+        rate_estimate((m, thermo.log_partition_sum(ws, potential, m))
+                      for m in range(1, work_depth + 1))
+        for ws in (cminus, cplus))
+    # collection -> (its admissible words, their log Lambda_m by m): the one
+    # row list its tail surrogates read, filled from the least cutoff asked
+    rows: dict[WordSet, tuple[WordSet, dict[int, float]]] = {}
+
+    def surrogate_ok(ws: WordSet, cutoff: int, rate: float) -> bool:
+        """Finite surrogate of the tail-pressure inequalities: the sup-rate
+        of the length->=cutoff part must not exceed the collection's rate
+        estimate by more than eps.  Vacuous for empty collections."""
+        if rate == NEG_INF:
+            return True
+        if ws not in rows:
+            rows[ws] = (WordSet.from_predicate(ws.oracle, ws.contains), {})
+        admissible, logs = rows[ws]
+        lengths = range(max(1, cutoff), work_depth + 1)
+        for m in lengths:
+            if m not in logs:
+                logs[m] = thermo.log_partition_sum(admissible, potential, m)
+        phat = max((logs[m] / m for m in lengths if logs[m] > NEG_INF), default=NEG_INF)
+        return phat <= rate + eps or phat == NEG_INF
 
     for M in M_grid:
-        if not _surrogate_ok(cminus, potential, M, work_depth, rate_minus, eps):
+        if not surrogate_ok(cminus, M, rate_minus):
             continue
-        if not _surrogate_ok(cplus, potential, M, work_depth, rate_plus, eps):
+        if not surrogate_ok(cplus, M, rate_plus):
             continue
         istar = check_complete_list_Istar(pair, oracle, [M], glue_depth)
         if not istar.passed:
@@ -446,9 +456,9 @@ def cgc_construct(
         for N in N_grid:
             if N < M:
                 continue
-            if not _surrogate_ok(dminus, potential, N, work_depth, rate_minus, eps):
+            if not surrogate_ok(dminus, N, rate_minus):
                 continue
-            if not _surrogate_ok(dplus, potential, N, work_depth, rate_plus, eps):
+            if not surrogate_ok(dplus, N, rate_plus):
                 continue
             result = _assemble_cgc(pair, oracle, potential, M, N, tau,
                                    dminus, dplus, work_depth, eps)
@@ -457,25 +467,6 @@ def cgc_construct(
     raise NoValidParametersError(
         f"no (M, N) in {list(M_grid)} x {list(N_grid)} meets the margin rule at depth {work_depth}"
     )
-
-
-def _phat_rate(ws: WordSet, potential: Potential, depth: int) -> float:
-    """Finite-depth point estimate of the pressure of a collection."""
-    from .thermo import log_partition_sum
-
-    return rate_estimate((m, log_partition_sum(ws, potential, m)) for m in range(1, depth + 1))
-
-
-def _surrogate_ok(ws: WordSet, potential: Potential, cutoff: int, depth: int,
-                  rate: float, eps: float) -> bool:
-    """Finite surrogate of the tail-pressure inequalities: the sup-rate of
-    the length->=cutoff part must not exceed the collection's rate estimate
-    by more than eps.  Vacuous for empty collections."""
-    if rate == NEG_INF:
-        return True
-    tail = WordSet.from_predicate(ws.oracle, lambda w: len(w) >= cutoff and ws.contains(w))
-    phat = _phat(tail, potential, cutoff, depth)
-    return phat <= rate + eps or phat == NEG_INF
 
 
 def _near_obstructions(obstructions: WordSet, oracle: LanguageOracle, reach: int,

@@ -242,19 +242,12 @@ def cylinder_count_table(
         raise ValueError("need 1 <= |v| <= n")
     p_hat = pressure_estimate(WordSet.language(oracle), potential, n).point_estimate
     pv = phi_hat(potential, oracle, v)
-    all_words = oracle.words(n)
     rows: list[CylinderRow] = []
     for i in range(1, n - k + 1):
-        hits = [w for w in all_words if w[i - 1 : i - 1 + k] == v]
-        if potential.is_zero:
-            count = len(hits)
-            ls = math.log(count) if count else NEG_INF
-        else:
-            count = None
-            if hits:
-                ls = log_sum_exp([phi_hat(potential, oracle, w) for w in hits])
-            else:
-                ls = NEG_INF
+        # of depth n, so that a length past the limit reports the oracle's error
+        hits = WordSet.from_predicate(oracle, lambda w, i=i: w[i - 1 : i - 1 + k] == v, depth=n)
+        ls = log_partition_sum(hits, potential, n)
+        count = hits.count(n) if potential.is_zero else None
         ratio = math.exp(ls - (n - k) * p_hat - pv) if ls > NEG_INF else 0.0
         rows.append(CylinderRow(i, ls, count, ratio))
     return CylinderTable(v, n, p_hat, rows)
@@ -415,25 +408,23 @@ def hyperbolicity_diagnostic(
     The per-n gap is the successive-ratio pressure increment
     log Lambda_n - log Lambda_{n-1} minus the sup Birkhoff rate.  The point
     estimate is ``rate_estimate`` of the table's own (n, log Lambda_n)
-    values, the ones pressure_estimate over the full language would
-    compute, so every word is summed once; at zero potential they are the
-    oracle's counts, a DP on a finite layer.  Verdict is
+    values, ``log_partition_sum`` over the full language, so every word is
+    summed once; at zero potential they are the oracle's counts, a DP on a
+    finite layer, and no word is listed.  Verdict is
     "hyperbolic-at-depth" iff over the last quarter of the table the gap is
     positive and does not shrink on net (the oscillation tolerance scales
     with the gap size, so a gap decaying to zero is rejected while a stable
     positive gap passes)."""
+    lang = WordSet.language(oracle)
     rows: list[HyperbolicityRow] = []
     log_sums: list[tuple[int, float]] = []
     prev_log = None
     for n in range(1, n_max + 1):
-        if potential.is_zero:
-            count = oracle.count(n)
-            sup = 0.0
-            log_sum = math.log(count) if count else NEG_INF
-        else:
-            vals = [phi_hat(potential, oracle, w) for w in oracle.words(n)]
-            sup = max(vals) / n
-            log_sum = log_sum_exp(vals)
+        # the sup lists words(n) first, so that a length past the limit
+        # reports the oracle's error; the sum then reads memoised phi_hat
+        sup = 0.0 if potential.is_zero else max(
+            phi_hat(potential, oracle, w) for w in oracle.words(n)) / n
+        log_sum = log_partition_sum(lang, potential, n)
         if prev_log is not None and prev_log > NEG_INF and log_sum > NEG_INF:
             rate = log_sum - prev_log
         else:

@@ -23,7 +23,6 @@ from .core import (
     Word,
     WordSet,
     distortion_bound,
-    log_sum_exp,
     path_counts,
     phi_hat,
 )
@@ -33,6 +32,7 @@ from .errors import (
     NotSpecifiedError,
     PeriodicFamilyError,
 )
+from . import thermo
 from .thermo import NEG_INF, capped_exp, csv_text, format17, rate_estimate
 
 LOG2 = math.log(2.0)
@@ -628,7 +628,7 @@ def _distinct_star_counts(irreducibles: Sequence[Word], n_max: int, n_symbols: i
         return [t for a in range(n_symbols) if (t := automaton.step(states, a))]
 
     return [sum(c for states, c in vec.items() if boundary <= states)
-            for vec in path_counts(boundary, successors, n_max)]
+            for _, vec in zip(range(n_max + 1), path_counts(boundary, successors))]
 
 
 def _loop_counts(tower: TowerGraph, n_max: int, star: bool) -> list[int]:
@@ -642,7 +642,7 @@ def _loop_counts(tower: TowerGraph, n_max: int, star: bool) -> list[int]:
 
     # the base (b, 1) follows exactly the last position of each word
     return [0] + [sum(c for (w, k), c in vec.items() if k == len(w))
-                  for vec in path_counts(base, successors, n_max - 1)]
+                  for _, vec in zip(range(n_max), path_counts(base, successors))]
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -846,24 +846,11 @@ def spr_diagnostic(
     else:
         verdict = "not-spr-at-depth"
 
-    oracle = tower.oracle
-    irr_len: dict[int, list[Word]] = {}
-    for w in tower.irreducibles:
-        irr_len.setdefault(len(w), []).append(w)
-    gen_logs = []
-    for n in range(1, n_max + 1):
-        ws = irr_len.get(n, [])
-        if not ws:
-            gen_logs.append(NEG_INF)
-        elif potential.is_zero:
-            gen_logs.append(math.log(len(ws)))
-        else:
-            gen_logs.append(log_sum_exp([phi_hat(potential, oracle, w) for w in ws]))
-    gen_sup = [(n, v / n) for n, v in enumerate(gen_logs, start=1) if v > NEG_INF]
-    generator_rate = max((r for _, r in gen_sup), default=NEG_INF)
-    family_rate = z_rate
-    return SprReport(t, z_rate, zs_rate, gap, margin, verdict, flags,
-                     generator_rate, family_rate)
+    generators = WordSet.from_words(tower.oracle, tower.irreducibles, depth=n_max)
+    gen_logs = ((n, thermo.log_partition_sum(generators, potential, n))
+                for n in range(1, n_max + 1))
+    generator_rate = max((v / n for n, v in gen_logs if v > NEG_INF), default=NEG_INF)
+    return SprReport(t, z_rate, zs_rate, gap, margin, verdict, flags, generator_rate, z_rate)
 
 
 # ---------------------------------------------------------------------------

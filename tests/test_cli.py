@@ -79,7 +79,31 @@ def test_validate_guard_is_the_oracle_limit():
     {"family": "cocyclic", "matrices": [[[1]], [[1]]], "symbols": ["a", "b"]},
 ])
 def test_validate_guard_equals_built_oracle_limit(shift):
-    assert cli._enumeration_limit(shift) == cli._build_oracle(shift, None).enumeration_limit
+    cfg = {"shift": shift, "analyses": [{"op": "qft", "depth": 1000}]}
+    limit = cli._build_oracle(shift, None).enumeration_limit
+    assert [d["message"] for d in cli.validate(cfg)] == [f"1000 exceeds the depth guard {limit}"]
+
+
+@pytest.mark.parametrize("shift, potential, field", [
+    ({"family": "cycle", "k": 3}, "zero", "shift"),
+    ({"family": "beta", "beta": 0.5}, "zero", "shift"),
+    ({"family": "sft", "alphabet": ["0", "1"], "forbidden": ["2"]}, "zero", "shift"),
+    ({"family": "coded", "alphabet": ["0", "1"], "generators": ["2"]}, "zero", "shift"),
+    ({"family": "cocyclic", "matrices": [[[1, 2]]]}, "zero", "shift"),
+    ({"family": "full", "k": 2}, {"indicator": "2"}, "potential"),
+    ({"family": "full", "k": 2}, {"range": 1, "table": ["0"]}, "potential"),
+])
+def test_validate_rejects_what_run_cannot_build(shift, potential, field, tmp_path):
+    # each passed validate and made run raise a non-ShiftLab error (exit 2)
+    cfg = {"shift": shift, "potential": potential,
+           "analyses": [{"op": "pressure_estimate", "n_max": 6}]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [("error", field)]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["validate", str(cfg_path)]) == 1
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
 
 
 @pytest.mark.parametrize("op", ["tower_loops", "spr"])
@@ -230,6 +254,8 @@ def test_run_reports_empty_memory_zero_sft(tmp_path):
         "shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["0", "1"]},
         "analyses": [{"op": "entropy_exact"}],
     }
+    # an unbuildable shift is a warning, so that run raises the domain error
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [("warning", "shift")]
     with pytest.raises(EmptyLanguageError):
         cli.run(cfg, tmp_path)
     cfg_path = tmp_path / "empty.json"

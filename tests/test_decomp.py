@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -302,6 +303,22 @@ def test_cgc_trivial_obstructions(golden):
     assert tc.cp.contains(())
     assert sl.check_spec_I(tc, golden, 4).passed
     assert sl.check_stay_good_III(tc, golden, 6).passed
+
+
+def test_cgc_tail_surrogates_read_admissible_words(golden):
+    # an explicit C^- of inadmissible words (all starting with 11): its rate
+    # counts every listed word, log(33/32) from lengths 7 and 8, while the
+    # tail sup reads only the admissible ones, of which there are none, so
+    # the surrogates pass; summing the listed words would give a sup of
+    # log(32)/7, past the rate plus eps at every M
+    a = golden.alphabet
+    listed = [a.word("11") + w for w in itertools.product((0, 1), repeat=5)]
+    listed += [a.word("11") + w for w in itertools.product((0, 1), repeat=6)][:33]
+    pair = sl.ObstructionPair(WordSet.from_words(golden, listed, depth=golden.enumeration_limit),
+                              WordSet.empty(golden))
+    res = sl.cgc_construct(pair, golden, zero(golden), 0.05, depth=8)
+    assert (res.parameters["M"], res.parameters["N"]) == (2, 2)
+    assert res.gap_report.passed
 
 
 def test_cgc_sgap_construction(sgap12):

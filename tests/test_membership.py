@@ -9,6 +9,9 @@ compared where that is at most a few thousand words (all binary cases);
 larger alphabets compare every word up to the length where k**n passes
 1024, plus drawn words up to length 10.  Drawn words may use the symbols -1
 and k outside the alphabet, which the layer run must reject on its own.
+
+For every family, beta and cocyclic shifts included, ``words(n)`` is also
+compared with the sorted filter of all words of length n by ``contains``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab import models
-from shiftlab.errors import DepthExceededError, EmptyLanguageError
+from shiftlab.core import check_factorial
+from shiftlab.errors import DepthExceededError, EmptyLanguageError, ExpansionUncertainError
 from shiftlab.tower import _distinct_star_counts
 
 MAX_LEN = 10
@@ -250,6 +254,89 @@ def test_sft_count_hook_matches_enumeration(instance):
         words = oracle.words(n)
         assert oracle.count(n) == len(words)
         assert avoid.count(n) == sum(1 for w in words if 0 not in w)
+
+
+def _count_rows_read(n_max):
+    """Transition rows read by count(1), ..., count(n_max) on a fresh layer."""
+    oracle = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["111", "0101"]))
+    reads = [0]
+
+    class Rows(list):
+        def __getitem__(self, q):
+            reads[0] += 1
+            return super().__getitem__(q)
+
+    oracle.transitions = Rows(oracle.transitions)
+    for n in range(1, n_max + 1):
+        oracle.count(n)
+    return reads[0]
+
+
+def test_count_extends_one_dp(forbid111):
+    # each length is counted once, so the work grows linearly in n_max; a
+    # DP rerun from step 0 on every call would read about 4x the rows here
+    assert _count_rows_read(200) <= 2.2 * _count_rows_read(100)
+    # counts kept from a longer run answer shorter lengths too
+    assert forbid111.count(12) == len(forbid111.words(12))
+    assert [forbid111.count(n) for n in range(6, -1, -1)] == [
+        len(forbid111.words(n)) for n in range(6, -1, -1)]
+
+
+# -- enumeration against membership, every family ----------------------------------
+
+def _built(build, *args):
+    return lambda: build(*args)
+
+
+@st.composite
+def beta_instances(draw):
+    if draw(st.booleans()):
+        beta = draw(st.floats(1.1, 3.9))
+        # built in the test, which skips a base whose expansion is uncertain
+        return lambda: sl.beta_shift(sl.BetaSpec.from_beta(beta))
+    pre = draw(st.lists(st.integers(0, 2), min_size=1, max_size=7))
+    period = draw(st.one_of(st.none(), st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+    return _built(sl.beta_shift, sl.BetaSpec.from_sequence(pre, period))
+
+
+@st.composite
+def cocyclic_instances(draw):
+    d = draw(st.integers(1, 2))
+    matrix = st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=d, max_size=d)
+    return _built(sl.cocyclic_shift,
+                  sl.CocyclicSpec.from_lists(draw(st.lists(matrix, min_size=1, max_size=3))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    sft_instances().map(lambda i: _built(
+        sl.sft_from_forbidden, sl.SftSpec(sl.Alphabet.of_size(i[0]), i[1]))),
+    st.integers(1, 4).map(lambda k: _built(sl.full_shift, k)),
+    st.integers(4, 6).map(lambda k: _built(sl.cycle_sft, k)),
+    beta_instances(),
+    sgap_instances().map(lambda i: _built(sl.s_gap_shift, i[0])),
+    coded_instances().map(lambda i: _built(
+        sl.coded_shift, sl.CodedSpec(i[1], sl.Alphabet.of_size(i[0])))),
+    cocyclic_instances(),
+))
+def test_words_are_the_sorted_members(build):
+    # words(n) is the lexicographic filter of all k**n words by contains,
+    # for n <= 6 (fewer where k**n passes 4096), without duplicates, and
+    # its words pass the factoriality check
+    try:
+        oracle = build()
+    except (EmptyLanguageError, ExpansionUncertainError):
+        return
+    k = oracle.alphabet.size
+    n_max = min(6, oracle.enumeration_limit)
+    while k ** n_max > 4096:
+        n_max -= 1
+    for n in range(n_max + 1):
+        words = oracle.words(n)
+        assert list(words) == [w for w in itertools.product(range(k), repeat=n)
+                               if oracle.contains(w)]
+        assert len(set(words)) == len(words)
+    assert check_factorial(oracle, n_max) == []
 
 
 # -- memoised predicate word sets ------------------------------------------------

@@ -238,6 +238,18 @@ def test_hyperbolicity_counts_words_at_zero_potential():
         assert row.rate == pytest.approx(math.log(2), rel=1e-12, abs=0)
 
 
+def test_hyperbolicity_rows_with_a_range_one_potential(full2):
+    # sup phi_hat(w)/n is the larger value, and log Lambda_1 and every
+    # increment of log Lambda_n are log(e^0.5 + e^-0.5)
+    pot = sl.Potential.from_strings(full2.alphabet, 1, {"0": 0.5, "1": -0.5})
+    rep = sl.hyperbolicity_diagnostic(full2, pot, 8)
+    step = math.log(math.exp(0.5) + math.exp(-0.5))
+    for row in rep.rows:
+        assert row.sup_rate == pytest.approx(0.5, rel=1e-12)
+        assert row.rate == pytest.approx(step, rel=1e-12)
+        assert row.gap == row.rate - row.sup_rate
+
+
 def test_not_hyperbolic_single_orbit():
     orbit = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["1"]))
     rep = sl.hyperbolicity_diagnostic(orbit, zero(orbit), 8)

@@ -541,6 +541,14 @@ def test_spr_gap_for_fibonacci_code(full2):
     assert rep.gap >= 0.45
 
 
+def test_spr_generator_rate_reads_every_length(full2):
+    # the generators 0, 10, 11: (1/n) log(count) is 0 at n = 1 and
+    # log(2)/2 at n = 2, the last length of the table
+    a = full2.alphabet
+    tw = sl.build_tower_over(full2, [a.word(s) for s in ("0", "10", "11")], 2, a.word("0"))
+    assert sl.spr_diagnostic(tw, zero(full2), 2).generator_rate == math.log(2) / 2
+
+
 def test_spr_degenerate_single_loop(full2):
     a = full2.alphabet
     tw = sl.build_tower_over(full2, [a.word("0")], 1, a.word("0"))
