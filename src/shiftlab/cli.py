@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -127,6 +128,8 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
             err("shift.matrices", "cocyclic shifts need matrices")
         if "depth" in shift and not _is_int(shift["depth"]):
             err("shift.depth", f"must be an integer, got {shift['depth']!r}")
+        if not diags and _alphabet_size(shift) > MAX_ALPHABET:
+            err("shift", f"the alphabet has more than {MAX_ALPHABET} symbols")
         if not diags:
             try:
                 oracle = _build_oracle(shift, depth_guard)
@@ -181,6 +184,35 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
                       and not (counted and (a["op"], key) in _COUNTED)):
                     warn(f"analyses[{i}].{key}", f"{a[key]} exceeds the depth guard {guard}")
     return diags, oracle, potential, failure
+
+
+#: the most symbols a shift's alphabet may have; constructors build
+#: per-symbol tables (a beta of 1e308 asks for 1e308 digits), so a larger
+#: alphabet is rejected before anything is built
+MAX_ALPHABET = 64
+
+
+def _alphabet_size(shift: dict) -> float:
+    """The number of symbols a shift section asks for, read from its fields
+    without building anything; 0 where a field is malformed, which the
+    build then reports."""
+    fam = shift["family"]
+    try:
+        if fam == "s_gap":
+            return 2
+        if fam in ("full", "cycle"):
+            k = shift.get("k", len(shift.get("alphabet", "01")))
+            return k if _is_int(k) else 0
+        if fam == "beta":
+            if "beta" in shift:
+                beta = float(shift["beta"])
+                return math.ceil(beta) if math.isfinite(beta) else math.inf
+            return max(int(d) for d in list(shift["z_pre"]) + list(shift.get("z_period") or ())) + 1
+        if fam == "cocyclic":
+            return len(shift.get("symbols") or shift["matrices"])
+        return len(shift["alphabet"])
+    except (KeyError, TypeError, ValueError):
+        return 0
 
 
 def _is_int(value: Any) -> bool:

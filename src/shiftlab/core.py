@@ -179,8 +179,9 @@ class LanguageOracle:
         #: count(n) for n < len, and the count DP that extends them
         self._counts: list[int] = []
         self._count_walk = None
-        #: id(potential) -> (potential, {word: phi_hat}); see phi_hat
-        self._phi_memo: dict[int, tuple[Potential, dict[Word, float]]] = {}
+        #: id(potential) -> (potential, {word: phi_hat}, {(state, last symbols):
+        #: phi_tail}); see phi_hat and phi_tail
+        self._phi_memo: dict[int, tuple[Potential, dict, dict]] = {}
 
     @classmethod
     def finite_state(cls, alphabet: Alphabet, start, step: Callable, enumeration_limit: int,
@@ -216,12 +217,16 @@ class LanguageOracle:
                 return False
         return True
 
-    def words(self, n: int) -> tuple[Word, ...]:
-        """All admissible words of length n, lexicographically sorted."""
+    def check_depth(self, n: int) -> None:
+        """Raise DepthExceededError when length n is past the enumeration limit."""
         if n > self.enumeration_limit:
             raise DepthExceededError(
                 f"length {n} exceeds enumeration limit {self.enumeration_limit} of {self.name}"
             )
+
+    def words(self, n: int) -> tuple[Word, ...]:
+        """All admissible words of length n, lexicographically sorted."""
+        self.check_depth(n)
         if n < 0:
             return ()
         got = self._cache.get(n)
@@ -283,6 +288,17 @@ class WordSet:
     at each length is duplicate-free and lexicographically sorted, and every
     member is admissible in the backing oracle.
 
+    A predicate set over a finite layer may also declare its words as paths:
+    ``rows`` are transition rows over the oracle's states (the oracle's own
+    rows, or a subset of them) and ``forced`` maps a 0-based position to
+    the one symbol allowed there.  The set's words are then exactly the
+    paths from the oracle's start that take, at each position, an edge of
+    ``rows`` carrying the forced symbol if there is one; the predicate must
+    select the same words, because ``contains`` and ``at`` still read it.
+    ``count`` is then a count DP over those paths, kept and extended like
+    ``LanguageOracle.count``, and the partition sums of ``thermo`` run a
+    transfer DP over them.
+
     A predicate must be a pure function of the word: ``contains`` memoises
     its answer per word for the lifetime of the set.  An exception raised
     by the predicate (such as DepthExceededError) is not memoised.
@@ -295,7 +311,8 @@ class WordSet:
         predicate: Callable[[Word], bool] | None = None,
         explicit: Mapping[int, Sequence[Word]] | None = None,
         depth: int | None = None,
-        count_hook: Callable[[int], int] | None = None,
+        rows: Sequence[Mapping[int, int]] | None = None,
+        forced: Mapping[int, int] | None = None,
         is_full_language: bool = False,
         name: str = "",
     ):
@@ -307,17 +324,25 @@ class WordSet:
             {n: tuple(sorted(set(ws))) for n, ws in explicit.items()} if explicit is not None else None
         )
         self.depth = depth if depth is not None else oracle.enumeration_limit
-        self.count_hook = count_hook
+        self.rows = rows
+        self.forced = dict(forced or {})
         self.is_full_language = is_full_language
         self.name = name
         self._cache: dict[int, tuple[Word, ...]] = {}
         self._memo: dict[Word, bool] = {}
+        #: count(n) for n < len over declared rows, and the DP that extends them
+        self._counts: list[int] = []
+        self._count_walk = None
+        #: id(potential) -> (potential, partition-sum state) kept by thermo's
+        #: transfer DP over the declared rows
+        self.transfer_memo: dict[int, tuple] = {}
 
     # -- constructors ----------------------------------------------------
     @classmethod
     def language(cls, oracle: LanguageOracle, name: str = "") -> "WordSet":
-        return cls(oracle, predicate=lambda w: True, is_full_language=True,
-                   name=name or f"L({oracle.name})")
+        """The whole language; over a finite layer it declares the oracle's rows."""
+        return cls(oracle, predicate=lambda w: True, rows=oracle.transitions,
+                   is_full_language=True, name=name or f"L({oracle.name})")
 
     @classmethod
     def from_words(cls, oracle: LanguageOracle, words: Iterable[Word], depth: int | None = None,
@@ -330,8 +355,8 @@ class WordSet:
 
     @classmethod
     def from_predicate(cls, oracle: LanguageOracle, predicate: Callable[[Word], bool],
-                       depth: int | None = None, count_hook=None, name: str = "") -> "WordSet":
-        return cls(oracle, predicate=predicate, depth=depth, count_hook=count_hook, name=name)
+                       depth: int | None = None, name: str = "") -> "WordSet":
+        return cls(oracle, predicate=predicate, depth=depth, name=name)
 
     @classmethod
     def empty_word_only(cls, oracle: LanguageOracle) -> "WordSet":
@@ -371,9 +396,23 @@ class WordSet:
             self._memo[w] = got
         return got
 
-    def at(self, n: int) -> tuple[Word, ...]:
+    def check_depth(self, n: int) -> None:
+        """Raise DepthExceededError when length n is past the set's depth."""
         if n > self.depth:
             raise DepthExceededError(f"length {n} exceeds word-set depth {self.depth}")
+
+    def edges(self, i: int, q: int):
+        """The (symbol, state) pairs a declared-rows word may take from layer
+        state q as its symbol at 0-based position i."""
+        row = self.rows[q]
+        a = self.forced.get(i)
+        if a is None:
+            return row.items()
+        t = row.get(a)
+        return () if t is None else ((a, t),)
+
+    def at(self, n: int) -> tuple[Word, ...]:
+        self.check_depth(n)
         if n in self._cache:
             return self._cache[n]
         if self._explicit is not None:
@@ -386,11 +425,18 @@ class WordSet:
         return out
 
     def count(self, n: int) -> int:
-        if self.count_hook is not None:
-            return int(self.count_hook(n))
+        """|D_n|: the oracle's count for the whole language, a count DP (no
+        depth limit) over declared rows, else len(at(n))."""
         if self.is_full_language:
             return self.oracle.count(n)
-        return len(self.at(n))
+        if self.rows is None or n < 0:
+            return len(self.at(n))
+        if self._count_walk is None:
+            self._count_walk = path_counts(
+                (0, self.oracle.start), lambda iq: [(iq[0] + 1, t) for _, t in self.edges(*iq)])
+        while len(self._counts) <= n:
+            self._counts.append(sum(next(self._count_walk).values()))
+        return self._counts[n]
 
     def __repr__(self):
         return f"WordSet({self.name or 'anon'}, depth={self.depth})"
@@ -514,14 +560,48 @@ def phi_hat(potential: Potential, oracle: LanguageOracle, w: Word) -> float:
     """
     if not w:
         return 0.0
-    entry = oracle._phi_memo.get(id(potential))
-    if entry is None:
-        # the entry keeps the potential alive, so its id cannot be reused
-        entry = oracle._phi_memo[id(potential)] = (potential, {})
-    memo = entry[1]
+    memo = _phi_memos(potential, oracle)[0]
     got = memo.get(w)
     if got is None:
         got = memo[w] = _phi_hat(potential, oracle, w)
+    return got
+
+
+def _phi_memos(potential: Potential, oracle: LanguageOracle) -> tuple[dict, dict]:
+    """The phi_hat and phi_tail memos of one oracle and potential."""
+    entry = oracle._phi_memo.get(id(potential))
+    if entry is None:
+        # the entry keeps the potential alive, so its id cannot be reused
+        entry = oracle._phi_memo[id(potential)] = (potential, {}, {})
+    return entry[1], entry[2]
+
+
+def phi_tail(potential: Potential, oracle: LanguageOracle, q: int, s: Word) -> float:
+    """What phi_hat adds, on a finite layer, to the windows that lie inside
+    a word w: the max over admissible (r-1)-symbol extensions e from the
+    layer state q of w of the windows of s + e that start inside s, where s
+    is the last min(|w|, r-1) symbols of w.  It depends on w only through
+    (q, s), and phi_hat(w) is the fsum of the windows inside w plus it.
+
+    The extensions are the oracle's, whatever word set w is drawn from:
+    phi_hat is a sup over the cylinder in the shift.  Memoised with
+    phi_hat.  Raises NotInLanguageError for a window the potential's table
+    lacks, or when no extension exists."""
+    r = potential.window
+    if r == 1:
+        return 0.0
+    memo = _phi_memos(potential, oracle)[1]
+    got = memo.get((q, s))
+    if got is None:
+        rows = oracle.transitions
+        paths = [(s, q)]
+        for _ in range(r - 1):
+            paths = [(u + (a,), t) for u, p in paths for a, t in rows[p].items()]
+        if not paths:
+            raise NotInLanguageError(
+                f"layer state {q} has no admissible {r - 1}-symbol extension")
+        # in lexicographic order, like phi_hat's search, so the same maximum
+        got = memo[q, s] = max(potential.window_sum(u, 0, len(s)) for u, _ in paths)
     return got
 
 

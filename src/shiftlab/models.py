@@ -180,20 +180,13 @@ def cycle_sft(k: int, enumeration_limit: int | None = None) -> LanguageOracle:
 
 def avoid_symbol_set(oracle: LanguageOracle, symbol: str) -> WordSet:
     """Words of the language avoiding one symbol.  Over a finite layer the
-    count hook is the layer's count DP without that symbol's transitions."""
+    set declares the layer's rows without that symbol's transitions, so its
+    count is a path count over them (with no depth limit) and its partition
+    sums are the transfer DP; phi_hat still extends into the whole shift."""
     a = oracle.alphabet.index(symbol)
-    hook = None
-    if oracle.transitions is not None:
-        hook = LanguageOracle.finite_state(
-            oracle.alphabet, oracle.start, lambda q, b: None if b == a else oracle.step(q, b),
-            oracle.enumeration_limit,
-        ).count
-    return WordSet.from_predicate(
-        oracle,
-        lambda w: a not in w,
-        count_hook=hook,
-        name=f"avoid({symbol})",
-    )
+    rows = None if oracle.transitions is None else [
+        {b: t for b, t in row.items() if b != a} for row in oracle.transitions]
+    return WordSet(oracle, predicate=lambda w: a not in w, rows=rows, name=f"avoid({symbol})")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ which converges far faster than (1/n) log Lambda_n).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from .core import (
@@ -20,6 +21,7 @@ from .core import (
     distortion_bound,
     log_sum_exp,
     phi_hat,
+    phi_tail,
 )
 from .errors import NoPeriodicPointsError, NotInLanguageError
 
@@ -59,17 +61,89 @@ def csv_text(header: str, rows) -> str:
 def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
     """log Lambda_n(D, phi); -inf when D_n is empty.
 
-    Zero potentials use exact integer counts.  Otherwise terms are
-    accumulated with compensated summation in lexicographic order after a
-    max shift, so the result is reproducible.
+    Zero potentials use exact integer counts (``WordSet.count``).  A set
+    that declares transition rows over a finite layer sums a transfer DP
+    over (layer state, last <= r-1 symbols), with no word listed: each step
+    adds phi of the r-window it completes, and the last adds ``phi_tail``,
+    so every path weighs exactly e^{phi_hat(w)}.  Other sets (predicate and
+    explicit sets; beta, cocyclic and factor shifts) sum e^{phi_hat(w)}
+    over the listed words, which stays the reference.  Either way terms are
+    combined after a max shift with compensated summation in a fixed order,
+    so the result is reproducible; the two agree to rounding.
     """
+    return _log_sum_and_sup(words, potential, n)[0]
+
+
+def _log_sum_and_sup(words: WordSet, potential: Potential, n: int) -> tuple[float, float]:
+    """(log Lambda_n, max phi_hat) over D_n, both -inf when D_n is empty;
+    the max is 0 at zero potential, where no word is weighed."""
     if potential.is_zero:
         c = words.count(n)
-        return math.log(c) if c > 0 else NEG_INF
+        return (math.log(c) if c > 0 else NEG_INF), 0.0
+    if words.rows is not None and n >= 1:
+        # the errors, and their order, of listing words.at(n)
+        words.check_depth(n)
+        words.oracle.check_depth(n)
+        entry = words.transfer_memo.get(id(potential))
+        if entry is None:
+            # the entry keeps the potential alive, so its id cannot be reused
+            entry = words.transfer_memo[id(potential)] = (
+                potential, _transfer_rows(words, potential), [])
+        _, walk, table = entry
+        while len(table) < n:
+            table.append(next(walk))
+        if table[n - 1] is not None:
+            return table[n - 1]
+        # a missing window or a stranded word: listing reports it exactly
     elems = words.at(n)
     if not elems:
-        return NEG_INF
-    return log_sum_exp([phi_hat(potential, words.oracle, w) for w in elems])
+        return NEG_INF, NEG_INF
+    vals = [phi_hat(potential, words.oracle, w) for w in elems]
+    return log_sum_exp(vals), max(vals)
+
+
+def _transfer_rows(words: WordSet, potential: Potential):
+    """(log Lambda_n, max phi_hat) for n = 1, 2, ... over the declared rows
+    of ``words``, or None for a length that listing must answer.
+
+    The DP state of a path w is (layer state, last min(|w|, r-1) symbols),
+    carrying log sum e^{F(w)} and max F(w), F(w) being the running sum of
+    the windows inside w (phi_hat takes their fsum).  A length where
+    ``phi_tail`` rejects a live state yields None, and so does every length
+    from the first step that meets a window missing from the table: then
+    some word raises in phi_hat, and listing reports the same error.
+    """
+    oracle, r, table = words.oracle, potential.window, potential.table
+    vec: dict[tuple[int, Word], tuple[float, float]] = {(oracle.start, ()): (0.0, 0.0)}
+    for i in itertools.count():
+        sums: dict[tuple[int, Word], list[float]] = {}
+        best: dict[tuple[int, Word], float] = {}
+        for (q, s), (ls, mx) in vec.items():
+            for a, t in words.edges(i, q):
+                win = s + (a,)
+                f = 0.0
+                if len(win) == r:
+                    try:
+                        f = table[win]
+                    except KeyError:
+                        while True:
+                            yield None
+                    win = win[1:]
+                key = (t, win)
+                sums.setdefault(key, []).append(ls + f)
+                if key not in best or mx + f > best[key]:
+                    best[key] = mx + f
+        vec = {key: (log_sum_exp(vals), best[key]) for key, vals in sums.items()}
+        if not vec:
+            yield NEG_INF, NEG_INF
+            continue
+        try:
+            tails = [phi_tail(potential, oracle, q, s) for q, s in vec]
+        except NotInLanguageError:
+            yield None
+            continue
+        yield (log_sum_exp([ls + t for (ls, _), t in zip(vec.values(), tails)]),
+               max(mx + t for (_, mx), t in zip(vec.values(), tails)))
 
 
 def partition_sum(words: WordSet, potential: Potential, n: int) -> float:
@@ -234,6 +308,12 @@ def cylinder_count_table(
     position i (the finite-length analogue of a cylinder), plus the ratios
     Lambda_n(H) * e^{-(n-|v|) P - phi_hat(v)} as empirical Gibbs constants,
     P being the point estimate of the full language at depth n.
+
+    On a finite layer each position's set declares the oracle's rows with
+    v's symbols forced at positions i-1 .. i+|v|-2 (0-based), so its sum is
+    the transfer DP and, at zero potential, its count an exact path count;
+    no word is listed.  Either way a length past the enumeration limit
+    raises the oracle's DepthExceededError.
     """
     if not oracle.contains(v):
         raise NotInLanguageError(f"{v} is not admissible")
@@ -244,8 +324,10 @@ def cylinder_count_table(
     pv = phi_hat(potential, oracle, v)
     rows: list[CylinderRow] = []
     for i in range(1, n - k + 1):
-        # of depth n, so that a length past the limit reports the oracle's error
-        hits = WordSet.from_predicate(oracle, lambda w, i=i: w[i - 1 : i - 1 + k] == v, depth=n)
+        # a length past the limit raises, as listing the words would
+        oracle.check_depth(n)
+        hits = WordSet(oracle, predicate=lambda w, i=i: w[i - 1 : i - 1 + k] == v, depth=n,
+                       rows=oracle.transitions, forced={i - 1 + j: a for j, a in enumerate(v)})
         ls = log_partition_sum(hits, potential, n)
         count = hits.count(n) if potential.is_zero else None
         ratio = math.exp(ls - (n - k) * p_hat - pv) if ls > NEG_INF else 0.0
@@ -379,6 +461,10 @@ def periodic_orbit_measure(
 # Hyperbolicity diagnostic
 # ---------------------------------------------------------------------------
 
+#: gaps at or below this are rounding noise, not a gap
+_GAP_FLOOR = 1e-9
+
+
 @dataclass(frozen=True)
 class HyperbolicityRow:
     n: int
@@ -408,11 +494,13 @@ def hyperbolicity_diagnostic(
     The per-n gap is the successive-ratio pressure increment
     log Lambda_n - log Lambda_{n-1} minus the sup Birkhoff rate.  The point
     estimate is ``rate_estimate`` of the table's own (n, log Lambda_n)
-    values, ``log_partition_sum`` over the full language, so every word is
-    summed once; at zero potential they are the oracle's counts, a DP on a
-    finite layer, and no word is listed.  Verdict is
-    "hyperbolic-at-depth" iff over the last quarter of the table the gap is
-    positive and does not shrink on net (the oscillation tolerance scales
+    values.  Each row's log Lambda_n and sup come from one pass over the
+    full language, the one behind ``log_partition_sum``: on a finite layer
+    the transfer DP and its max-plus twin, else one phi_hat per listed
+    word; at zero potential the sum is the oracle's count and the sup 0.
+    Verdict is "hyperbolic-at-depth" iff over the last quarter of the table
+    every gap exceeds 1e-9 (so rounding noise around an exact gap of 0 is
+    no gap) and does not shrink on net (the oscillation tolerance scales
     with the gap size, so a gap decaying to zero is rejected while a stable
     positive gap passes)."""
     lang = WordSet.language(oracle)
@@ -420,11 +508,11 @@ def hyperbolicity_diagnostic(
     log_sums: list[tuple[int, float]] = []
     prev_log = None
     for n in range(1, n_max + 1):
-        # the sup lists words(n) first, so that a length past the limit
-        # reports the oracle's error; the sum then reads memoised phi_hat
-        sup = 0.0 if potential.is_zero else max(
-            phi_hat(potential, oracle, w) for w in oracle.words(n)) / n
-        log_sum = log_partition_sum(lang, potential, n)
+        if not potential.is_zero:
+            # a length past the limit reports the oracle's error, not the set's
+            oracle.check_depth(n)
+        log_sum, sup = _log_sum_and_sup(lang, potential, n)
+        sup /= n
         if prev_log is not None and prev_log > NEG_INF and log_sum > NEG_INF:
             rate = log_sum - prev_log
         else:
@@ -439,9 +527,9 @@ def hyperbolicity_diagnostic(
     point = rate_estimate(log_sums)
     tail = rows[-max(3, len(rows) // 4) :]
     gaps = [r.gap for r in tail]
-    positive = all(g > 0 for g in gaps)
+    positive = all(g > _GAP_FLOOR for g in gaps)
     scale = sorted(abs(g) for g in gaps)[len(gaps) // 2]
-    tol = max(1e-9, 0.05 * scale)
+    tol = max(_GAP_FLOOR, 0.05 * scale)
     widening = gaps[-1] >= gaps[0] - tol
     verdict = "hyperbolic-at-depth" if (positive and widening) else "not-hyperbolic-at-depth"
     return HyperbolicityReport(rows, point, verdict)

@@ -106,6 +106,25 @@ def test_validate_rejects_what_run_cannot_build(shift, potential, field, tmp_pat
     assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("shift", [
+    {"family": "beta", "beta": 1e5},
+    {"family": "beta", "z_pre": [70, 0, 1]},
+    {"family": "full", "k": 1000},
+    {"family": "cycle", "k": 100},
+    {"family": "sft", "alphabet": [str(i) for i in range(65)], "forbidden": ["0"]},
+    {"family": "coded", "alphabet": [str(i) for i in range(65)], "generators": ["0"]},
+])
+def test_validate_rejects_an_alphabet_past_the_limit(shift):
+    # constructors build per-symbol tables, so a huge alphabet (a beta of
+    # 1e308) exhausts memory; these sizes stay small enough to build
+    cfg = {"shift": shift, "analyses": [{"op": "pressure_estimate", "n_max": 6}]}
+    assert cli.validate(cfg) == [{"level": "error", "field": "shift",
+                                  "message": f"the alphabet has more than {cli.MAX_ALPHABET} symbols"}]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+    assert cli.validate(dict(cfg, shift={"family": "full", "k": cli.MAX_ALPHABET})) == []
+
+
 @pytest.mark.parametrize("op", ["tower_loops", "spr"])
 def test_validate_tower_n_max_is_not_guarded(op):
     # the loop DP enumerates no words, so a long table is no guard breach

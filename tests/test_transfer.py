@@ -1,0 +1,280 @@
+"""The transfer-DP partition sums of finite layers against listing words.
+
+On a finite layer, ``log_partition_sum``, the hyperbolicity sup and the
+cylinder tables sum over (layer state, last r-1 symbols) instead of over
+the listed words.  The references list the words:
+
+* for a word set, the same predicate without declared rows, which
+  ``log_partition_sum`` sums as e^{phi_hat(w)} over ``at(n)``;
+* for ``hyperbolicity_diagnostic`` and ``cylinder_count_table``, a twin
+  oracle with the same membership, name and limit but no finite layer.
+
+Log sums and sups must agree within 1e-12 (relative, or absolute near 0)
+for every n <= 10 (7 over three symbols), zero-potential counts must be
+equal, and an error must have the same class and message.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import shiftlab as sl
+from shiftlab import thermo
+from shiftlab.core import LanguageOracle, WordSet
+from shiftlab.errors import (
+    DepthExceededError,
+    EmptyLanguageError,
+    NotInLanguageError,
+    ShiftLabError,
+)
+
+TOL = 1e-12
+
+
+def _close(x, y):
+    return x == y or math.isclose(x, y, rel_tol=TOL, abs_tol=TOL)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except (ShiftLabError, ValueError) as exc:
+        return "raises", type(exc).__name__, str(exc)
+
+
+def _same(got, expect):
+    """Outcomes agree: the same error, or values whose floats are close and
+    whose other fields are equal."""
+    if got[0] != expect[0] or got[0] == "raises":
+        return got == expect
+    return _same_value(got[1], expect[1])
+
+
+def _same_value(x, y):
+    if isinstance(x, float) and isinstance(y, float):
+        return _close(x, y)
+    if isinstance(x, (tuple, list)):
+        return len(x) == len(y) and all(_same_value(a, b) for a, b in zip(x, y))
+    return type(x) is type(y) and x == y
+
+
+def twin(oracle):
+    """The oracle's language with no finite layer: words are listed."""
+    return LanguageOracle(oracle.alphabet, oracle.contains, oracle.enumeration_limit,
+                          name=oracle.name)
+
+
+# -- instances ------------------------------------------------------------------------
+
+def _words(k, max_size):
+    return st.lists(st.integers(0, k - 1), min_size=1, max_size=max_size).map(tuple)
+
+
+@st.composite
+def finite_layers(draw):
+    """SFT, full, cycle, S-gap (with and without a tail) and coded shifts,
+    with an enumeration limit that is sometimes inside the compared lengths."""
+    family = draw(st.sampled_from(["sft", "full", "cycle", "s_gap", "s_gap_tail", "coded"]))
+    limit = draw(st.integers(6, 12))
+    if family == "full":
+        return sl.full_shift(draw(st.integers(2, 3)), limit)
+    if family == "sft":
+        k = draw(st.integers(2, 3))
+        forbidden = draw(st.lists(_words(k, 3), max_size=4, unique=True))
+        return sl.sft_from_forbidden(sl.SftSpec(sl.Alphabet.of_size(k), tuple(sorted(forbidden))),
+                                     limit)
+    if family == "cycle":
+        return sl.cycle_sft(draw(st.integers(4, 5)), limit)
+    if family.startswith("s_gap"):
+        values = tuple(sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=3))))
+        if family == "s_gap_tail":
+            spec = sl.SGapSpec(values, tail_start=draw(st.integers(0, 6)),
+                               tail_period=draw(st.sampled_from([1, 2, 3])))
+        else:
+            spec = sl.SGapSpec(values)
+        return sl.s_gap_shift(spec, limit)
+    k = draw(st.integers(2, 3))
+    gens = draw(st.lists(_words(k, 4), min_size=1, max_size=3, unique=True))
+    return sl.coded_shift(sl.CodedSpec(tuple(sorted(gens)), sl.Alphabet.of_size(k)), limit)
+
+
+@st.composite
+def potentials(draw, alphabet):
+    """Zero, indicator, or a range 1-4 table (1-3 over three symbols),
+    sometimes with missing windows."""
+    k = alphabet.size
+    kind = draw(st.sampled_from(["zero", "indicator", "table", "table"]))
+    if kind == "zero":
+        return sl.Potential.zero(alphabet)
+    if kind == "indicator":
+        pattern = draw(_words(k, 3))
+        return sl.Potential.indicator(alphabet, alphabet.text(pattern),
+                                      draw(st.sampled_from([-1.5, 0.25, 2.0])))
+    r = draw(st.integers(1, 4 if k == 2 else 3))
+    values = st.floats(-2.0, 2.0, allow_nan=False, width=32)
+    table = {}
+    for i in range(k ** r):
+        table[tuple((i // k ** j) % k for j in reversed(range(r)))] = draw(values)
+    if draw(st.integers(0, 3)) == 0:
+        for w in draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=3)):
+            table.pop(w, None)
+    return sl.Potential(r, table)
+
+
+@st.composite
+def instances(draw):
+    try:
+        oracle = draw(finite_layers())
+    except EmptyLanguageError:
+        assume(False)
+    potential = draw(potentials(oracle.alphabet))
+    v = draw(st.sampled_from(oracle.words(draw(st.integers(1, 3)))))
+    symbol = draw(st.sampled_from(oracle.alphabet.symbols))
+    return oracle, potential, v, symbol
+
+
+def _n_top(oracle):
+    return 10 if oracle.alphabet.size == 2 else 7
+
+
+# -- the transfer DP against listing ---------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(instances())
+def test_transfer_sums_match_listing(instance):
+    oracle, potential, v, symbol = instance
+    a = oracle.alphabet.index(symbol)
+    sets = [
+        (WordSet.language(oracle), WordSet.from_predicate(oracle, lambda w: True)),
+        (sl.avoid_symbol_set(oracle, symbol), WordSet.from_predicate(oracle, lambda w: a not in w)),
+    ]
+    top = _n_top(oracle)
+    # counts have no depth limit, listing stops at the enumeration limit
+    counted = min(top, oracle.enumeration_limit) if potential.is_zero else top
+    for fast, slow in sets:
+        assert fast.rows is not None and slow.rows is None
+        for n in range(1, counted + 1):
+            got = _outcome(thermo._log_sum_and_sup, fast, potential, n)
+            expect = _outcome(thermo._log_sum_and_sup, slow, potential, n)
+            assert _same(got, expect), (fast.name, n)
+            if potential.is_zero:
+                assert fast.count(n) == slow.count(n) == len(slow.at(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_cylinder_tables_and_hyperbolicity_match_listing(instance):
+    oracle, potential, v, _ = instance
+    listed = twin(oracle)
+    top = _n_top(oracle)
+    if potential.is_zero:
+        top = min(top, oracle.enumeration_limit)
+
+    def cylinder(o, n):
+        tab = sl.cylinder_count_table(o, potential, v, n)
+        return tab.pressure_used, [(r.position, r.log_sum, r.count, r.gibbs_ratio)
+                                   for r in tab.rows]
+
+    def hyperbolicity(o):
+        rep = sl.hyperbolicity_diagnostic(o, potential, top)
+        return rep.point_estimate, [(r.n, r.sup_rate, r.rate, r.gap) for r in rep.rows]
+
+    for n in range(max(4, len(v)), top + 1):
+        got, expect = _outcome(cylinder, oracle, n), _outcome(cylinder, listed, n)
+        assert _same(got, expect), n
+    assert _same(_outcome(hyperbolicity, oracle), _outcome(hyperbolicity, listed))
+
+
+def _rows_read(n_max):
+    """Declared rows read by log_partition_sum(1..n_max) on a fresh set."""
+    oracle = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["111", "0101"]), n_max)
+    pot = sl.Potential.from_strings(oracle.alphabet, 3, {
+        w: 0.1 * i for i, w in enumerate(["000", "001", "010", "011", "100", "101", "110", "111"])})
+    reads = [0]
+
+    class Rows(list):
+        def __getitem__(self, q):
+            reads[0] += 1
+            return super().__getitem__(q)
+
+    lang = WordSet.language(oracle)
+    lang.rows = Rows(lang.rows)
+    for n in range(1, n_max + 1):
+        sl.log_partition_sum(lang, pot, n)
+    return reads[0]
+
+
+def test_transfer_extends_one_dp():
+    # each length is one more DP step, so the work grows linearly in n_max;
+    # a DP rerun from step 0 for every length would read about 4x the rows
+    assert _rows_read(200) <= 2.2 * _rows_read(100)
+
+
+# -- what the DP reads -------------------------------------------------------------------
+
+def test_avoid_set_tail_extends_into_the_shift():
+    # phi_hat(0) on the full shift is 0 + max(phi(00), phi(01)) = 5, an
+    # extension through the avoided symbol 1; the avoid set's own rows
+    # would give phi(00) = 0
+    full = sl.full_shift(2)
+    pot = sl.Potential.from_strings(full.alphabet, 2, {"00": 0.0, "01": 5.0, "10": 0.0, "11": 0.0})
+    avoid = sl.avoid_symbol_set(full, "1")
+    assert sl.log_partition_sum(avoid, pot, 1) == 5.0
+    assert sl.log_partition_sum(avoid, pot, 3) == 5.0
+
+
+def test_transfer_keeps_the_listing_errors(golden):
+    pot = sl.Potential.from_strings(golden.alphabet, 2, {"00": 0.1, "01": 0.2, "10": 0.3})
+    limit = golden.enumeration_limit
+    with pytest.raises(DepthExceededError, match=f"exceeds word-set depth {limit}$"):
+        sl.log_partition_sum(WordSet.language(golden), pot, limit + 1)
+    with pytest.raises(DepthExceededError, match=f"enumeration limit {limit} of"):
+        sl.hyperbolicity_diagnostic(golden, pot, limit + 1)
+    partial = sl.Potential.from_strings(golden.alphabet, 2, {"00": 0.1, "01": 0.2})
+    with pytest.raises(NotInLanguageError, match=r"no entry for window \(1, 0\)"):
+        sl.log_partition_sum(WordSet.language(golden), partial, 2)
+
+
+def test_a_missing_window_raises_at_every_longer_length():
+    # the windows are 00, 02, 21 and 11, so 2 occurs at most once in a word;
+    # every word of the cylinder [02] crosses the missing window 02 at its
+    # start and never again, and must still raise at every length
+    once = sl.sft_from_forbidden(sl.SftSpec.from_strings("012", ["01", "10", "12", "20", "22"]))
+    pot = sl.Potential.from_strings(once.alphabet, 2, {"00": 0.1, "11": 0.2, "21": 0.3})
+    hits = WordSet(once, predicate=lambda w: w[:2] == (0, 2), rows=once.transitions,
+                   forced={0: 0, 1: 2})
+    for n in range(2, 6):
+        with pytest.raises(NotInLanguageError, match=r"no entry for window \(0, 2\)"):
+            sl.log_partition_sum(hits, pot, n)
+
+
+# -- the hyperbolicity verdict ---------------------------------------------------------
+
+@pytest.mark.parametrize("listing", [False, True])
+@pytest.mark.parametrize("oracle, potential, n_max", [
+    # both shifts are the single point 1^infinity, so log Lambda_n is the
+    # Birkhoff sum of 1^n, every row's rate equals its sup and the exact
+    # gap is 0
+    (sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["00", "10"])),
+     {"range": 2, "table": {"00": -0.06, "01": 0.13, "10": 0.126, "11": -0.674}}, 19),
+    (sl.s_gap_shift(sl.SGapSpec((0,))), {"range": 1, "table": {"0": 0.758, "1": -0.895}}, 24),
+])
+def test_hyperbolicity_reads_no_gap_in_rounding_noise(oracle, potential, n_max, listing):
+    pot = sl.Potential.from_strings(oracle.alphabet, potential["range"], potential["table"])
+    rep = sl.hyperbolicity_diagnostic(twin(oracle) if listing else oracle, pot, n_max)
+    assert all(abs(r.gap) < 1e-9 for r in rep.rows)
+    assert rep.verdict == "not-hyperbolic-at-depth"
+
+
+def test_hyperbolicity_weighs_each_listed_word_once(monkeypatch):
+    # beta and cocyclic shifts list their words: the sum and the sup share
+    # one phi_hat per word
+    calls = []
+    monkeypatch.setattr(thermo, "phi_hat", lambda p, o, w: calls.append(w) or sl.phi_hat(p, o, w))
+    beta = sl.beta_shift(sl.BetaSpec.from_beta(1.8, 12))
+    pot = sl.Potential.from_strings(beta.alphabet, 2, {"00": 0.3, "01": -0.2, "10": 0.5, "11": 0.1})
+    sl.hyperbolicity_diagnostic(beta, pot, 10)
+    assert sorted(calls) == sorted(w for n in range(1, 11) for w in beta.words(n))
