@@ -16,7 +16,6 @@ from .core import (
     Word,
     WordSet,
     distortion_bound,
-    enumerate_language,
     phi_hat,
     subword,
 )
@@ -44,11 +43,9 @@ from .thermo import (
     cylinder_count_table,
     hyperbolicity_diagnostic,
     log_partition_sum,
-    partition_sum,
     periodic_orbit_measure,
     periodic_points,
     pressure_estimate,
-    word_count,
 )
 from .decomp import (
     ObstructionPair,

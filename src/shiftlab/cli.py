@@ -27,7 +27,6 @@ from . import __version__
 from .core import (
     LanguageOracle,
     Potential,
-    Word,
     WordSet,
 )
 from .errors import ConfigError, ShiftLabError
@@ -156,7 +155,7 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
             guard = None
     elif not diags and oracle is not None:
         guard = oracle.enumeration_limit
-        counted = pot == "zero" and oracle.transitions is not None
+        counted = oracle.transitions is not None
     analyses = config.get("analyses")
     if not isinstance(analyses, list) or not analyses:
         err("analyses", "need a nonempty list of analyses")
@@ -183,6 +182,14 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
                 elif (guard is not None and a[key] > guard and a["op"] not in _NO_WORDS
                       and not (counted and (a["op"], key) in _COUNTED)):
                     warn(f"analyses[{i}].{key}", f"{a[key]} exceeds the depth guard {guard}")
+            if oracle is not None:
+                for key in _WORD_FIELDS.get(a["op"], ()):
+                    if key in ("cminus", "cplus") and a.get("obstructions") in ("zero_runs", "qft"):
+                        continue  # these obstructions read neither
+                    try:
+                        _word_field(oracle.alphabet, a, key)
+                    except _MALFORMED as exc:
+                        err(f"analyses[{i}].{key}", f"{type(exc).__name__}: {exc}")
     return diags, oracle, potential, failure
 
 
@@ -223,9 +230,37 @@ def _is_int(value: Any) -> bool:
 _MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 #: analyses that only test code words for membership and enumerate no words
 _NO_WORDS = {"ud_check", "tower_loops", "spr", "marking"}
-#: knobs that only count words at zero potential on a finite layer
+#: knobs that list no word on a finite layer, where counts and partition
+#: sums are DPs over the layer
 _COUNTED = {("pressure_estimate", "n_max"), ("hyperbolicity", "n_max"),
-            ("avoid_symbol_rate", "depth")}
+            ("avoid_symbol_rate", "depth"), ("cylinder_table", "n")}
+#: the word-valued fields each op reads (see _word_field)
+_WORD_FIELDS = {"cylinder_table": ("word",), "sync_gap": ("word",), "avoid_symbol_rate": ("symbol",),
+                "sync_pipeline": ("seed",), "ud_check": ("irreducibles",),
+                "marking": ("irreducibles", "window"),
+                **dict.fromkeys(("tower_loops", "spr"), ("irreducibles", "base")),
+                **dict.fromkeys(("persistence", "istar", "cgc"), ("cminus", "cplus"))}
+
+
+def _word_field(alphabet, params: dict, key: str):
+    """One word-valued analysis field, parsed as run reads it: ``symbol`` a
+    symbol, ``irreducibles`` a nonempty list of words, ``cminus`` and
+    ``cplus`` a list of words (none by default), ``seed`` a word (the first
+    symbol by default), any other field a word.  A missing field raises
+    KeyError, and so does a symbol outside the alphabet."""
+    if key == "symbol":
+        alphabet.index(params[key])
+        return params[key]
+    if key == "seed":
+        return alphabet.word(params.get(key, alphabet.symbols[0]))
+    if key in ("cminus", "cplus"):
+        return [alphabet.word(text) for text in params.get(key, [])]
+    if key == "irreducibles":
+        words = [alphabet.word(text) for text in params[key]]
+        if not words:
+            raise ValueError("irreducibles must list at least one word")
+        return words
+    return alphabet.word(params[key])
 
 
 def _build_oracle(shift: dict, depth_guard: int | None) -> LanguageOracle:
@@ -277,20 +312,20 @@ def _build_potential(pot: Any, oracle: LanguageOracle) -> Potential:
 # ---------------------------------------------------------------------------
 
 def _analysis_pressure(oracle, potential, params):
-    n_max = int(params.get("n_max", 12))
-    rep = pressure_estimate(WordSet.language(oracle), potential, n_max)
-    block = rep.to_json_dict()
-    dat = "\n".join(f"{r.n} {format17(r.rate)}" for r in rep.rows) + "\n"
-    return block, rep.to_csv_text(), dat
+    """pressure_estimate over the language, or, for avoid_symbol_rate, over
+    the words that avoid ``symbol``, to ``depth``."""
+    if params["op"] == "avoid_symbol_rate":
+        words = avoid_symbol_set(oracle, _word_field(oracle.alphabet, params, "symbol"))
+        n_max = params.get("depth", 12)
+    else:
+        words, n_max = WordSet.language(oracle), params.get("n_max", 12)
+    rep = pressure_estimate(words, potential, int(n_max))
+    return rep.to_json_dict(), rep.to_csv_text(), _rate_dat(rep.rows)
 
 
-def _analysis_avoid_symbol(oracle, potential, params):
-    depth = int(params.get("depth", 12))
-    ws = avoid_symbol_set(oracle, params["symbol"])
-    rep = pressure_estimate(ws, potential, depth)
-    block = rep.to_json_dict()
-    dat = "\n".join(f"{r.n} {format17(r.rate)}" for r in rep.rows) + "\n"
-    return block, rep.to_csv_text(), dat
+def _rate_dat(rows) -> str:
+    """The gnuplot "n rate" text of a table's rows."""
+    return "\n".join(f"{r.n} {format17(r.rate)}" for r in rows) + "\n"
 
 
 def _analysis_entropy_exact(oracle, potential, params):
@@ -299,7 +334,7 @@ def _analysis_entropy_exact(oracle, potential, params):
 
 
 def _analysis_cylinder(oracle, potential, params):
-    word = oracle.alphabet.word(params["word"])
+    word = _word_field(oracle.alphabet, params, "word")
     n = int(params["n"])
     table = cylinder_count_table(oracle, potential, word, n)
     rows = [
@@ -334,12 +369,8 @@ def _analysis_hyperbolicity(oracle, potential, params):
             "rows": rows}, csv, None
 
 
-def _parse_irreducibles(oracle, params) -> list[Word]:
-    return [oracle.alphabet.word(s) for s in params["irreducibles"]]
-
-
 def _analysis_ud(oracle, potential, params):
-    irr = _parse_irreducibles(oracle, params)
+    irr = _word_field(oracle.alphabet, params, "irreducibles")
     verdict = tower.is_uniquely_decipherable(irr, params.get("depth"))
     block = {"pass": verdict.passed}
     if verdict.witness is not None:
@@ -350,11 +381,17 @@ def _analysis_ud(oracle, potential, params):
     return block, None, None
 
 
-def _analysis_tower_loops(oracle, potential, params):
-    irr = _parse_irreducibles(oracle, params)
+def _tower(oracle, params):
+    """The tower over ``irreducibles`` at ``depth`` (their longest length by
+    default), based at ``base``, and that base."""
+    irr = _word_field(oracle.alphabet, params, "irreducibles")
     depth = int(params.get("depth", max(len(w) for w in irr)))
-    base = oracle.alphabet.word(params["base"])
-    graph = tower.build_tower_over(oracle, irr, depth, base)
+    base = _word_field(oracle.alphabet, params, "base")
+    return tower.build_tower_over(oracle, irr, depth, base), base
+
+
+def _analysis_tower_loops(oracle, potential, params):
+    graph, base = _tower(oracle, params)
     n_max = int(params.get("n_max", 20))
     table = tower.loop_sums(graph, potential, n_max,
                             cross_check=bool(params.get("cross_check", True)))
@@ -366,15 +403,11 @@ def _analysis_tower_loops(oracle, potential, params):
         "z_star_rate": format17(table.z_star_rate_estimate()),
         "loop_gcd": table.loop_length_gcd(),
     }
-    dat = "\n".join(f"{r.n} {format17(r.rate)}" for r in table.rows) + "\n"
-    return block, table.to_csv_text(), dat
+    return block, table.to_csv_text(), _rate_dat(table.rows)
 
 
 def _analysis_spr(oracle, potential, params):
-    irr = _parse_irreducibles(oracle, params)
-    depth = int(params.get("depth", max(len(w) for w in irr)))
-    base = oracle.alphabet.word(params["base"])
-    graph = tower.build_tower_over(oracle, irr, depth, base)
+    graph, _ = _tower(oracle, params)
     n_max = int(params.get("n_max", 20))
     rep = tower.spr_diagnostic(graph, potential, n_max,
                                margin=float(params.get("margin", 0.05)))
@@ -382,10 +415,10 @@ def _analysis_spr(oracle, potential, params):
 
 
 def _analysis_marking(oracle, potential, params):
-    irr = _parse_irreducibles(oracle, params)
+    irr = _word_field(oracle.alphabet, params, "irreducibles")
     depth = int(params.get("depth", 16))
     family = tower.free_family_from_irreducibles(oracle, irr, depth)
-    window = oracle.alphabet.word(params["window"])
+    window = _word_field(oracle.alphabet, params, "window")
     rep = tower.marking_analysis(window, family)
     return {
         "window": params["window"],
@@ -399,7 +432,7 @@ def _analysis_marking(oracle, potential, params):
 def _analysis_sync_pipeline(oracle, potential, params):
     good = WordSet.language(oracle)
     tau = int(params.get("tau", 1))
-    seed = oracle.alphabet.word(params.get("seed", oracle.alphabet.symbols[0]))
+    seed = _word_field(oracle.alphabet, params, "seed")
     cert_depth = int(params.get("cert_depth", 10))
     triple = tower.find_sync_triple(oracle, good, tau, seed, seed, cert_depth)
     block: dict[str, Any] = {"triple": triple.text(oracle.alphabet),
@@ -442,10 +475,9 @@ def _obstruction_pair(oracle, params) -> decomp.ObstructionPair:
         return decomp.ObstructionPair(runs, runs)
     if kind == "qft":
         return decomp.qft_obstruction_pair(oracle)
-    cminus = WordSet.from_words(oracle, [oracle.alphabet.word(s) for s in params.get("cminus", [])],
-                                depth=oracle.enumeration_limit)
-    cplus = WordSet.from_words(oracle, [oracle.alphabet.word(s) for s in params.get("cplus", [])],
-                               depth=oracle.enumeration_limit)
+    cminus, cplus = (WordSet.from_words(oracle, _word_field(oracle.alphabet, params, key),
+                                        depth=oracle.enumeration_limit)
+                     for key in ("cminus", "cplus"))
     return decomp.ObstructionPair(cminus, cplus)
 
 
@@ -482,7 +514,7 @@ def _analysis_cgc(oracle, potential, params):
 
 
 def _analysis_sync_gap(oracle, potential, params):
-    s = oracle.alphabet.word(params["word"])
+    s = _word_field(oracle.alphabet, params, "word")
     collections = decomp.sync_decomposition(oracle, s, depth=params.get("cert_depth"))
     rep = decomp.pressure_gap_II(collections, oracle, potential,
                                  int(params.get("n_max", 12)),
@@ -492,7 +524,7 @@ def _analysis_sync_gap(oracle, potential, params):
 
 _RUNNERS = {
     "pressure_estimate": _analysis_pressure,
-    "avoid_symbol_rate": _analysis_avoid_symbol,
+    "avoid_symbol_rate": _analysis_pressure,
     "entropy_exact": _analysis_entropy_exact,
     "cylinder_table": _analysis_cylinder,
     "periodic_measure": _analysis_periodic_measure,

@@ -137,13 +137,15 @@ class LanguageOracle:
     DepthExceededError.
 
     One layer reads every word: a ``start`` state and ``step(state, a)``,
-    the state after symbol a or None once the word leaves the language.
-    ``words(n)`` extends each stored (word, state) pair by one symbol.  A
-    finite layer (SFT, S-gap and coded shifts, see :meth:`finite_state`)
-    tabulates its ``transitions`` once: ``contains`` is one run and
-    ``count(n)`` a count DP.  Otherwise (beta, cocyclic and factor shifts)
-    the state is the word itself, ``step`` asks ``membership``, and
-    ``contains`` asks it once behind the ``Alphabet.valid`` guard.
+    the state after symbol a or None once the word leaves the language;
+    ``state(w)`` is the state after a whole word, and ``contains(w)`` asks
+    whether it exists.  ``words(n)`` extends each stored (word, state) pair
+    by one symbol.  A finite layer (SFT, S-gap and coded shifts, see
+    :meth:`finite_state`) tabulates its ``transitions`` once: ``state`` is
+    one run and ``count(n)`` a count DP.  Otherwise (beta, cocyclic and
+    factor shifts) the state is the word itself, ``step`` asks
+    ``membership``, and ``state`` asks it once behind the
+    ``Alphabet.valid`` guard.
     Optional fields:
 
     * ``locality``: window size m within which membership is decidable (SFT
@@ -206,27 +208,29 @@ class LanguageOracle:
         w = state + (a,)
         return w if 0 <= a < self.alphabet.size and self._membership(w) else None
 
-    def contains(self, w: Word) -> bool:
+    def state(self, w: Word):
+        """The state after reading w from ``start``, or None when w is not
+        in the language."""
         rows = self.transitions
         if rows is None:
-            return not w or (self.alphabet.valid(w) and self._membership(w))
+            return w if not w or (self.alphabet.valid(w) and self._membership(w)) else None
         q = 0
         for a in w:
             q = rows[q].get(a)
             if q is None:
-                return False
-        return True
+                return None
+        return q
 
-    def check_depth(self, n: int) -> None:
-        """Raise DepthExceededError when length n is past the enumeration limit."""
+    def contains(self, w: Word) -> bool:
+        return self.state(w) is not None
+
+    def words(self, n: int) -> tuple[Word, ...]:
+        """All admissible words of length n, lexicographically sorted; past
+        the enumeration limit, DepthExceededError."""
         if n > self.enumeration_limit:
             raise DepthExceededError(
                 f"length {n} exceeds enumeration limit {self.enumeration_limit} of {self.name}"
             )
-
-    def words(self, n: int) -> tuple[Word, ...]:
-        """All admissible words of length n, lexicographically sorted."""
-        self.check_depth(n)
         if n < 0:
             return ()
         got = self._cache.get(n)
@@ -339,10 +343,10 @@ class WordSet:
 
     # -- constructors ----------------------------------------------------
     @classmethod
-    def language(cls, oracle: LanguageOracle, name: str = "") -> "WordSet":
+    def language(cls, oracle: LanguageOracle) -> "WordSet":
         """The whole language; over a finite layer it declares the oracle's rows."""
         return cls(oracle, predicate=lambda w: True, rows=oracle.transitions,
-                   is_full_language=True, name=name or f"L({oracle.name})")
+                   is_full_language=True, name=f"L({oracle.name})")
 
     @classmethod
     def from_words(cls, oracle: LanguageOracle, words: Iterable[Word], depth: int | None = None,
@@ -396,11 +400,6 @@ class WordSet:
             self._memo[w] = got
         return got
 
-    def check_depth(self, n: int) -> None:
-        """Raise DepthExceededError when length n is past the set's depth."""
-        if n > self.depth:
-            raise DepthExceededError(f"length {n} exceeds word-set depth {self.depth}")
-
     def edges(self, i: int, q: int):
         """The (symbol, state) pairs a declared-rows word may take from layer
         state q as its symbol at 0-based position i."""
@@ -412,7 +411,11 @@ class WordSet:
         return () if t is None else ((a, t),)
 
     def at(self, n: int) -> tuple[Word, ...]:
-        self.check_depth(n)
+        """The set's words of length n, sorted.  Past the set's depth,
+        DepthExceededError; the whole language leaves that to its oracle's
+        ``words``, which reports the enumeration limit."""
+        if n > self.depth and not self.is_full_language:
+            raise DepthExceededError(f"length {n} exceeds word-set depth {self.depth}")
         if n in self._cache:
             return self._cache[n]
         if self._explicit is not None:
@@ -539,19 +542,13 @@ def distortion_bound(potential: Potential) -> float:
     return (potential.window - 1) * potential.table_spread()
 
 
-def enumerate_language(oracle: LanguageOracle, n: int) -> WordSet:
-    """The admissible length-n words as an explicit WordSet."""
-    words = oracle.words(n)  # raises DepthExceededError past the limit
-    return WordSet.from_words(oracle, words, depth=n, name=f"L_{n}({oracle.name})")
-
-
 def phi_hat(potential: Potential, oracle: LanguageOracle, w: Word) -> float:
     """Exact sup of the |w|-step Birkhoff sum over the cylinder [w].
 
-    For a range-r potential the supremum is a maximum over admissible
-    extensions of w by r-1 symbols; the search extends symbol by symbol and
-    prunes inadmissible prefixes (sound because the language is factorial).
-    phi_hat of the empty word is 0 by convention.
+    For a range-r potential the supremum is the fsum of the windows inside
+    w plus ``phi_tail`` of the state after w and w's last min(|w|, r-1)
+    symbols: the max over admissible (r-1)-symbol extensions of the windows
+    that start inside w.  phi_hat of the empty word is 0 by convention.
 
     Values are memoised per (oracle, potential) for the oracle's lifetime,
     keyed by word, so a potential's table must not be mutated after its
@@ -576,39 +573,40 @@ def _phi_memos(potential: Potential, oracle: LanguageOracle) -> tuple[dict, dict
     return entry[1], entry[2]
 
 
-def phi_tail(potential: Potential, oracle: LanguageOracle, q: int, s: Word) -> float:
-    """What phi_hat adds, on a finite layer, to the windows that lie inside
-    a word w: the max over admissible (r-1)-symbol extensions e from the
-    layer state q of w of the windows of s + e that start inside s, where s
-    is the last min(|w|, r-1) symbols of w.  It depends on w only through
-    (q, s), and phi_hat(w) is the fsum of the windows inside w plus it.
+def phi_tail(potential: Potential, oracle: LanguageOracle, q, s: Word) -> float | None:
+    """What phi_hat adds to the windows that lie inside a word w: the max
+    over the admissible (r-1)-symbol extensions e of w, read by
+    ``oracle.step`` from the state q after w, of the windows of s + e that
+    start inside s, where s is the last min(|w|, r-1) symbols of w.  It
+    depends on w only through (q, s); None when w has no such extension.
 
     The extensions are the oracle's, whatever word set w is drawn from:
-    phi_hat is a sup over the cylinder in the shift.  Memoised with
-    phi_hat.  Raises NotInLanguageError for a window the potential's table
-    lacks, or when no extension exists."""
+    phi_hat is a sup over the cylinder in the shift.  Memoised with phi_hat
+    where q is a finite-layer state; elsewhere the state is w itself and
+    phi_hat's own memo covers it.  Raises NotInLanguageError for a window
+    the potential's table lacks."""
     r = potential.window
     if r == 1:
         return 0.0
-    memo = _phi_memos(potential, oracle)[1]
+    memo = _phi_memos(potential, oracle)[1] if oracle.transitions is not None else {}
     got = memo.get((q, s))
     if got is None:
-        rows = oracle.transitions
+        step, k = oracle.step, oracle.alphabet.size
         paths = [(s, q)]
         for _ in range(r - 1):
-            paths = [(u + (a,), t) for u, p in paths for a, t in rows[p].items()]
+            paths = [(u + (a,), t) for u, p in paths for a in range(k)
+                     if (t := step(p, a)) is not None]
         if not paths:
-            raise NotInLanguageError(
-                f"layer state {q} has no admissible {r - 1}-symbol extension")
-        # in lexicographic order, like phi_hat's search, so the same maximum
+            return None
+        # in lexicographic order, so ties keep the first maximum
         got = memo[q, s] = max(potential.window_sum(u, 0, len(s)) for u, _ in paths)
     return got
 
 
 def _phi_hat(potential: Potential, oracle: LanguageOracle, w: Word) -> float:
     """phi_hat without the memo."""
-    contains = oracle.contains
-    if not contains(w):
+    q = oracle.state(w)
+    if q is None:
         raise NotInLanguageError(f"word {w} not in language of {oracle.name}")
     if potential.is_zero:
         return 0.0
@@ -617,29 +615,12 @@ def _phi_hat(potential: Potential, oracle: LanguageOracle, w: Word) -> float:
     fixed = potential.window_sum(w, 0, n - r + 1) if n >= r else 0.0
     if r == 1:
         return fixed
-    k = oracle.alphabet.size
-    end = n + r - 1
-    start = max(0, n - r + 1)
-
-    best: float | None = None
-    # depth-first max over admissible (r-1)-symbol right extensions
-    stack: list[Word] = [w]
-    while stack:
-        full = stack.pop()
-        if len(full) == end:
-            tail = potential.window_sum(full, start, n)
-            if best is None or tail > best:
-                best = tail
-            continue
-        for a in range(k - 1, -1, -1):
-            cand = full + (a,)
-            if contains(cand):
-                stack.append(cand)
-    if best is None:
+    tail = phi_tail(potential, oracle, q, w[max(0, n - r + 1):])
+    if tail is None:
         raise NotInLanguageError(
             f"word {w} has no admissible {r - 1}-symbol extension (oracle not extendable)"
         )
-    return fixed + best
+    return fixed + tail
 
 
 def check_factorial(oracle: LanguageOracle, n_max: int) -> list[Word]:

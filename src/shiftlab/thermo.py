@@ -63,11 +63,12 @@ def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
 
     Zero potentials use exact integer counts (``WordSet.count``).  A set
     that declares transition rows over a finite layer sums a transfer DP
-    over (layer state, last <= r-1 symbols), with no word listed: each step
-    adds phi of the r-window it completes, and the last adds ``phi_tail``,
-    so every path weighs exactly e^{phi_hat(w)}.  Other sets (predicate and
-    explicit sets; beta, cocyclic and factor shifts) sum e^{phi_hat(w)}
-    over the listed words, which stays the reference.  Either way terms are
+    over (layer state, last <= r-1 symbols), with no word listed and so at
+    any n: each step adds phi of the r-window it completes, and the last
+    adds ``phi_tail``, so every path weighs exactly e^{phi_hat(w)}.  Other
+    sets (predicate and explicit sets; beta, cocyclic and factor shifts)
+    sum e^{phi_hat(w)} over the listed words, which stays the reference;
+    only listing meets the enumeration limit.  Either way terms are
     combined after a max shift with compensated summation in a fixed order,
     so the result is reproducible; the two agree to rounding.
     """
@@ -81,9 +82,6 @@ def _log_sum_and_sup(words: WordSet, potential: Potential, n: int) -> tuple[floa
         c = words.count(n)
         return (math.log(c) if c > 0 else NEG_INF), 0.0
     if words.rows is not None and n >= 1:
-        # the errors, and their order, of listing words.at(n)
-        words.check_depth(n)
-        words.oracle.check_depth(n)
         entry = words.transfer_memo.get(id(potential))
         if entry is None:
             # the entry keeps the potential alive, so its id cannot be reused
@@ -94,7 +92,8 @@ def _log_sum_and_sup(words: WordSet, potential: Potential, n: int) -> tuple[floa
             table.append(next(walk))
         if table[n - 1] is not None:
             return table[n - 1]
-        # a missing window or a stranded word: listing reports it exactly
+        # a missing window or a stranded word: listing reports it exactly,
+        # or, past the enumeration limit, reports the limit
     elems = words.at(n)
     if not elems:
         return NEG_INF, NEG_INF
@@ -108,17 +107,21 @@ def _transfer_rows(words: WordSet, potential: Potential):
 
     The DP state of a path w is (layer state, last min(|w|, r-1) symbols),
     carrying log sum e^{F(w)} and max F(w), F(w) being the running sum of
-    the windows inside w (phi_hat takes their fsum).  A length where
-    ``phi_tail`` rejects a live state yields None, and so does every length
-    from the first step that meets a window missing from the table: then
-    some word raises in phi_hat, and listing reports the same error.
+    the windows inside w (phi_hat takes their fsum), or None once some path
+    into it has met a window missing from the table; the mark is carried
+    forward.  A length with a marked live state, or where ``phi_tail``
+    finds no extension or a missing window, yields None: then some word
+    raises in phi_hat, and listing reports the same error (past the
+    enumeration limit, the limit).  A length with no live state has no
+    word, and yields -inf.
     """
     oracle, r, table = words.oracle, potential.window, potential.table
-    vec: dict[tuple[int, Word], tuple[float, float]] = {(oracle.start, ()): (0.0, 0.0)}
+    vec: dict[tuple[int, Word], tuple[float, float] | None] = {(oracle.start, ()): (0.0, 0.0)}
     for i in itertools.count():
         sums: dict[tuple[int, Word], list[float]] = {}
         best: dict[tuple[int, Word], float] = {}
-        for (q, s), (ls, mx) in vec.items():
+        marked = set()
+        for (q, s), val in vec.items():
             for a, t in words.edges(i, q):
                 win = s + (a,)
                 f = 0.0
@@ -126,52 +129,33 @@ def _transfer_rows(words: WordSet, potential: Potential):
                     try:
                         f = table[win]
                     except KeyError:
-                        while True:
-                            yield None
+                        f = None
                     win = win[1:]
                 key = (t, win)
-                sums.setdefault(key, []).append(ls + f)
-                if key not in best or mx + f > best[key]:
-                    best[key] = mx + f
+                if val is None or f is None:
+                    marked.add(key)
+                    continue
+                sums.setdefault(key, []).append(val[0] + f)
+                if key not in best or val[1] + f > best[key]:
+                    best[key] = val[1] + f
         vec = {key: (log_sum_exp(vals), best[key]) for key, vals in sums.items()}
+        vec.update(dict.fromkeys(marked))
         if not vec:
             yield NEG_INF, NEG_INF
             continue
         try:
-            tails = [phi_tail(potential, oracle, q, s) for q, s in vec]
+            tails = [] if marked else [phi_tail(potential, oracle, q, s) for q, s in vec]
         except NotInLanguageError:
+            tails = [None]
+        if marked or None in tails:
             yield None
             continue
         yield (log_sum_exp([ls + t for (ls, _), t in zip(vec.values(), tails)]),
                max(mx + t for (_, mx), t in zip(vec.values(), tails)))
 
 
-def partition_sum(words: WordSet, potential: Potential, n: int) -> float:
-    """Lambda_n(D, phi) = sum over D_n of e^{phi_hat(w)}.
-
-    Summed in lexicographic order with compensated accumulation; switches
-    to a log-space path (returning exp of the log value, or inf) when
-    magnitudes exceed e^300.
-    """
-    if potential.is_zero:
-        return float(words.count(n))
-    elems = words.at(n)
-    if not elems:
-        return 0.0
-    oracle = words.oracle
-    vals = [phi_hat(potential, oracle, w) for w in elems]
-    if max(vals) <= _EXP_CAP:
-        return chunked_fsum([math.exp(v) for v in vals])
-    return capped_exp(log_sum_exp(vals))
-
-
 def capped_exp(x: float) -> float:
     return math.exp(x) if x <= _EXP_CAP else float("inf")
-
-
-def word_count(words: WordSet, n: int) -> int:
-    """Exact cardinality of D_n (integer)."""
-    return words.count(n)
 
 
 @dataclass(frozen=True)
@@ -312,8 +296,9 @@ def cylinder_count_table(
     On a finite layer each position's set declares the oracle's rows with
     v's symbols forced at positions i-1 .. i+|v|-2 (0-based), so its sum is
     the transfer DP and, at zero potential, its count an exact path count;
-    no word is listed.  Either way a length past the enumeration limit
-    raises the oracle's DepthExceededError.
+    no word is listed, and n may exceed the enumeration limit.  Otherwise
+    the words are listed, and a length past the limit raises the oracle's
+    DepthExceededError.
     """
     if not oracle.contains(v):
         raise NotInLanguageError(f"{v} is not admissible")
@@ -324,8 +309,6 @@ def cylinder_count_table(
     pv = phi_hat(potential, oracle, v)
     rows: list[CylinderRow] = []
     for i in range(1, n - k + 1):
-        # a length past the limit raises, as listing the words would
-        oracle.check_depth(n)
         hits = WordSet(oracle, predicate=lambda w, i=i: w[i - 1 : i - 1 + k] == v, depth=n,
                        rows=oracle.transitions, forced={i - 1 + j: a for j, a in enumerate(v)})
         ls = log_partition_sum(hits, potential, n)
@@ -496,8 +479,9 @@ def hyperbolicity_diagnostic(
     estimate is ``rate_estimate`` of the table's own (n, log Lambda_n)
     values.  Each row's log Lambda_n and sup come from one pass over the
     full language, the one behind ``log_partition_sum``: on a finite layer
-    the transfer DP and its max-plus twin, else one phi_hat per listed
-    word; at zero potential the sum is the oracle's count and the sup 0.
+    the transfer DP and its max-plus twin, at any n_max; else one phi_hat
+    per listed word, to the oracle's enumeration limit.  At zero potential
+    the sum is the oracle's count and the sup 0.
     Verdict is "hyperbolic-at-depth" iff over the last quarter of the table
     every gap exceeds 1e-9 (so rounding noise around an exact gap of 0 is
     no gap) and does not shrink on net (the oscillation tolerance scales
@@ -508,9 +492,6 @@ def hyperbolicity_diagnostic(
     log_sums: list[tuple[int, float]] = []
     prev_log = None
     for n in range(1, n_max + 1):
-        if not potential.is_zero:
-            # a length past the limit reports the oracle's error, not the set's
-            oracle.check_depth(n)
         log_sum, sup = _log_sum_and_sup(lang, potential, n)
         sup /= n
         if prev_log is not None and prev_log > NEG_INF and log_sum > NEG_INF:

@@ -41,7 +41,7 @@ def test_validate_guard_is_the_oracle_limit():
     # without a depth_guard key the guard is the enumeration limit the run's
     # oracle gets: the shift's depth, else the family default (24 for binary)
     pot = {"range": 1, "table": {"0": 0.5, "1": -0.5}}
-    shallow = {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"], "depth": 10}
+    shallow = {"family": "beta", "beta": 1.8, "depth": 10}
     cfg = {"shift": shallow, "potential": pot,
            "analyses": [{"op": "pressure_estimate", "n_max": 12}]}
     assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
@@ -52,11 +52,19 @@ def test_validate_guard_is_the_oracle_limit():
     assert report["analyses"][0]["error"].startswith("DepthExceededError")
     assert cli.validate(dict(cfg, analyses=[{"op": "pressure_estimate", "n_max": 10}])) == []
 
-    golden = {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]}
-    cfg = {"shift": golden, "potential": pot, "analyses": [{"op": "hyperbolicity", "n_max": 30}]}
+    beta = {"family": "beta", "beta": 1.8}
+    cfg = {"shift": beta, "potential": pot, "analyses": [{"op": "hyperbolicity", "n_max": 30}]}
     diags = cli.validate(cfg)
     assert [d["level"] for d in diags] == ["warning"]
     assert "depth guard 24" in diags[0]["message"]
+    # a finite layer lists no word for either, so neither is past its guard
+    for shift in ({"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"], "depth": 10},
+                  {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]}):
+        cfg = {"shift": shift, "potential": pot,
+               "analyses": [{"op": "pressure_estimate", "n_max": 12},
+                            {"op": "hyperbolicity", "n_max": 30}]}
+        assert cli.validate(cfg) == []
+        assert [b["status"] for b in cli.run(cfg)["analyses"]] == ["ok", "ok"]
     cfg = {"shift": {"family": "full", "k": 3}, "analyses": [{"op": "qft", "depth": 16}]}
     assert "depth guard 15" in cli.validate(cfg)[0]["message"]
 
@@ -204,18 +212,62 @@ def test_validate_missing_cylinder_n():
 
 
 def test_validate_warns_cylinder_n_past_guard():
-    # the table enumerates words of length n, so the guard binds n even at
-    # zero potential on a counted family
-    cfg = {"shift": {"family": "full", "k": 2},
+    # without a finite layer the table enumerates words of length n, so the
+    # guard binds n even at zero potential
+    cfg = {"shift": {"family": "beta", "beta": 1.8, "depth": 10},
            "analyses": [{"op": "cylinder_table", "word": "0", "n": 40}]}
     diags = cli.validate(cfg)
     assert [(d["level"], d["field"]) for d in diags] == [("warning", "analyses[0].n")]
-    assert "depth guard 24" in diags[0]["message"]
+    assert "depth guard 10" in diags[0]["message"]
     report = cli.run(cfg)
     assert report["analyses"][0]["error"].startswith("DepthExceededError")
     assert cli.validate(dict(cfg, analyses=[{"op": "cylinder_table", "word": "0", "n": 8}])) == []
+    # on a finite layer the table lists no word, at any potential
+    for pot in ("zero", {"range": 2, "table": {"00": 0.1, "01": -0.2, "10": 0.3, "11": 0.0}}):
+        full = dict(cfg, shift={"family": "full", "k": 2}, potential=pot)
+        assert cli.validate(full) == []
+        assert [b["status"] for b in cli.run(full)["analyses"]] == ["ok"]
     # other ops read no n, so an n there is neither checked nor guarded
     assert cli.validate(dict(cfg, analyses=[{"op": "qft", "depth": 5, "n": "x"}])) == []
+
+
+@pytest.mark.parametrize("analysis, field", [
+    ({"op": "cylinder_table", "word": "07", "n": 6}, "word"),
+    ({"op": "cylinder_table", "word": 5, "n": 6}, "word"),
+    ({"op": "cylinder_table", "n": 6}, "word"),
+    ({"op": "avoid_symbol_rate", "symbol": "7"}, "symbol"),
+    ({"op": "avoid_symbol_rate"}, "symbol"),
+    ({"op": "ud_check", "irreducibles": ["0", "17"]}, "irreducibles"),
+    ({"op": "ud_check", "irreducibles": []}, "irreducibles"),
+    ({"op": "tower_loops", "irreducibles": [], "base": "0"}, "irreducibles"),
+    ({"op": "tower_loops", "irreducibles": ["0", "1"], "base": "7"}, "base"),
+    ({"op": "tower_loops", "irreducibles": ["0", "1"]}, "base"),
+    ({"op": "spr", "irreducibles": ["01", "1"], "base": "2"}, "base"),
+    ({"op": "marking", "irreducibles": ["0", "1"], "window": "7"}, "window"),
+    ({"op": "sync_pipeline", "seed": "7"}, "seed"),
+    ({"op": "sync_gap", "word": "7"}, "word"),
+    ({"op": "persistence", "cminus": ["7"]}, "cminus"),
+    ({"op": "istar", "cplus": ["07"]}, "cplus"),
+    ({"op": "cgc", "cminus": ["7"]}, "cminus"),
+])
+def test_validate_rejects_words_outside_the_alphabet(analysis, field):
+    # run would record each as an internal KeyError, ValueError or TypeError
+    cfg = {"shift": {"family": "full", "k": 2}, "analyses": [analysis]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("error", f"analyses[0].{field}")]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+
+
+def test_validate_reads_word_fields_only_where_run_does():
+    # zero_runs and qft obstructions read no cminus/cplus; qft reads no word
+    cfg = {"shift": {"family": "full", "k": 2}, "analyses": [
+        {"op": "persistence", "obstructions": "zero_runs", "cminus": ["7"], "depth": 4},
+        {"op": "qft", "depth": 4, "word": "7"},
+        {"op": "sync_gap", "word": "01", "n_max": 6},
+    ]}
+    assert cli.validate(cfg) == []
+    assert [b["status"] for b in cli.run(cfg)["analyses"]] == ["ok"] * 3
 
 
 def test_run_rejects_invalid():

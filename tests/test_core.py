@@ -44,12 +44,12 @@ def test_subword_matches_slicing(symbols):
 # -- enumeration ------------------------------------------------------------
 
 def test_enumerate_full_shift(full2):
-    ws = sl.enumerate_language(full2, 3)
+    ws = sl.WordSet.from_words(full2, full2.words(3))
     assert len(ws.at(3)) == 8
 
 
 def test_enumerate_golden(golden):
-    ws = sl.enumerate_language(golden, 3)
+    ws = sl.WordSet.from_words(golden, golden.words(3))
     texts = [golden.alphabet.text(w) for w in ws.at(3)]
     assert texts == ["000", "001", "010", "100", "101"]
 

@@ -24,13 +24,13 @@ def zero(oracle):
 
 def test_partition_sum_counts_at_zero_potential(golden):
     lang = WordSet.language(golden)
-    assert sl.partition_sum(lang, zero(golden), 3) == 5.0
-    assert sl.word_count(lang, 3) == 5
+    assert log_partition_sum(lang, zero(golden), 3) == math.log(5)
+    assert lang.count(3) == 5
 
 
 def test_partition_sum_full_shift(full2):
     lang = WordSet.language(full2)
-    assert sl.partition_sum(lang, zero(full2), 10) == 2.0 ** 10
+    assert log_partition_sum(lang, zero(full2), 10) == math.log(2.0 ** 10)
 
 
 def test_partition_sum_constant_potential(golden):
@@ -40,7 +40,7 @@ def test_partition_sum_constant_potential(golden):
     lang = WordSet.language(golden)
     for n in range(1, 8):
         expected = golden.count(n) * math.exp(c * n)
-        assert sl.partition_sum(lang, pot, n) == pytest.approx(expected, rel=1e-12)
+        assert math.exp(log_partition_sum(lang, pot, n)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_submultiplicativity(golden):
@@ -61,9 +61,7 @@ def test_union_partition_bounds(golden):
     u = c.union(d)
     pot = sl.Potential.indicator(a, "00", -0.2)
     for n in range(1, 9):
-        lc = sl.partition_sum(c, pot, n)
-        ld = sl.partition_sum(d, pot, n)
-        lu = sl.partition_sum(u, pot, n)
+        lc, ld, lu = (math.exp(log_partition_sum(x, pot, n)) for x in (c, d, u))
         assert max(lc, ld) <= lu + 1e-12
         assert lu <= lc + ld + 1e-12
 

@@ -2,21 +2,28 @@
 
 On a finite layer, ``log_partition_sum``, the hyperbolicity sup and the
 cylinder tables sum over (layer state, last r-1 symbols) instead of over
-the listed words.  The references list the words:
+the listed words, with no enumeration limit.  The references list the
+words over a twin oracle with the same membership and name, no finite
+layer, and a limit above every compared length:
 
 * for a word set, the same predicate without declared rows, which
   ``log_partition_sum`` sums as e^{phi_hat(w)} over ``at(n)``;
-* for ``hyperbolicity_diagnostic`` and ``cylinder_count_table``, a twin
-  oracle with the same membership, name and limit but no finite layer.
+* for ``hyperbolicity_diagnostic`` and ``cylinder_count_table``, the
+  twin itself.
 
 Log sums and sups must agree within 1e-12 (relative, or absolute near 0)
 for every n <= 10 (7 over three symbols), zero-potential counts must be
-equal, and an error must have the same class and message.
+equal, and an error must have the same class and message.  The one
+exception is a length past the tested oracle's limit that the DP cannot
+answer (some word raises): it falls back to listing, which reports the
+limit, where the deeper reference reports the word's error.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -45,9 +52,13 @@ def _outcome(fn, *args):
         return "raises", type(exc).__name__, str(exc)
 
 
-def _same(got, expect):
+def _same(got, expect, past_limit=False):
     """Outcomes agree: the same error, or values whose floats are close and
-    whose other fields are equal."""
+    whose other fields are equal.  Past the tested oracle's limit, its
+    DepthExceededError agrees with the word's NotInLanguageError that the
+    reference lists."""
+    if past_limit and got[:2] == ("raises", "DepthExceededError"):
+        return expect[:2] == ("raises", "NotInLanguageError")
     if got[0] != expect[0] or got[0] == "raises":
         return got == expect
     return _same_value(got[1], expect[1])
@@ -61,10 +72,11 @@ def _same_value(x, y):
     return type(x) is type(y) and x == y
 
 
-def twin(oracle):
-    """The oracle's language with no finite layer: words are listed."""
-    return LanguageOracle(oracle.alphabet, oracle.contains, oracle.enumeration_limit,
-                          name=oracle.name)
+def twin(oracle, limit=None):
+    """The oracle's language with no finite layer, so that words are listed,
+    to the oracle's enumeration limit or to ``limit``."""
+    return LanguageOracle(oracle.alphabet, oracle.contains,
+                          oracle.enumeration_limit if limit is None else limit, name=oracle.name)
 
 
 # -- instances ------------------------------------------------------------------------
@@ -147,19 +159,18 @@ def _n_top(oracle):
 def test_transfer_sums_match_listing(instance):
     oracle, potential, v, symbol = instance
     a = oracle.alphabet.index(symbol)
-    sets = [
-        (WordSet.language(oracle), WordSet.from_predicate(oracle, lambda w: True)),
-        (sl.avoid_symbol_set(oracle, symbol), WordSet.from_predicate(oracle, lambda w: a not in w)),
-    ]
     top = _n_top(oracle)
-    # counts have no depth limit, listing stops at the enumeration limit
-    counted = min(top, oracle.enumeration_limit) if potential.is_zero else top
+    listed = twin(oracle, top)
+    sets = [
+        (WordSet.language(oracle), WordSet.from_predicate(listed, lambda w: True)),
+        (sl.avoid_symbol_set(oracle, symbol), WordSet.from_predicate(listed, lambda w: a not in w)),
+    ]
     for fast, slow in sets:
         assert fast.rows is not None and slow.rows is None
-        for n in range(1, counted + 1):
+        for n in range(1, top + 1):
             got = _outcome(thermo._log_sum_and_sup, fast, potential, n)
             expect = _outcome(thermo._log_sum_and_sup, slow, potential, n)
-            assert _same(got, expect), (fast.name, n)
+            assert _same(got, expect, n > oracle.enumeration_limit), (fast.name, n)
             if potential.is_zero:
                 assert fast.count(n) == slow.count(n) == len(slow.at(n))
 
@@ -168,10 +179,9 @@ def test_transfer_sums_match_listing(instance):
 @given(instances())
 def test_cylinder_tables_and_hyperbolicity_match_listing(instance):
     oracle, potential, v, _ = instance
-    listed = twin(oracle)
     top = _n_top(oracle)
-    if potential.is_zero:
-        top = min(top, oracle.enumeration_limit)
+    listed = twin(oracle, top)
+    past = top > oracle.enumeration_limit
 
     def cylinder(o, n):
         tab = sl.cylinder_count_table(o, potential, v, n)
@@ -184,8 +194,8 @@ def test_cylinder_tables_and_hyperbolicity_match_listing(instance):
 
     for n in range(max(4, len(v)), top + 1):
         got, expect = _outcome(cylinder, oracle, n), _outcome(cylinder, listed, n)
-        assert _same(got, expect), n
-    assert _same(_outcome(hyperbolicity, oracle), _outcome(hyperbolicity, listed))
+        assert _same(got, expect, n > oracle.enumeration_limit), n
+    assert _same(_outcome(hyperbolicity, oracle), _outcome(hyperbolicity, listed), past)
 
 
 def _rows_read(n_max):
@@ -229,10 +239,17 @@ def test_avoid_set_tail_extends_into_the_shift():
 def test_transfer_keeps_the_listing_errors(golden):
     pot = sl.Potential.from_strings(golden.alphabet, 2, {"00": 0.1, "01": 0.2, "10": 0.3})
     limit = golden.enumeration_limit
-    with pytest.raises(DepthExceededError, match=f"exceeds word-set depth {limit}$"):
-        sl.log_partition_sum(WordSet.language(golden), pot, limit + 1)
-    with pytest.raises(DepthExceededError, match=f"enumeration limit {limit} of"):
-        sl.hyperbolicity_diagnostic(golden, pot, limit + 1)
+    # the finite layer lists no word, so its limit does not bind
+    assert math.isfinite(sl.log_partition_sum(WordSet.language(golden), pot, limit + 1))
+    assert len(sl.hyperbolicity_diagnostic(golden, pot, limit + 1).rows) == limit + 1
+    # a beta shift lists its words: both report its oracle's limit
+    beta = sl.beta_shift(sl.BetaSpec.from_beta(1.8, 12), 8)
+    full = sl.Potential.from_strings(beta.alphabet, 2, {"00": 0.1, "01": 0.2, "10": 0.3, "11": 0.4})
+    message = f"^length 9 exceeds enumeration limit 8 of {re.escape(beta.name)}$"
+    with pytest.raises(DepthExceededError, match=message):
+        sl.log_partition_sum(WordSet.language(beta), full, 9)
+    with pytest.raises(DepthExceededError, match=message):
+        sl.hyperbolicity_diagnostic(beta, full, 9)
     partial = sl.Potential.from_strings(golden.alphabet, 2, {"00": 0.1, "01": 0.2})
     with pytest.raises(NotInLanguageError, match=r"no entry for window \(1, 0\)"):
         sl.log_partition_sum(WordSet.language(golden), partial, 2)
@@ -249,6 +266,19 @@ def test_a_missing_window_raises_at_every_longer_length():
     for n in range(2, 6):
         with pytest.raises(NotInLanguageError, match=r"no entry for window \(0, 2\)"):
             sl.log_partition_sum(hits, pot, n)
+
+
+def test_a_set_that_dies_out_past_the_limit_has_no_sum():
+    # the words of the coded shift of 001 that avoid 1 are 0 and 00: both
+    # meet the missing window 0, so lengths 1 and 2 raise, but from length 3
+    # the set is empty, also past the enumeration limit where nothing lists
+    coded = sl.coded_shift(sl.CodedSpec.from_strings(["0", "1"], ["001"]), 6)
+    pot = sl.Potential.from_strings(coded.alphabet, 1, {"1": 1.0})
+    avoid = sl.avoid_symbol_set(coded, "1")
+    for n in (1, 2):
+        with pytest.raises(NotInLanguageError, match=r"no entry for window \(0,\)"):
+            sl.log_partition_sum(avoid, pot, n)
+    assert [sl.log_partition_sum(avoid, pot, n) for n in range(3, 10)] == [-math.inf] * 7
 
 
 # -- the hyperbolicity verdict ---------------------------------------------------------
@@ -278,3 +308,40 @@ def test_hyperbolicity_weighs_each_listed_word_once(monkeypatch):
     pot = sl.Potential.from_strings(beta.alphabet, 2, {"00": 0.3, "01": -0.2, "10": 0.5, "11": 0.1})
     sl.hyperbolicity_diagnostic(beta, pot, 10)
     assert sorted(calls) == sorted(w for n in range(1, 11) for w in beta.words(n))
+
+
+# -- no enumeration limit on a finite layer ---------------------------------------------
+
+LIMIT = 4
+
+
+@pytest.mark.parametrize("oracle", [
+    sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["111", "0101"]), LIMIT),
+    sl.full_shift(2, LIMIT),
+    sl.cycle_sft(4, LIMIT),
+    sl.s_gap_shift(sl.SGapSpec((1, 3), tail_start=5, tail_period=2), LIMIT),
+    sl.coded_shift(sl.CodedSpec.from_strings(["0", "1"], ["0", "011"]), LIMIT),
+], ids=["sft", "full", "cycle", "s_gap", "coded"])
+def test_finite_layers_run_past_the_enumeration_limit(oracle):
+    # every table reaches 3x the limit on the layer and agrees with listing
+    # the same language to that length
+    n = 3 * LIMIT
+    listed = twin(oracle, n)
+    a = oracle.alphabet
+    pot = sl.Potential(3, {w: 0.4 * math.sin(i + 1) for i, w in
+                           enumerate(itertools.product(range(a.size), repeat=3))})
+    v = oracle.words(2)[-1]
+
+    def tables(o):
+        press = sl.pressure_estimate(WordSet.language(o), pot, n)
+        avoid = sl.pressure_estimate(sl.avoid_symbol_set(o, a.symbols[0]), pot, n)
+        hyp = sl.hyperbolicity_diagnostic(o, pot, n)
+        cyl = sl.cylinder_count_table(o, pot, v, n)
+        return ([(r.n, r.log_sum, r.rate) for r in press.rows + avoid.rows]
+                + [press.point_estimate, avoid.point_estimate, hyp.point_estimate, hyp.verdict]
+                + [(r.n, r.sup_rate, r.rate) for r in hyp.rows]
+                + [cyl.pressure_used] + [(r.position, r.log_sum, r.gibbs_ratio) for r in cyl.rows])
+
+    got, expect = tables(oracle), tables(listed)
+    assert len(got) == len(expect) and all(
+        _same_value(x, y) for x, y in zip(got, expect)), oracle.name
