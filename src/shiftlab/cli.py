@@ -164,11 +164,18 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
             if not isinstance(a, dict) or "op" not in a:
                 err(f"analyses[{i}]", "each analysis needs an op field")
                 continue
-            if a["op"] not in _ANALYSES:
+            if not isinstance(a["op"], str) or a["op"] not in _ANALYSES:
+                # which fields an unknown op reads is unknown, so none is checked
                 err(f"analyses[{i}].op", f"unknown op {a['op']!r}")
-            elif a["op"] == "entropy_exact" and oracle is not None and oracle.transitions is None:
+                continue
+            if a["op"] == "entropy_exact" and oracle is not None and oracle.transitions is None:
                 err(f"analyses[{i}].op",
                     f"entropy_exact needs a finite-state family; {oracle.name} has no finite layer")
+            kind = a.get("obstructions", "explicit")
+            if a["op"] in _OBSTRUCTED and (kind not in ("explicit", "zero_runs", "qft") or (
+                    kind == "zero_runs" and oracle is not None and "0" not in oracle.alphabet.symbols)):
+                err(f"analyses[{i}].obstructions", "must be explicit, qft or zero_runs (on an "
+                    f"alphabet with the symbol 0), got {kind!r}")
             keys = ["n_max", "depth", "horizon", "cert_depth"]
             if a["op"] == "cylinder_table":
                 keys.append("n")
@@ -184,7 +191,7 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
                     warn(f"analyses[{i}].{key}", f"{a[key]} exceeds the depth guard {guard}")
             if oracle is not None:
                 for key in _WORD_FIELDS.get(a["op"], ()):
-                    if key in ("cminus", "cplus") and a.get("obstructions") in ("zero_runs", "qft"):
+                    if key in ("cminus", "cplus") and kind in ("zero_runs", "qft"):
                         continue  # these obstructions read neither
                     try:
                         _word_field(oracle.alphabet, a, key)
@@ -234,12 +241,14 @@ _NO_WORDS = {"ud_check", "tower_loops", "spr", "marking"}
 #: sums are DPs over the layer
 _COUNTED = {("pressure_estimate", "n_max"), ("hyperbolicity", "n_max"),
             ("avoid_symbol_rate", "depth"), ("cylinder_table", "n")}
+#: the ops that build an obstruction pair (see _obstruction_pair)
+_OBSTRUCTED = ("persistence", "istar", "cgc")
 #: the word-valued fields each op reads (see _word_field)
 _WORD_FIELDS = {"cylinder_table": ("word",), "sync_gap": ("word",), "avoid_symbol_rate": ("symbol",),
                 "sync_pipeline": ("seed",), "ud_check": ("irreducibles",),
                 "marking": ("irreducibles", "window"),
                 **dict.fromkeys(("tower_loops", "spr"), ("irreducibles", "base")),
-                **dict.fromkeys(("persistence", "istar", "cgc"), ("cminus", "cplus"))}
+                **dict.fromkeys(_OBSTRUCTED, ("cminus", "cplus"))}
 
 
 def _word_field(alphabet, params: dict, key: str):

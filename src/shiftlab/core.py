@@ -140,12 +140,12 @@ class LanguageOracle:
     the state after symbol a or None once the word leaves the language;
     ``state(w)`` is the state after a whole word, and ``contains(w)`` asks
     whether it exists.  ``words(n)`` extends each stored (word, state) pair
-    by one symbol.  A finite layer (SFT, S-gap and coded shifts, see
-    :meth:`finite_state`) tabulates its ``transitions`` once: ``state`` is
-    one run and ``count(n)`` a count DP.  Otherwise (beta, cocyclic and
-    factor shifts) the state is the word itself, ``step`` asks
-    ``membership``, and ``state`` asks it once behind the
-    ``Alphabet.valid`` guard.
+    by one symbol.  A finite layer (SFT, S-gap and coded shifts, and the
+    ``WordSet`` products; see :meth:`finite_state`) tabulates ``transitions``
+    once over numbered states, ``labels`` naming them: ``state`` is one run
+    and ``count(n)`` the one count DP of finite layers.  Otherwise (beta,
+    cocyclic and factor shifts) the state is the word itself, ``step`` asks
+    ``membership``, and ``state`` asks it once behind ``Alphabet.valid``.
     Optional fields:
 
     * ``locality``: window size m within which membership is decidable (SFT
@@ -175,21 +175,24 @@ class LanguageOracle:
         self.start = EMPTY_WORD
         #: rows {symbol: next state} of a finite layer, by state; else None
         self.transitions: list[dict[int, int]] | None = None
+        #: the state ``finite_state`` was given behind each state number; else None
+        self.labels: list | None = None
         self._cache: dict[int, tuple[Word, ...]] = {}
         #: n -> the finite-layer states of words(n), in the same order
         self._states: dict[int, list[int]] = {0: [0]}
         #: count(n) for n < len, and the count DP that extends them
         self._counts: list[int] = []
         self._count_walk = None
-        #: id(potential) -> (potential, {word: phi_hat}, {(state, last symbols):
-        #: phi_tail}); see phi_hat and phi_tail
-        self._phi_memo: dict[int, tuple[Potential, dict, dict]] = {}
+        #: potential -> ({word: phi_hat}, {(state, last symbols): phi_tail});
+        #: see phi_hat and phi_tail
+        self._phi_memo: dict[Potential, tuple[dict, dict]] = {}
 
     @classmethod
     def finite_state(cls, alphabet: Alphabet, start, step: Callable, enumeration_limit: int,
                      **options) -> "LanguageOracle":
         """An oracle over the states reachable from ``start`` under ``step``,
-        numbered in breadth-first order (0 is the start, symbols ascending)."""
+        numbered in breadth-first order (0 is the start, symbols ascending);
+        ``labels[q]`` is the state numbered q."""
         oracle = cls(alphabet, None, enumeration_limit, **options)
         labels, ids, rows = [start], {start: 0}, []
         for q in labels:  # grows as new states are found
@@ -199,7 +202,7 @@ class LanguageOracle:
                     ids[t] = len(labels)
                     labels.append(t)
             rows.append({a: ids[t] for a, t in targets})
-        oracle.start, oracle.transitions = 0, rows
+        oracle.start, oracle.transitions, oracle.labels = 0, rows, labels
         return oracle
 
     def step(self, state, a: int):
@@ -292,16 +295,14 @@ class WordSet:
     at each length is duplicate-free and lexicographically sorted, and every
     member is admissible in the backing oracle.
 
-    A predicate set over a finite layer may also declare its words as paths:
-    ``rows`` are transition rows over the oracle's states (the oracle's own
-    rows, or a subset of them) and ``forced`` maps a 0-based position to
-    the one symbol allowed there.  The set's words are then exactly the
-    paths from the oracle's start that take, at each position, an edge of
-    ``rows`` carrying the forced symbol if there is one; the predicate must
-    select the same words, because ``contains`` and ``at`` still read it.
-    ``count`` is then a count DP over those paths, kept and extended like
-    ``LanguageOracle.count``, and the partition sums of ``thermo`` run a
-    transfer DP over them.
+    A predicate set may also declare a ``pattern`` automaton ``(start,
+    step)`` read alongside the oracle's layer: ``step(p, a)`` is the next
+    pattern state, or None to reject (so None is never a state).  Over a
+    finite layer, ``layer`` is then their product (Lind & Marcus, ch. 3), a
+    finite-state oracle labelled by (pattern state, layer state) pairs whose
+    paths are the set's words: ``count`` is its count DP, and the partition
+    sums of ``thermo`` a transfer DP over it.  The predicate must select the
+    same words, because ``contains`` and ``at`` still read it.
 
     A predicate must be a pure function of the word: ``contains`` memoises
     its answer per word for the lifetime of the set.  An exception raised
@@ -315,8 +316,7 @@ class WordSet:
         predicate: Callable[[Word], bool] | None = None,
         explicit: Mapping[int, Sequence[Word]] | None = None,
         depth: int | None = None,
-        rows: Sequence[Mapping[int, int]] | None = None,
-        forced: Mapping[int, int] | None = None,
+        pattern: tuple[object, Callable] | None = None,
         is_full_language: bool = False,
         name: str = "",
     ):
@@ -328,24 +328,35 @@ class WordSet:
             {n: tuple(sorted(set(ws))) for n, ws in explicit.items()} if explicit is not None else None
         )
         self.depth = depth if depth is not None else oracle.enumeration_limit
-        self.rows = rows
-        self.forced = dict(forced or {})
+        self.pattern = pattern
         self.is_full_language = is_full_language
         self.name = name
         self._cache: dict[int, tuple[Word, ...]] = {}
         self._memo: dict[Word, bool] = {}
-        #: count(n) for n < len over declared rows, and the DP that extends them
-        self._counts: list[int] = []
-        self._count_walk = None
-        #: id(potential) -> (potential, partition-sum state) kept by thermo's
-        #: transfer DP over the declared rows
-        self.transfer_memo: dict[int, tuple] = {}
+        #: potential -> (transfer DP over ``layer``, its rows so far); see thermo
+        self.transfer_memo: dict[Potential, tuple] = {}
+
+    @cached_property
+    def layer(self) -> LanguageOracle | None:
+        """The product of ``pattern`` and the oracle's finite layer, or None."""
+        rows = self.oracle.transitions
+        if self.pattern is None or rows is None:
+            return None
+        start, step = self.pattern
+
+        def product(pq, a):
+            p, q = step(pq[0], a), rows[pq[1]].get(a)
+            return None if p is None or q is None else (p, q)
+
+        return LanguageOracle.finite_state(self.oracle.alphabet, (start, self.oracle.start),
+                                           product, self.depth, name=self.name)
 
     # -- constructors ----------------------------------------------------
     @classmethod
     def language(cls, oracle: LanguageOracle) -> "WordSet":
-        """The whole language; over a finite layer it declares the oracle's rows."""
-        return cls(oracle, predicate=lambda w: True, rows=oracle.transitions,
+        """The whole language; its pattern is trivial, so over a finite layer
+        its ``layer`` is a copy of the oracle's."""
+        return cls(oracle, predicate=lambda w: True, pattern=(0, lambda p, a: p),
                    is_full_language=True, name=f"L({oracle.name})")
 
     @classmethod
@@ -400,16 +411,6 @@ class WordSet:
             self._memo[w] = got
         return got
 
-    def edges(self, i: int, q: int):
-        """The (symbol, state) pairs a declared-rows word may take from layer
-        state q as its symbol at 0-based position i."""
-        row = self.rows[q]
-        a = self.forced.get(i)
-        if a is None:
-            return row.items()
-        t = row.get(a)
-        return () if t is None else ((a, t),)
-
     def at(self, n: int) -> tuple[Word, ...]:
         """The set's words of length n, sorted.  Past the set's depth,
         DepthExceededError; the whole language leaves that to its oracle's
@@ -428,30 +429,21 @@ class WordSet:
         return out
 
     def count(self, n: int) -> int:
-        """|D_n|: the oracle's count for the whole language, a count DP (no
-        depth limit) over declared rows, else len(at(n))."""
-        if self.is_full_language:
-            return self.oracle.count(n)
-        if self.rows is None or n < 0:
-            return len(self.at(n))
-        if self._count_walk is None:
-            self._count_walk = path_counts(
-                (0, self.oracle.start), lambda iq: [(iq[0] + 1, t) for _, t in self.edges(*iq)])
-        while len(self._counts) <= n:
-            self._counts.append(sum(next(self._count_walk).values()))
-        return self._counts[n]
+        """|D_n|: the count DP of ``layer`` (no depth limit), else len(at(n))."""
+        return len(self.at(n)) if self.layer is None else self.layer.count(n)
 
     def __repr__(self):
         return f"WordSet({self.name or 'anon'}, depth={self.depth})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
     """A locally constant potential reading ``window`` coordinates.
 
     ``table`` maps every admissible window word (length = ``window``) to a
     real value.  ``holder_data`` optionally records a (beta, |phi|_beta)
-    pair for reporting; it is never evaluated.
+    pair for reporting; it is never evaluated.  A potential compares and
+    hashes by identity, so it keys the memos of phi_hat and the transfer DP.
     """
 
     window: int
@@ -566,11 +558,10 @@ def phi_hat(potential: Potential, oracle: LanguageOracle, w: Word) -> float:
 
 def _phi_memos(potential: Potential, oracle: LanguageOracle) -> tuple[dict, dict]:
     """The phi_hat and phi_tail memos of one oracle and potential."""
-    entry = oracle._phi_memo.get(id(potential))
+    entry = oracle._phi_memo.get(potential)
     if entry is None:
-        # the entry keeps the potential alive, so its id cannot be reused
-        entry = oracle._phi_memo[id(potential)] = (potential, {}, {})
-    return entry[1], entry[2]
+        entry = oracle._phi_memo[potential] = ({}, {})
+    return entry
 
 
 def phi_tail(potential: Potential, oracle: LanguageOracle, q, s: Word) -> float | None:

@@ -179,14 +179,13 @@ def cycle_sft(k: int, enumeration_limit: int | None = None) -> LanguageOracle:
 
 
 def avoid_symbol_set(oracle: LanguageOracle, symbol: str) -> WordSet:
-    """Words of the language avoiding one symbol.  Over a finite layer the
-    set declares the layer's rows without that symbol's transitions, so its
-    count is a path count over them (with no depth limit) and its partition
-    sums are the transfer DP; phi_hat still extends into the whole shift."""
+    """Words of the language avoiding one symbol, by a one-state pattern that
+    rejects it: over a finite layer the count is a path count (no depth
+    limit) and the partition sums the transfer DP over the product; phi_hat
+    still extends into the whole shift."""
     a = oracle.alphabet.index(symbol)
-    rows = None if oracle.transitions is None else [
-        {b: t for b, t in row.items() if b != a} for row in oracle.transitions]
-    return WordSet(oracle, predicate=lambda w: a not in w, rows=rows, name=f"avoid({symbol})")
+    return WordSet(oracle, predicate=lambda w: a not in w,
+                   pattern=(0, lambda p, b: None if b == a else p), name=f"avoid({symbol})")
 
 
 # ---------------------------------------------------------------------------

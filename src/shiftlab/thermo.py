@@ -9,7 +9,6 @@ which converges far faster than (1/n) log Lambda_n).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from .core import (
@@ -62,9 +61,9 @@ def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
     """log Lambda_n(D, phi); -inf when D_n is empty.
 
     Zero potentials use exact integer counts (``WordSet.count``).  A set
-    that declares transition rows over a finite layer sums a transfer DP
-    over (layer state, last <= r-1 symbols), with no word listed and so at
-    any n: each step adds phi of the r-window it completes, and the last
+    with a product ``layer`` (a pattern over a finite layer) sums a transfer
+    DP over (product state, last <= r-1 symbols), with no word listed and so
+    at any n: each step adds phi of the r-window it completes, and the last
     adds ``phi_tail``, so every path weighs exactly e^{phi_hat(w)}.  Other
     sets (predicate and explicit sets; beta, cocyclic and factor shifts)
     sum e^{phi_hat(w)} over the listed words, which stays the reference;
@@ -81,13 +80,11 @@ def _log_sum_and_sup(words: WordSet, potential: Potential, n: int) -> tuple[floa
     if potential.is_zero:
         c = words.count(n)
         return (math.log(c) if c > 0 else NEG_INF), 0.0
-    if words.rows is not None and n >= 1:
-        entry = words.transfer_memo.get(id(potential))
+    if words.layer is not None and n >= 1:
+        entry = words.transfer_memo.get(potential)
         if entry is None:
-            # the entry keeps the potential alive, so its id cannot be reused
-            entry = words.transfer_memo[id(potential)] = (
-                potential, _transfer_rows(words, potential), [])
-        _, walk, table = entry
+            entry = words.transfer_memo[potential] = (_transfer_rows(words, potential), [])
+        walk, table = entry
         while len(table) < n:
             table.append(next(walk))
         if table[n - 1] is not None:
@@ -102,27 +99,28 @@ def _log_sum_and_sup(words: WordSet, potential: Potential, n: int) -> tuple[floa
 
 
 def _transfer_rows(words: WordSet, potential: Potential):
-    """(log Lambda_n, max phi_hat) for n = 1, 2, ... over the declared rows
-    of ``words``, or None for a length that listing must answer.
+    """(log Lambda_n, max phi_hat) for n = 1, 2, ... over the paths of
+    ``words.layer``, or None for a length that listing must answer.
 
-    The DP state of a path w is (layer state, last min(|w|, r-1) symbols),
-    carrying log sum e^{F(w)} and max F(w), F(w) being the running sum of
-    the windows inside w (phi_hat takes their fsum), or None once some path
-    into it has met a window missing from the table; the mark is carried
-    forward.  A length with a marked live state, or where ``phi_tail``
-    finds no extension or a missing window, yields None: then some word
-    raises in phi_hat, and listing reports the same error (past the
-    enumeration limit, the limit).  A length with no live state has no
-    word, and yields -inf.
+    The DP state of a path w is (product state, last min(|w|, r-1)
+    symbols), carrying log sum e^{F(w)} and max F(w), F(w) being the
+    running sum of the windows inside w (phi_hat takes their fsum), or None
+    once some path into it has met a window missing from the table; the
+    mark is carried forward.  A length with a marked live state, or where
+    ``phi_tail`` (read at the oracle's state in the product's label) finds
+    no extension or a missing window, yields None: then some word raises in
+    phi_hat, and listing reports the same error (past the enumeration
+    limit, the limit).  A length with no live state yields -inf.
     """
-    oracle, r, table = words.oracle, potential.window, potential.table
-    vec: dict[tuple[int, Word], tuple[float, float] | None] = {(oracle.start, ()): (0.0, 0.0)}
-    for i in itertools.count():
+    oracle, layer, r, table = words.oracle, words.layer, potential.window, potential.table
+    rows, labels = layer.transitions, layer.labels
+    vec: dict[tuple[int, Word], tuple[float, float] | None] = {(layer.start, ()): (0.0, 0.0)}
+    while True:
         sums: dict[tuple[int, Word], list[float]] = {}
         best: dict[tuple[int, Word], float] = {}
         marked = set()
         for (q, s), val in vec.items():
-            for a, t in words.edges(i, q):
+            for a, t in rows[q].items():
                 win = s + (a,)
                 f = 0.0
                 if len(win) == r:
@@ -144,7 +142,8 @@ def _transfer_rows(words: WordSet, potential: Potential):
             yield NEG_INF, NEG_INF
             continue
         try:
-            tails = [] if marked else [phi_tail(potential, oracle, q, s) for q, s in vec]
+            tails = [] if marked else [phi_tail(potential, oracle, labels[q][1], s)
+                                       for q, s in vec]
         except NotInLanguageError:
             tails = [None]
         if marked or None in tails:
@@ -293,12 +292,12 @@ def cylinder_count_table(
     Lambda_n(H) * e^{-(n-|v|) P - phi_hat(v)} as empirical Gibbs constants,
     P being the point estimate of the full language at depth n.
 
-    On a finite layer each position's set declares the oracle's rows with
-    v's symbols forced at positions i-1 .. i+|v|-2 (0-based), so its sum is
-    the transfer DP and, at zero potential, its count an exact path count;
-    no word is listed, and n may exceed the enumeration limit.  Otherwise
-    the words are listed, and a length past the limit raises the oracle's
-    DepthExceededError.
+    Each position's set declares a pattern that counts the symbols read up
+    to the end of v and forces v's at positions i-1 .. i+|v|-2 (0-based).
+    On a finite layer its sum is the transfer DP over the product and, at
+    zero potential, its count an exact path count; no word is listed, and n
+    may exceed the enumeration limit.  Otherwise the words are listed, and
+    a length past the limit raises the oracle's DepthExceededError.
     """
     if not oracle.contains(v):
         raise NotInLanguageError(f"{v} is not admissible")
@@ -310,7 +309,8 @@ def cylinder_count_table(
     rows: list[CylinderRow] = []
     for i in range(1, n - k + 1):
         hits = WordSet(oracle, predicate=lambda w, i=i: w[i - 1 : i - 1 + k] == v, depth=n,
-                       rows=oracle.transitions, forced={i - 1 + j: a for j, a in enumerate(v)})
+                       pattern=(0, lambda p, a, lo=i - 1: p if p == lo + k else (
+                           None if p >= lo and a != v[p - lo] else p + 1)))
         ls = log_partition_sum(hits, potential, n)
         count = hits.count(n) if potential.is_zero else None
         ratio = math.exp(ls - (n - k) * p_hat - pv) if ls > NEG_INF else 0.0

@@ -1,15 +1,35 @@
 """The benchmark harness's smoke mode, run as part of the test suite so that
 the harness cannot silently stop working: one tiny enum_tables batch, every
-report checked against the catalog's expected output, no timing asserts."""
+report checked against the catalog's expected output, no timing asserts.
+Every entry of the three smoke catalogs also runs in process through
+``cli.run``, checked by the harness's own ``check_entry``."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from shiftlab import cli
+
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("enum_tables", "sync_search", "tower_dp")
+
+
+_spec = importlib.util.spec_from_file_location("perfbench_check", ROOT / "perfbench" / "check.py")
+check = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check)
+
+
+def _smoke_entries():
+    for workload in WORKLOADS:
+        path = ROOT / "perfbench" / "catalog" / f"{workload}.smoke.json"
+        for entry in json.loads(path.read_text(encoding="utf-8"))["entries"]:
+            yield pytest.param(entry, id=entry["id"])
 
 
 def test_benchmark_smoke_run_is_correct():
@@ -31,3 +51,16 @@ def test_benchmark_smoke_run_is_correct():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+@pytest.mark.parametrize("entry", _smoke_entries())
+def test_smoke_catalog_entry_matches_its_expected_output(entry, tmp_path):
+    # as the harness reads it: report.json from disk, or the raised class
+    try:
+        cli.run(entry["config"], tmp_path, threads=1)
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        outcome = {"analyses": report["analyses"]}
+    except Exception as exc:
+        outcome = {"raises": type(exc).__name__}
+    ok = check.check_entry(entry["expected"], outcome)
+    assert ok and all(ok), ok

@@ -270,6 +270,41 @@ def test_validate_reads_word_fields_only_where_run_does():
     assert [b["status"] for b in cli.run(cfg)["analyses"]] == ["ok"] * 3
 
 
+@pytest.mark.parametrize("op", [["x"], {"name": "x"}, ["pressure_estimate"]])
+def test_validate_rejects_an_unhashable_op(op):
+    # an op that is not a string cannot name an analysis; it must not raise
+    cfg = {"shift": {"family": "full", "k": 2}, "analyses": [{"op": op, "n_max": 99}]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [("error", "analyses[0].op")]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+
+
+@pytest.mark.parametrize("op", ["persistence", "istar", "cgc"])
+@pytest.mark.parametrize("shift, obstructions", [
+    # cycle shifts have the symbols 1..k, so there is no run of 0s to read
+    ({"family": "cycle", "k": 4}, "zero_runs"),
+    ({"family": "full", "k": 2}, "bogus"),
+    ({"family": "full", "k": 2}, ["qft"]),
+    ({"family": "full", "k": 2}, None),
+])
+def test_validate_rejects_obstructions_that_run_cannot_build(shift, obstructions, op):
+    cfg = {"shift": shift, "analyses": [{"op": op, "obstructions": obstructions, "depth": 4}]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("error", "analyses[0].obstructions")]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+
+
+def test_validate_reads_obstructions_only_where_run_does():
+    # an op that builds no obstruction pair ignores the field, as run does
+    cfg = {"shift": {"family": "cycle", "k": 4}, "analyses": [
+        {"op": "pressure_estimate", "n_max": 6, "obstructions": "zero_runs"},
+        {"op": "persistence", "obstructions": "qft", "depth": 4},
+    ]}
+    assert cli.validate(cfg) == []
+    assert [b["status"] for b in cli.run(cfg)["analyses"]] == ["ok"] * 2
+
+
 def test_run_rejects_invalid():
     with pytest.raises(ConfigError):
         cli.run({"shift": {"family": "sft"}, "analyses": []})

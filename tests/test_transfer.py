@@ -6,7 +6,7 @@ the listed words, with no enumeration limit.  The references list the
 words over a twin oracle with the same membership and name, no finite
 layer, and a limit above every compared length:
 
-* for a word set, the same predicate without declared rows, which
+* for a word set, the same predicate without a pattern, which
   ``log_partition_sum`` sums as e^{phi_hat(w)} over ``at(n)``;
 * for ``hyperbolicity_diagnostic`` and ``cylinder_count_table``, the
   twin itself.
@@ -166,13 +166,59 @@ def test_transfer_sums_match_listing(instance):
         (sl.avoid_symbol_set(oracle, symbol), WordSet.from_predicate(listed, lambda w: a not in w)),
     ]
     for fast, slow in sets:
-        assert fast.rows is not None and slow.rows is None
+        assert fast.layer is not None and slow.layer is None
         for n in range(1, top + 1):
             got = _outcome(thermo._log_sum_and_sup, fast, potential, n)
             expect = _outcome(thermo._log_sum_and_sup, slow, potential, n)
             assert _same(got, expect, n > oracle.enumeration_limit), (fast.name, n)
             if potential.is_zero:
                 assert fast.count(n) == slow.count(n) == len(slow.at(n))
+
+
+def _avoiding(u):
+    """The words without the factor u, by the suffix-match automaton of u:
+    the state is the longest suffix of the word read that is a proper
+    prefix of u (Knuth, Morris & Pratt)."""
+    def step(p, a):
+        t = u[:p] + (a,)
+        while t != u[: len(t)]:
+            t = t[1:]
+        return None if len(t) == len(u) else len(t)
+
+    return (0, step), lambda w: all(w[i : i + len(u)] != u for i in range(len(w) - len(u) + 1))
+
+
+def _at_most(b, m):
+    """The words with at most m occurrences of the symbol b."""
+    return (0, lambda p, a: p if a != b else (p + 1 if p < m else None)), lambda w: w.count(b) <= m
+
+
+def _forced_at(b, j):
+    """The words that have the symbol b at 0-based position j, if that long;
+    the state is the position, up to j + 1."""
+    return ((0, lambda p, a: p if p > j else (None if p == j and a != b else p + 1)),
+            lambda w: len(w) <= j or w[j] == b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.integers(0, 2), st.integers(0, 9))
+def test_pattern_sets_match_their_predicates(instance, m, j):
+    # patterns whose state is more than a counter: a suffix match, a
+    # bounded count and a position, each against its predicate listed
+    oracle, potential, v, symbol = instance
+    b = oracle.alphabet.index(symbol)
+    top = _n_top(oracle)
+    listed = twin(oracle, top)
+    for pattern, predicate in (_avoiding(v), _at_most(b, m), _forced_at(b, j % top)):
+        fast = WordSet(oracle, predicate=predicate, pattern=pattern)
+        slow = WordSet.from_predicate(listed, predicate)
+        assert fast.layer is not None and slow.layer is None
+        for n in range(top + 1):
+            assert fast.count(n) == slow.count(n), n
+        for n in range(1, top + 1):
+            got = _outcome(thermo._log_sum_and_sup, fast, potential, n)
+            expect = _outcome(thermo._log_sum_and_sup, slow, potential, n)
+            assert _same(got, expect, n > oracle.enumeration_limit), n
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,7 +245,7 @@ def test_cylinder_tables_and_hyperbolicity_match_listing(instance):
 
 
 def _rows_read(n_max):
-    """Declared rows read by log_partition_sum(1..n_max) on a fresh set."""
+    """Layer rows read by log_partition_sum(1..n_max) on a fresh set."""
     oracle = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["111", "0101"]), n_max)
     pot = sl.Potential.from_strings(oracle.alphabet, 3, {
         w: 0.1 * i for i, w in enumerate(["000", "001", "010", "011", "100", "101", "110", "111"])})
@@ -211,7 +257,7 @@ def _rows_read(n_max):
             return super().__getitem__(q)
 
     lang = WordSet.language(oracle)
-    lang.rows = Rows(lang.rows)
+    lang.layer.transitions = Rows(lang.layer.transitions)
     for n in range(1, n_max + 1):
         sl.log_partition_sum(lang, pot, n)
     return reads[0]
@@ -261,8 +307,8 @@ def test_a_missing_window_raises_at_every_longer_length():
     # start and never again, and must still raise at every length
     once = sl.sft_from_forbidden(sl.SftSpec.from_strings("012", ["01", "10", "12", "20", "22"]))
     pot = sl.Potential.from_strings(once.alphabet, 2, {"00": 0.1, "11": 0.2, "21": 0.3})
-    hits = WordSet(once, predicate=lambda w: w[:2] == (0, 2), rows=once.transitions,
-                   forced={0: 0, 1: 2})
+    hits = WordSet(once, predicate=lambda w: w[:2] == (0, 2),
+                   pattern=(0, lambda p, a: p if p == 2 else (p + 1 if a == (0, 2)[p] else None)))
     for n in range(2, 6):
         with pytest.raises(NotInLanguageError, match=r"no entry for window \(0, 2\)"):
             sl.log_partition_sum(hits, pot, n)
