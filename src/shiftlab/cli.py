@@ -15,6 +15,7 @@ language), 2 = internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -390,22 +391,28 @@ def _analysis_ud(oracle, potential, params):
     return block, None, None
 
 
-def _tower(oracle, params):
+def _loop_table(oracle, potential, params, tables: dict, cross_check: bool):
     """The tower over ``irreducibles`` at ``depth`` (their longest length by
-    default), based at ``base``, and that base."""
+    default), based at ``base``, its loop table to ``n_max`` and that n_max.
+    ``tables`` keeps one run's tables by tower, n_max and cross-check, so
+    tower_loops and spr over the same tower build its table once."""
     irr = _word_field(oracle.alphabet, params, "irreducibles")
     depth = int(params.get("depth", max(len(w) for w in irr)))
     base = _word_field(oracle.alphabet, params, "base")
-    return tower.build_tower_over(oracle, irr, depth, base), base
-
-
-def _analysis_tower_loops(oracle, potential, params):
-    graph, base = _tower(oracle, params)
+    graph = tower.build_tower_over(oracle, irr, depth, base)
     n_max = int(params.get("n_max", 20))
-    table = tower.loop_sums(graph, potential, n_max,
-                            cross_check=bool(params.get("cross_check", True)))
+    key = (graph.irreducibles, graph.base, graph.depth, n_max, cross_check)
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = tower.loop_sums(graph, potential, n_max, cross_check=cross_check)
+    return graph, table, n_max
+
+
+def _analysis_tower_loops(oracle, potential, params, tables):
+    graph, table, _ = _loop_table(oracle, potential, params, tables,
+                                  bool(params.get("cross_check", True)))
     block = {
-        "base": f"{oracle.alphabet.text(base)}:1",
+        "base": f"{oracle.alphabet.text(graph.base[0])}:1",
         "vertices": len(graph.vertices),
         "edges": graph.edge_count(),
         "z_rate": format17(table.z_rate_estimate()),
@@ -415,11 +422,10 @@ def _analysis_tower_loops(oracle, potential, params):
     return block, table.to_csv_text(), _rate_dat(table.rows)
 
 
-def _analysis_spr(oracle, potential, params):
-    graph, _ = _tower(oracle, params)
-    n_max = int(params.get("n_max", 20))
+def _analysis_spr(oracle, potential, params, tables):
+    graph, table, n_max = _loop_table(oracle, potential, params, tables, True)
     rep = tower.spr_diagnostic(graph, potential, n_max,
-                               margin=float(params.get("margin", 0.05)))
+                               margin=float(params.get("margin", 0.05)), table=table)
     return rep.to_json_dict(), rep.table.to_csv_text(), None
 
 
@@ -575,11 +581,15 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
 
     blocks: list[dict] = []
     artifacts: list[tuple[str, str]] = []
+    tables: dict = {}  # the loop tables of this run's towers
     for idx, analysis in enumerate(config["analyses"]):
         op = analysis["op"]
         entry: dict[str, Any] = {"op": op, "index": idx}
+        runner = _RUNNERS[op]
+        if op in ("tower_loops", "spr"):
+            runner = functools.partial(runner, tables=tables)
         try:
-            block, csv_text, dat_text = _RUNNERS[op](oracle, potential, analysis)
+            block, csv_text, dat_text = runner(oracle, potential, analysis)
             entry["status"] = "ok"
             entry["result"] = block
             if csv_text is not None:

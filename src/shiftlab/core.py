@@ -140,11 +140,12 @@ class LanguageOracle:
     the state after symbol a or None once the word leaves the language;
     ``state(w)`` is the state after a whole word, and ``contains(w)`` asks
     whether it exists.  ``words(n)`` extends each stored (word, state) pair
-    by one symbol.  A finite layer (SFT, S-gap and coded shifts, and the
-    ``WordSet`` products; see :meth:`finite_state`) tabulates ``transitions``
-    once over numbered states, ``labels`` naming them: ``state`` is one run
-    and ``count(n)`` the one count DP of finite layers.  Otherwise (beta,
-    cocyclic and factor shifts) the state is the word itself, ``step`` asks
+    by one symbol.  A finite layer (SFT, S-gap, coded and nonnegative
+    cocyclic shifts of dimension <= 3, and the ``WordSet`` products; see
+    :meth:`finite_state`) tabulates ``transitions`` once over numbered
+    states, ``labels`` naming them: ``state`` is one run and ``count(n)``
+    the one count DP of finite layers.  Otherwise (beta, factor and the
+    other cocyclic shifts) the state is the word itself, ``step`` asks
     ``membership``, and ``state`` asks it once behind ``Alphabet.valid``.
     Optional fields:
 

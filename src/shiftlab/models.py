@@ -1,19 +1,22 @@
 """Constructors for concrete shift families and sliding-block factor maps.
 
 Each constructor returns an exact :class:`~shiftlab.core.LanguageOracle`.
-SFT, S-gap and coded shifts have a finite layer (live suffixes, run and gap
-lengths, code-automaton position sets); beta, cocyclic and factor shifts
-answer a membership predicate over the whole word.  No constructor checks
+SFT, S-gap, coded and nonnegative cocyclic shifts of dimension <= 3 have a
+finite layer (live suffixes, run and gap lengths, code-automaton position
+sets, product supports); beta, factor and the other cocyclic shifts answer
+a membership predicate over the whole word.  No constructor checks
 factoriality or extendability; ``core.check_factorial`` and
 ``core.check_extendable`` test them by enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import mpmath as mp
@@ -140,12 +143,13 @@ def full_shift(k: int, enumeration_limit: int | None = None) -> LanguageOracle:
 
 
 def sft_entropy_exact(source: SftSpec | LanguageOracle) -> float:
-    """Exact entropy of a shift with a finite layer (SFT, S-gap, coded): the
-    layer is deterministic, so its paths from the start are the words, and
-    the entropy is the log spectral radius of its transition matrix on the
-    states of bi-infinite paths (for an SFT, the pruned de Bruijn graph),
-    from one eigensolve.  Raises ValueError for an oracle with no finite
-    layer."""
+    """Exact entropy of a shift with a finite layer (SFT, S-gap, coded,
+    nonnegative cocyclic of dimension <= 3): the layer is deterministic, so
+    its paths from the start are the words, and the entropy is the log
+    spectral radius of its transition matrix on the states of bi-infinite
+    paths (for an SFT, the pruned de Bruijn graph), from one eigensolve.
+    Raises ValueError for an oracle with no finite layer (beta, factor and
+    signed or d >= 4 cocyclic shifts)."""
     oracle = sft_from_forbidden(source) if isinstance(source, SftSpec) else source
     rows = oracle.transitions
     if rows is None:
@@ -466,13 +470,23 @@ class CocyclicSpec:
     @classmethod
     def from_lists(cls, matrices: Sequence[Sequence[Sequence[int]]],
                    symbols: Sequence[str] | None = None) -> "CocyclicSpec":
-        mats = tuple(tuple(tuple(int(x) for x in row) for row in m) for m in matrices)
-        d = len(mats[0])
+        """Raises ValueError unless there is at least one matrix, all are
+        square of one dimension d >= 1 with integer entries, and
+        ``symbols`` (1, 2, ... by default) names each matrix once."""
+        mats = tuple(tuple(tuple(row) for row in m) for m in matrices)
+        d = len(mats[0]) if mats else 0
+        if d == 0:
+            raise ValueError("cocyclic shifts need matrices of dimension at least 1")
         for m in mats:
             if len(m) != d or any(len(row) != d for row in m):
                 raise ValueError("matrices must be square and of equal dimension")
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                   for m in mats for row in m for x in row):
+            raise ValueError("matrix entries must be integers")
+        if symbols and len(symbols) != len(mats):
+            raise ValueError(f"{len(symbols)} symbols for {len(mats)} matrices")
         alphabet = Alphabet(tuple(symbols) if symbols else tuple(str(i + 1) for i in range(len(mats))))
-        return cls(mats, alphabet)
+        return cls(tuple(tuple(tuple(int(x) for x in row) for row in m) for m in mats), alphabet)
 
     @property
     def dimension(self) -> int:
@@ -491,11 +505,37 @@ def _mat_is_zero(a) -> bool:
 
 
 def cocyclic_shift(spec: CocyclicSpec, enumeration_limit: int | None = None) -> LanguageOracle:
+    """A word is admissible iff the ordered product of its matrices is
+    nonzero.
+
+    Nonnegative products cannot cancel, so the support of M_w M_a is the
+    Boolean product of the supports of M_w and M_a (Kwapisz, "Cocyclic
+    subshifts", 2000).  For nonnegative matrices of dimension d <= 3 the
+    layer state is the support of the product so far, one bit mask per row,
+    starting from the identity's: at most 2**(d*d) <= 512 states.  Signed
+    matrices, whose Boolean product can be nonzero where the product is
+    zero, and d >= 4, where the supports reached can run to tens of
+    thousands, answer the exact integer product as a predicate.
+    """
     d = spec.dimension
     mats = spec.matrices
+    limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(spec.alphabet.size)
+    name = f"cocyclic(d={d})"
+    if d <= 3 and all(x >= 0 for m in mats for row in m for x in row):
+        # image[a][r]: the union of the row supports of matrix a over the bits of r
+        supports = [[sum(1 << j for j, x in enumerate(row) if x) for row in m] for m in mats]
+        image = [[functools.reduce(operator.or_, (rows[k] for k in range(d) if r >> k & 1), 0)
+                  for r in range(1 << d)] for rows in supports]
+
+        def step(s: tuple[int, ...], a: int) -> tuple[int, ...] | None:
+            t = tuple(image[a][r] for r in s)
+            return t if any(t) else None
+
+        return LanguageOracle.finite_state(spec.alphabet, tuple(1 << i for i in range(d)), step,
+                                           limit, name=name)
     identity = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
-    @lru_cache(maxsize=262144)
+    @functools.lru_cache(maxsize=262144)
     def product(w: Word):
         if len(w) == 0:
             return identity
@@ -506,8 +546,7 @@ def cocyclic_shift(spec: CocyclicSpec, enumeration_limit: int | None = None) -> 
     def member(w: Word) -> bool:
         return not _mat_is_zero(product(w))
 
-    limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(spec.alphabet.size)
-    return LanguageOracle(spec.alphabet, member, limit, name=f"cocyclic(d={d})")
+    return LanguageOracle(spec.alphabet, member, limit, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,8 @@ def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
     DP over (product state, last <= r-1 symbols), with no word listed and so
     at any n: each step adds phi of the r-window it completes, and the last
     adds ``phi_tail``, so every path weighs exactly e^{phi_hat(w)}.  Other
-    sets (predicate and explicit sets; beta, cocyclic and factor shifts)
-    sum e^{phi_hat(w)} over the listed words, which stays the reference;
+    sets (predicate and explicit sets; beta, factor and predicate cocyclic
+    shifts) sum e^{phi_hat(w)} over the listed words, which stays the reference;
     only listing meets the enumeration limit.  Either way terms are
     combined after a max shift with compensated summation in a fixed order,
     so the result is reproducible; the two agree to rounding.

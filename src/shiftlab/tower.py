@@ -825,13 +825,15 @@ def spr_diagnostic(
     n_max: int,
     *,
     margin: float = 0.05,
+    table: LoopTable | None = None,
 ) -> SprReport:
     """Strong-positive-recurrence diagnostic: the growth rate of the
     first-return sums must stay below the growth rate of the full loop sums
     by the margin over the top half of the table.  Also reports the finite
     rates of the generator sums versus the family sums (the strict
-    inequality that removing a generator would force)."""
-    t = loop_sums(tower, potential, n_max)
+    inequality that removing a generator would force).  ``table`` is the
+    cross-checked ``loop_sums`` of the tower to n_max, when already built."""
+    t = table if table is not None else loop_sums(tower, potential, n_max)
     z_rate = t.z_rate_estimate()
     zs_rate = t.z_star_rate_estimate()
     gap = z_rate - zs_rate if zs_rate > NEG_INF else float("inf")

@@ -2,7 +2,9 @@
 the harness cannot silently stop working: one tiny enum_tables batch, every
 report checked against the catalog's expected output, no timing asserts.
 Every entry of the three smoke catalogs also runs in process through
-``cli.run``, checked by the harness's own ``check_entry``."""
+``cli.run``, checked by the harness's own ``check_entry``, and so do the
+cocyclic entries of the full enum_tables catalog, which no smoke catalog
+holds."""
 
 from __future__ import annotations
 
@@ -25,10 +27,20 @@ check = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check)
 
 
+def _catalog(name):
+    path = ROOT / "perfbench" / "catalog" / f"{name}.json"
+    return json.loads(path.read_text(encoding="utf-8"))["entries"]
+
+
 def _smoke_entries():
     for workload in WORKLOADS:
-        path = ROOT / "perfbench" / "catalog" / f"{workload}.smoke.json"
-        for entry in json.loads(path.read_text(encoding="utf-8"))["entries"]:
+        for entry in _catalog(f"{workload}.smoke"):
+            yield pytest.param(entry, id=entry["id"])
+
+
+def _cocyclic_entries():
+    for entry in _catalog("enum_tables"):
+        if entry["config"]["shift"]["family"] == "cocyclic":
             yield pytest.param(entry, id=entry["id"])
 
 
@@ -53,14 +65,23 @@ def test_benchmark_smoke_run_is_correct():
     assert result["attempted"] > 0
 
 
-@pytest.mark.parametrize("entry", _smoke_entries())
-def test_smoke_catalog_entry_matches_its_expected_output(entry, tmp_path):
+def _assert_matches(entry, out_dir):
     # as the harness reads it: report.json from disk, or the raised class
     try:
-        cli.run(entry["config"], tmp_path, threads=1)
-        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        cli.run(entry["config"], out_dir, threads=1)
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         outcome = {"analyses": report["analyses"]}
     except Exception as exc:
         outcome = {"raises": type(exc).__name__}
     ok = check.check_entry(entry["expected"], outcome)
     assert ok and all(ok), ok
+
+
+@pytest.mark.parametrize("entry", _smoke_entries())
+def test_smoke_catalog_entry_matches_its_expected_output(entry, tmp_path):
+    _assert_matches(entry, tmp_path)
+
+
+@pytest.mark.parametrize("entry", _cocyclic_entries())
+def test_cocyclic_catalog_entry_matches_its_expected_output(entry, tmp_path):
+    _assert_matches(entry, tmp_path)

@@ -18,6 +18,15 @@ GOLDEN_CONFIG = {
     "output": {"dir": "out"},
 }
 
+#: four 4x4 generators (a cyclic permutation, a swap, an elementary matrix
+#: and a projection) whose product supports run to tens of thousands
+CYCLIC_SWAP_ELEMENTARY_PROJECTION_4 = [
+    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+]
+
 
 # -- validate -------------------------------------------------------------------
 
@@ -112,6 +121,25 @@ def test_validate_rejects_what_run_cannot_build(shift, potential, field, tmp_pat
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["validate", str(cfg_path)]) == 1
     assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("shift", [
+    # a non-integer entry, which int() truncated to a zero matrix
+    {"family": "cocyclic", "matrices": [[[0.5]], [[1]]]},
+    # more symbols than matrices: run recorded an internal IndexError
+    {"family": "cocyclic", "matrices": [[[1]], [[1]]], "symbols": ["a", "b", "c"]},
+    # fewer symbols than matrices, which dropped the second matrix
+    {"family": "cocyclic", "matrices": [[[1]], [[0]]], "symbols": ["a"]},
+    # a 0x0 matrix, which ran ok
+    {"family": "cocyclic", "matrices": [[]]},
+])
+def test_validate_rejects_malformed_cocyclic_matrices(shift):
+    cfg = {"shift": shift, "analyses": [{"op": "pressure_estimate", "n_max": 6}]}
+    diags = cli.validate(cfg)
+    assert [(d["level"], d["field"]) for d in diags] == [("error", "shift")]
+    assert diags[0]["message"].startswith("ValueError: ")
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
 
 
 @pytest.mark.parametrize("shift", [
@@ -376,6 +404,9 @@ def test_run_reports_empty_memory_zero_sft(tmp_path):
     # the prefix code {0, 011}: -log of the real root of x**3 + x - 1
     ({"family": "coded", "alphabet": ["0", "1"], "generators": ["0", "011"]},
      0.3822450858400354),
+    # invertible nonnegative matrices: no product is zero, so the full 2-shift
+    ({"family": "cocyclic", "matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]},
+     0.6931471805599453),
 ])
 def test_run_entropy_exact_on_finite_state_families(shift, entropy):
     cfg = {"shift": shift, "analyses": [{"op": "entropy_exact"}]}
@@ -387,7 +418,9 @@ def test_run_entropy_exact_on_finite_state_families(shift, entropy):
 
 @pytest.mark.parametrize("shift", [
     {"family": "beta", "beta": 1.8},
-    {"family": "cocyclic", "matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]},
+    # signed matrices keep the product predicate, and so does d >= 4
+    {"family": "cocyclic", "matrices": [[[1, -1], [0, 0]], [[1, 0], [1, 0]]]},
+    {"family": "cocyclic", "matrices": CYCLIC_SWAP_ELEMENTARY_PROJECTION_4},
 ])
 def test_validate_rejects_entropy_exact_without_a_finite_layer(shift):
     cfg = {"shift": shift, "analyses": [{"op": "pressure_estimate"}, {"op": "entropy_exact"}]}
@@ -416,6 +449,26 @@ def test_validate_counts_zero_potential_hyperbolicity():
            "analyses": [{"op": "hyperbolicity", "n_max": 30}]}
     assert cli.validate(cfg) == []
     assert [b["status"] for b in cli.run(cfg)["analyses"]] == ["ok"]
+
+
+@pytest.mark.parametrize("potential", ["zero", {"range": 1, "table": {"0": 0.3, "1": -0.2}}])
+def test_tower_loops_and_spr_share_one_loop_table(potential, monkeypatch):
+    # the same tower, n_max and cross-check build one table per run; another
+    # n_max or no cross-check builds its own, and every block is as it is
+    # when its analysis runs alone
+    tower = {"irreducibles": ["0", "01", "011"], "base": "0", "n_max": 24}
+    analyses = [{"op": "tower_loops", **tower}, {"op": "spr", **tower},
+                {"op": "spr", **tower, "margin": 0.2}, {"op": "spr", **tower, "n_max": 20},
+                {"op": "tower_loops", **tower, "cross_check": False}]
+    cfg = {"shift": {"family": "full", "k": 2}, "potential": potential, "analyses": analyses}
+    built = []
+    loop_sums = cli.tower.loop_sums
+    monkeypatch.setattr(cli.tower, "loop_sums", lambda *a, **k: built.append(a[2]) or loop_sums(*a, **k))
+    blocks = cli.run(cfg)["analyses"]
+    assert built == [24, 20, 24]
+    alone = [cli.run(dict(cfg, analyses=[a]))["analyses"][0] for a in analyses]
+    assert [b["status"] for b in blocks] == ["ok"] * 5
+    assert [b["result"] for b in blocks] == [b["result"] for b in alone]
 
 
 def test_run_not_one_one_pipeline(tmp_path):

@@ -1,13 +1,15 @@
-"""Differential tests: the finite layers of SFT, S-gap and coded shifts
-(membership runs and count DPs) and the memoised predicate word sets
-against plain reference implementations.
+"""Differential tests: the finite layers of SFT, S-gap, coded and
+nonnegative cocyclic shifts (membership runs and count DPs) and the
+memoised predicate word sets against plain reference implementations.
 
 The references are whole-word scans: a forbidden-factor scan plus a
-live-window scan for SFTs, a per-run gap-set query for S-gap shifts and a
-boundary-reachability scan for coded shifts.  Every word up to length 10 is
-compared where that is at most a few thousand words (all binary cases);
-larger alphabets compare every word up to the length where k**n passes
-1024, plus drawn words up to length 10.  Drawn words may use the symbols -1
+live-window scan for SFTs, a per-run gap-set query for S-gap shifts, a
+boundary-reachability scan for coded shifts and the exact integer matrix
+product for cocyclic shifts (signed and 4x4 ones too, which keep it as
+their predicate).  Every word up to length 10 is compared where that is at
+most a few thousand words (all binary cases); larger alphabets compare
+every word up to the length where k**n passes 1024, plus drawn words up to
+length 10.  Drawn words may use the symbols -1
 and k outside the alphabet, which the layer run must reject on its own.
 
 For every family, beta and cocyclic shifts included, ``words(n)`` is also
@@ -234,6 +236,72 @@ def test_distinct_star_counts_match_listing(instance):
     assert _distinct_star_counts(gens, n_max, k) == reference_star_counts(gens, n_max)
 
 
+# -- cocyclic shifts -------------------------------------------------------------
+
+def reference_cocyclic_contains(mats):
+    """The ordered product of the word's matrices in exact integers,
+    multiplied out from the identity: a member iff it is nonzero."""
+    d = len(mats[0])
+
+    def contains(w):
+        if not _valid(len(mats), w):
+            return False
+        p = [[int(i == j) for j in range(d)] for i in range(d)]
+        for a in w:
+            m = mats[a]
+            p = [[sum(p[i][k] * m[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+        return any(any(row) for row in p)
+
+    return contains
+
+
+@st.composite
+def nonnegative_cocyclic_instances(draw):
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    entry = st.sampled_from([0, 0, 1, 2])
+    matrix = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+    return draw(st.lists(matrix, min_size=k, max_size=k)), draw(_drawn_words(k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(nonnegative_cocyclic_instances())
+def test_cocyclic_layer_matches_the_integer_product(instance):
+    mats, drawn = instance
+    oracle = sl.cocyclic_shift(sl.CocyclicSpec.from_lists(mats))
+    d = len(mats[0])
+    assert oracle.transitions is not None and len(oracle.transitions) <= 2 ** (d * d)
+    _assert_agree(oracle, reference_cocyclic_contains(mats), drawn)
+    for n in range(7):
+        assert oracle.count(n) == len(oracle.words(n))
+
+
+def test_signed_cocyclic_keeps_the_product():
+    # the supports of A = [[1,-1],[0,0]] and B = [[1,0],[1,0]] multiply to a
+    # nonzero Boolean matrix, but AB cancels to zero: the support layer of
+    # the nonnegative matrices with the same supports would admit AB
+    signed = [[[1, -1], [0, 0]], [[1, 0], [1, 0]]]
+    oracle = sl.cocyclic_shift(sl.CocyclicSpec.from_lists(signed))
+    assert oracle.transitions is None
+    assert not oracle.contains((0, 1)) and oracle.contains((1, 0))
+    _assert_agree(oracle, reference_cocyclic_contains(signed), [])
+    supports = sl.cocyclic_shift(sl.CocyclicSpec.from_lists([[[1, 1], [0, 0]], [[1, 0], [1, 0]]]))
+    assert supports.transitions is not None and supports.contains((0, 1))
+
+
+def test_dimension_four_keeps_the_product():
+    # the product supports of a cyclic permutation, a swap, an elementary
+    # matrix and a projection run to 36,415 states; the predicate tabulates
+    # nothing, so the shift builds at once
+    mats = [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]]
+    oracle = sl.cocyclic_shift(sl.CocyclicSpec.from_lists(mats))
+    assert oracle.transitions is None
+    _assert_agree(oracle, reference_cocyclic_contains(mats), [])
+
+
 # -- count DPs -------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -301,8 +369,9 @@ def beta_instances(draw):
 
 @st.composite
 def cocyclic_instances(draw):
+    # signed entries keep the product predicate; nonnegative ones build the layer
     d = draw(st.integers(1, 2))
-    matrix = st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=d, max_size=d)
+    matrix = st.lists(st.lists(st.integers(-1, 1), min_size=d, max_size=d), min_size=d, max_size=d)
     return _built(sl.cocyclic_shift,
                   sl.CocyclicSpec.from_lists(draw(st.lists(matrix, min_size=1, max_size=3))))
 

@@ -87,10 +87,20 @@ def _words(k, max_size):
 
 @st.composite
 def finite_layers(draw):
-    """SFT, full, cycle, S-gap (with and without a tail) and coded shifts,
-    with an enumeration limit that is sometimes inside the compared lengths."""
-    family = draw(st.sampled_from(["sft", "full", "cycle", "s_gap", "s_gap_tail", "coded"]))
+    """SFT, full, cycle, S-gap (with and without a tail), coded and
+    nonnegative cocyclic shifts, with an enumeration limit that is sometimes
+    inside the compared lengths."""
+    family = draw(st.sampled_from(["sft", "full", "cycle", "s_gap", "s_gap_tail", "coded",
+                                   "cocyclic"]))
     limit = draw(st.integers(6, 12))
+    if family == "cocyclic":
+        d, k = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+        matrix = st.lists(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=d, max_size=d),
+                          min_size=d, max_size=d)
+        oracle = sl.cocyclic_shift(sl.CocyclicSpec.from_lists(
+            draw(st.lists(matrix, min_size=k, max_size=k))), limit)
+        assume(oracle.words(3))  # instances draws a word of length up to 3
+        return oracle
     if family == "full":
         return sl.full_shift(draw(st.integers(2, 3)), limit)
     if family == "sft":
@@ -367,7 +377,10 @@ LIMIT = 4
     sl.cycle_sft(4, LIMIT),
     sl.s_gap_shift(sl.SGapSpec((1, 3), tail_start=5, tail_period=2), LIMIT),
     sl.coded_shift(sl.CodedSpec.from_strings(["0", "1"], ["0", "011"]), LIMIT),
-], ids=["sft", "full", "cycle", "s_gap", "coded"])
+    # two projections and a swap: sofic, not of finite type
+    sl.cocyclic_shift(sl.CocyclicSpec.from_lists(
+        [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]]), LIMIT),
+], ids=["sft", "full", "cycle", "s_gap", "coded", "cocyclic"])
 def test_finite_layers_run_past_the_enumeration_limit(oracle):
     # every table reaches 3x the limit on the layer and agrees with listing
     # the same language to that length
