@@ -7,6 +7,11 @@ given the config: every float is serialized as a 17-significant-digit
 decimal string, reductions are canonical-order, and wall-clock timing goes
 to a separate sidecar so report bytes are identical across runs.
 
+``_FIELDS`` declares, once per analysis, each field it reads: the parser
+that is the only reader of the raw value, the default (or ``REQUIRED``)
+and the guard class.  ``validate`` and ``run`` share one pass over it, and
+``run`` hands each runner the parsed values.
+
 Exit codes: 0 = all analyses executed (failed verdicts included), 1 =
 invalid config or a shift that cannot be built (such as an empty
 language), 2 = internal error.
@@ -64,25 +69,6 @@ from . import decomp, tower
 
 _FAMILIES = {"sft", "full", "cycle", "beta", "s_gap", "coded", "cocyclic"}
 
-_ANALYSES = {
-    "entropy_exact",
-    "pressure_estimate",
-    "avoid_symbol_rate",
-    "cylinder_table",
-    "periodic_measure",
-    "hyperbolicity",
-    "ud_check",
-    "tower_loops",
-    "spr",
-    "marking",
-    "sync_pipeline",
-    "qft",
-    "persistence",
-    "istar",
-    "cgc",
-    "sync_gap",
-}
-
 
 def validate(config: dict) -> list[dict]:
     """Schema and guard-limit diagnostics.  The shift and the potential are
@@ -91,11 +77,14 @@ def validate(config: dict) -> list[dict]:
 
 
 def _checked(config: Any, depth_guard: int | None) -> tuple[
-        list[dict], LanguageOracle | None, Potential | None, ShiftLabError | None]:
+        list[dict], LanguageOracle | None, Potential | None, ShiftLabError | None,
+        dict[int, dict]]:
     """validate's diagnostics, the oracle and potential that run uses (None
-    where they were not built) and the domain error that stopped the
-    shift's build, reported as a warning."""
+    where they were not built), the domain error that stopped the shift's
+    build, reported as a warning, and each analysis's fields by index, as
+    _FIELDS parses them, defaults filled in."""
     diags: list[dict] = []
+    fields: dict[int, dict] = {}
     oracle = potential = failure = None
 
     def err(field: str, message: str) -> None:
@@ -106,7 +95,7 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
 
     if not isinstance(config, dict):
         err("", "config must be a JSON object")
-        return diags, oracle, potential, failure
+        return diags, oracle, potential, failure, fields
     shift = config.get("shift")
     if not isinstance(shift, dict):
         err("shift", "missing shift section")
@@ -157,48 +146,41 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
     elif not diags and oracle is not None:
         guard = oracle.enumeration_limit
         counted = oracle.transitions is not None
+    alphabet = None if oracle is None else oracle.alphabet
     analyses = config.get("analyses")
     if not isinstance(analyses, list) or not analyses:
         err("analyses", "need a nonempty list of analyses")
-    else:
-        for i, a in enumerate(analyses):
-            if not isinstance(a, dict) or "op" not in a:
-                err(f"analyses[{i}]", "each analysis needs an op field")
+        analyses = []
+    for i, a in enumerate(analyses):
+        if not isinstance(a, dict) or "op" not in a:
+            err(f"analyses[{i}]", "each analysis needs an op field")
+            continue
+        op = a["op"]
+        if not isinstance(op, str) or op not in _FIELDS:
+            # which fields an unknown op reads is unknown, so none is checked
+            err(f"analyses[{i}].op", f"unknown op {op!r}")
+            continue
+        if op == "entropy_exact" and oracle is not None and oracle.transitions is None:
+            err(f"analyses[{i}].op",
+                f"entropy_exact needs a finite-state family; {oracle.name} has no finite layer")
+        values = fields[i] = {}
+        for key, (parse, default, guarded) in _FIELDS[op].items():
+            if key in ("cminus", "cplus") and values.get("obstructions") != "explicit":
+                continue  # zero_runs and qft obstructions read neither
+            if key not in a:
+                if default is REQUIRED:
+                    err(f"analyses[{i}].{key}", f"{op} needs {key}")
+                values[key] = default
                 continue
-            if not isinstance(a["op"], str) or a["op"] not in _ANALYSES:
-                # which fields an unknown op reads is unknown, so none is checked
-                err(f"analyses[{i}].op", f"unknown op {a['op']!r}")
+            try:
+                values[key] = value = parse(a[key], alphabet)
+            except _MALFORMED as exc:
+                err(f"analyses[{i}].{key}", f"{type(exc).__name__}: {exc}")
                 continue
-            if a["op"] == "entropy_exact" and oracle is not None and oracle.transitions is None:
-                err(f"analyses[{i}].op",
-                    f"entropy_exact needs a finite-state family; {oracle.name} has no finite layer")
-            kind = a.get("obstructions", "explicit")
-            if a["op"] in _OBSTRUCTED and (kind not in ("explicit", "zero_runs", "qft") or (
-                    kind == "zero_runs" and oracle is not None and "0" not in oracle.alphabet.symbols)):
-                err(f"analyses[{i}].obstructions", "must be explicit, qft or zero_runs (on an "
-                    f"alphabet with the symbol 0), got {kind!r}")
-            keys = ["n_max", "depth", "horizon", "cert_depth"]
-            if a["op"] == "cylinder_table":
-                keys.append("n")
-                if "n" not in a:
-                    err(f"analyses[{i}].n", "cylinder_table needs a word length n")
-            for key in keys:
-                if key not in a:
-                    continue
-                if not _is_int(a[key]):
-                    err(f"analyses[{i}].{key}", f"must be an integer, got {a[key]!r}")
-                elif (guard is not None and a[key] > guard and a["op"] not in _NO_WORDS
-                      and not (counted and (a["op"], key) in _COUNTED)):
-                    warn(f"analyses[{i}].{key}", f"{a[key]} exceeds the depth guard {guard}")
-            if oracle is not None:
-                for key in _WORD_FIELDS.get(a["op"], ()):
-                    if key in ("cminus", "cplus") and kind in ("zero_runs", "qft"):
-                        continue  # these obstructions read neither
-                    try:
-                        _word_field(oracle.alphabet, a, key)
-                    except _MALFORMED as exc:
-                        err(f"analyses[{i}].{key}", f"{type(exc).__name__}: {exc}")
-    return diags, oracle, potential, failure
+            if (guarded != NONE and guard is not None and value > guard
+                    and not (guarded == COUNTED and counted)):
+                warn(f"analyses[{i}].{key}", f"{value} exceeds the depth guard {guard}")
+    return diags, oracle, potential, failure, fields
 
 
 #: the most symbols a shift's alphabet may have; constructors build
@@ -234,43 +216,113 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-#: what the constructors raise on a malformed field
+# ---------------------------------------------------------------------------
+# Analysis fields
+# ---------------------------------------------------------------------------
+# A parser reads one raw field value, given the shift's alphabet (None when
+# the shift was not built, so that only the value's type is checked), and
+# returns what the runner reads, or raises one of _MALFORMED.
+
+def _expect(ok: bool, value: Any, what: str) -> None:
+    if not ok:
+        raise TypeError(f"must be {what}, got {value!r}")
+
+
+def _length(least: int = 0):
+    """An integer, not a bool, of at least ``least``."""
+    def parse(value, alphabet):
+        _expect(_is_int(value), value, "an integer")
+        if value < least:
+            raise ValueError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
+def _number(value, alphabet):
+    """An int or a float: not a bool, and not a numeric string."""
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), value, "a number")
+    return float(value)
+
+
+def _flag(value, alphabet):
+    _expect(isinstance(value, bool), value, "true or false")
+    return value
+
+
+def _symbol(value, alphabet):
+    _expect(isinstance(value, str), value, "a symbol")
+    if alphabet is not None:
+        alphabet.index(value)
+    return value
+
+
+def _word(value, alphabet):
+    """A word's text, parsed into symbol indices."""
+    _expect(isinstance(value, str), value, "a word (a string)")
+    return value if alphabet is None else alphabet.word(value)
+
+
+def _list_of(item, nonempty: bool = False):
+    """A list of what ``item`` parses, of at least one entry if ``nonempty``."""
+    def parse(value, alphabet):
+        _expect(isinstance(value, list) and (value or not nonempty), value,
+                "a nonempty list" if nonempty else "a list")
+        return [item(v, alphabet) for v in value]
+    return parse
+
+
+def _obstruction_kind(value, alphabet):
+    if value not in ("explicit", "zero_runs", "qft") or (
+            value == "zero_runs" and alphabet is not None and "0" not in alphabet.symbols):
+        raise ValueError("must be explicit, qft or zero_runs (on an alphabet with the "
+                         f"symbol 0), got {value!r}")
+    return value
+
+
+#: what the parsers and the constructors raise on a malformed field
 _MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
-#: analyses that only test code words for membership and enumerate no words
-_NO_WORDS = {"ud_check", "tower_loops", "spr", "marking"}
-#: knobs that list no word on a finite layer, where counts and partition
-#: sums are DPs over the layer
-_COUNTED = {("pressure_estimate", "n_max"), ("hyperbolicity", "n_max"),
-            ("avoid_symbol_rate", "depth"), ("cylinder_table", "n")}
-#: the ops that build an obstruction pair (see _obstruction_pair)
-_OBSTRUCTED = ("persistence", "istar", "cgc")
-#: the word-valued fields each op reads (see _word_field)
-_WORD_FIELDS = {"cylinder_table": ("word",), "sync_gap": ("word",), "avoid_symbol_rate": ("symbol",),
-                "sync_pipeline": ("seed",), "ud_check": ("irreducibles",),
-                "marking": ("irreducibles", "window"),
-                **dict.fromkeys(("tower_loops", "spr"), ("irreducibles", "base")),
-                **dict.fromkeys(_OBSTRUCTED, ("cminus", "cplus"))}
-
-
-def _word_field(alphabet, params: dict, key: str):
-    """One word-valued analysis field, parsed as run reads it: ``symbol`` a
-    symbol, ``irreducibles`` a nonempty list of words, ``cminus`` and
-    ``cplus`` a list of words (none by default), ``seed`` a word (the first
-    symbol by default), any other field a word.  A missing field raises
-    KeyError, and so does a symbol outside the alphabet."""
-    if key == "symbol":
-        alphabet.index(params[key])
-        return params[key]
-    if key == "seed":
-        return alphabet.word(params.get(key, alphabet.symbols[0]))
-    if key in ("cminus", "cplus"):
-        return [alphabet.word(text) for text in params.get(key, [])]
-    if key == "irreducibles":
-        words = [alphabet.word(text) for text in params[key]]
-        if not words:
-            raise ValueError("irreducibles must list at least one word")
-        return words
-    return alphabet.word(params[key])
+#: the default of a field that must be given
+REQUIRED = object()
+#: guard classes: a ``LISTED`` length is enumerated, so it warns past the
+#: guard; a ``COUNTED`` one is counted or summed over a finite layer without
+#: listing a word, so only an explicit depth_guard binds it there; a
+#: ``NONE`` field is never guarded
+LISTED, COUNTED, NONE = "listed", "counted", "none"
+_IRREDUCIBLES = (_list_of(_word, nonempty=True), REQUIRED, NONE)
+_TOWER = {"irreducibles": _IRREDUCIBLES, "base": (_word, REQUIRED, NONE),
+          "depth": (_length(), None, NONE), "n_max": (_length(), 20, NONE)}
+_OBSTRUCTION = {"obstructions": (_obstruction_kind, "explicit", NONE),
+                "cminus": (_list_of(_word), (), NONE), "cplus": (_list_of(_word), (), NONE)}
+#: op -> {field: (parser, default or REQUIRED, guard class)}: the fields each
+#: analysis reads.  Defaults are parsed values; None defers to the library's
+#: default or the runner's (a tower's depth is its longest irreducible,
+#: fraction_hi min(20, the oracle's enumeration limit)).
+_FIELDS: dict[str, dict[str, tuple]] = {
+    "entropy_exact": {},
+    "pressure_estimate": {"n_max": (_length(4), 12, COUNTED)},
+    "avoid_symbol_rate": {"symbol": (_symbol, REQUIRED, NONE), "depth": (_length(4), 12, COUNTED)},
+    "cylinder_table": {"word": (_word, REQUIRED, NONE), "n": (_length(1), REQUIRED, COUNTED)},
+    "periodic_measure": {"horizon": (_length(), 10, LISTED), "depth": (_length(1), 1, LISTED)},
+    "hyperbolicity": {"n_max": (_length(4), 12, COUNTED)},
+    "ud_check": {"irreducibles": _IRREDUCIBLES, "depth": (_length(), None, NONE)},
+    "tower_loops": {**_TOWER, "cross_check": (_flag, True, NONE)},
+    "spr": {**_TOWER, "margin": (_number, 0.05, NONE)},
+    "marking": {"irreducibles": _IRREDUCIBLES, "depth": (_length(), 16, NONE),
+                "window": (_word, REQUIRED, NONE)},
+    # family_depth and the fraction bounds list words but were never guarded
+    # (see ROADMAP); seed defaults to the first symbol
+    "sync_pipeline": {"tau": (_length(), 1, NONE), "seed": (_word, (0,), NONE),
+                      "cert_depth": (_length(), 10, LISTED), "family_depth": (_length(), 13, NONE),
+                      "fraction_lo": (_length(), 10, NONE), "fraction_hi": (_length(), None, NONE)},
+    "qft": {"depth": (_length(), 8, LISTED)},
+    "persistence": {**_OBSTRUCTION, "depth": (_length(), 10, LISTED)},
+    "istar": {**_OBSTRUCTION, "M_list": (_list_of(_length(1)), (1, 2), NONE),
+              "depth": (_length(), 8, LISTED)},
+    "cgc": {**_OBSTRUCTION, "eps": (_number, 0.05, NONE), "depth": (_length(4), None, LISTED),
+            "check_depth": (_length(), 5, NONE)},
+    "sync_gap": {"word": (_word, REQUIRED, NONE), "cert_depth": (_length(), None, LISTED),
+                 "n_max": (_length(4), 12, LISTED), "margin": (_number, 0.05, NONE)},
+}
 
 
 def _build_oracle(shift: dict, depth_guard: int | None) -> LanguageOracle:
@@ -321,15 +373,10 @@ def _build_potential(pot: Any, oracle: LanguageOracle) -> Potential:
 # Analyses
 # ---------------------------------------------------------------------------
 
-def _analysis_pressure(oracle, potential, params):
-    """pressure_estimate over the language, or, for avoid_symbol_rate, over
-    the words that avoid ``symbol``, to ``depth``."""
-    if params["op"] == "avoid_symbol_rate":
-        words = avoid_symbol_set(oracle, _word_field(oracle.alphabet, params, "symbol"))
-        n_max = params.get("depth", 12)
-    else:
-        words, n_max = WordSet.language(oracle), params.get("n_max", 12)
-    rep = pressure_estimate(words, potential, int(n_max))
+def _rate_report(words, potential, n_max):
+    """pressure_estimate over ``words``: the language, or for
+    avoid_symbol_rate the words that avoid ``symbol``."""
+    rep = pressure_estimate(words, potential, n_max)
     return rep.to_json_dict(), rep.to_csv_text(), _rate_dat(rep.rows)
 
 
@@ -338,79 +385,56 @@ def _rate_dat(rows) -> str:
     return "\n".join(f"{r.n} {format17(r.rate)}" for r in rows) + "\n"
 
 
-def _analysis_entropy_exact(oracle, potential, params):
-    h = sft_entropy_exact(oracle)
-    return {"entropy": format17(h)}, None, None
-
-
-def _analysis_cylinder(oracle, potential, params):
-    word = _word_field(oracle.alphabet, params, "word")
-    n = int(params["n"])
-    table = cylinder_count_table(oracle, potential, word, n)
-    rows = [
-        {"i": r.position, "count": r.count, "log_sum": format17(r.log_sum),
-         "gibbs_ratio": format17(r.gibbs_ratio)}
-        for r in table.rows
-    ]
+def _analysis_cylinder(oracle, potential, f):
+    table = cylinder_count_table(oracle, potential, f["word"], f["n"])
+    rows = [{"i": r.position, "count": r.count, "log_sum": format17(r.log_sum),
+             "gibbs_ratio": format17(r.gibbs_ratio)} for r in table.rows]
     csv = csv_text("i,count_or_log_sum,gibbs_ratio", (
         (r.position, r.count if r.count is not None else r.log_sum, r.gibbs_ratio)
         for r in table.rows))
-    return {"word": params["word"], "n": n, "pressure_used": format17(table.pressure_used),
-            "rows": rows}, csv, None
+    return {"word": oracle.alphabet.text(f["word"]), "n": f["n"],
+            "pressure_used": format17(table.pressure_used), "rows": rows}, csv, None
 
 
-def _analysis_periodic_measure(oracle, potential, params):
-    horizon = int(params.get("horizon", 10))
-    depth = int(params.get("depth", 1))
-    mu = periodic_orbit_measure(oracle, potential, horizon, depth)
+def _analysis_periodic_measure(oracle, potential, f):
+    mu = periodic_orbit_measure(oracle, potential, f["horizon"], f["depth"])
     return mu.to_json_dict(oracle.alphabet), mu.to_csv_text(oracle.alphabet), None
 
 
-def _analysis_hyperbolicity(oracle, potential, params):
-    n_max = int(params.get("n_max", 12))
-    rep = hyperbolicity_diagnostic(oracle, potential, n_max)
-    rows = [
-        {"n": r.n, "sup_rate": format17(r.sup_rate), "rate": format17(r.rate),
-         "gap": format17(r.gap)}
-        for r in rep.rows
-    ]
+def _analysis_hyperbolicity(oracle, potential, f):
+    rep = hyperbolicity_diagnostic(oracle, potential, f["n_max"])
+    rows = [{"n": r.n, "sup_rate": format17(r.sup_rate), "rate": format17(r.rate),
+             "gap": format17(r.gap)} for r in rep.rows]
     csv = csv_text("n,sup_rate,rate,gap", (row.values() for row in rows))
     return {"verdict": rep.verdict, "point_estimate": format17(rep.point_estimate),
             "rows": rows}, csv, None
 
 
-def _analysis_ud(oracle, potential, params):
-    irr = _word_field(oracle.alphabet, params, "irreducibles")
-    verdict = tower.is_uniquely_decipherable(irr, params.get("depth"))
+def _analysis_ud(oracle, potential, f):
+    verdict = tower.is_uniquely_decipherable(f["irreducibles"], f["depth"])
     block = {"pass": verdict.passed}
     if verdict.witness is not None:
         block["witness"] = oracle.alphabet.text(verdict.witness)
-        block["parses"] = [
-            [oracle.alphabet.text(w) for w in parse] for parse in verdict.parses
-        ]
+        block["parses"] = [[oracle.alphabet.text(w) for w in parse] for parse in verdict.parses]
     return block, None, None
 
 
-def _loop_table(oracle, potential, params, tables: dict, cross_check: bool):
+def _loop_table(oracle, potential, f, tables: dict, cross_check: bool):
     """The tower over ``irreducibles`` at ``depth`` (their longest length by
-    default), based at ``base``, its loop table to ``n_max`` and that n_max.
+    default), based at ``base``, and its loop table to ``n_max``.
     ``tables`` keeps one run's tables by tower, n_max and cross-check, so
     tower_loops and spr over the same tower build its table once."""
-    irr = _word_field(oracle.alphabet, params, "irreducibles")
-    depth = int(params.get("depth", max(len(w) for w in irr)))
-    base = _word_field(oracle.alphabet, params, "base")
-    graph = tower.build_tower_over(oracle, irr, depth, base)
-    n_max = int(params.get("n_max", 20))
-    key = (graph.irreducibles, graph.base, graph.depth, n_max, cross_check)
-    table = tables.get(key)
-    if table is None:
-        table = tables[key] = tower.loop_sums(graph, potential, n_max, cross_check=cross_check)
-    return graph, table, n_max
+    irr = f["irreducibles"]
+    depth = max(len(w) for w in irr) if f["depth"] is None else f["depth"]
+    graph = tower.build_tower_over(oracle, irr, depth, f["base"])
+    key = (graph.irreducibles, graph.base, graph.depth, f["n_max"], cross_check)
+    if key not in tables:
+        tables[key] = tower.loop_sums(graph, potential, f["n_max"], cross_check=cross_check)
+    return graph, tables[key]
 
 
-def _analysis_tower_loops(oracle, potential, params, tables):
-    graph, table, _ = _loop_table(oracle, potential, params, tables,
-                                  bool(params.get("cross_check", True)))
+def _analysis_tower_loops(oracle, potential, f, tables):
+    graph, table = _loop_table(oracle, potential, f, tables, f["cross_check"])
     block = {
         "base": f"{oracle.alphabet.text(graph.base[0])}:1",
         "vertices": len(graph.vertices),
@@ -422,21 +446,17 @@ def _analysis_tower_loops(oracle, potential, params, tables):
     return block, table.to_csv_text(), _rate_dat(table.rows)
 
 
-def _analysis_spr(oracle, potential, params, tables):
-    graph, table, n_max = _loop_table(oracle, potential, params, tables, True)
-    rep = tower.spr_diagnostic(graph, potential, n_max,
-                               margin=float(params.get("margin", 0.05)), table=table)
+def _analysis_spr(oracle, potential, f, tables):
+    graph, table = _loop_table(oracle, potential, f, tables, True)
+    rep = tower.spr_diagnostic(graph, potential, f["n_max"], margin=f["margin"], table=table)
     return rep.to_json_dict(), rep.table.to_csv_text(), None
 
 
-def _analysis_marking(oracle, potential, params):
-    irr = _word_field(oracle.alphabet, params, "irreducibles")
-    depth = int(params.get("depth", 16))
-    family = tower.free_family_from_irreducibles(oracle, irr, depth)
-    window = _word_field(oracle.alphabet, params, "window")
-    rep = tower.marking_analysis(window, family)
+def _analysis_marking(oracle, potential, f):
+    family = tower.free_family_from_irreducibles(oracle, f["irreducibles"], f["depth"])
+    rep = tower.marking_analysis(f["window"], family)
     return {
-        "window": params["window"],
+        "window": oracle.alphabet.text(f["window"]),
         "maximal_sets": [list(s) for s in rep.maximal_sets[:50]],
         "count": len(rep.maximal_sets),
         "injective_at_window": rep.injective_at_window,
@@ -444,35 +464,28 @@ def _analysis_marking(oracle, potential, params):
     }, None, None
 
 
-def _analysis_sync_pipeline(oracle, potential, params):
+def _analysis_sync_pipeline(oracle, potential, f):
     good = WordSet.language(oracle)
-    tau = int(params.get("tau", 1))
-    seed = _word_field(oracle.alphabet, params, "seed")
-    cert_depth = int(params.get("cert_depth", 10))
+    tau, seed, cert_depth = f["tau"], f["seed"], f["cert_depth"]
     triple = tower.find_sync_triple(oracle, good, tau, seed, seed, cert_depth)
     block: dict[str, Any] = {"triple": triple.text(oracle.alphabet),
                              "no_long_overlaps": triple.no_long_overlaps}
     fixed = tower.ensure_no_long_overlaps(triple, oracle, good, cert_depth, tau=tau)
     block["overlap_free_triple"] = fixed.text(oracle.alphabet)
-    fam_depth = int(params.get("family_depth", 13))
-    family = tower.build_free_family(fixed, oracle, good, fam_depth)
+    family = tower.build_free_family(fixed, oracle, good, f["family_depth"])
     block["free_violations"] = len(tower.check_free_concatenation(family))
     block["gcd_lengths"] = family.gcd_lengths
-    lo = int(params.get("fraction_lo", 10))
-    hi = int(params.get("fraction_hi", min(20, oracle.enumeration_limit)))
-    rows = tower.obstruction_fraction_table(oracle, fixed, good, range(lo, hi + 1))
-    block["fraction_monotone"] = all(
-        b[3] <= a[3] + 1e-12 for a, b in zip(rows, rows[1:])
-    )
+    hi = min(20, oracle.enumeration_limit) if f["fraction_hi"] is None else f["fraction_hi"]
+    rows = tower.obstruction_fraction_table(oracle, fixed, good, range(f["fraction_lo"], hi + 1))
+    block["fraction_monotone"] = all(b[3] <= a[3] + 1e-12 for a, b in zip(rows, rows[1:]))
     csv = csv_text("n,obstructed,fraction,total",
                    ((n, bad, frac, total) for n, bad, total, frac in rows))
     dat = "\n".join(f"{n} {format17(frac)}" for n, bad, total, frac in rows) + "\n"
     return block, csv, dat
 
 
-def _analysis_qft(oracle, potential, params):
-    depth = int(params.get("depth", 8))
-    rep = decomp.qft_constraints(oracle, depth)
+def _analysis_qft(oracle, potential, f):
+    rep = decomp.qft_constraints(oracle, f["depth"])
     return {
         "exact": rep.exact,
         "left_counts": {str(n): len(ws) for n, ws in rep.left.items()},
@@ -480,46 +493,36 @@ def _analysis_qft(oracle, potential, params):
     }, None, None
 
 
-def _obstruction_pair(oracle, params) -> decomp.ObstructionPair:
-    kind = params.get("obstructions", "explicit")
-    if kind == "zero_runs":
+def _obstruction_pair(oracle, f) -> decomp.ObstructionPair:
+    if f["obstructions"] == "zero_runs":
         zero = oracle.alphabet.index("0")
         runs = WordSet.from_predicate(
             oracle, lambda w: len(w) >= 1 and all(c == zero for c in w), name="0^k"
         )
         return decomp.ObstructionPair(runs, runs)
-    if kind == "qft":
+    if f["obstructions"] == "qft":
         return decomp.qft_obstruction_pair(oracle)
-    cminus, cplus = (WordSet.from_words(oracle, _word_field(oracle.alphabet, params, key),
-                                        depth=oracle.enumeration_limit)
+    cminus, cplus = (WordSet.from_words(oracle, f[key], depth=oracle.enumeration_limit)
                      for key in ("cminus", "cplus"))
     return decomp.ObstructionPair(cminus, cplus)
 
 
-def _analysis_persistence(oracle, potential, params):
-    pair = _obstruction_pair(oracle, params)
-    verdict = decomp.check_persistence(pair, oracle, int(params.get("depth", 10)))
+def _analysis_persistence(oracle, potential, f):
+    verdict = decomp.check_persistence(_obstruction_pair(oracle, f), oracle, f["depth"])
     return verdict.to_json_dict(oracle.alphabet), None, None
 
 
-def _analysis_istar(oracle, potential, params):
-    pair = _obstruction_pair(oracle, params)
-    verdict = decomp.check_complete_list_Istar(
-        pair, oracle, [int(m) for m in params.get("M_list", [1, 2])],
-        int(params.get("depth", 8)),
-    )
+def _analysis_istar(oracle, potential, f):
+    verdict = decomp.check_complete_list_Istar(_obstruction_pair(oracle, f), oracle,
+                                               f["M_list"], f["depth"])
     return verdict.to_json_dict(oracle.alphabet), None, None
 
 
-def _analysis_cgc(oracle, potential, params):
-    pair = _obstruction_pair(oracle, params)
-    result = decomp.cgc_construct(
-        pair, oracle, potential, float(params.get("eps", 0.05)),
-        depth=params.get("depth"),
-    )
-    spec_v = decomp.check_spec_I(result.collections, oracle, int(params.get("check_depth", 5)))
-    stay_v = decomp.check_stay_good_III(result.collections, oracle,
-                                        int(params.get("check_depth", 5)))
+def _analysis_cgc(oracle, potential, f):
+    result = decomp.cgc_construct(_obstruction_pair(oracle, f), oracle, potential, f["eps"],
+                                  depth=f["depth"])
+    spec_v = decomp.check_spec_I(result.collections, oracle, f["check_depth"])
+    stay_v = decomp.check_stay_good_III(result.collections, oracle, f["check_depth"])
     return {
         "parameters": {k: v for k, v in sorted(result.parameters.items())},
         "gap_pass": result.gap_report.passed,
@@ -528,19 +531,19 @@ def _analysis_cgc(oracle, potential, params):
     }, None, None
 
 
-def _analysis_sync_gap(oracle, potential, params):
-    s = _word_field(oracle.alphabet, params, "word")
-    collections = decomp.sync_decomposition(oracle, s, depth=params.get("cert_depth"))
-    rep = decomp.pressure_gap_II(collections, oracle, potential,
-                                 int(params.get("n_max", 12)),
-                                 margin=float(params.get("margin", 0.05)))
+def _analysis_sync_gap(oracle, potential, f):
+    collections = decomp.sync_decomposition(oracle, f["word"], depth=f["cert_depth"])
+    rep = decomp.pressure_gap_II(collections, oracle, potential, f["n_max"], margin=f["margin"])
     return rep.to_json_dict(), rep.obstruction_report.to_csv_text(), None
 
 
 _RUNNERS = {
-    "pressure_estimate": _analysis_pressure,
-    "avoid_symbol_rate": _analysis_pressure,
-    "entropy_exact": _analysis_entropy_exact,
+    "pressure_estimate": lambda oracle, potential, f: _rate_report(
+        WordSet.language(oracle), potential, f["n_max"]),
+    "avoid_symbol_rate": lambda oracle, potential, f: _rate_report(
+        avoid_symbol_set(oracle, f["symbol"]), potential, f["depth"]),
+    "entropy_exact": lambda oracle, potential, f: (
+        {"entropy": format17(sft_entropy_exact(oracle))}, None, None),
     "cylinder_table": _analysis_cylinder,
     "periodic_measure": _analysis_periodic_measure,
     "hyperbolicity": _analysis_hyperbolicity,
@@ -561,10 +564,6 @@ _RUNNERS = {
 # Run and report
 # ---------------------------------------------------------------------------
 
-def _canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-
-
 def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
         depth_guard: int | None = None) -> dict:
     """Execute the analyses in order; a failure in one analysis is recorded
@@ -573,7 +572,7 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
     gnuplot .dat files, and a timing sidecar.  ``threads`` is accepted for
     compatibility and ignored: every analysis runs serially."""
     started = time.perf_counter()
-    diags, oracle, potential, failure = _checked(config, depth_guard)
+    diags, oracle, potential, failure, fields = _checked(config, depth_guard)
     if any(d["level"] == "error" for d in diags):
         raise ConfigError("config invalid", diags)
     if failure is not None:
@@ -589,7 +588,7 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
         if op in ("tower_loops", "spr"):
             runner = functools.partial(runner, tables=tables)
         try:
-            block, csv_text, dat_text = runner(oracle, potential, analysis)
+            block, csv_text, dat_text = runner(oracle, potential, fields[idx])
             entry["status"] = "ok"
             entry["result"] = block
             if csv_text is not None:
@@ -605,7 +604,7 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
             entry["error"] = f"{type(exc).__name__}: {exc}"
         blocks.append(entry)
 
-    config_text = _canonical_json(config)
+    config_text = json.dumps(config, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
     report = {
         "config": json.loads(config_text),
         "analyses": blocks,

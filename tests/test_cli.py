@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftlab import cli
-from shiftlab.errors import ConfigError, EmptyLanguageError
+from shiftlab import cli, errors
+from shiftlab.errors import ConfigError, EmptyLanguageError, ShiftLabError
 
 GOLDEN_CONFIG = {
     "shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
@@ -202,13 +205,74 @@ def test_validate_non_integer_depth_guard(guard, tmp_path):
     assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
 
 
-@pytest.mark.parametrize("key", ["n_max", "depth", "horizon", "cert_depth"])
-def test_validate_non_integer_analysis_depth(key):
-    cfg = dict(GOLDEN_CONFIG, analyses=[{"op": "sync_gap", "word": "0", key: "abc"}])
+@pytest.mark.parametrize("key, analysis", [
+    ("n_max", {"op": "sync_gap", "word": "0"}),
+    ("depth", {"op": "qft"}),
+    ("horizon", {"op": "periodic_measure"}),
+    ("cert_depth", {"op": "sync_gap", "word": "0"}),
+], ids=["n_max", "depth", "horizon", "cert_depth"])
+def test_validate_non_integer_analysis_depth(key, analysis):
+    cfg = dict(GOLDEN_CONFIG, analyses=[{**analysis, key: "abc"}])
     diags = cli.validate(cfg)
     assert [d["field"] for d in diags if d["level"] == "error"] == [f"analyses[0].{key}"]
     with pytest.raises(ConfigError):
         cli.run(cfg)
+
+
+@pytest.mark.parametrize("analysis, field", [
+    ({"op": "sync_pipeline", "tau": "x"}, "tau"),
+    ({"op": "sync_pipeline", "family_depth": "x"}, "family_depth"),
+    ({"op": "sync_pipeline", "fraction_hi": "y"}, "fraction_hi"),
+    ({"op": "cgc", "obstructions": "zero_runs", "depth": 4, "check_depth": "x"}, "check_depth"),
+    ({"op": "cgc", "obstructions": "zero_runs", "depth": 4, "eps": "x"}, "eps"),
+    ({"op": "spr", "irreducibles": ["0", "01"], "base": "0", "margin": "x"}, "margin"),
+    ({"op": "sync_gap", "word": "0", "margin": "x"}, "margin"),
+    # a numeric string, which float() used to accept
+    ({"op": "sync_gap", "word": "0", "margin": "0.2"}, "margin"),
+    ({"op": "istar", "obstructions": "zero_runs", "M_list": "ab", "depth": 4}, "M_list"),
+    # an entry below 1, which the [I*] check raised on
+    ({"op": "istar", "obstructions": "zero_runs", "M_list": [1, 0], "depth": 4}, "M_list"),
+    # any nonempty string was truthy and ran the cross-check
+    ({"op": "tower_loops", "irreducibles": ["0", "01"], "base": "0", "cross_check": "no"},
+     "cross_check"),
+    # a string ran as a list of one-symbol words
+    ({"op": "ud_check", "irreducibles": "0110"}, "irreducibles"),
+    ({"op": "persistence", "cminus": "00", "depth": 4}, "cminus"),
+    # a list of symbols ran as a word and was echoed back as a list
+    ({"op": "cylinder_table", "word": ["0", "1"], "n": 6}, "word"),
+    # a negative length, which ran
+    ({"op": "qft", "depth": -1}, "depth"),
+])
+def test_validate_rejects_malformed_analysis_fields(analysis, field):
+    # each passed validate; run recorded an internal ValueError or misread it
+    cfg = {"shift": {"family": "full", "k": 2}, "analyses": [analysis]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("error", f"analyses[0].{field}")]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+
+
+@pytest.mark.parametrize("analysis, field, least", [
+    ({"op": "pressure_estimate"}, "n_max", 4),
+    ({"op": "hyperbolicity"}, "n_max", 4),
+    ({"op": "sync_gap", "word": "0"}, "n_max", 4),
+    ({"op": "avoid_symbol_rate", "symbol": "0"}, "depth", 4),
+    ({"op": "periodic_measure", "horizon": 4}, "depth", 1),
+    ({"op": "cylinder_table", "word": "0"}, "n", 1),
+    ({"op": "cgc", "obstructions": "zero_runs"}, "depth", 4),
+])
+def test_validate_rejects_lengths_below_the_library_minimum(analysis, field, least):
+    # below its minimum each was recorded as an internal ValueError
+    cfg = {"shift": {"family": "full", "k": 2}, "analyses": [{**analysis, field: least - 1}]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("error", f"analyses[0].{field}")]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+    # from 4 on each runs; a cylinder_table n of 1 to 3 still fails in the
+    # table's pressure estimate (ROADMAP)
+    cfg = dict(cfg, analyses=[{**analysis, field: max(least, 4)}])
+    assert cli.validate(cfg) == []
+    assert cli.run(cfg)["analyses"][0]["status"] == "ok"
 
 
 @pytest.mark.parametrize("depth", ["deep", 12.5, None, True])
@@ -636,3 +700,65 @@ def test_floats_serialized_as_17_digit_strings(tmp_path):
     entry = report["analyses"][1]["result"]["rows"][0]["rate"]
     assert isinstance(entry, str)
     assert float(entry) == math.log(2)
+
+
+# -- the field table ---------------------------------------------------------------
+
+def test_readme_field_table_matches_the_cli_table():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| (`\w+`|—) \|", text, flags=re.M)
+    assert rows, "README has no field table"
+    readme: dict[str, set] = {}
+    for op, field in rows:
+        readme.setdefault(op, set()).update([] if field == "—" else [field.strip("`")])
+    assert readme == {op: set(fields) for op, fields in cli._FIELDS.items()}
+
+
+#: small, catalog-like values that meet every cross-field bound together on
+#: both fuzzed shifts: horizon >= depth, n >= |word|, base among the
+#: irreducibles, irreducibles that are the irreducible set of a free family,
+#: and a tower depth past the longest irreducible
+VALID = {
+    "n_max": [4, 6], "depth": [4, 5], "horizon": [5, 6], "n": [4, 5], "cert_depth": [3, 4],
+    "word": ["0", "01"], "symbol": ["0", "1"], "seed": ["0", "1"], "window": ["0101", "0010"],
+    "irreducibles": [["0", "01"], ["0", "10"]], "base": ["0"], "cross_check": [True, False],
+    "margin": [0.05, 0.2], "eps": [0.05, 0.1], "tau": [1, 2], "family_depth": [5, 6],
+    "fraction_lo": [3, 4], "fraction_hi": [4, 5], "obstructions": ["explicit", "zero_runs", "qft"],
+    "cminus": [["00"], []], "cplus": [["10"], ["0"]], "M_list": [[1, 2], [2]],
+    "check_depth": [2, 3],
+}
+WRONG = ["x", 0.5, True, [1], None]
+FUZZ_SHIFTS = [{"family": "full", "k": 2, "depth": 10},
+               {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"], "depth": 10}]
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """One analysis per op, each declared field drawn from the valid pool,
+    or, in a broken analysis, from the valid or the wrong-type pool.  No
+    field is left out: several defaults are deep enough to take seconds."""
+    analyses = []
+    for op, fields in cli._FIELDS.items():
+        broken = draw(st.booleans())
+        analysis = {"op": op}
+        for key in fields:
+            pool = st.sampled_from(VALID[key])
+            analysis[key] = draw(pool | st.sampled_from(WRONG) if broken else pool)
+        analyses.append(analysis)
+    return {"shift": draw(st.sampled_from(FUZZ_SHIFTS)), "analyses": analyses}
+
+
+@settings(max_examples=50, deadline=None)
+@given(fuzzed_configs())
+def test_fuzz_validate_and_run(cfg):
+    # validate never raises; an analysis it passes runs to ok or a domain error
+    diags = cli.validate(cfg)
+    bad = {int(m.group(1)) for d in diags if d["level"] == "error"
+           for m in [re.match(r"analyses\[(\d+)\]", d["field"])] if m}
+    assert all(d["field"].startswith("analyses[") for d in diags)
+    clean = dict(cfg, analyses=[a for i, a in enumerate(cfg["analyses"]) if i not in bad])
+    assert [d for d in cli.validate(clean) if d["level"] == "error"] == []
+    for block in cli.run(clean)["analyses"]:
+        if block["status"] == "error":
+            cls = getattr(errors, block["error"].split(":")[0], None)
+            assert isinstance(cls, type) and issubclass(cls, ShiftLabError), block

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 import shiftlab as sl
 from shiftlab import cli, core
 from shiftlab.errors import (
+    ConfigError,
     EmptyLanguageError,
     ExpansionUncertainError,
     NotInLanguageError,
@@ -231,6 +232,8 @@ def test_hyperbolicity_needs_n_max_4(golden):
         sl.hyperbolicity_diagnostic(golden, pot, 3)
     cfg = {"shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
            "analyses": [{"op": "hyperbolicity", "n_max": 3}]}
-    entry = cli.run(cfg)["analyses"][0]
-    assert entry["status"] == "error"
-    assert entry["error"] == "ValueError: n_max must be >= 4"
+    # validate declares the bound, so run never reaches the library
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("error", "analyses[0].n_max")]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
