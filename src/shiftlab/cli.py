@@ -7,10 +7,11 @@ given the config: every float is serialized as a 17-significant-digit
 decimal string, reductions are canonical-order, and wall-clock timing goes
 to a separate sidecar so report bytes are identical across runs.
 
-``_FIELDS`` declares, once per analysis, each field it reads: the parser
-that is the only reader of the raw value, the default (or ``REQUIRED``)
-and the guard class.  ``validate`` and ``run`` share one pass over it, and
-``run`` hands each runner the parsed values.
+``_SHIFTS``, ``_POTENTIAL`` and ``_OPS`` declare, once per shift family,
+for the potential and once per analysis, each field read: the parser that
+is the only reader of the raw value and the default (or ``REQUIRED``).
+``validate`` and ``run`` share one pass over them, which builds the shift
+and the potential from the parsed values and hands them to each runner.
 
 Exit codes: 0 = all analyses executed (failed verdicts included), 1 =
 invalid config or a shift that cannot be built (such as an empty
@@ -67,9 +68,6 @@ from . import decomp, tower
 # Config handling
 # ---------------------------------------------------------------------------
 
-_FAMILIES = {"sft", "full", "cycle", "beta", "s_gap", "coded", "cocyclic"}
-
-
 def validate(config: dict) -> list[dict]:
     """Schema and guard-limit diagnostics.  The shift and the potential are
     built as run builds them; no analysis runs."""
@@ -82,10 +80,11 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
     """validate's diagnostics, the oracle and potential that run uses (None
     where they were not built), the domain error that stopped the shift's
     build, reported as a warning, and each analysis's fields by index, as
-    _FIELDS parses them, defaults filled in."""
+    _OPS parses them, defaults filled in."""
     diags: list[dict] = []
     fields: dict[int, dict] = {}
-    oracle = potential = failure = None
+    oracle = potential = failure = alphabet = guard = None
+    counted = False
 
     def err(field: str, message: str) -> None:
         diags.append({"level": "error", "field": field, "message": message})
@@ -93,60 +92,66 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
     def warn(field: str, message: str) -> None:
         diags.append({"level": "warning", "field": field, "message": message})
 
+    def read(section: dict, table: dict, where: str, name: str) -> dict | None:
+        """The fields ``table`` declares, parsed from ``section`` or
+        defaulted, or None if one is missing or malformed (an error on
+        ``where.<field>``); a guarded length past the guard warns."""
+        values, mark = {}, len(diags)
+        for key, (parse, default, *guarded) in table.items():
+            if key in ("cminus", "cplus") and values.get("obstructions") != "explicit":
+                continue  # zero_runs and qft obstructions read neither
+            if key not in section:
+                if isinstance(default, _Required) and not any(k in section for k in default):
+                    err(f"{where}.{key}", f"{name} needs {' or '.join((key, *default))}")
+                values[key] = None if isinstance(default, _Required) else default
+                continue
+            try:
+                values[key] = value = parse(section[key], alphabet)
+            except (ConfigError, *_MALFORMED) as exc:
+                err(f"{where}.{key}", str(exc) if isinstance(exc, ConfigError)
+                    else f"{type(exc).__name__}: {exc}")
+                continue
+            if (guarded and guard is not None and value > guard
+                    and not (guarded == [COUNTED] and counted)):
+                warn(f"{where}.{key}", f"{value} exceeds the depth guard {guard}")
+        return None if any(d["level"] == "error" for d in diags[mark:]) else values
+
     if not isinstance(config, dict):
         err("", "config must be a JSON object")
         return diags, oracle, potential, failure, fields
     shift = config.get("shift")
     if not isinstance(shift, dict):
         err("shift", "missing shift section")
-    else:
-        fam = shift.get("family")
-        if fam not in _FAMILIES:
-            err("shift.family", f"unknown family {fam!r}; expected one of {sorted(_FAMILIES)}")
-        elif fam == "sft" and "alphabet" not in shift:
-            err("shift.alphabet", "sft shifts need an alphabet")
-        elif fam == "cycle" and not isinstance(shift.get("k"), int):
-            err("shift.k", "cycle shifts need integer k")
-        elif fam == "beta" and "beta" not in shift and "z_pre" not in shift:
-            err("shift.beta", "beta shifts need beta or an explicit sequence")
-        elif fam == "s_gap" and "values" not in shift and "tail" not in shift:
-            err("shift.values", "s_gap shifts need gap values or a tail rule")
-        elif fam == "coded" and not shift.get("generators"):
-            err("shift.generators", "coded shifts need generators")
-        elif fam == "cocyclic" and not shift.get("matrices"):
-            err("shift.matrices", "cocyclic shifts need matrices")
-        if "depth" in shift and not _is_int(shift["depth"]):
-            err("shift.depth", f"must be an integer, got {shift['depth']!r}")
-        if not diags and _alphabet_size(shift) > MAX_ALPHABET:
-            err("shift", f"the alphabet has more than {MAX_ALPHABET} symbols")
-        if not diags:
-            try:
-                oracle = _build_oracle(shift, depth_guard)
-            except ShiftLabError as exc:  # such as an empty language: run raises it
-                failure = exc
-                warn("shift", f"{type(exc).__name__}: {exc}")
-            except _MALFORMED as exc:
-                err("shift", f"{type(exc).__name__}: {exc}")
+    elif not isinstance(family := shift.get("family"), str) or family not in _SHIFTS:
+        err("shift.family", f"unknown family {family!r}; expected one of {sorted(_SHIFTS)}")
+    elif (f := read(shift, _SHIFTS[family][0], "shift", family)) is not None:
+        try:
+            oracle = _SHIFTS[family][1](f, f["depth"] if "depth" in shift else depth_guard)
+            alphabet = oracle.alphabet
+        except ShiftLabError as exc:  # such as an empty language: run raises it
+            failure = exc
+            warn("shift", f"{type(exc).__name__}: {exc}")
+        except _MALFORMED as exc:
+            err("shift", f"{type(exc).__name__}: {exc}")
     pot = config.get("potential", "zero")
     if pot != "zero" and not isinstance(pot, dict):
         err("potential", "potential must be \"zero\" or an object")
-    elif oracle is not None:
+    elif ((f := {} if pot == "zero" else read(pot, _POTENTIAL[0], "potential", "potential"))
+          is not None and oracle is not None):
         try:
-            potential = _build_potential(pot, oracle)
-        except _MALFORMED as exc:
+            potential = _POTENTIAL[1](f, alphabet) if f else Potential.zero(alphabet)
+        except _MALFORMED as exc:  # such as an empty indicator word
             err("potential", f"{type(exc).__name__}: {exc}")
     # an explicit depth_guard bounds every word length asked for; the default,
     # the oracle's enumeration limit, binds only lengths that are enumerated
-    guard, counted = None, False
     if "depth_guard" in config:
-        guard = config["depth_guard"]
-        if not _is_int(guard):
-            err("depth_guard", f"must be an integer, got {guard!r}")
-            guard = None
+        try:
+            guard = _length(-math.inf)(config["depth_guard"], None)
+        except TypeError as exc:
+            err("depth_guard", str(exc))
     elif not diags and oracle is not None:
         guard = oracle.enumeration_limit
         counted = oracle.transitions is not None
-    alphabet = None if oracle is None else oracle.alphabet
     analyses = config.get("analyses")
     if not isinstance(analyses, list) or not analyses:
         err("analyses", "need a nonempty list of analyses")
@@ -156,72 +161,28 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
             err(f"analyses[{i}]", "each analysis needs an op field")
             continue
         op = a["op"]
-        if not isinstance(op, str) or op not in _FIELDS:
+        if not isinstance(op, str) or op not in _OPS:
             # which fields an unknown op reads is unknown, so none is checked
             err(f"analyses[{i}].op", f"unknown op {op!r}")
             continue
         if op == "entropy_exact" and oracle is not None and oracle.transitions is None:
             err(f"analyses[{i}].op",
                 f"entropy_exact needs a finite-state family; {oracle.name} has no finite layer")
-        values = fields[i] = {}
-        for key, (parse, default, guarded) in _FIELDS[op].items():
-            if key in ("cminus", "cplus") and values.get("obstructions") != "explicit":
-                continue  # zero_runs and qft obstructions read neither
-            if key not in a:
-                if default is REQUIRED:
-                    err(f"analyses[{i}].{key}", f"{op} needs {key}")
-                values[key] = default
-                continue
-            try:
-                values[key] = value = parse(a[key], alphabet)
-            except _MALFORMED as exc:
-                err(f"analyses[{i}].{key}", f"{type(exc).__name__}: {exc}")
-                continue
-            if (guarded != NONE and guard is not None and value > guard
-                    and not (guarded == COUNTED and counted)):
-                warn(f"analyses[{i}].{key}", f"{value} exceeds the depth guard {guard}")
+        f = fields[i] = read(a, _OPS[op][0], f"analyses[{i}]", op)
+        # bounds between fields compare words, so they wait for the shift
+        for key, holds, what in _BOUNDS.get(op, ()) if f and alphabet else ():
+            if not holds(f):
+                err(f"analyses[{i}].{key}", f"must be {what}")
     return diags, oracle, potential, failure, fields
 
 
-#: the most symbols a shift's alphabet may have; constructors build
-#: per-symbol tables (a beta of 1e308 asks for 1e308 digits), so a larger
-#: alphabet is rejected before anything is built
-MAX_ALPHABET = 64
-
-
-def _alphabet_size(shift: dict) -> float:
-    """The number of symbols a shift section asks for, read from its fields
-    without building anything; 0 where a field is malformed, which the
-    build then reports."""
-    fam = shift["family"]
-    try:
-        if fam == "s_gap":
-            return 2
-        if fam in ("full", "cycle"):
-            k = shift.get("k", len(shift.get("alphabet", "01")))
-            return k if _is_int(k) else 0
-        if fam == "beta":
-            if "beta" in shift:
-                beta = float(shift["beta"])
-                return math.ceil(beta) if math.isfinite(beta) else math.inf
-            return max(int(d) for d in list(shift["z_pre"]) + list(shift.get("z_period") or ())) + 1
-        if fam == "cocyclic":
-            return len(shift.get("symbols") or shift["matrices"])
-        return len(shift["alphabet"])
-    except (KeyError, TypeError, ValueError):
-        return 0
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # ---------------------------------------------------------------------------
-# Analysis fields
+# Fields
 # ---------------------------------------------------------------------------
-# A parser reads one raw field value, given the shift's alphabet (None when
-# the shift was not built, so that only the value's type is checked), and
-# returns what the runner reads, or raises one of _MALFORMED.
+# A parser reads one raw field value, given the shift's alphabet (None for
+# the shift's own fields, and when the shift was not built, so that only the
+# value's type is checked), and returns what the build or the runner reads,
+# or raises one of _MALFORMED, or ConfigError past MAX_ALPHABET.
 
 def _expect(ok: bool, value: Any, what: str) -> None:
     if not ok:
@@ -231,7 +192,7 @@ def _expect(ok: bool, value: Any, what: str) -> None:
 def _length(least: int = 0):
     """An integer, not a bool, of at least ``least``."""
     def parse(value, alphabet):
-        _expect(_is_int(value), value, "an integer")
+        _expect(isinstance(value, int) and not isinstance(value, bool), value, "an integer")
         if value < least:
             raise ValueError(f"must be at least {least}, got {value}")
         return value
@@ -279,94 +240,93 @@ def _obstruction_kind(value, alphabet):
     return value
 
 
+#: the most symbols a shift's alphabet may have; constructors build
+#: per-symbol tables (a beta of 1e308 asks for 1e308 digits), so a field
+#: that asks for more is rejected before anything is built
+MAX_ALPHABET = 64
+
+
+def _sized(parse, symbols=len):
+    """``parse``, for a field whose value sets ``symbols(value)`` symbols."""
+    def sized(value, alphabet):
+        value = parse(value, alphabet)
+        if not symbols(value) <= MAX_ALPHABET:  # a NaN beta fails too
+            raise ConfigError(f"the alphabet has more than {MAX_ALPHABET} symbols")
+        return value
+    return sized
+
+
+def _symbols(value, alphabet):
+    """An alphabet: a list of symbols, or a string of one-character ones."""
+    return _list_of(_symbol)(list(value) if isinstance(value, str) else value, alphabet)
+
+
+def _tail(value, alphabet):
+    """An s_gap tail {start, period (default 1)}: the gaps start + j * period."""
+    _expect(isinstance(value, dict) and "start" in value, value, "an object with a start")
+    return _length()(value["start"], alphabet), _length(1)(value.get("period", 1), alphabet)
+
+
+def _weights(value, alphabet):
+    """A potential's table: an object from window words to numbers."""
+    _expect(isinstance(value, dict), value, "an object")
+    return {_word(w, alphabet): _number(v, alphabet) for w, v in value.items()}
+
+
 #: what the parsers and the constructors raise on a malformed field
 _MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
-#: the default of a field that must be given
-REQUIRED = object()
-#: guard classes: a ``LISTED`` length is enumerated, so it warns past the
-#: guard; a ``COUNTED`` one is counted or summed over a finite layer without
-#: listing a word, so only an explicit depth_guard binds it there; a
-#: ``NONE`` field is never guarded
-LISTED, COUNTED, NONE = "listed", "counted", "none"
-_IRREDUCIBLES = (_list_of(_word, nonempty=True), REQUIRED, NONE)
-_TOWER = {"irreducibles": _IRREDUCIBLES, "base": (_word, REQUIRED, NONE),
-          "depth": (_length(), None, NONE), "n_max": (_length(), 20, NONE)}
-_OBSTRUCTION = {"obstructions": (_obstruction_kind, "explicit", NONE),
-                "cminus": (_list_of(_word), (), NONE), "cplus": (_list_of(_word), (), NONE)}
-#: op -> {field: (parser, default or REQUIRED, guard class)}: the fields each
-#: analysis reads.  Defaults are parsed values; None defers to the library's
-#: default or the runner's (a tower's depth is its longest irreducible,
-#: fraction_hi min(20, the oracle's enumeration limit)).
-_FIELDS: dict[str, dict[str, tuple]] = {
-    "entropy_exact": {},
-    "pressure_estimate": {"n_max": (_length(4), 12, COUNTED)},
-    "avoid_symbol_rate": {"symbol": (_symbol, REQUIRED, NONE), "depth": (_length(4), 12, COUNTED)},
-    "cylinder_table": {"word": (_word, REQUIRED, NONE), "n": (_length(1), REQUIRED, COUNTED)},
-    "periodic_measure": {"horizon": (_length(), 10, LISTED), "depth": (_length(1), 1, LISTED)},
-    "hyperbolicity": {"n_max": (_length(4), 12, COUNTED)},
-    "ud_check": {"irreducibles": _IRREDUCIBLES, "depth": (_length(), None, NONE)},
-    "tower_loops": {**_TOWER, "cross_check": (_flag, True, NONE)},
-    "spr": {**_TOWER, "margin": (_number, 0.05, NONE)},
-    "marking": {"irreducibles": _IRREDUCIBLES, "depth": (_length(), 16, NONE),
-                "window": (_word, REQUIRED, NONE)},
-    # family_depth and the fraction bounds list words but were never guarded
-    # (see ROADMAP); seed defaults to the first symbol
-    "sync_pipeline": {"tau": (_length(), 1, NONE), "seed": (_word, (0,), NONE),
-                      "cert_depth": (_length(), 10, LISTED), "family_depth": (_length(), 13, NONE),
-                      "fraction_lo": (_length(), 10, NONE), "fraction_hi": (_length(), None, NONE)},
-    "qft": {"depth": (_length(), 8, LISTED)},
-    "persistence": {**_OBSTRUCTION, "depth": (_length(), 10, LISTED)},
-    "istar": {**_OBSTRUCTION, "M_list": (_list_of(_length(1)), (1, 2), NONE),
-              "depth": (_length(), 8, LISTED)},
-    "cgc": {**_OBSTRUCTION, "eps": (_number, 0.05, NONE), "depth": (_length(4), None, LISTED),
-            "check_depth": (_length(), 5, NONE)},
-    "sync_gap": {"word": (_word, REQUIRED, NONE), "cert_depth": (_length(), None, LISTED),
-                 "n_max": (_length(4), 12, LISTED), "margin": (_number, 0.05, NONE)},
+
+
+class _Required(tuple):
+    """The default of a field that must be given, unless a field it names is."""
+
+
+REQUIRED = _Required()
+_DEPTH = {"depth": (_length(), None)}
+_DIGIT = _sized(_length(), lambda d: d + 1)
+_ALPHABET = _sized(_symbols)
+#: family -> ({field: (parser, default or REQUIRED)}, build): the fields each
+#: shift family reads, and its oracle from them and the enumeration limit
+#: (the shift's depth if given, else run's depth_guard, else the family's
+#: default).  A full shift's alphabet gives only its size; beta's depth is
+#: also its expansion's, and its ceil(beta) digits exceed MAX_ALPHABET
+#: exactly when beta does; CocyclicSpec.from_lists checks each matrix.
+_SHIFTS: dict[str, tuple[dict, Any]] = {
+    "full": ({**_DEPTH, "k": (_sized(_length(1), int), None), "alphabet": (_ALPHABET, ("0", "1"))},
+             lambda f, limit: full_shift(f["k"] or len(f["alphabet"]), limit)),
+    "sft": ({**_DEPTH, "alphabet": (_ALPHABET, REQUIRED), "forbidden": (_list_of(_word), ())},
+            lambda f, limit: sft_from_forbidden(
+                SftSpec.from_strings(f["alphabet"], f["forbidden"]), limit)),
+    "cycle": ({**_DEPTH, "k": (_sized(_length(4), int), REQUIRED)},
+              lambda f, limit: cycle_sft(f["k"], limit)),
+    "beta": ({"depth": (_length(), 24), "beta": (_sized(_number, float), _Required(["z_pre"])),
+              "z_pre": (_list_of(_DIGIT, nonempty=True), None),
+              "z_period": (_list_of(_DIGIT), None)},
+             lambda f, limit: beta_shift(
+                 BetaSpec.from_beta(f["beta"], f["depth"]) if f["beta"] is not None
+                 else BetaSpec.from_sequence(f["z_pre"], f["z_period"], f["depth"]), limit)),
+    "s_gap": ({**_DEPTH, "values": (_list_of(_length()), _Required(["tail"])),
+               "tail": (_tail, (None, None))},
+              lambda f, limit: s_gap_shift(SGapSpec(tuple(f["values"] or ()), *f["tail"]), limit)),
+    "coded": ({**_DEPTH, "alphabet": (_ALPHABET, REQUIRED), "truncated": (_flag, False),
+               "generators": (_list_of(_word, nonempty=True), REQUIRED)},
+              lambda f, limit: coded_shift(CodedSpec.from_strings(
+                  f["alphabet"], f["generators"], f["truncated"]), limit)),
+    "cocyclic": ({**_DEPTH, "matrices": (_sized(_list_of(lambda m, alphabet: m, nonempty=True)),
+                                         REQUIRED), "symbols": (_ALPHABET, None)},
+                 lambda f, limit: cocyclic_shift(
+                     CocyclicSpec.from_lists(f["matrices"], f["symbols"]), limit)),
 }
 
 
-def _build_oracle(shift: dict, depth_guard: int | None) -> LanguageOracle:
-    fam = shift["family"]
-    limit = shift.get("depth", depth_guard)
-    if fam == "full":
-        k = shift.get("k", len(shift.get("alphabet", "01")))
-        return full_shift(k, limit)
-    if fam == "sft":
-        spec = SftSpec.from_strings(shift["alphabet"], shift.get("forbidden", []))
-        return sft_from_forbidden(spec, limit)
-    if fam == "cycle":
-        return cycle_sft(shift["k"], limit)
-    if fam == "beta":
-        if "beta" in shift:
-            spec = BetaSpec.from_beta(float(shift["beta"]), int(shift.get("depth", 24)))
-        else:
-            spec = BetaSpec.from_sequence(shift["z_pre"], shift.get("z_period"),
-                                          int(shift.get("depth", 24)))
-        return beta_shift(spec, limit)
-    if fam == "s_gap":
-        tail = shift.get("tail")
-        spec = SGapSpec(
-            tuple(shift.get("values", [])),
-            tail_start=None if tail is None else int(tail["start"]),
-            tail_period=None if tail is None else int(tail.get("period", 1)),
-        )
-        return s_gap_shift(spec, limit)
-    if fam == "coded":
-        spec = CodedSpec.from_strings(shift["alphabet"], shift["generators"],
-                                      bool(shift.get("truncated", False)))
-        return coded_shift(spec, limit)
-    if fam == "cocyclic":
-        spec = CocyclicSpec.from_lists(shift["matrices"], shift.get("symbols"))
-        return cocyclic_shift(spec, limit)
-    raise ConfigError(f"unknown shift family {fam!r}")
-
-
-def _build_potential(pot: Any, oracle: LanguageOracle) -> Potential:
-    if pot == "zero" or pot is None:
-        return Potential.zero(oracle.alphabet)
-    if "indicator" in pot:
-        return Potential.indicator(oracle.alphabet, pot["indicator"], float(pot.get("scale", 1.0)))
-    return Potential.from_strings(oracle.alphabet, int(pot["range"]), pot["table"])
+#: ({field: (parser, default or REQUIRED)}, build) for a potential other than
+#: "zero": scale times the indicator of a word, or a table of window values
+#: of one range
+_POTENTIAL = ({"indicator": (_word, None), "scale": (_number, 1.0),
+               "range": (_length(1), _Required(["indicator"])),
+               "table": (_weights, _Required(["indicator"]))},
+              lambda f, alphabet: Potential(f["range"], f["table"]) if f["indicator"] is None
+              else Potential.indicator(alphabet, alphabet.text(f["indicator"]), f["scale"]))
 
 
 # ---------------------------------------------------------------------------
@@ -537,26 +497,70 @@ def _analysis_sync_gap(oracle, potential, f):
     return rep.to_json_dict(), rep.obstruction_report.to_csv_text(), None
 
 
-_RUNNERS = {
-    "pressure_estimate": lambda oracle, potential, f: _rate_report(
-        WordSet.language(oracle), potential, f["n_max"]),
-    "avoid_symbol_rate": lambda oracle, potential, f: _rate_report(
-        avoid_symbol_set(oracle, f["symbol"]), potential, f["depth"]),
-    "entropy_exact": lambda oracle, potential, f: (
-        {"entropy": format17(sft_entropy_exact(oracle))}, None, None),
-    "cylinder_table": _analysis_cylinder,
-    "periodic_measure": _analysis_periodic_measure,
-    "hyperbolicity": _analysis_hyperbolicity,
-    "ud_check": _analysis_ud,
-    "tower_loops": _analysis_tower_loops,
-    "spr": _analysis_spr,
-    "marking": _analysis_marking,
-    "sync_pipeline": _analysis_sync_pipeline,
-    "qft": _analysis_qft,
-    "persistence": _analysis_persistence,
-    "istar": _analysis_istar,
-    "cgc": _analysis_cgc,
-    "sync_gap": _analysis_sync_gap,
+#: guard classes: a ``LISTED`` length is enumerated, so it warns past the
+#: guard; a ``COUNTED`` one is counted or summed over a finite layer without
+#: listing a word, so only an explicit depth_guard binds it there; a field
+#: with no guard class is never guarded
+LISTED, COUNTED = "listed", "counted"
+_IRREDUCIBLES = (_list_of(_word, nonempty=True), REQUIRED)
+_TOWER = {"irreducibles": _IRREDUCIBLES, "base": (_word, REQUIRED),
+          "depth": (_length(), None), "n_max": (_length(), 20)}
+_OBSTRUCTION = {"obstructions": (_obstruction_kind, "explicit"),
+                "cminus": (_list_of(_word), ()), "cplus": (_list_of(_word), ())}
+#: op -> ({field: (parser, default or REQUIRED[, guard class])}, runner): the
+#: fields each analysis reads, and the runner that reads them.  Defaults are
+#: parsed values; None defers to the library's default or the runner's (a
+#: tower's depth is its longest irreducible, fraction_hi min(20, the
+#: oracle's enumeration limit)).
+_OPS: dict[str, tuple[dict, Any]] = {
+    "entropy_exact": ({}, lambda oracle, potential, f: (
+        {"entropy": format17(sft_entropy_exact(oracle))}, None, None)),
+    "pressure_estimate": ({"n_max": (_length(4), 12, COUNTED)}, lambda oracle, potential, f:
+                          _rate_report(WordSet.language(oracle), potential, f["n_max"])),
+    "avoid_symbol_rate": ({"symbol": (_symbol, REQUIRED), "depth": (_length(4), 12, COUNTED)},
+                          lambda oracle, potential, f: _rate_report(
+                              avoid_symbol_set(oracle, f["symbol"]), potential, f["depth"])),
+    "cylinder_table": ({"word": (_word, REQUIRED), "n": (_length(1), REQUIRED, COUNTED)},
+                       _analysis_cylinder),
+    "periodic_measure": ({"horizon": (_length(), 10, LISTED), "depth": (_length(1), 1, LISTED)},
+                         _analysis_periodic_measure),
+    "hyperbolicity": ({"n_max": (_length(4), 12, COUNTED)}, _analysis_hyperbolicity),
+    "ud_check": ({"irreducibles": _IRREDUCIBLES, "depth": (_length(), None)}, _analysis_ud),
+    "tower_loops": ({**_TOWER, "cross_check": (_flag, True)}, _analysis_tower_loops),
+    "spr": ({**_TOWER, "margin": (_number, 0.05)}, _analysis_spr),
+    "marking": ({"irreducibles": _IRREDUCIBLES, "depth": (_length(), 16),
+                 "window": (_word, REQUIRED)}, _analysis_marking),
+    # family_depth and the fraction bounds list words but were never guarded
+    # (see ROADMAP); seed defaults to the first symbol
+    "sync_pipeline": ({"tau": (_length(), 1), "seed": (_word, (0,)),
+                       "cert_depth": (_length(), 10, LISTED), "family_depth": (_length(), 13),
+                       "fraction_lo": (_length(), 10), "fraction_hi": (_length(), None)},
+                      _analysis_sync_pipeline),
+    "qft": ({"depth": (_length(), 8, LISTED)}, _analysis_qft),
+    "persistence": ({**_OBSTRUCTION, "depth": (_length(), 10, LISTED)}, _analysis_persistence),
+    "istar": ({**_OBSTRUCTION, "M_list": (_list_of(_length(1)), (1, 2)),
+               "depth": (_length(), 8, LISTED)}, _analysis_istar),
+    "cgc": ({**_OBSTRUCTION, "eps": (_number, 0.05), "depth": (_length(4), None, LISTED),
+             "check_depth": (_length(), 5)}, _analysis_cgc),
+    "sync_gap": ({"word": (_word, REQUIRED), "cert_depth": (_length(), None, LISTED),
+                  "n_max": (_length(4), 12, LISTED), "margin": (_number, 0.05)},
+                 _analysis_sync_gap),
+}
+
+
+#: op -> ((field, holds(parsed fields), what the field must be)): the bounds
+#: between an analysis's fields that the library raises on; a tower's depth
+#: of None is its longest irreducible's length
+_BOUNDS = {
+    "periodic_measure": (("horizon", lambda f: f["horizon"] >= f["depth"], "at least depth"),),
+    "cylinder_table": (("word", lambda f: 1 <= len(f["word"]) <= f["n"],
+                        "a nonempty word no longer than n"),),
+    **dict.fromkeys(("tower_loops", "spr"), (
+        ("depth", lambda f: f["depth"] is None or f["depth"] >= min(map(len, f["irreducibles"])),
+         "at least the shortest irreducible's length"),
+        ("base", lambda f: f["base"] in f["irreducibles"]
+         and (f["depth"] is None or len(f["base"]) <= f["depth"]),
+         "one of the irreducibles within depth"))),
 }
 
 
@@ -584,21 +588,17 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
     for idx, analysis in enumerate(config["analyses"]):
         op = analysis["op"]
         entry: dict[str, Any] = {"op": op, "index": idx}
-        runner = _RUNNERS[op]
+        runner = _OPS[op][1]
         if op in ("tower_loops", "spr"):
             runner = functools.partial(runner, tables=tables)
         try:
             block, csv_text, dat_text = runner(oracle, potential, fields[idx])
             entry["status"] = "ok"
             entry["result"] = block
-            if csv_text is not None:
-                name = f"{idx:02d}_{op}.csv"
-                artifacts.append((name, csv_text))
-                entry["csv"] = name
-            if dat_text is not None:
-                name = f"{idx:02d}_{op}.dat"
-                artifacts.append((name, dat_text))
-                entry["dat"] = name
+            for kind, text in (("csv", csv_text), ("dat", dat_text)):
+                if text is not None:
+                    entry[kind] = name = f"{idx:02d}_{op}.{kind}"
+                    artifacts.append((name, text))
         except Exception as exc:  # neither a finding nor a bug kills the batch
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -640,7 +640,7 @@ def main(argv: list[str] | None = None) -> int:
 
     runp = sub.add_parser("run", help="Run the analyses in a config.")
     runp.add_argument("config", metavar="CONFIG_JSON")
-    runp.add_argument("--out", default=None, metavar="DIR")
+    runp.add_argument("--out", default="out", metavar="DIR")
     runp.add_argument("--threads", type=int, default=1,
                       help="accepted for compatibility; analyses run serially")
     runp.add_argument("--depth-guard", type=int, default=None)
@@ -664,8 +664,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if any(d["level"] == "error" for d in diags) else 0
 
     try:
-        out_dir = args.out if args.out is not None else "out"
-        report = run(config, out_dir, threads=args.threads, depth_guard=args.depth_guard)
+        report = run(config, args.out, threads=args.threads, depth_guard=args.depth_guard)
     except ConfigError as exc:
         for d in exc.diagnostics:
             print(f"{d['level']}: {d['field']}: {d['message']}", file=sys.stderr)
@@ -678,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     n_err = sum(1 for b in report["analyses"] if b["status"] == "error")
-    print(f"ran {len(report['analyses'])} analyses ({n_err} with errors); report in {out_dir}")
+    print(f"ran {len(report['analyses'])} analyses ({n_err} with errors); report in {args.out}")
     return 0
 
 

@@ -442,14 +442,12 @@ class Potential:
     """A locally constant potential reading ``window`` coordinates.
 
     ``table`` maps every admissible window word (length = ``window``) to a
-    real value.  ``holder_data`` optionally records a (beta, |phi|_beta)
-    pair for reporting; it is never evaluated.  A potential compares and
-    hashes by identity, so it keys the memos of phi_hat and the transfer DP.
+    real value.  A potential compares and hashes by identity, so it keys the
+    memos of phi_hat and the transfer DP.
     """
 
     window: int
     table: Mapping[Word, float]
-    holder_data: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.window < 1:
@@ -460,10 +458,9 @@ class Potential:
         return cls(1, {(i,): 0.0 for i in range(alphabet.size)})
 
     @classmethod
-    def from_strings(cls, alphabet: Alphabet, window: int, table: Mapping[str, float],
-                     holder_data=None) -> "Potential":
-        return cls(window, {alphabet.word(k): float(v) for k, v in table.items()},
-                   holder_data=holder_data)
+    def from_strings(cls, alphabet: Alphabet, window: int,
+                     table: Mapping[str, float]) -> "Potential":
+        return cls(window, {alphabet.word(k): float(v) for k, v in table.items()})
 
     @classmethod
     def indicator(cls, alphabet: Alphabet, pattern: str, scale: float = 1.0) -> "Potential":
@@ -519,9 +516,6 @@ class _IndicatorTable:
 
     def __getitem__(self, w: Word) -> float:
         return self.scale if w == self.pattern else 0.0
-
-    def values(self):  # pragma: no cover - only used via spread/sup_norm
-        return (self.scale, 0.0)
 
 
 def distortion_bound(potential: Potential) -> float:

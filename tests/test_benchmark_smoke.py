@@ -44,6 +44,18 @@ def _cocyclic_entries():
             yield pytest.param(entry, id=entry["id"])
 
 
+def test_every_catalog_config_validates_as_before():
+    # stricter parsing must not reject benchmark traffic: no catalog config
+    # has an error, and the 16 whose SFT prunes to nothing warn on shift
+    paths = sorted((ROOT / "perfbench" / "catalog").glob("*.json"))
+    configs = [entry["config"] for path in paths
+               for entry in json.loads(path.read_text(encoding="utf-8"))["entries"]]
+    assert (len(paths), len(configs)) == (6, 450)
+    diags = [d for config in configs for d in cli.validate(config)]
+    assert [(d["level"], d["field"]) for d in diags] == [("warning", "shift")] * 16
+    assert all(d["message"].startswith("EmptyLanguageError: ") for d in diags)
+
+
 def test_benchmark_smoke_run_is_correct():
     proc = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", "enum_tables", "--seed", "1",

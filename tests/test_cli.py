@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -100,18 +102,18 @@ def test_validate_guard_is_the_oracle_limit():
 ])
 def test_validate_guard_equals_built_oracle_limit(shift):
     cfg = {"shift": shift, "analyses": [{"op": "qft", "depth": 1000}]}
-    limit = cli._build_oracle(shift, None).enumeration_limit
+    limit = cli._checked(cfg, None)[1].enumeration_limit  # the oracle run builds
     assert [d["message"] for d in cli.validate(cfg)] == [f"1000 exceeds the depth guard {limit}"]
 
 
 @pytest.mark.parametrize("shift, potential, field", [
-    ({"family": "cycle", "k": 3}, "zero", "shift"),
+    ({"family": "cycle", "k": 3}, "zero", "shift.k"),
     ({"family": "beta", "beta": 0.5}, "zero", "shift"),
     ({"family": "sft", "alphabet": ["0", "1"], "forbidden": ["2"]}, "zero", "shift"),
     ({"family": "coded", "alphabet": ["0", "1"], "generators": ["2"]}, "zero", "shift"),
     ({"family": "cocyclic", "matrices": [[[1, 2]]]}, "zero", "shift"),
-    ({"family": "full", "k": 2}, {"indicator": "2"}, "potential"),
-    ({"family": "full", "k": 2}, {"range": 1, "table": ["0"]}, "potential"),
+    ({"family": "full", "k": 2}, {"indicator": "2"}, "potential.indicator"),
+    ({"family": "full", "k": 2}, {"range": 1, "table": ["0"]}, "potential.table"),
 ])
 def test_validate_rejects_what_run_cannot_build(shift, potential, field, tmp_path):
     # each passed validate and made run raise a non-ShiftLab error (exit 2)
@@ -145,19 +147,20 @@ def test_validate_rejects_malformed_cocyclic_matrices(shift):
         cli.run(cfg)
 
 
-@pytest.mark.parametrize("shift", [
-    {"family": "beta", "beta": 1e5},
-    {"family": "beta", "z_pre": [70, 0, 1]},
-    {"family": "full", "k": 1000},
-    {"family": "cycle", "k": 100},
-    {"family": "sft", "alphabet": [str(i) for i in range(65)], "forbidden": ["0"]},
-    {"family": "coded", "alphabet": [str(i) for i in range(65)], "generators": ["0"]},
+@pytest.mark.parametrize("shift, field", [
+    ({"family": "beta", "beta": 1e5}, "shift.beta"),
+    ({"family": "beta", "z_pre": [70, 0, 1]}, "shift.z_pre"),
+    ({"family": "full", "k": 1000}, "shift.k"),
+    ({"family": "cycle", "k": 100}, "shift.k"),
+    ({"family": "sft", "alphabet": [str(i) for i in range(65)], "forbidden": ["0"]}, "shift.alphabet"),
+    ({"family": "coded", "alphabet": [str(i) for i in range(65)], "generators": ["0"]},
+     "shift.alphabet"),
 ])
-def test_validate_rejects_an_alphabet_past_the_limit(shift):
+def test_validate_rejects_an_alphabet_past_the_limit(shift, field):
     # constructors build per-symbol tables, so a huge alphabet (a beta of
     # 1e308) exhausts memory; these sizes stay small enough to build
     cfg = {"shift": shift, "analyses": [{"op": "pressure_estimate", "n_max": 6}]}
-    assert cli.validate(cfg) == [{"level": "error", "field": "shift",
+    assert cli.validate(cfg) == [{"level": "error", "field": field,
                                   "message": f"the alphabet has more than {cli.MAX_ALPHABET} symbols"}]
     with pytest.raises(ConfigError):
         cli.run(cfg)
@@ -275,6 +278,61 @@ def test_validate_rejects_lengths_below_the_library_minimum(analysis, field, lea
     assert cli.run(cfg)["analyses"][0]["status"] == "ok"
 
 
+@pytest.mark.parametrize("shift, potential, field", [
+    # a string ran as a list of one-symbol words: "11" forbade the symbol 1
+    # twice (entropy 0), and "011" ran as three one-symbol generators
+    ({"family": "sft", "alphabet": ["0", "1"], "forbidden": "11"}, "zero", "shift.forbidden"),
+    ({"family": "coded", "alphabet": ["0", "1"], "generators": "011"}, "zero", "shift.generators"),
+    # a nonempty string was truthy, so "no" labelled the set truncated
+    ({"family": "coded", "alphabet": ["0", "1"], "generators": ["0", "01"], "truncated": "no"},
+     "zero", "shift.truncated"),
+    # a bool ran as an integer: the 1-symbol shift
+    ({"family": "full", "k": True}, "zero", "shift.k"),
+    # int() ran a period of 0 as 1 and truncated 2.5 and 1.5
+    ({"family": "s_gap", "values": [1], "tail": {"start": 3, "period": 0}}, "zero", "shift.tail"),
+    ({"family": "s_gap", "values": [1], "tail": {"start": 3, "period": 2.5}}, "zero", "shift.tail"),
+    ({"family": "s_gap", "values": [1], "tail": {"start": 1.5, "period": 2}}, "zero", "shift.tail"),
+    # a negative period built an unbounded layer inside validate
+    ({"family": "s_gap", "values": [1], "tail": {"start": 3, "period": -1}}, "zero", "shift.tail"),
+    # float() read a numeric string as a number, and int() truncated 1.7
+    ({"family": "beta", "beta": "1.5"}, "zero", "shift.beta"),
+    ({"family": "full", "k": 2}, {"indicator": "0", "scale": "2"}, "potential.scale"),
+    ({"family": "full", "k": 2}, {"range": 1, "table": {"0": "0.5", "1": 0.1}}, "potential.table"),
+    ({"family": "full", "k": 2}, {"range": 1.7, "table": {"0": 0.5, "1": 0.1}}, "potential.range"),
+])
+def test_validate_rejects_malformed_shift_and_potential_fields(shift, potential, field):
+    # each passed validate, and run misread it (or, for the negative
+    # period, exhausted memory)
+    cfg = {"shift": shift, "potential": potential,
+           "analyses": [{"op": "pressure_estimate", "n_max": 6}]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [("error", field)]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+
+
+@pytest.mark.parametrize("analysis, fields, fix", [
+    ({"op": "periodic_measure", "horizon": 3, "depth": 4}, ["horizon"], {"horizon": 4}),
+    ({"op": "cylinder_table", "word": "", "n": 6}, ["word"], {"word": "0"}),
+    ({"op": "cylinder_table", "word": "01010", "n": 4}, ["word"], {"word": "0101"}),
+    ({"op": "tower_loops", "irreducibles": ["0", "01"], "base": "1"}, ["base"], {"base": "0"}),
+    ({"op": "spr", "irreducibles": ["0", "011"], "base": "011", "depth": 2}, ["base"], {"depth": 3}),
+    # below the shortest irreducible no base is within depth either
+    ({"op": "tower_loops", "irreducibles": ["01", "011"], "base": "01", "depth": 1},
+     ["depth", "base"], {"depth": 2}),
+])
+def test_validate_rejects_values_that_break_a_bound_between_fields(analysis, fields, fix):
+    # each passed validate, and run recorded an internal ValueError
+    cfg = {"shift": {"family": "full", "k": 2}, "analyses": [analysis]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("error", f"analyses[0].{field}") for field in fields]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+    # at the bound each runs
+    cfg = dict(cfg, analyses=[{**analysis, **fix}])
+    assert cli.validate(cfg) == []
+    assert cli.run(cfg)["analyses"][0]["status"] == "ok"
+
+
 @pytest.mark.parametrize("depth", ["deep", 12.5, None, True])
 def test_validate_non_integer_shift_depth(depth, tmp_path):
     # run would raise ValueError from int() while building the oracle (exit 2)
@@ -360,6 +418,15 @@ def test_validate_reads_word_fields_only_where_run_does():
     ]}
     assert cli.validate(cfg) == []
     assert [b["status"] for b in cli.run(cfg)["analyses"]] == ["ok"] * 3
+
+
+@pytest.mark.parametrize("family", [["sft"], {"name": "x"}, None])
+def test_validate_rejects_an_unhashable_family(family):
+    # a list raised TypeError (unhashable) from the family lookup
+    cfg = {"shift": {"family": family, "k": 2}, "analyses": [{"op": "pressure_estimate"}]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [("error", "shift.family")]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
 
 
 @pytest.mark.parametrize("op", [["x"], {"name": "x"}, ["pressure_estimate"]])
@@ -704,14 +771,28 @@ def test_floats_serialized_as_17_digit_strings(tmp_path):
 
 # -- the field table ---------------------------------------------------------------
 
+def _readme_table(header: str) -> dict[str, set]:
+    """The README table under ``header``: its first column -> the fields
+    its second column lists."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    assert header in lines, f"README has no table {header}"
+    table: dict[str, set] = {}
+    for line in itertools.takewhile(lambda s: s.startswith("|"), lines[lines.index(header) + 2:]):
+        first, field = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+        table.setdefault(first, set()).update([] if field == "—" else [field])
+    return table
+
+
 def test_readme_field_table_matches_the_cli_table():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    rows = re.findall(r"^\| `(\w+)` \| (`\w+`|—) \|", text, flags=re.M)
-    assert rows, "README has no field table"
-    readme: dict[str, set] = {}
-    for op, field in rows:
-        readme.setdefault(op, set()).update([] if field == "—" else [field.strip("`")])
-    assert readme == {op: set(fields) for op, fields in cli._FIELDS.items()}
+    assert _readme_table("| op | field | type | default | guard |") == {
+        op: set(fields) for op, (fields, _) in cli._OPS.items()}
+
+
+def test_readme_shift_table_matches_the_cli_table():
+    assert _readme_table("| family | field | type | default | bound |") == {
+        **{family: set(fields) for family, (fields, _) in cli._SHIFTS.items()},
+        "potential": set(cli._POTENTIAL[0])}
 
 
 #: small, catalog-like values that meet every cross-field bound together on
@@ -738,7 +819,7 @@ def fuzzed_configs(draw):
     or, in a broken analysis, from the valid or the wrong-type pool.  No
     field is left out: several defaults are deep enough to take seconds."""
     analyses = []
-    for op, fields in cli._FIELDS.items():
+    for op, (fields, _) in cli._OPS.items():
         broken = draw(st.booleans())
         analysis = {"op": op}
         for key in fields:
@@ -759,6 +840,76 @@ def test_fuzz_validate_and_run(cfg):
     clean = dict(cfg, analyses=[a for i, a in enumerate(cfg["analyses"]) if i not in bad])
     assert [d for d in cli.validate(clean) if d["level"] == "error"] == []
     for block in cli.run(clean)["analyses"]:
+        if block["status"] == "error":
+            cls = getattr(errors, block["error"].split(":")[0], None)
+            assert isinstance(cls, type) and issubclass(cls, ShiftLabError), block
+
+
+#: a field left out of its section
+ABSENT = object()
+#: the wrong-type pool, with negative numbers for the lengths and counts
+WRONG_SHIFT = st.sampled_from(WRONG + [-1, -4])
+#: small values of each shift and potential field.  Words and symbols are
+#: binary, so on other alphabets a drawn value may still be rejected
+SHIFT_POOLS = {
+    "k": st.sampled_from([2, 4, 5]), "depth": st.sampled_from([6, 10]),
+    "alphabet": st.sampled_from([["0", "1"], "012"]),
+    "forbidden": st.sampled_from([["11"], ["00", "111"]]),
+    "beta": st.sampled_from([1.5, 2.5]), "z_pre": st.sampled_from([[1, 0, 1], [2, 0]]),
+    "z_period": st.sampled_from([[0, 1], []]), "values": st.sampled_from([[1, 2], [0, 3]]),
+    # a tail's start and period are drawn the same way
+    "tail": st.fixed_dictionaries({"start": st.sampled_from([2, 3]) | WRONG_SHIFT},
+                                  optional={"period": st.sampled_from([1, 2]) | WRONG_SHIFT}),
+    "generators": st.sampled_from([["0", "011"], ["01", "1"]]),
+    "truncated": st.booleans(),
+    "matrices": st.sampled_from([[[[1, 1], [0, 1]], [[1, 0], [1, 1]]], [[[1]], [[0]]]]),
+    "symbols": st.sampled_from([["a", "b"], "01"]),
+    "indicator": st.sampled_from(["0", "01"]), "scale": st.sampled_from([0.5, -1.0]),
+    "range": st.sampled_from([1, 2]),
+    "table": st.sampled_from([{"0": 0.5, "1": -0.2}, {"00": 0.1, "01": 0.0, "10": -0.3, "11": 0.2}]),
+}
+
+
+@st.composite
+def fuzzed_shift_configs(draw):
+    """A shift of a drawn family and a potential: each field their tables
+    declare is left out or drawn from its valid pool, or, in a broken
+    section, also from the wrong-type pool.  The analyses are valid and
+    cheap."""
+    def section(fields):
+        wrong = WRONG_SHIFT if draw(st.booleans()) else st.nothing()
+        drawn = {key: draw(st.just(ABSENT) | SHIFT_POOLS[key] | wrong) for key in fields}
+        return {key: value for key, value in drawn.items() if value is not ABSENT}
+
+    family = draw(st.sampled_from(sorted(cli._SHIFTS)))
+    potential = "zero" if draw(st.booleans()) else section(cli._POTENTIAL[0])
+    return {"shift": {"family": family, **section(cli._SHIFTS[family][0])},
+            "potential": potential,
+            "analyses": [{"op": "pressure_estimate", "n_max": 6},
+                         {"op": "periodic_measure", "horizon": 4}]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzzed_shift_configs())
+def test_fuzz_validate_and_run_shifts_and_potentials(cfg):
+    # validate never raises and stays quick (a negative tail period built an
+    # unbounded layer); the analyses are valid, so every error is on the
+    # shift or the potential, and a config it passes runs to ok or a
+    # domain error
+    started = time.perf_counter()
+    diags = cli.validate(cfg)
+    assert time.perf_counter() - started < 5
+    rejected = [d for d in diags if d["level"] == "error"]
+    assert all(d["field"].split(".")[0] in ("shift", "potential") for d in rejected), rejected
+    if rejected:
+        with pytest.raises(ConfigError):
+            cli.run(cfg)
+        return
+    try:
+        blocks = cli.run(cfg)["analyses"]
+    except ShiftLabError:  # a shift that cannot be built, such as an empty language
+        return
+    for block in blocks:
         if block["status"] == "error":
             cls = getattr(errors, block["error"].split(":")[0], None)
             assert isinstance(cls, type) and issubclass(cls, ShiftLabError), block

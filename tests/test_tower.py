@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -210,6 +211,41 @@ def test_ud_matches_factorisation_counts(golden, full2):
         for n, ws in bad_family.members.items()
         for w in ws
     )
+
+
+#: the longest word whose factorisations the brute force counts
+UD_BRUTE_LENGTH = 10
+
+
+def _parse_counts(code: set, n_max: int) -> dict:
+    """The number of factorisations into codewords of every word up to
+    length ``n_max`` that has one, by extending each parse by a codeword."""
+    by_length = [collections.Counter() for _ in range(n_max + 1)]
+    by_length[0][()] = 1
+    for n in range(n_max + 1):  # shorter words are complete before they extend
+        for w, ways in by_length[n].items():
+            for u in code:
+                if n + len(u) <= n_max:
+                    by_length[n + len(u)][w + u] += ways
+    return {w: ways for counts in by_length[1:] for w, ways in counts.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
+               min_size=1, max_size=4))
+def test_ud_verdict_matches_brute_force_factorisation(code):
+    # a failure's witness has two distinct parses into codewords; a pass
+    # leaves no word up to UD_BRUTE_LENGTH with two parses
+    verdict = sl.is_uniquely_decipherable(code)
+    if not verdict.passed:
+        first, second = verdict.parses
+        assert first != second
+        for parse in verdict.parses:
+            assert all(w in code for w in parse)
+            assert tuple(itertools.chain.from_iterable(parse)) == verdict.witness
+    else:
+        twice = [w for w, ways in _parse_counts(code, UD_BRUTE_LENGTH).items() if ways > 1]
+        assert not twice, twice[:3]
 
 
 # -- tower graphs ----------------------------------------------------------------
