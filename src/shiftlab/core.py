@@ -357,7 +357,7 @@ class WordSet:
     def language(cls, oracle: LanguageOracle) -> "WordSet":
         """The whole language; its pattern is trivial, so over a finite layer
         its ``layer`` is a copy of the oracle's."""
-        return cls(oracle, predicate=lambda w: True, pattern=(0, lambda p, a: p),
+        return cls(oracle, pattern=(0, lambda p, a: p),
                    is_full_language=True, name=f"L({oracle.name})")
 
     @classmethod

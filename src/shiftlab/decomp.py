@@ -497,8 +497,10 @@ def _assemble_cgc(pair, oracle, potential, M, N, tau, dminus, dplus, depth, marg
     def at_least(ws: WordSet, cutoff: int) -> WordSet:
         return WordSet.from_predicate(oracle, lambda w: len(w) >= cutoff and ws.contains(w))
 
-    cp = star_closure(at_least(cminus, M).union(at_least(dplus, N)), oracle, name="Cp")
-    cs = star_closure(at_least(cplus, M).union(at_least(dminus, N)), oracle, name="Cs")
+    prefix_base = at_least(cminus, M).union(at_least(dplus, N))
+    suffix_base = at_least(cplus, M).union(at_least(dminus, N))
+    cp = star_closure(prefix_base, oracle, name="Cp")
+    cs = star_closure(suffix_base, oracle, name="Cs")
 
     def in_good(w: Word) -> bool:
         if len(w) == 0:
@@ -518,9 +520,6 @@ def _assemble_cgc(pair, oracle, potential, M, N, tau, dminus, dplus, depth, marg
     gap = pressure_gap_II(collections, oracle, potential, depth, margin=margin)
     if not gap.passed:
         return None
-
-    prefix_base = at_least(cminus, M).union(at_least(dplus, N))
-    suffix_base = at_least(cplus, M).union(at_least(dminus, N))
 
     def decompose(w: Word) -> tuple[Word, Word, Word]:
         """Greedy left-then-right stripping; pieces are reported as words."""

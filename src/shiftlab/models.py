@@ -12,7 +12,6 @@ factoriality or extendability; ``core.check_factorial`` and
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import operator
@@ -70,68 +69,43 @@ def _recurrent(succ: Mapping) -> set:
         live = keep
 
 
-class _SftData:
-    """De Bruijn graph of an SFT after pruning states with no bi-infinite
-    continuation.
-
-    States are the live m-words (m = memory), and the edges are the live
-    (m+1)-words in ``windows``; for m = 0 the single empty state carries one
-    self-loop per allowed symbol.  ``factors`` holds every nonempty factor
-    of a live state (the admissible words of length <= m).
-    """
-
-    def __init__(self, spec: SftSpec):
-        self.memory = m = max(spec.memory, 0)
-        k = spec.alphabet.size
-        forbidden = frozenset(spec.forbidden)
-
-        def clean(w: Word) -> bool:
-            return not any(w[i:j] in forbidden
-                           for i in range(len(w)) for j in range(i + 1, len(w) + 1))
-
-        states = [w for w in itertools.product(range(k), repeat=m) if clean(w)]
-        state_set = set(states)
-        # out-edges of each state as (m+1)-words; an edge e leads to e[1:]
-        out: dict[Word, list[Word]] = {
-            u: [e for e in (u + (a,) for a in range(k)) if e[1:] in state_set and clean(e)]
-            for u in states
-        }
-        live = _recurrent({u: [e[1:] for e in out[u]] for u in states})
-        self.states = sorted(live)
-        self.live = live
-        self.windows = frozenset(e for u in self.states for e in out[u] if e[1:] in live)
-        self.factors = frozenset(s[i:j] for s in self.states
-                                 for i in range(m) for j in range(i + 1, m + 1))
-
-
 def sft_from_forbidden(spec: SftSpec, enumeration_limit: int | None = None) -> LanguageOracle:
     """Language oracle for the SFT avoiding the given factors.
 
-    Symbols and windows with no bi-infinite continuation are pruned at
-    construction, so the oracle satisfies the extendability invariant.
-    Raises EmptyLanguageError when nothing survives.
-
-    The layer state is the word's suffix of length <= m (the memory): a
-    word of length <= m is its own state while it is a factor of a live
-    state, and a longer word steps on while each (m+1)-window is an edge of
-    the pruned de Bruijn graph.
+    The layer state is the word's suffix of length <= m (the memory).  A
+    first tabulation steps on while no suffix is forbidden; its m-symbol
+    states are pruned to those on bi-infinite paths (``_recurrent``), and
+    the layer is tabulated again over the kept states and their prefixes,
+    so the oracle satisfies the extendability invariant.  Raises
+    EmptyLanguageError when nothing survives.
     """
-    data = _SftData(spec)
-    if not data.live:
-        raise EmptyLanguageError("every symbol is stranded by the forbidden set")
-    m, windows, factors = data.memory, data.windows, data.factors
+    m = max(spec.memory, 0)
+    forbidden = frozenset(spec.forbidden)
+    lengths = {len(f) for f in forbidden if f}
 
     def step(u: Word, a: int) -> Word | None:
         v = u + (a,)
-        if len(v) <= m:
-            return v if v in factors else None
-        return v[1:] if v in windows else None
+        # u's own factors were checked as it was reached, so only suffixes of v can be new
+        if any(v[-n:] in forbidden for n in lengths):
+            return None
+        return v[-m:] if m else EMPTY_WORD
 
     limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(spec.alphabet.size)
+    clean = LanguageOracle.finite_state(spec.alphabet, EMPTY_WORD, step, limit)
+    labels, rows = clean.labels, clean.transitions
+    live = _recurrent({q: rows[q].values() for q, u in enumerate(labels) if len(u) == m})
+    if not live:
+        raise EmptyLanguageError("every symbol is stranded by the forbidden set")
+    kept = {labels[q][:i] for q in live for i in range(m + 1)}
+
+    def live_step(u: Word, a: int) -> Word | None:
+        v = step(u, a)
+        return v if v in kept else None
+
     return LanguageOracle.finite_state(
         spec.alphabet,
         EMPTY_WORD,
-        step,
+        live_step,
         limit,
         name=f"sft({','.join(spec.alphabet.text(f) for f in spec.forbidden) or 'full'})",
         locality=m + 1 if spec.forbidden else 0,
@@ -300,11 +274,7 @@ def _quasi_greedy_digits(beta: float, n: int, tol: float) -> tuple[tuple[int, ..
 
 def quasi_greedy_expansion(beta: float, n: int, tol: float = 1e-12) -> Word:
     """First n digits of the lexicographically maximal driving sequence z."""
-    if beta <= 1:
-        raise ValueError("beta must be > 1")
-    pre, period = _quasi_greedy_digits(beta, n, tol)
-    spec = BetaSpec(beta, pre, period, n)
-    return spec.prefix(n)
+    return BetaSpec.from_beta(beta, n, tol).prefix(n)
 
 
 def beta_shift(spec: BetaSpec, enumeration_limit: int | None = None) -> LanguageOracle:

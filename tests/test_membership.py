@@ -21,10 +21,9 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import shiftlab as sl
-from shiftlab import models
 from shiftlab.core import check_factorial
 from shiftlab.errors import DepthExceededError, EmptyLanguageError, ExpansionUncertainError
 from shiftlab.tower import _distinct_star_counts
@@ -47,12 +46,29 @@ def _has_factor(w, forbidden):
     return any(_contains(w, f) for f in forbidden if f)
 
 
+def live_sft_states(spec):
+    """The m-words (m = memory) on bi-infinite paths of the de Bruijn graph,
+    by brute force: the m-words avoiding every forbidden word, then, to a
+    fixpoint, drop any with no in-edge or no out-edge.  An edge u -> v
+    joins m-words with u + (a,) = (b,) + v avoiding every forbidden word;
+    for m = 0 the empty word carries one loop per allowed symbol."""
+    k, forbidden = spec.alphabet.size, spec.forbidden
+    m = max(spec.memory, 0)
+    live = {u for u in itertools.product(range(k), repeat=m) if not _has_factor(u, forbidden)}
+    while True:
+        edges = {(u, (u + (a,))[1:]) for u in live for a in range(k)
+                 if (u + (a,))[1:] in live and not _has_factor(u + (a,), forbidden)}
+        keep = {u for u, _ in edges} & {v for _, v in edges}
+        if keep == live:
+            return live
+        live = keep
+
+
 def reference_sft_contains(spec):
     """Forbidden-factor scan, then every m-window live (long words) or a
     factor of a live state (short words)."""
-    data = models._SftData(spec)
-    m, live, states, k = data.memory, data.live, data.states, spec.alphabet.size
-    forbidden = spec.forbidden
+    m, k, forbidden = max(spec.memory, 0), spec.alphabet.size, spec.forbidden
+    live = live_sft_states(spec)
 
     def contains(w):
         if not _valid(k, w):
@@ -65,7 +81,7 @@ def reference_sft_contains(spec):
             return True
         if len(w) >= m:
             return all(w[i : i + m] in live for i in range(len(w) - m + 1))
-        return any(_contains(s, w) for s in states)
+        return any(_contains(s, w) for s in live)
 
     return contains
 
@@ -139,6 +155,27 @@ def test_sft_membership_matches_reference(instance):
     except EmptyLanguageError:
         return
     _assert_agree(oracle, reference_sft_contains(spec), drawn)
+
+
+@settings(max_examples=150, deadline=None)
+@example((2, [(0,), (1,)]))
+@example((2, [(0, 0), (0, 1), (1, 1)]))
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.lists(st.integers(0, k - 1), min_size=1, max_size=4).map(tuple), max_size=6, unique=True))))
+def test_sft_layer_labels_are_live_words_and_their_prefixes(instance):
+    """The layer's states are the live m-words and their prefixes, each
+    once; a language with no live m-word raises EmptyLanguageError."""
+    k, forbidden = instance
+    spec = sl.SftSpec(sl.Alphabet.of_size(k), tuple(sorted(forbidden)))
+    live = live_sft_states(spec)
+    if not live:
+        with pytest.raises(EmptyLanguageError):
+            sl.sft_from_forbidden(spec)
+        return
+    labels = sl.sft_from_forbidden(spec).labels
+    m = max(spec.memory, 0)
+    assert len(labels) == len(set(labels))
+    assert set(labels) == {u[:i] for u in live for i in range(m + 1)}
 
 
 # -- S-gap shifts --------------------------------------------------------------

@@ -320,6 +320,20 @@ def test_loops_cross_check_detects_non_ud(forbid111):
         loop_sums(tw, zero(forbid111), 12, cross_check=True)
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: at a non-zero potential both sides of "
+                   "the cross-check sum over parses, so a code that is not uniquely "
+                   "decipherable passes; the integer counts would catch it")
+def test_loops_cross_check_detects_non_ud_at_nonzero_potential(full2):
+    a = full2.alphabet
+    irr = [a.word("0"), a.word("01"), a.word("10")]
+    tw = sl.build_tower_over(full2, irr, 2, a.word("0"))
+    with pytest.raises(InconsistentDecipherabilityError):
+        loop_sums(tw, zero(full2), 12, cross_check=True)
+    pot = sl.Potential.from_strings(a, 1, {"0": 0.0, "1": 0.1})
+    with pytest.raises(InconsistentDecipherabilityError):
+        loop_sums(tw, pot, 12, cross_check=True)
+
+
 def test_loops_with_potential_match_brute_force(full2):
     # graph DP against direct loop enumeration, for a range-2 potential
     a = full2.alphabet
