@@ -2,11 +2,12 @@
 
 Each constructor returns an exact :class:`~shiftlab.core.LanguageOracle`.
 SFT, S-gap, coded and nonnegative cocyclic shifts of dimension <= 3 have a
-finite layer (live suffixes, run and gap lengths, code-automaton position
-sets, product supports); beta, factor and the other cocyclic shifts answer
-a membership predicate over the whole word.  No constructor checks
-factoriality or extendability; ``core.check_factorial`` and
-``core.check_extendable`` test them by enumeration.
+finite layer (sets of forbidden-word automaton states, run and gap
+lengths, code-automaton position sets, product supports); beta, factor and
+the other cocyclic shifts answer a membership predicate over the whole
+word.  No constructor checks factoriality or extendability;
+``core.check_factorial`` and ``core.check_extendable`` test them by
+enumeration.
 """
 
 from __future__ import annotations
@@ -72,43 +73,41 @@ def _recurrent(succ: Mapping) -> set:
 def sft_from_forbidden(spec: SftSpec, enumeration_limit: int | None = None) -> LanguageOracle:
     """Language oracle for the SFT avoiding the given factors.
 
-    The layer state is the word's suffix of length <= m (the memory).  A
-    first tabulation steps on while no suffix is forbidden; its m-symbol
-    states are pruned to those on bi-infinite paths (``_recurrent``), and
-    the layer is tabulated again over the kept states and their prefixes,
-    so the oracle satisfies the extendability invariant.  Raises
-    EmptyLanguageError when nothing survives.
+    The step is that of the forbidden words' automaton (Aho & Corasick,
+    1975): its state is the longest suffix read so far that is a proper
+    prefix of a forbidden word, and a step that completes a forbidden word
+    returns None.  Tabulated once from the empty word, it is pruned to the
+    states on bi-infinite paths (``_recurrent``), which read exactly the
+    SFT's words.  The layer state is the set of kept states a word can be
+    read into from any kept state, so the oracle satisfies the
+    extendability invariant; after m (the memory) symbols it is one state.
+    Raises EmptyLanguageError when nothing survives.
     """
-    m = max(spec.memory, 0)
-    forbidden = frozenset(spec.forbidden)
-    lengths = {len(f) for f in forbidden if f}
+    forbidden = frozenset(f for f in spec.forbidden if f)
+    prefixes = {f[:i] for f in forbidden for i in range(len(f))} | {EMPTY_WORD}
 
     def step(u: Word, a: int) -> Word | None:
         v = u + (a,)
-        # u's own factors were checked as it was reached, so only suffixes of v can be new
-        if any(v[-n:] in forbidden for n in lengths):
+        # u is the longest suffix that prefixes a forbidden word, so any completed one ends v
+        if any(v[i:] in forbidden for i in range(len(v))):
             return None
-        return v[-m:] if m else EMPTY_WORD
+        return next(v[i:] for i in range(len(v) + 1) if v[i:] in prefixes)
 
     limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(spec.alphabet.size)
-    clean = LanguageOracle.finite_state(spec.alphabet, EMPTY_WORD, step, limit)
-    labels, rows = clean.labels, clean.transitions
-    live = _recurrent({q: rows[q].values() for q, u in enumerate(labels) if len(u) == m})
+    automaton = LanguageOracle.finite_state(spec.alphabet, EMPTY_WORD, step, limit)
+    labels, rows = automaton.labels, automaton.transitions
+    live = _recurrent({q: row.values() for q, row in enumerate(rows)})
     if not live:
         raise EmptyLanguageError("every symbol is stranded by the forbidden set")
-    kept = {labels[q][:i] for q in live for i in range(m + 1)}
-
-    def live_step(u: Word, a: int) -> Word | None:
-        v = step(u, a)
-        return v if v in kept else None
+    kept = {labels[q]: {a: labels[t] for a, t in rows[q].items() if t in live} for q in live}
 
     return LanguageOracle.finite_state(
         spec.alphabet,
-        EMPTY_WORD,
-        live_step,
+        frozenset(kept),
+        lambda s, a: frozenset(kept[u][a] for u in s if a in kept[u]) or None,
         limit,
         name=f"sft({','.join(spec.alphabet.text(f) for f in spec.forbidden) or 'full'})",
-        locality=m + 1 if spec.forbidden else 0,
+        locality=max(spec.memory, 0) + 1 if spec.forbidden else 0,
     )
 
 
@@ -121,9 +120,9 @@ def sft_entropy_exact(source: SftSpec | LanguageOracle) -> float:
     nonnegative cocyclic of dimension <= 3): the layer is deterministic, so
     its paths from the start are the words, and the entropy is the log
     spectral radius of its transition matrix on the states of bi-infinite
-    paths (for an SFT, the pruned de Bruijn graph), from one eigensolve.
-    Raises ValueError for an oracle with no finite layer (beta, factor and
-    signed or d >= 4 cocyclic shifts)."""
+    paths (for an SFT, the pruned forbidden-word automaton), from one
+    eigensolve.  Raises ValueError for an oracle with no finite layer
+    (beta, factor and signed or d >= 4 cocyclic shifts)."""
     oracle = sft_from_forbidden(source) if isinstance(source, SftSpec) else source
     rows = oracle.transitions
     if rows is None:

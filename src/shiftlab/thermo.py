@@ -370,7 +370,6 @@ def _cyclic_birkhoff(potential: Potential, p: Word) -> float:
 class PeriodicMeasure:
     horizon: int
     depth: int
-    atoms: list[tuple[Word, int, float]]
     cylinder_weights: dict[Word, float]
     exact_periods: bool
 
@@ -437,7 +436,7 @@ def periodic_orbit_measure(
         reps = 1 + -(-depth // k)
         u = (p * reps)[:depth]
         weights[u] = weights.get(u, 0.0) + wt / total
-    return PeriodicMeasure(n, depth, atoms, weights, exact)
+    return PeriodicMeasure(n, depth, weights, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,9 @@ def find_sync_triple(
         )
     while True:
         shrunk = False
+        lefts = _ending_with(good, p, cert_depth)
         for qc in _starting_with(good, q, cert_depth):
-            for pc in _ending_with(good, p, cert_depth):
+            for pc in lefts:
                 cs = _connector_set(oracle, good, pc, qc, tau)
                 if cs < current:
                     if not cs:
@@ -633,16 +634,16 @@ def _distinct_star_counts(irreducibles: Sequence[Word], n_max: int, n_symbols: i
 
 def _loop_counts(tower: TowerGraph, n_max: int, star: bool) -> list[int]:
     """Exact integer counts of the length-n loops at the base (first-return
-    loops when star=True) for every n <= n_max, indexed by n, from one DP
-    pass: after n-1 steps the table counts the paths of n vertices."""
-    base = tower.base
-
-    def successors(v: tuple[Word, int]) -> list[tuple[Word, int]]:
-        return [u for u in tower.successors(v) if not (star and u == base)]
-
-    # the base (b, 1) follows exactly the last position of each word
-    return [0] + [sum(c for (w, k), c in vec.items() if k == len(w))
-                  for _, vec in zip(range(n_max), path_counts(base, successors))]
+    loops when star=True) for every n <= n_max, indexed by n.  A loop reads
+    the base word b, then irreducible words (none equal to b for a first
+    return), so Z_n = P(n - |b|), where P(m) = sum_w P(m - |w|) counts the
+    parses of length m."""
+    b = tower.base[0]
+    words = [w for w in tower.irreducibles if not (star and w == b)]
+    parses = [1]
+    for m in range(1, n_max + 1):
+        parses.append(sum(parses[m - len(w)] for w in words if len(w) <= m))
+    return ([0] * len(b) + parses)[:n_max + 1]
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -703,14 +704,14 @@ def loop_sums(
 ) -> LoopTable:
     """Z_n and first-return Z*_n tables at the tower base.
 
-    Computed in one pass for all n <= n_max: exact integer counts by a DP
-    over the tower at zero potential, else closed walks on the tower's
-    (r-1)-block graph (see _loop_logs), exact for every n.  The ``rate``
-    column is ``rate_estimate`` of the supported rows so far.  When
-    requested, the table is cross-checked against the word-side sums over
-    parses of the family words: under unique decipherability the two agree
-    exactly at zero potential and within a distortion envelope otherwise; a
-    larger disagreement raises InconsistentDecipherabilityError.
+    Computed in one pass for all n <= n_max: exact integer counts from
+    parse counts at zero potential (see _loop_counts), else closed walks
+    on the tower's (r-1)-block graph (see _loop_logs), exact for every n.
+    The ``rate`` column is ``rate_estimate`` of the supported rows so far.
+    When requested, the table is cross-checked against the word-side sums
+    over parses of the family words: under unique decipherability the two
+    agree exactly at zero potential and within a distortion envelope
+    otherwise; a larger disagreement raises InconsistentDecipherabilityError.
     """
     base_word = tower.base[0]
     rows: list[LoopRow] = []

@@ -19,12 +19,14 @@ compared with the sorted filter of all words of length n by ``contains``.
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import shiftlab as sl
-from shiftlab.core import check_factorial
+from shiftlab import cli
+from shiftlab.core import check_extendable, check_factorial
 from shiftlab.errors import DepthExceededError, EmptyLanguageError, ExpansionUncertainError
 from shiftlab.tower import _distinct_star_counts
 
@@ -162,9 +164,12 @@ def test_sft_membership_matches_reference(instance):
 @example((2, [(0, 0), (0, 1), (1, 1)]))
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(
     st.lists(st.integers(0, k - 1), min_size=1, max_size=4).map(tuple), max_size=6, unique=True))))
-def test_sft_layer_labels_are_live_words_and_their_prefixes(instance):
-    """The layer's states are the live m-words and their prefixes, each
-    once; a language with no live m-word raises EmptyLanguageError."""
+def test_sft_layer_labels_are_sets_of_kept_automaton_states(instance):
+    """Each label is a nonempty set of kept states of the forbidden words'
+    automaton, all of them at the start; after m symbols it is the one
+    state the word ends in, its longest suffix that is a proper prefix of a
+    forbidden word.  The kept states are those the live m-words end in; a
+    language with no live m-word raises EmptyLanguageError."""
     k, forbidden = instance
     spec = sl.SftSpec(sl.Alphabet.of_size(k), tuple(sorted(forbidden)))
     live = live_sft_states(spec)
@@ -172,10 +177,34 @@ def test_sft_layer_labels_are_live_words_and_their_prefixes(instance):
         with pytest.raises(EmptyLanguageError):
             sl.sft_from_forbidden(spec)
         return
-    labels = sl.sft_from_forbidden(spec).labels
     m = max(spec.memory, 0)
+    prefixes = {f[:i] for f in forbidden for i in range(len(f))} | {()}
+
+    def ends_in(w):
+        return next(w[i:] for i in range(len(w) + 1) if w[i:] in prefixes)
+
+    kept = {ends_in(u) for u in live}
+    oracle = sl.sft_from_forbidden(spec)
+    labels = oracle.labels
     assert len(labels) == len(set(labels))
-    assert set(labels) == {u[:i] for u in live for i in range(m + 1)}
+    assert labels[0] == kept
+    assert all(label and label <= kept for label in labels)
+    for n in range(m, m + 3):
+        for w in oracle.words(n):
+            assert labels[oracle.state(w)] == {ends_in(w)}, w
+
+
+def test_sft_layer_grows_with_the_forbidden_list_not_the_memory():
+    # one state set per prefix of 0^15 read from the start and one state
+    # per prefix after a 1: 31 states, where a state per live 15-word
+    # would be 2^15 of them
+    spec = sl.SftSpec.from_strings("01", ["0" * 16])
+    assert len(sl.sft_from_forbidden(spec).labels) <= 40
+    report = cli.run({"shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["0" * 16]},
+                         "analyses": [{"op": "entropy_exact"}]})
+    [entry] = report["analyses"]
+    assert entry["status"] == "ok"
+    assert float(entry["result"]["entropy"]) == pytest.approx(math.log(2), abs=1e-4)
 
 
 # -- S-gap shifts --------------------------------------------------------------
@@ -337,6 +366,28 @@ def test_dimension_four_keeps_the_product():
     oracle = sl.cocyclic_shift(sl.CocyclicSpec.from_lists(mats))
     assert oracle.transitions is None
     _assert_agree(oracle, reference_cocyclic_contains(mats), [])
+
+
+@pytest.mark.xfail(strict=True, reason="the cocyclic support layer is not pruned to "
+                   "bi-infinite paths (ROADMAP finding 13)")
+def test_cocyclic_shift_with_no_point_admits_no_symbol():
+    # enum_tables.041: every product of two symbols is zero, so the shift
+    # is empty; the layer admits both symbols
+    mats = [[[0, 1], [0, 0]], [[0, 1], [0, 0]]]
+    try:
+        oracle = sl.cocyclic_shift(sl.CocyclicSpec.from_lists(mats))
+    except EmptyLanguageError:
+        return
+    assert oracle.words(1) == ()
+
+
+@pytest.mark.xfail(strict=True, reason="the cocyclic support layer is not pruned to "
+                   "bi-infinite paths (ROADMAP finding 13)")
+def test_cocyclic_layer_strands_no_word():
+    # enum_tables.097: no symbol precedes 1, so the shift is the fixed point
+    # 2^infinity; the layer admits 1, 12, 122, ..., which no point contains
+    oracle = sl.cocyclic_shift(sl.CocyclicSpec.from_lists([[[0, 1], [0, 0]], [[0, 0], [0, 1]]]))
+    assert check_extendable(oracle, 7) == []
 
 
 # -- count DPs -------------------------------------------------------------------
