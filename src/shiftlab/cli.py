@@ -173,6 +173,10 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
         for key, holds, what in _BOUNDS.get(op, ()) if f and alphabet else ():
             if not holds(f):
                 err(f"analyses[{i}].{key}", f"must be {what}")
+        if (op == "cgc" and f and f["depth"] is None and oracle is not None
+                and oracle.enumeration_limit < 4):
+            err(f"analyses[{i}].depth", "must be given: the default, the enumeration limit "
+                f"{oracle.enumeration_limit}, is below 4")
     return diags, oracle, potential, failure, fields
 
 

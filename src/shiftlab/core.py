@@ -258,6 +258,18 @@ class LanguageOracle:
         self._cache[n] = out
         return out
 
+    def connectors(self, left: Word, right: Word, lengths: Iterable[int],
+                   accept: Callable[[Word], bool] | None = None) -> Iterator[Word]:
+        """The words c with |c| in ``lengths`` (by length, then
+        lexicographically) for which ``accept(left + c + right)`` holds;
+        ``accept`` defaults to ``contains``.  The one connector and extension
+        search: gluing, [I*], qft constraints and synchronisation ask it."""
+        accept = accept or self.contains
+        for ell in lengths:
+            for c in self.words(ell):
+                if accept(left + c + right):
+                    yield c
+
     def count(self, n: int) -> int:
         """The count DP over a finite layer (no depth limit), else len(words(n)).
         The DP is kept and extended, so each length is counted once."""

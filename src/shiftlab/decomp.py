@@ -102,16 +102,11 @@ def _check_gluing(good: WordSet, oracle: LanguageOracle, tau: int, n: int,
             f"gluing check needs membership at length {2 * n + tau}, set certified to {good.depth}"
         )
     words = _collection_words(good, n)
-    lengths = [tau] if exact_length else list(range(tau + 1))
-    connectors = [u for ell in lengths for u in oracle.words(ell)]
+    lengths = [tau] if exact_length else range(tau + 1)
     witnesses: list[tuple[Word, Word]] = []
     max_needed = 0
     for v, w in itertools.product(words, repeat=2):
-        hit = None
-        for u in connectors:
-            if good.contains(v + u + w):
-                hit = u
-                break
+        hit = next(oracle.connectors(v, w, lengths, good.contains), None)
         if hit is None:
             witnesses.append((v, w))
         else:
@@ -157,12 +152,8 @@ def check_stay_good_III(
                         continue
                     checked += 1
                     if mode == "union":
-                        trigger = any(
-                            good.contains(x + t)
-                            for ell in range(1, n - m + 1)
-                            for x in oracle.words(ell)
-                        )
-                        if not trigger:
+                        xs = oracle.connectors(EMPTY_WORD, t, range(1, n - m + 1), good.contains)
+                        if next(xs, None) is None:  # no x with x.uvw good
                             continue
                         ok = good.contains(t)
                     elif mode == "inter":
@@ -332,22 +323,14 @@ def check_complete_list_Istar(
         good = good_words_from_obstructions(pair, oracle, M)
         words = _collection_words(good, n)
         worst = 0
-        failed = None
         for v, w in itertools.product(words, repeat=2):
-            need = None
-            for ell in range(n + 1):
-                if any(oracle.contains(v + u + w) for u in oracle.words(ell)):
-                    need = ell
-                    break
-            if need is None:
-                failed = (v, w)
+            c = next(oracle.connectors(v, w, range(n + 1)), None)
+            if c is None:
+                witnesses.append((M, (v, w)))
                 break
-            worst = max(worst, need)
-        if failed is not None:
-            witnesses.append((M, failed))
+            worst = max(worst, len(c))
         else:
-            table[M] = worst
-            pair.tau_of_M[M] = worst
+            table[M] = pair.tau_of_M[M] = worst
     return Verdict(
         "[I*]",
         n,
@@ -478,14 +461,9 @@ def _near_obstructions(obstructions: WordSet, oracle: LanguageOracle, reach: int
         return WordSet.empty(oracle)
 
     def member(w: Word) -> bool:
-        if len(w) == 0:
-            return False
-        for ell in range(0, reach + 1):
-            for x in oracle.words(ell):
-                cand = w + x if side == "right" else x + w
-                if obstructions.contains(cand):
-                    return True
-        return False
+        left, right = (w, EMPTY_WORD) if side == "right" else (EMPTY_WORD, w)
+        x = oracle.connectors(left, right, range(reach + 1), obstructions.contains)
+        return len(w) > 0 and next(x, None) is not None
 
     return WordSet.from_predicate(oracle, member,
                                   name=f"D{'+' if side == 'left' else '-'}")
@@ -567,23 +545,21 @@ class QftReport:
 
 
 def _is_left_constraint(oracle: LanguageOracle, w: Word, bound: int) -> bool:
-    if len(w) < 1:
-        return False
-    for ell in range(1, bound + 1):
-        for v in oracle.words(ell):
-            if oracle.contains(w[1:] + v) and not oracle.contains(w + v):
-                return True
-    return False
+    """Some v, 1 <= |v| <= bound, has w[1:].v a word and w.v not."""
+    def splits(x: Word) -> bool:
+        return oracle.contains(x) and not oracle.contains(w[:1] + x)
+
+    return len(w) > 0 and next(oracle.connectors(w[1:], EMPTY_WORD, range(1, bound + 1), splits),
+                               None) is not None
 
 
 def _is_right_constraint(oracle: LanguageOracle, w: Word, bound: int) -> bool:
-    if len(w) < 1:
-        return False
-    for ell in range(1, bound + 1):
-        for v in oracle.words(ell):
-            if oracle.contains(v + w[:-1]) and not oracle.contains(v + w):
-                return True
-    return False
+    """Some v, 1 <= |v| <= bound, has v.w[:-1] a word and v.w not."""
+    def splits(x: Word) -> bool:
+        return oracle.contains(x) and not oracle.contains(x + w[-1:])
+
+    return len(w) > 0 and next(oracle.connectors(EMPTY_WORD, w[:-1], range(1, bound + 1), splits),
+                               None) is not None
 
 
 def _constraint_bound(oracle: LanguageOracle) -> tuple[int, bool]:
@@ -638,25 +614,15 @@ def sync_decomposition(
     d = depth if depth is not None else min(oracle.enumeration_limit // 2, 8)
     if not oracle.contains(s):
         raise NotSynchronisingError(f"{s} is not admissible", witness=s)
-    for lv in range(0, d + 1):
-        for v in oracle.words(lv):
-            if not oracle.contains(v + s):
-                continue
-            for lw in range(0, d + 1):
-                for w in oracle.words(lw):
-                    if oracle.contains(s + w) and not oracle.contains(v + s + w):
-                        raise NotSynchronisingError(
-                            f"{v} and {w} witness failure of synchronisation for {s}",
-                            witness=(v, w),
-                        )
-    connector = None
-    for ell in range(d + 1):
-        for c in oracle.words(ell):
-            if oracle.contains(s + c + s):
-                connector = c
-                break
-        if connector is not None:
-            break
+    rights = list(oracle.connectors(s, EMPTY_WORD, range(d + 1)))
+    for v in oracle.connectors(EMPTY_WORD, s, range(d + 1)):
+        for w in rights:
+            if not oracle.contains(v + s + w):
+                raise NotSynchronisingError(
+                    f"{v} and {w} witness failure of synchronisation for {s}",
+                    witness=(v, w),
+                )
+    connector = next(oracle.connectors(s, s, range(d + 1)), None)
     if connector is None:
         raise NotSynchronisingError(f"no connector c with scs admissible within {d}")
 

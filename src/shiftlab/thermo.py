@@ -16,7 +16,6 @@ from .core import (
     Potential,
     Word,
     WordSet,
-    chunked_fsum,
     distortion_bound,
     log_sum_exp,
     phi_hat,
@@ -425,17 +424,16 @@ def periodic_orbit_measure(
     for k in range(1, n + 1):
         per = periodic_points(oracle, k)
         exact = exact and per.exact
-        for p in per.words:
-            s = _cyclic_birkhoff(potential, p)
-            atoms.append((p, k, math.exp(s)))
+        atoms.extend((p, k, _cyclic_birkhoff(potential, p)) for p in per.words)
     if not atoms:
         raise NoPeriodicPointsError(f"no periodic points up to period {n}")
-    total = chunked_fsum([a[2] for a in atoms])
+    # normalised in logs: a Birkhoff sum past ~709 overflows math.exp
+    log_total = log_sum_exp([a[2] for a in atoms])
     weights: dict[Word, float] = {}
-    for p, k, wt in atoms:
+    for p, k, s in atoms:
         reps = 1 + -(-depth // k)
         u = (p * reps)[:depth]
-        weights[u] = weights.get(u, 0.0) + wt / total
+        weights[u] = weights.get(u, 0.0) + math.exp(s - log_total)
     return PeriodicMeasure(n, depth, weights, exact)
 
 

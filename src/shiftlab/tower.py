@@ -58,17 +58,6 @@ class SyncTriple:
         return f"({alphabet.text(self.r)},{alphabet.text(self.c)},{alphabet.text(self.s)})"
 
 
-def _connector_set(oracle: LanguageOracle, good: WordSet, left: Word, right: Word,
-                   tau: int) -> frozenset[Word]:
-    """Connectors c with |c| <= tau and left.c.right in the good set."""
-    out = []
-    for ell in range(tau + 1):
-        for c in oracle.words(ell):
-            if good.contains(left + c + right):
-                out.append(c)
-    return frozenset(out)
-
-
 def _ending_with(good: WordSet, suffix: Word, max_len: int) -> list[Word]:
     out = []
     for m in range(len(suffix), max_len + 1):
@@ -119,7 +108,7 @@ def find_sync_triple(
     p = seed_w  # will absorb left-extensions (ends every good continuation)
     if not (good.contains(q) and good.contains(p)):
         raise NotSpecifiedError("seed words must lie in the good set")
-    current = _connector_set(oracle, good, p, q, tau)
+    current = frozenset(oracle.connectors(p, q, range(tau + 1), good.contains))
     if not current:
         raise NotSpecifiedError(
             f"seed pair has no connector of length <= {tau}; gluing fails"
@@ -129,7 +118,7 @@ def find_sync_triple(
         lefts = _ending_with(good, p, cert_depth)
         for qc in _starting_with(good, q, cert_depth):
             for pc in lefts:
-                cs = _connector_set(oracle, good, pc, qc, tau)
+                cs = frozenset(oracle.connectors(pc, qc, range(tau + 1), good.contains))
                 if cs < current:
                     if not cs:
                         raise NotSpecifiedError(
@@ -238,7 +227,6 @@ def ensure_no_long_overlaps(
     ell = _doubling_scale(good, len(triple.c), cert_depth)
     alpha = 0.5 * LOG2 / (ell * math.log(max(2, k)))
 
-    connectors = [u for m in range(t + 1) for u in oracle.words(m)]
     for nw in range(1, cert_depth + 1):
         for w in good.at(nw):
             if any(_is_k_periodic(w, kk) for kk in range(1, int(alpha * nw) + 1)):
@@ -247,15 +235,10 @@ def ensure_no_long_overlaps(
                 for v in good.at(nv):
                     if any(w[i : i + nv] == v for i in range(nw - nv + 1)):
                         continue  # v occurs inside w
-                    for u in connectors:
-                        r2 = v + u + triple.r
-                        if not good.contains(r2):
-                            continue
-                        for u2 in connectors:
-                            s2 = triple.s + u2 + w
-                            if not good.contains(s2):
-                                continue
-                            cand = SyncTriple(r2, triple.c, s2, cert_depth, False)
+                    for u in oracle.connectors(v, triple.r, range(t + 1), good.contains):
+                        for u2 in oracle.connectors(triple.s, w, range(t + 1), good.contains):
+                            cand = SyncTriple(v + u + triple.r, triple.c, triple.s + u2 + w,
+                                              cert_depth, False)
                             if overlap_violations(cand, oracle):
                                 continue
                             if verify_sync_triple(cand, oracle, good, cert_depth) is None:

@@ -333,6 +333,21 @@ def test_validate_rejects_values_that_break_a_bound_between_fields(analysis, fie
     assert cli.run(cfg)["analyses"][0]["status"] == "ok"
 
 
+def test_validate_rejects_cgc_default_depth_below_four():
+    # cgc's default depth, min(12, the enumeration limit), was 3 here, and
+    # run recorded an internal ValueError from the pressure estimate
+    cgc = {"op": "cgc", "obstructions": "zero_runs", "check_depth": 2}
+    cfg = {"shift": {"family": "full", "k": 2, "depth": 3}, "analyses": [cgc]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("error", "analyses[0].depth")]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+    # at a limit of 4 the default runs
+    cfg = {"shift": {"family": "full", "k": 2, "depth": 4}, "analyses": [cgc]}
+    assert cli.validate(cfg) == []
+    assert cli.run(cfg)["analyses"][0]["status"] == "ok"
+
+
 @pytest.mark.parametrize("depth", ["deep", 12.5, None, True])
 def test_validate_non_integer_shift_depth(depth, tmp_path):
     # run would raise ValueError from int() while building the oracle (exit 2)

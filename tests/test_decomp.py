@@ -4,6 +4,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab.core import WordSet
@@ -13,7 +14,7 @@ from shiftlab.decomp import (
     qft_obstruction_pair,
     star_closure,
 )
-from shiftlab.errors import NotSynchronisingError, NoValidParametersError
+from shiftlab.errors import EmptyLanguageError, NotSynchronisingError, NoValidParametersError
 
 
 def zero(oracle):
@@ -427,3 +428,81 @@ def test_sync_rejects_non_synchronising():
     with pytest.raises(NotSynchronisingError) as exc:
         sl.sync_decomposition(f3, f3.alphabet.word("1"), depth=4)
     assert exc.value.witness is not None
+
+
+# -- search order against brute force --------------------------------------------------
+
+def _by_length(k, lengths):
+    """Every string over k symbols with its length in ``lengths``, by length
+    and then lexicographically."""
+    return (u for n in lengths for u in itertools.product(range(k), repeat=n))
+
+
+@st.composite
+def small_shifts(draw):
+    """A generated SFT (2-3 symbols, up to three forbidden words of length 2
+    or 3) or S-gap shift (finite S, or S with an arithmetic tail)."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 3))
+        forbidden = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=2, max_size=3)
+                                  .map(tuple), max_size=3, unique=True))
+        try:
+            return sl.sft_from_forbidden(sl.SftSpec(sl.Alphabet.of_size(k), tuple(forbidden)))
+        except EmptyLanguageError:
+            reject()
+    values = tuple(sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3))))
+    tail = draw(st.sampled_from([(None, None), (3, 2), (5, 1)]))
+    return sl.s_gap_shift(sl.SGapSpec(values, *tail))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_shifts(), st.data())
+def test_sync_decomposition_matches_brute_force(oracle, data):
+    # s synchronises to depth d iff no v, w (|v|, |w| <= d) have vs and sw
+    # words and vsw not; the witness is the least such pair, v first, each
+    # by length and then lexicographically; tau is the least |c| with scs a
+    # word
+    k, word = oracle.alphabet.size, oracle.contains
+    s = data.draw(st.sampled_from(oracle.words(1) + oracle.words(2)))
+    d = data.draw(st.integers(1, 4))
+    strings = list(_by_length(k, range(d + 1)))
+    bad = next(((v, w) for v in strings if word(v + s) for w in strings
+                if word(s + w) and not word(v + s + w)), None)
+    tau = next((len(c) for c in strings if word(s + c + s)), None)
+    try:
+        got = sl.sync_decomposition(oracle, s, depth=d)
+    except NotSynchronisingError as exc:
+        assert exc.witness == bad  # None when only the connector is missing
+        assert bad is not None or tau is None
+    else:
+        assert bad is None and got.tau == tau
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_shifts(), st.integers(2, 4), st.lists(st.integers(1, 3), min_size=1, max_size=2))
+@example(sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["01"])), 2, [1, 2])  # 10.c.1 fails
+def test_istar_tau_table_matches_brute_force(oracle, n, M_list):
+    # zero-run obstructions: the good words of threshold M are the words
+    # neither starting nor ending with 0^M; tau(M) is the largest, over good
+    # v, w with |v|, |w| <= n, of the least |c| <= n with vcw a word, and
+    # the witness of a failing M is the first pair with no such c
+    k, word = oracle.alphabet.size, oracle.contains
+    zero = oracle.alphabet.index("0")
+    table, witnesses = {}, []
+    for M in M_list:
+        good = [w for w in _by_length(k, range(1, n + 1)) if word(w)
+                and w[:M] != (zero,) * M and w[len(w) - M:] != (zero,) * M]
+        needs = ((v, w, next((len(c) for c in _by_length(k, range(n + 1))
+                              if word(v + c + w)), None))
+                 for v in good for w in good)
+        worst = 0
+        for v, w, need in needs:
+            if need is None:
+                witnesses.append((M, (v, w)))
+                break
+            worst = max(worst, need)
+        else:
+            table[M] = worst
+    got = sl.check_complete_list_Istar(zero_runs_pair(oracle), oracle, M_list, n)
+    assert got.parameters["tau_of_M"] == dict(sorted(table.items()))
+    assert got.witnesses == witnesses

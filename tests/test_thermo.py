@@ -204,6 +204,14 @@ def test_periodic_measure_suppression(full2):
     assert mu.weight((1,)) < mu0.weight((1,))
 
 
+def test_periodic_measure_large_potential_does_not_overflow(full2):
+    # the period-10 orbit of 0 has Birkhoff sum 2000, past math.exp's range
+    pot = sl.Potential.indicator(full2.alphabet, "0", scale=200.0)
+    mu = sl.periodic_orbit_measure(full2, pot, 10, 1)
+    assert math.fsum(mu.cylinder_weights.values()) == pytest.approx(1.0, abs=1e-12)
+    assert mu.weight((0,)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_periodic_measure_normalized_and_shift_invariant(golden):
     mu = sl.periodic_orbit_measure(golden, zero(golden), 14, 3)
     assert math.fsum(mu.cylinder_weights.values()) == pytest.approx(1.0, abs=1e-9)
