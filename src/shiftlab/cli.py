@@ -5,7 +5,8 @@ A config is a single JSON document selecting one shift family, one
 potential, and an ordered list of analyses.  Reports are deterministic
 given the config: every float is serialized as a 17-significant-digit
 decimal string, reductions are canonical-order, and wall-clock timing goes
-to a separate sidecar so report bytes are identical across runs.
+to a separate sidecar so report bytes are identical across runs.  The
+library returns plain result objects, and this module alone renders them.
 
 ``_SHIFTS``, ``_POTENTIAL`` and ``_OPS`` declare, once per shift family,
 for the potential and once per analysis, each field read: the parser that
@@ -54,9 +55,7 @@ from .models import (
     sft_from_forbidden,
 )
 from .thermo import (
-    csv_text,
     cylinder_count_table,
-    format17,
     hyperbolicity_diagnostic,
     periodic_orbit_measure,
     pressure_estimate,
@@ -334,44 +333,102 @@ _POTENTIAL = ({"indicator": (_word, None), "scale": (_number, 1.0),
 
 
 # ---------------------------------------------------------------------------
+# Rendering: the only writers of report values, CSV and .dat text
+# ---------------------------------------------------------------------------
+
+def format17(x: float) -> str:
+    """17-significant-digit decimal rendering of every report float."""
+    return str(x) if isinstance(x, int) else f"{x:.17g}"
+
+
+def _render(x, alphabet=None):
+    """A result as report values: a float as its format17 string, a word (a
+    tuple of symbol indices) as its text, other tuples and lists as lists,
+    dicts key by key, and a result object as its fields (``vars``)."""
+    if isinstance(x, float):
+        return format17(x)
+    if x is None or isinstance(x, (int, str)):
+        return x
+    if isinstance(x, tuple) and all(isinstance(i, int) for i in x):
+        return alphabet.text(x)
+    if isinstance(x, (tuple, list)):
+        return [_render(y, alphabet) for y in x]
+    if isinstance(x, dict):
+        return {_render(k, alphabet): _render(v, alphabet) for k, v in x.items()}
+    return {k: _render(v, alphabet) for k, v in vars(x).items()}
+
+
+def _verdict(v: decomp.Verdict, alphabet) -> dict:
+    """A verdict's report block, where ``passed`` is written as ``pass``."""
+    return _render({"condition": v.condition, "depth": v.depth, "pass": v.passed,
+                    "witnesses": v.witnesses, "parameters": v.parameters}, alphabet)
+
+
+def csv_text(header: str, rows) -> str:
+    """The one CSV writer: the header line, then a line per row of fields,
+    floats rendered by format17 and anything else by str."""
+    lines = (",".join(format17(f) if isinstance(f, float) else str(f) for f in row) for row in rows)
+    return "".join(f"{line}\n" for line in (header, *lines))
+
+
+def _dat(points) -> str:
+    """The one gnuplot .dat writer: a line "n value" per (n, value)."""
+    return "\n".join(f"{n} {format17(v)}" for n, v in points) + "\n"
+
+
+#: past this a CSV's sum stays in log space (exp would be ~1e130)
+_EXP_CAP = 300.0
+
+
+def capped_exp(x: float) -> float:
+    return math.exp(x) if x <= _EXP_CAP else float("inf")
+
+
+def _pressure_csv(rep) -> str:
+    """A pressure table's counts, or its sums where it has no count."""
+    return csv_text("n,count_or_sum,rate,upper_bound", (
+        (r.n, r.count if r.count is not None else capped_exp(r.log_sum), r.rate,
+         "" if r.upper_bound is None else r.upper_bound) for r in rep.rows))
+
+
+def _loop_csv(table: tower.LoopTable) -> str:
+    return csv_text("n,Z_n,Z_n_star,rate,rate_star", (
+        (r.n, r.z_count if r.z_count is not None else capped_exp(r.z),
+         r.z_star_count if r.z_star_count is not None else capped_exp(r.z_star),
+         r.rate, r.rate_star) for r in table.rows))
+
+
+# ---------------------------------------------------------------------------
 # Analyses
 # ---------------------------------------------------------------------------
 
 def _rate_report(words, potential, n_max):
-    """pressure_estimate over ``words``: the language, or for
-    avoid_symbol_rate the words that avoid ``symbol``."""
+    """pressure_estimate over the language, or the words that avoid a symbol."""
     rep = pressure_estimate(words, potential, n_max)
-    return rep.to_json_dict(), rep.to_csv_text(), _rate_dat(rep.rows)
-
-
-def _rate_dat(rows) -> str:
-    """The gnuplot "n rate" text of a table's rows."""
-    return "\n".join(f"{r.n} {format17(r.rate)}" for r in rows) + "\n"
+    return _render(rep), _pressure_csv(rep), _dat((r.n, r.rate) for r in rep.rows)
 
 
 def _analysis_cylinder(oracle, potential, f):
     table = cylinder_count_table(oracle, potential, f["word"], f["n"])
-    rows = [{"i": r.position, "count": r.count, "log_sum": format17(r.log_sum),
-             "gibbs_ratio": format17(r.gibbs_ratio)} for r in table.rows]
+    rows = [{"i": r.position, "count": r.count, "log_sum": r.log_sum,
+             "gibbs_ratio": r.gibbs_ratio} for r in table.rows]
     csv = csv_text("i,count_or_log_sum,gibbs_ratio", (
         (r.position, r.count if r.count is not None else r.log_sum, r.gibbs_ratio)
         for r in table.rows))
-    return {"word": oracle.alphabet.text(f["word"]), "n": f["n"],
-            "pressure_used": format17(table.pressure_used), "rows": rows}, csv, None
+    return _render({**vars(table), "rows": rows}, oracle.alphabet), csv, None
 
 
 def _analysis_periodic_measure(oracle, potential, f):
     mu = periodic_orbit_measure(oracle, potential, f["horizon"], f["depth"])
-    return mu.to_json_dict(oracle.alphabet), mu.to_csv_text(oracle.alphabet), None
+    csv = csv_text("cylinder,weight", (
+        (oracle.alphabet.text(u), wt) for u, wt in sorted(mu.cylinder_weights.items())))
+    return _render(mu, oracle.alphabet), csv, None
 
 
 def _analysis_hyperbolicity(oracle, potential, f):
     rep = hyperbolicity_diagnostic(oracle, potential, f["n_max"])
-    rows = [{"n": r.n, "sup_rate": format17(r.sup_rate), "rate": format17(r.rate),
-             "gap": format17(r.gap)} for r in rep.rows]
-    csv = csv_text("n,sup_rate,rate,gap", (row.values() for row in rows))
-    return {"verdict": rep.verdict, "point_estimate": format17(rep.point_estimate),
-            "rows": rows}, csv, None
+    csv = csv_text("n,sup_rate,rate,gap", ((r.n, r.sup_rate, r.rate, r.gap) for r in rep.rows))
+    return _render(rep), csv, None
 
 
 def _analysis_ud(oracle, potential, f):
@@ -399,21 +456,16 @@ def _loop_table(oracle, potential, f, tables: dict, cross_check: bool):
 
 def _analysis_tower_loops(oracle, potential, f, tables):
     graph, table = _loop_table(oracle, potential, f, tables, f["cross_check"])
-    block = {
-        "base": f"{oracle.alphabet.text(graph.base[0])}:1",
-        "vertices": len(graph.vertices),
-        "edges": graph.edge_count(),
-        "z_rate": format17(table.z_rate_estimate()),
-        "z_star_rate": format17(table.z_star_rate_estimate()),
-        "loop_gcd": table.loop_length_gcd(),
-    }
-    return block, table.to_csv_text(), _rate_dat(table.rows)
+    block = {"base": f"{oracle.alphabet.text(graph.base[0])}:1", "vertices": len(graph.vertices),
+             "edges": graph.edge_count(), "z_rate": table.z_rate_estimate(),
+             "z_star_rate": table.z_star_rate_estimate(), "loop_gcd": table.loop_length_gcd()}
+    return _render(block), _loop_csv(table), _dat((r.n, r.rate) for r in table.rows)
 
 
 def _analysis_spr(oracle, potential, f, tables):
     graph, table = _loop_table(oracle, potential, f, tables, True)
     rep = tower.spr_diagnostic(graph, potential, f["n_max"], margin=f["margin"], table=table)
-    return rep.to_json_dict(), rep.table.to_csv_text(), None
+    return _render({k: v for k, v in vars(rep).items() if k != "table"}), _loop_csv(table), None
 
 
 def _analysis_marking(oracle, potential, f):
@@ -432,10 +484,13 @@ def _analysis_sync_pipeline(oracle, potential, f):
     good = WordSet.language(oracle)
     tau, seed, cert_depth = f["tau"], f["seed"], f["cert_depth"]
     triple = tower.find_sync_triple(oracle, good, tau, seed, seed, cert_depth)
-    block: dict[str, Any] = {"triple": triple.text(oracle.alphabet),
-                             "no_long_overlaps": triple.no_long_overlaps}
+
+    def text(t: tower.SyncTriple) -> str:
+        return f"({','.join(map(oracle.alphabet.text, (t.r, t.c, t.s)))})"
+
+    block: dict[str, Any] = {"triple": text(triple), "no_long_overlaps": triple.no_long_overlaps}
     fixed = tower.ensure_no_long_overlaps(triple, oracle, good, cert_depth, tau=tau)
-    block["overlap_free_triple"] = fixed.text(oracle.alphabet)
+    block["overlap_free_triple"] = text(fixed)
     family = tower.build_free_family(fixed, oracle, good, f["family_depth"])
     block["free_violations"] = len(tower.check_free_concatenation(family))
     block["gcd_lengths"] = family.gcd_lengths
@@ -444,8 +499,7 @@ def _analysis_sync_pipeline(oracle, potential, f):
     block["fraction_monotone"] = all(b[3] <= a[3] + 1e-12 for a, b in zip(rows, rows[1:]))
     csv = csv_text("n,obstructed,fraction,total",
                    ((n, bad, frac, total) for n, bad, total, frac in rows))
-    dat = "\n".join(f"{n} {format17(frac)}" for n, bad, total, frac in rows) + "\n"
-    return block, csv, dat
+    return block, csv, _dat((n, frac) for n, bad, total, frac in rows)
 
 
 def _analysis_qft(oracle, potential, f):
@@ -473,13 +527,13 @@ def _obstruction_pair(oracle, f) -> decomp.ObstructionPair:
 
 def _analysis_persistence(oracle, potential, f):
     verdict = decomp.check_persistence(_obstruction_pair(oracle, f), oracle, f["depth"])
-    return verdict.to_json_dict(oracle.alphabet), None, None
+    return _verdict(verdict, oracle.alphabet), None, None
 
 
 def _analysis_istar(oracle, potential, f):
     verdict = decomp.check_complete_list_Istar(_obstruction_pair(oracle, f), oracle,
                                                f["M_list"], f["depth"])
-    return verdict.to_json_dict(oracle.alphabet), None, None
+    return _verdict(verdict, oracle.alphabet), None, None
 
 
 def _analysis_cgc(oracle, potential, f):
@@ -487,18 +541,21 @@ def _analysis_cgc(oracle, potential, f):
                                   depth=f["depth"])
     spec_v = decomp.check_spec_I(result.collections, oracle, f["check_depth"])
     stay_v = decomp.check_stay_good_III(result.collections, oracle, f["check_depth"])
+    # parameters stay raw: the recorded outputs hold margin as a JSON number
     return {
-        "parameters": {k: v for k, v in sorted(result.parameters.items())},
+        "parameters": result.parameters,
         "gap_pass": result.gap_report.passed,
-        "spec_I": spec_v.to_json_dict(oracle.alphabet),
-        "stay_good_III": stay_v.to_json_dict(oracle.alphabet),
+        "spec_I": _verdict(spec_v, oracle.alphabet),
+        "stay_good_III": _verdict(stay_v, oracle.alphabet),
     }, None, None
 
 
 def _analysis_sync_gap(oracle, potential, f):
     collections = decomp.sync_decomposition(oracle, f["word"], depth=f["cert_depth"])
     rep = decomp.pressure_gap_II(collections, oracle, potential, f["n_max"], margin=f["margin"])
-    return rep.to_json_dict(), rep.obstruction_report.to_csv_text(), None
+    block = {"condition": rep.condition, "margin": rep.margin, "pass": rep.passed,
+             "obstructions": rep.obstruction_report, "language": rep.language_report}
+    return _render(block), _pressure_csv(rep.obstruction_report), None
 
 
 #: guard classes: a ``LISTED`` length is enumerated, so it warns past the
@@ -552,6 +609,20 @@ _OPS: dict[str, tuple[dict, Any]] = {
 }
 
 
+def _irreducible(f) -> bool:
+    """No marking irreducible within depth is a concatenation of two or more
+    others within depth: the test of tower.free_family_from_irreducibles."""
+    kept = {w for w in f["irreducibles"] if len(w) <= f["depth"]}
+    for w in kept:
+        ends = [0]  # lengths of prefixes of w that concatenate kept words shorter than w
+        for j in range(1, len(w) + 1):
+            if any(j - i < len(w) and w[i:j] in kept for i in ends):
+                ends.append(j)
+        if ends[-1] == len(w) > 0:
+            return False
+    return True
+
+
 #: op -> ((field, holds(parsed fields), what the field must be)): the bounds
 #: between an analysis's fields that the library raises on; a tower's depth
 #: of None is its longest irreducible's length
@@ -559,6 +630,8 @@ _BOUNDS = {
     "periodic_measure": (("horizon", lambda f: f["horizon"] >= f["depth"], "at least depth"),),
     "cylinder_table": (("word", lambda f: 1 <= len(f["word"]) <= f["n"],
                         "a nonempty word no longer than n"),),
+    "marking": (("irreducibles", _irreducible,
+                 "words none of which within depth is a concatenation of others within depth"),),
     **dict.fromkeys(("tower_loops", "spr"), (
         ("depth", lambda f: f["depth"] is None or f["depth"] >= min(map(len, f["irreducibles"])),
          "at least the shortest irreducible's length"),
@@ -596,10 +669,10 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
         if op in ("tower_loops", "spr"):
             runner = functools.partial(runner, tables=tables)
         try:
-            block, csv_text, dat_text = runner(oracle, potential, fields[idx])
+            block, csv, dat = runner(oracle, potential, fields[idx])
             entry["status"] = "ok"
             entry["result"] = block
-            for kind, text in (("csv", csv_text), ("dat", dat_text)):
+            for kind, text in (("csv", csv), ("dat", dat)):
                 if text is not None:
                     entry[kind] = name = f"{idx:02d}_{op}.{kind}"
                     artifacts.append((name, text))
@@ -618,20 +691,19 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
         },
     }
     wall = time.perf_counter() - started
+    # serialized once, so that the report returned is the one written
+    report_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        (out / "report.json").write_text(report_text, encoding="utf-8")
         for name, text in artifacts:
             (out / name).write_text(text, encoding="utf-8")
         # timing is deliberately kept out of report.json so report bytes are
         # deterministic across runs
-        (out / "timing.json").write_text(
-            json.dumps({"wall_seconds": wall}) + "\n", encoding="utf-8"
-        )
-    return report
+        (out / "timing.json").write_text(json.dumps({"wall_seconds": wall}) + "\n",
+                                         encoding="utf-8")
+    return json.loads(report_text)
 
 
 def main(argv: list[str] | None = None) -> int:

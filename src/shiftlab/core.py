@@ -484,8 +484,6 @@ class Potential:
     @cached_property
     def is_zero(self) -> bool:
         """Computed once: like phi_hat's memo, it needs the table unchanged."""
-        if isinstance(self.table, _IndicatorTable):
-            return self.table.scale == 0.0
         return all(v == 0.0 for v in self.table.values())
 
     def value(self, window_word: Word) -> float:
@@ -508,13 +506,9 @@ class Potential:
             ) from None
 
     def sup_norm(self) -> float:
-        if isinstance(self.table, _IndicatorTable):
-            return abs(self.table.scale)
         return max((abs(v) for v in self.table.values()), default=0.0)
 
     def table_spread(self) -> float:
-        if isinstance(self.table, _IndicatorTable):
-            return abs(self.table.scale)
         vals = list(self.table.values())
         return (max(vals) - min(vals)) if vals else 0.0
 
@@ -528,6 +522,10 @@ class _IndicatorTable:
 
     def __getitem__(self, w: Word) -> float:
         return self.scale if w == self.pattern else 0.0
+
+    def values(self) -> tuple[float, float]:
+        """The values of the pattern's window and of every other window."""
+        return self.scale, 0.0
 
 
 def distortion_bound(potential: Potential) -> float:

@@ -21,7 +21,7 @@ from .core import (
 )
 from .errors import DepthExceededError, NotSynchronisingError, NoValidParametersError
 from . import thermo
-from .thermo import NEG_INF, PressureReport, format17, pressure_estimate, rate_estimate
+from .thermo import NEG_INF, PressureReport, pressure_estimate, rate_estimate
 
 DEFAULT_MARGIN = 0.05
 
@@ -54,22 +54,6 @@ class Verdict:
     witnesses: list = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-
-    def to_json_dict(self, alphabet=None) -> dict:
-        def render(x):
-            if alphabet is not None and isinstance(x, tuple) and all(isinstance(i, int) for i in x):
-                return alphabet.text(x)
-            if isinstance(x, tuple):
-                return [render(y) for y in x]
-            return x
-
-        return {
-            "condition": self.condition,
-            "depth": self.depth,
-            "pass": self.passed,
-            "witnesses": [render(w) for w in self.witnesses],
-            "parameters": dict(sorted(self.parameters.items())),
-        }
 
 
 def _collection_words(ws: WordSet, n: int) -> list[Word]:
@@ -215,15 +199,6 @@ class GapReport:
     language_report: PressureReport
     margin: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "margin": format17(self.margin),
-            "pass": self.passed,
-            "obstructions": self.obstruction_report.to_json_dict(),
-            "language": self.language_report.to_json_dict(),
-        }
 
 
 def margin_rule(obstruction: PressureReport, language: PressureReport, margin: float) -> bool:

@@ -1,10 +1,11 @@
 """Partition sums, pressure estimates with one-sided bounds, Gibbs-ratio
 tables, periodic-orbit measures, and the hyperbolicity diagnostic.
 
-No limit is ever claimed: reports carry the finite-n table, a Fekete upper
-bound where submultiplicativity warrants one, and a point estimate taken
-from the largest computed lengths (the last successive-ratio increment,
-which converges far faster than (1/n) log Lambda_n).
+No limit is ever claimed: the result objects carry the finite-n table, a
+Fekete upper bound where submultiplicativity warrants one, and a point
+estimate taken from the largest computed lengths (the last successive-ratio
+increment, which converges far faster than (1/n) log Lambda_n).  ``cli``
+renders them as reports.
 """
 
 from __future__ import annotations
@@ -25,16 +26,6 @@ from .errors import NoPeriodicPointsError, NotInLanguageError
 
 NEG_INF = float("-inf")
 
-#: magnitudes beyond this stay in log space (exp would be ~1e130)
-_EXP_CAP = 300.0
-
-
-def format17(x: float) -> str:
-    """17-significant-digit decimal rendering used by all serializers."""
-    if isinstance(x, int):
-        return str(x)
-    return f"{x:.17g}"
-
 
 def rate_estimate(points) -> float:
     """The one pressure point estimate from (n, log sum) pairs: the slope
@@ -45,15 +36,6 @@ def rate_estimate(points) -> float:
         (n1, v1), (n2, v2) = supported[-2:]
         return (v2 - v1) / (n2 - n1)
     return supported[0][1] / supported[0][0] if supported else NEG_INF
-
-
-def csv_text(header: str, rows) -> str:
-    """The one CSV writer: the header line, then a line per row of fields,
-    floats rendered by format17 and anything else by str."""
-    return header + "\n" + "".join(
-        ",".join(format17(f) if isinstance(f, float) else str(f) for f in row) + "\n"
-        for row in rows
-    )
 
 
 def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
@@ -152,10 +134,6 @@ def _transfer_rows(words: WordSet, potential: Potential):
                max(mx + t for (_, mx), t in zip(vec.values(), tails)))
 
 
-def capped_exp(x: float) -> float:
-    return math.exp(x) if x <= _EXP_CAP else float("inf")
-
-
 @dataclass(frozen=True)
 class PressureRow:
     n: int
@@ -193,30 +171,6 @@ class PressureReport:
             if row.n == n:
                 return row.rate
         raise KeyError(n)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "set_name": self.set_name,
-            "rows": [
-                {
-                    "n": r.n,
-                    "log_sum": format17(r.log_sum),
-                    "count": r.count,
-                    "rate": format17(r.rate),
-                    "upper_bound": None if r.upper_bound is None else format17(r.upper_bound),
-                }
-                for r in self.rows
-            ],
-            "fekete_upper": None if self.fekete_upper is None else format17(self.fekete_upper),
-            "point_estimate": format17(self.point_estimate),
-            "distortion": format17(self.distortion),
-            "gap_flags": dict(sorted(self.gap_flags.items())),
-        }
-
-    def to_csv_text(self) -> str:
-        return csv_text("n,count_or_sum,rate,upper_bound", (
-            (r.n, r.count if r.count is not None else capped_exp(r.log_sum), r.rate,
-             "" if r.upper_bound is None else r.upper_bound) for r in self.rows))
 
 
 def pressure_estimate(
@@ -392,21 +346,6 @@ class PeriodicMeasure:
         for u, wt in sorted(self.cylinder_weights.items()):
             out[u[1 : 1 + depth]] = out.get(u[1 : 1 + depth], 0.0) + wt
         return out
-
-    def to_json_dict(self, alphabet) -> dict:
-        return {
-            "horizon": self.horizon,
-            "depth": self.depth,
-            "exact_periods": self.exact_periods,
-            "cylinder_weights": {
-                alphabet.text(u): format17(wt)
-                for u, wt in sorted(self.cylinder_weights.items())
-            },
-        }
-
-    def to_csv_text(self, alphabet) -> str:
-        return csv_text("cylinder,weight", (
-            (alphabet.text(u), wt) for u, wt in sorted(self.cylinder_weights.items())))
 
 
 def periodic_orbit_measure(

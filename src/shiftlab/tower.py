@@ -33,7 +33,7 @@ from .errors import (
     PeriodicFamilyError,
 )
 from . import thermo
-from .thermo import NEG_INF, capped_exp, csv_text, format17, rate_estimate
+from .thermo import NEG_INF, rate_estimate
 
 LOG2 = math.log(2.0)
 
@@ -53,9 +53,6 @@ class SyncTriple:
     @property
     def pattern(self) -> Word:
         return self.r + self.c + self.s
-
-    def text(self, alphabet) -> str:
-        return f"({alphabet.text(self.r)},{alphabet.text(self.c)},{alphabet.text(self.s)})"
 
 
 def _ending_with(good: WordSet, suffix: Word, max_len: int) -> list[Word]:
@@ -590,12 +587,6 @@ class LoopTable:
                 g = math.gcd(g, r.n)
         return g
 
-    def to_csv_text(self) -> str:
-        return csv_text("n,Z_n,Z_n_star,rate,rate_star", (
-            (r.n, r.z_count if r.z_count is not None else capped_exp(r.z),
-             r.z_star_count if r.z_star_count is not None else capped_exp(r.z_star),
-             r.rate, r.rate_star) for r in self.rows))
-
 
 def _distinct_star_counts(irreducibles: Sequence[Word], n_max: int, n_symbols: int) -> list[int]:
     """Exact counts of *distinct* words of each length in the star closure,
@@ -789,18 +780,6 @@ class SprReport:
     @property
     def is_spr_at_depth(self) -> bool:
         return self.verdict == "spr-at-depth"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "z_rate": format17(self.z_rate),
-            "z_star_rate": format17(self.z_star_rate),
-            "gap": format17(self.gap),
-            "margin": format17(self.margin),
-            "verdict": self.verdict,
-            "flags": dict(sorted(self.flags.items())),
-            "generator_rate": format17(self.generator_rate),
-            "family_rate": format17(self.family_rate),
-        }
 
 
 def spr_diagnostic(

@@ -78,13 +78,16 @@ def test_benchmark_smoke_run_is_correct():
 
 
 def _assert_matches(entry, out_dir):
-    # as the harness reads it: report.json from disk, or the raised class
+    # as the harness reads it: report.json from disk, or the raised class;
+    # run returns the report it wrote
     try:
-        cli.run(entry["config"], out_dir, threads=1)
-        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-        outcome = {"analyses": report["analyses"]}
+        returned = cli.run(entry["config"], out_dir, threads=1)
     except Exception as exc:
         outcome = {"raises": type(exc).__name__}
+    else:
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert returned == report
+        outcome = {"analyses": report["analyses"]}
     ok = check.check_entry(entry["expected"], outcome)
     assert ok and all(ok), ok
 

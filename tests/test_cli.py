@@ -348,6 +348,27 @@ def test_validate_rejects_cgc_default_depth_below_four():
     assert cli.run(cfg)["analyses"][0]["status"] == "ok"
 
 
+def test_validate_rejects_marking_irreducibles_that_split():
+    # "01" is "0" + "1", so the set is not the irreducible set of its star
+    # closure, and run recorded an internal ValueError for it
+    marking = {"op": "marking", "irreducibles": ["0", "1", "01"], "window": "0"}
+    cfg = {"shift": {"family": "full", "k": 2}, "analyses": [marking]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("error", "analyses[0].irreducibles")]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+    # a split into words past depth is not one: those words are dropped
+    for fields in ({"depth": 1}, {"irreducibles": ["0", "1", "001"], "depth": 2},
+                   {"irreducibles": ["1", "01", "001"]}):
+        cfg = {"shift": {"family": "full", "k": 2}, "analyses": [{**marking, **fields}]}
+        assert cli.validate(cfg) == [], fields
+        assert cli.run(cfg)["analyses"][0]["status"] == "ok", fields
+    # a split into three words, one of them repeated
+    cfg = {"shift": {"family": "full", "k": 2},
+           "analyses": [{**marking, "irreducibles": ["00", "1", "00100"]}]}
+    assert [d["field"] for d in cli.validate(cfg)] == ["analyses[0].irreducibles"]
+
+
 @pytest.mark.parametrize("depth", ["deep", 12.5, None, True])
 def test_validate_non_integer_shift_depth(depth, tmp_path):
     # run would raise ValueError from int() while building the oracle (exit 2)
@@ -689,6 +710,18 @@ def test_run_kitchen_sink_ops(tmp_path):
     assert blocks["cgc"]["spec_I"]["pass"] is True
     assert blocks["cgc"]["stay_good_III"]["pass"] is True
     assert (tmp_path / "06_periodic_measure.csv").exists()
+
+
+def test_run_returns_the_report_it_writes(tmp_path):
+    # istar's tau_of_M is keyed by M; run returned int keys while
+    # report.json holds strings
+    cfg = {"shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
+           "analyses": [{"op": "istar", "obstructions": "zero_runs", "M_list": [1, 2],
+                         "depth": 6}]}
+    report = cli.run(cfg, tmp_path)
+    assert report["analyses"][0]["status"] == "ok"
+    assert report == json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report == cli.run(cfg)
 
 
 def test_csv_headers_name_their_columns(tmp_path):

@@ -127,6 +127,18 @@ def test_distortion_bound_examples(golden):
     assert sl.distortion_bound(const) == 0.0
 
 
+@pytest.mark.parametrize("scale", [1.5, -2.0, 0.0])
+def test_indicator_potential_agrees_with_its_explicit_table(full2, scale):
+    # an indicator's table answers values() as the scale and 0.0
+    a = full2.alphabet
+    ind = sl.Potential.indicator(a, "01", scale)
+    explicit = sl.Potential.from_strings(
+        a, 2, {w: (scale if w == "01" else 0.0) for w in ("00", "01", "10", "11")})
+    assert ind.is_zero == explicit.is_zero == (scale == 0.0)
+    assert ind.sup_norm() == explicit.sup_norm() == abs(scale)
+    assert ind.table_spread() == explicit.table_spread() == abs(scale)
+
+
 def test_distortion_dominates_exhaustive_pairs(golden):
     # compare against the true sup-difference of Birkhoff sums in a cylinder
     pot = sl.Potential.indicator(golden.alphabet, "00")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 import shiftlab as sl
+from shiftlab import cli
 from shiftlab.core import WordSet
 from shiftlab.decomp import (
     Decomposition,
@@ -55,7 +56,7 @@ def test_spec_I_golden_tau0_fails_with_witness(golden):
 
 def test_spec_I_verdict_serialization(golden):
     v = sl.check_spec_I(lang_triple(golden, 0), golden, 4)
-    doc = v.to_json_dict(golden.alphabet)
+    doc = cli._verdict(v, golden.alphabet)
     assert doc["condition"] == "[I]"
     assert doc["pass"] is False
     assert ["1", "1"] in doc["witnesses"]

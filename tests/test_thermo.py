@@ -5,6 +5,7 @@ import math
 import pytest
 
 import shiftlab as sl
+from shiftlab import cli
 from shiftlab.core import WordSet
 from shiftlab.errors import NoPeriodicPointsError, NotInLanguageError
 from shiftlab.thermo import (
@@ -112,10 +113,10 @@ def test_pressure_requires_depth():
 
 def test_report_serialization_roundtrip(golden):
     rep = sl.pressure_estimate(WordSet.language(golden), zero(golden), 8)
-    doc = rep.to_json_dict()
+    doc = cli._render(rep)
     assert doc["rows"][0]["count"] == 2
     assert float(doc["point_estimate"]) == pytest.approx(rep.point_estimate)
-    csv = rep.to_csv_text()
+    csv = cli._pressure_csv(rep)
     assert csv.splitlines()[0] == "n,count_or_sum,rate,upper_bound"
     assert len(csv.splitlines()) == 9
 
