@@ -15,6 +15,9 @@ report, CSV and .dat byte::
 
     python3 scripts/report_digests.py > after.txt
     diff before.txt after.txt
+
+Catalog stems given as arguments, such as ``tower_dp tower_dp.smoke``,
+limit the run to those catalogs; an unknown stem exits with status 2.
 """
 
 from __future__ import annotations
@@ -41,9 +44,16 @@ def digests(entry: dict) -> list[str]:
                 for path in sorted(Path(tmp).iterdir()) if path.name != "timing.json"]
 
 
-def main() -> int:
-    for catalog in sorted((ROOT / "perfbench" / "catalog").glob("*.json")):
-        for entry in json.loads(catalog.read_text(encoding="utf-8"))["entries"]:
+def main(argv: list[str] | None = None) -> int:
+    catalogs = {path.stem: path for path in (ROOT / "perfbench" / "catalog").glob("*.json")}
+    stems = sys.argv[1:] if argv is None else argv
+    unknown = [stem for stem in stems if stem not in catalogs]
+    if unknown:
+        print(f"unknown catalog {', '.join(unknown)}; known: {', '.join(sorted(catalogs))}",
+              file=sys.stderr)
+        return 2
+    for stem in sorted(stems or catalogs):
+        for entry in json.loads(catalogs[stem].read_text(encoding="utf-8"))["entries"]:
             for line in digests(entry):
                 print(line)
     return 0

@@ -226,6 +226,14 @@ def _word(value, alphabet):
     return value if alphabet is None else alphabet.word(value)
 
 
+def _codeword(value, alphabet):
+    """A word that is not empty: no code holds the empty word."""
+    w = _word(value, alphabet)
+    if not w:
+        raise ValueError("must not be the empty word")
+    return w
+
+
 def _list_of(item, nonempty: bool = False):
     """A list of what ``item`` parses, of at least one entry if ``nonempty``."""
     def parse(value, alphabet):
@@ -563,7 +571,7 @@ def _analysis_sync_gap(oracle, potential, f):
 #: listing a word, so only an explicit depth_guard binds it there; a field
 #: with no guard class is never guarded
 LISTED, COUNTED = "listed", "counted"
-_IRREDUCIBLES = (_list_of(_word, nonempty=True), REQUIRED)
+_IRREDUCIBLES = (_list_of(_codeword, nonempty=True), REQUIRED)
 _TOWER = {"irreducibles": _IRREDUCIBLES, "base": (_word, REQUIRED),
           "depth": (_length(), None), "n_max": (_length(), 20)}
 _OBSTRUCTION = {"obstructions": (_obstruction_kind, "explicit"),

@@ -97,35 +97,32 @@ class Alphabet:
 
 class CodeAutomaton:
     """Subset automaton of the parse automaton of a code (Lind & Marcus,
-    ch. 3), with its transitions memoised per (state set, symbol).
+    ch. 3).
 
     A parse state (i, j) means that the next symbol to read is
     ``code[i][j]``; finishing a codeword moves to ``boundary``, the set of
     every (i, 0).  A word is a factor of a concatenation of codewords iff
     its run from ``positions`` (every parse state) never becomes empty, and
     it is a concatenation iff its run from ``boundary`` ends on a set
-    holding ``boundary``.
+    holding ``boundary``.  Callers tabulate a run once with
+    ``LanguageOracle.finite_state``, so ``step`` is not memoised.
     """
 
     def __init__(self, code: Sequence[Word]):
         self.code = tuple(code)
         self.boundary = frozenset((i, 0) for i in range(len(self.code)))
         self.positions = frozenset((i, j) for i, w in enumerate(self.code) for j in range(len(w)))
-        self._delta: dict[tuple[frozenset, int], frozenset] = {}
 
     def step(self, states: frozenset, a: int) -> frozenset:
-        got = self._delta.get((states, a))
-        if got is None:
-            out = set()
-            for i, j in states:
-                w = self.code[i]
-                if w[j] == a:
-                    if j + 1 < len(w):
-                        out.add((i, j + 1))
-                    else:
-                        out |= self.boundary
-            got = self._delta[states, a] = frozenset(out)
-        return got
+        out = set()
+        for i, j in states:
+            w = self.code[i]
+            if w[j] == a:
+                if j + 1 < len(w):
+                    out.add((i, j + 1))
+                else:
+                    out |= self.boundary
+        return frozenset(out)
 
 
 class LanguageOracle:

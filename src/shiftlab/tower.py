@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Sequence
 
 from .core import (
+    Alphabet,
     CodeAutomaton,
     EMPTY_WORD,
     LanguageOracle,
@@ -266,11 +267,25 @@ def _doubling_scale(good: WordSet, c_len: int, depth: int) -> int:
 # Free families and irreducible generators
 # ---------------------------------------------------------------------------
 
+def _code_run(code: Sequence[Word], n_symbols: int, depth: int) -> tuple[LanguageOracle, list[bool]]:
+    """The code automaton run from its boundary, tabulated once over the
+    symbols below n_symbols and those of the code (enumeration limit
+    depth), and which of its states are final, that is hold the boundary:
+    a word is a concatenation of codewords iff its run ends on a final
+    state."""
+    automaton = CodeAutomaton(code)
+    run = LanguageOracle.finite_state(
+        Alphabet.of_size(max([n_symbols] + [a + 1 for w in code for a in w])),
+        automaton.boundary, lambda states, a: automaton.step(states, a) or None, depth)
+    return run, [automaton.boundary <= states for states in run.labels]
+
+
 class FreeFamily:
     """A freely concatenable family to a depth, its irreducible words, and
     the gcd of their lengths.  With ``members`` None it is the star closure
-    of its irreducible words: ``contains`` runs their code automaton from
-    the boundary, and ``members`` is listed only when read."""
+    of its irreducible words: ``contains`` runs their code automaton,
+    tabulated once from the boundary, and ``members`` is listed only when
+    read."""
 
     def __init__(self, oracle: LanguageOracle, depth: int,
                  members: dict[int, tuple[Word, ...]] | None,
@@ -281,19 +296,17 @@ class FreeFamily:
         self.irreducibles = irreducibles
         self.gcd_lengths = gcd_lengths
         self.triple = triple
-        self._code = CodeAutomaton(self.irreducible_words()) if members is None else None
-        if members is not None:
+        if members is None:
+            self._code, self._final = _code_run(self.irreducible_words(), oracle.alphabet.size, depth)
+        else:
+            self._code = None
             self.members = members
 
     @cached_property
     def members(self) -> dict[int, tuple[Word, ...]]:
-        # the words whose code run from the boundary stays nonempty are the
-        # prefixes of concatenations; keep the concatenations
-        code = self._code
-        prefixes = LanguageOracle.finite_state(
-            self.oracle.alphabet, code.boundary, lambda states, a: code.step(states, a) or None,
-            self.depth)
-        return {n: tuple(filter(self.contains, prefixes.words(n))) for n in range(1, self.depth + 1)}
+        # the words whose code run stays alive are the prefixes of
+        # concatenations; keep the concatenations
+        return {n: tuple(filter(self.contains, self._code.words(n))) for n in range(1, self.depth + 1)}
 
     def contains(self, w: Word) -> bool:
         code = self._code
@@ -301,12 +314,8 @@ class FreeFamily:
             return w in self._member_sets.get(len(w), frozenset())
         if not 0 < len(w) <= self.depth:
             return False
-        states = code.boundary
-        for a in w:
-            states = code.step(states, a)
-            if not states:
-                return False
-        return code.boundary <= states
+        q = code.state(w)
+        return q is not None and self._final[q]
 
     @cached_property
     def _member_sets(self) -> dict[int, frozenset[Word]]:
@@ -366,28 +375,28 @@ def free_family_from_irreducibles(
     irr = sorted(set(irreducibles), key=lambda w: (len(w), w))
     if any(len(w) == 0 for w in irr):
         raise ValueError("irreducible words must be nonempty")
+    if any(a < 0 for w in irr for a in w):
+        raise ValueError("irreducible words must be over symbol indices >= 0")
     kept = [w for w in irr if len(w) <= depth]
-    code = CodeAutomaton(kept)
-    symbols = sorted({a for w in kept for a in w})
-    # (code state, oracle state or None once out of the language) -> the
-    # least word reaching it; words are extended in lexicographic order, so
-    # the first word to reach a pair is the least
-    level = {(code.boundary, oracle.start): EMPTY_WORD}
-    for _ in range(depth):
-        nxt: dict[tuple, Word] = {}
-        for (states, q), w in level.items():
-            for a in symbols:
-                t = code.step(states, a)
-                if t:
-                    key = (t, None if q is None else oracle.step(q, a))
-                    if key not in nxt:
-                        nxt[key] = w + (a,)
-        for (states, q), w in nxt.items():
-            if q is None and code.boundary <= states:
-                raise ValueError(f"concatenation {w} leaves the language; not a free family")
-        level = nxt
     irreducibles = {n: tuple(ws) for n, ws in groupby(kept, key=len)}
     out = FreeFamily(oracle, depth, None, irreducibles, math.gcd(*irreducibles))
+    rows, final = out._code.transitions, out._final
+    # (code state, oracle state or None once out of the language) -> the
+    # least word reaching it; words are extended in lexicographic order (the
+    # rows list symbols ascending), so the first word to reach a pair is the
+    # least
+    level = {(out._code.start, oracle.start): EMPTY_WORD}
+    for _ in range(depth):
+        nxt: dict[tuple, Word] = {}
+        for (s, q), w in level.items():
+            for a, t in rows[s].items():
+                key = (t, None if q is None else oracle.step(q, a))
+                if key not in nxt:
+                    nxt[key] = w + (a,)
+        for (s, q), w in nxt.items():
+            if q is None and final[s]:
+                raise ValueError(f"concatenation {w} leaves the language; not a free family")
+        level = nxt
     supplied = set(kept)
     computed = {w for w in kept if not out.splits(w)}
     if supplied != computed:
@@ -590,20 +599,16 @@ class LoopTable:
 
 def _distinct_star_counts(irreducibles: Sequence[Word], n_max: int, n_symbols: int) -> list[int]:
     """Exact counts of *distinct* words of each length in the star closure,
-    by counting the runs of the code's subset automaton from the boundary
-    that end on a set holding the boundary (each word has one run).
+    by counting the runs of the code's tabulated subset automaton from the
+    boundary that end on a final state (each word has one run).
 
     Counting distinct words (rather than parses) is what makes the
     loop-sum cross-check sensitive to failures of unique decipherability.
     """
-    automaton = CodeAutomaton(irreducibles)
-    boundary = automaton.boundary
-
-    def successors(states: frozenset) -> list[frozenset]:
-        return [t for a in range(n_symbols) if (t := automaton.step(states, a))]
-
-    return [sum(c for states, c in vec.items() if boundary <= states)
-            for _, vec in zip(range(n_max + 1), path_counts(boundary, successors))]
+    run, final = _code_run(irreducibles, n_symbols, n_max)
+    rows = run.transitions
+    return [sum(c for q, c in vec.items() if final[q])
+            for _, vec in zip(range(n_max + 1), path_counts(run.start, lambda q: rows[q].values()))]
 
 
 def _loop_counts(tower: TowerGraph, n_max: int, star: bool) -> list[int]:
@@ -629,43 +634,70 @@ def _logaddexp(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _loop_logs(tower: TowerGraph, potential: Potential, n_max: int, star: bool) -> list[float]:
-    """log of the phi-weighted loop sums at the base (first-return loops when
-    star=True) for every n <= n_max, indexed by n, as closed walks on the
-    tower's (r-1)-block graph (Lind & Marcus, section 2.3).
+def _block_graph(tower: TowerGraph, potential: Potential,
+                 n_max: int) -> tuple[list[bool], list[list[tuple[int, float]]]]:
+    """The tower's (r-1)-block graph (Lind & Marcus, section 2.3) on integer
+    indices, as far as walks of n_max steps from the base reach.
 
-    A state is a path of h = max(r-1, 1) vertices.  An edge appends a
+    A block is a path of h = max(r-1, 1) vertices.  An edge appends a
     successor u of the last vertex and weighs phi of the first r vertices of
     block + (u,), so a closed walk of n steps sums phi along the periodic
-    word, windows wrapping.  Closed walks correspond one to one with the
-    periodic paths of the tower, so the sums are exact for every n >= 1.
-    Z_n adds up the walks from B back to B over the start blocks B that
-    begin at the base; for Z*_n the walks whose block begins at the base
-    again are dropped once their step is recorded.  Out-edges are computed
-    once per block, and tables are visited in sorted order, so every sum is
-    reproducible.
-    """
+    word, windows wrapping.  The blocks are those within n_max edges of the
+    starts, the h-vertex paths from the base, numbered in sorted block
+    order; a block within n_max - 1 edges keeps its out-edges as (target
+    index, weight) in ``successors`` order, a farther one (never left by a
+    walk of n_max steps) none.  Returns, by index, whether the block begins
+    at the base, and its out-edges."""
     r, base = potential.window, tower.base
-    value, sym = potential.value, tower.symbol
-
-    @cache
-    def out_edges(block: tuple) -> list[tuple[tuple, float]]:
-        return [(block[1:] + (u,), value(tuple(sym(x) for x in (block + (u,))[:r])))
-                for u in tower.successors(block[-1])]
-
-    starts = [(base,)]  # the h-vertex paths from the base
+    value, sym, successors = potential.value, tower.symbol, tower.successors
+    starts = [(base,)]
     for _ in range(r - 2):  # grow them to h vertices
-        starts = [b + (u,) for b in starts for u in tower.successors(b[-1])]
+        starts = [b + (u,) for b in starts for u in successors(b[-1])]
+    arcs: dict[tuple, list[tuple[tuple, float]]] = {}
+    seen, frontier = set(starts), starts
+    for _ in range(n_max):
+        nxt = []
+        for block in frontier:
+            out = arcs[block] = [(block[1:] + (u,), value(tuple(sym(x) for x in (block + (u,))[:r])))
+                                 for u in successors(block[-1])]
+            for block2, _ in out:
+                if block2 not in seen:
+                    seen.add(block2)
+                    nxt.append(block2)
+        frontier = nxt
+    blocks = sorted(seen)
+    index = {b: i for i, b in enumerate(blocks)}
+    edges = [[(index[b2], weight) for b2, weight in arcs.get(b, ())] for b in blocks]
+    return [b[0] == base for b in blocks], edges
+
+
+def _loop_logs(at_base: list[bool], edges: list[list[tuple[int, float]]], n_max: int,
+               star: bool) -> list[float]:
+    """log of the phi-weighted loop sums at the base (first-return loops when
+    star=True) for every n <= n_max, indexed by n, as closed walks on the
+    block graph of ``_block_graph``.
+
+    Closed walks correspond one to one with the periodic paths of the
+    tower, so the sums are exact for every n >= 1.  Z_n adds up the walks
+    from B back to B over the start blocks B, those that begin at the base;
+    for Z*_n the walks whose block begins at the base again are dropped once
+    their step is recorded.  Starts and reached blocks are visited in index
+    order, which is sorted block order, so every sum is reproducible.
+    """
+    logaddexp, size = _logaddexp, len(edges)
+    kept = [not (star and b) for b in at_base]
     out = [NEG_INF] * (n_max + 1)
-    for start in sorted(starts):
-        table = {start: 0.0}
+    for start in [i for i, b in enumerate(at_base) if b]:
+        table = [(start, 0.0)]  # the reached blocks and their log sums, by index
         for n in range(1, n_max + 1):
-            nxt: dict[tuple, float] = {}
-            for block, acc in sorted(table.items()):
-                for block2, weight in out_edges(block):
-                    nxt[block2] = _logaddexp(nxt.get(block2, NEG_INF), acc + weight)
-            out[n] = _logaddexp(out[n], nxt.get(start, NEG_INF))
-            table = {b: v for b, v in nxt.items() if b[0] != base} if star else nxt
+            nxt: list[float | None] = [None] * size  # None: not reached
+            for i, acc in table:
+                for j, weight in edges[i]:
+                    v = nxt[j]
+                    nxt[j] = logaddexp(NEG_INF if v is None else v, acc + weight)
+            v = nxt[start]
+            out[n] = logaddexp(out[n], NEG_INF if v is None else v)
+            table = [(j, v) for j, v in enumerate(nxt) if v is not None and kept[j]]
     return out
 
 
@@ -680,7 +712,8 @@ def loop_sums(
 
     Computed in one pass for all n <= n_max: exact integer counts from
     parse counts at zero potential (see _loop_counts), else closed walks
-    on the tower's (r-1)-block graph (see _loop_logs), exact for every n.
+    on the tower's (r-1)-block graph, built once for both tables (see
+    _block_graph and _loop_logs), exact for every n.
     The ``rate`` column is ``rate_estimate`` of the supported rows so far.
     When requested, the table is cross-checked against the word-side sums
     over parses of the family words: under unique decipherability the two
@@ -693,8 +726,8 @@ def loop_sums(
     if zero:
         full, first = _loop_counts(tower, n_max, False), _loop_counts(tower, n_max, True)
     else:
-        full = _loop_logs(tower, potential, n_max, False)
-        first = _loop_logs(tower, potential, n_max, True)
+        graph = _block_graph(tower, potential, n_max)
+        full, first = _loop_logs(*graph, n_max, False), _loop_logs(*graph, n_max, True)
     supported: list[tuple[int, float]] = []  # (n, log Z_n) where Z_n > 0
     for n in range(1, n_max + 1):
         if zero:

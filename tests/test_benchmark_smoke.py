@@ -100,3 +100,31 @@ def test_smoke_catalog_entry_matches_its_expected_output(entry, tmp_path):
 @pytest.mark.parametrize("entry", _cocyclic_entries())
 def test_cocyclic_catalog_entry_matches_its_expected_output(entry, tmp_path):
     _assert_matches(entry, tmp_path)
+
+
+_digest_spec = importlib.util.spec_from_file_location("report_digests",
+                                                      ROOT / "scripts" / "report_digests.py")
+report_digests = importlib.util.module_from_spec(_digest_spec)
+_digest_spec.loader.exec_module(report_digests)
+
+
+def test_report_digests_of_one_smoke_catalog(capsys):
+    catalog = ROOT / "perfbench" / "catalog"
+    before = {path.name: path.read_bytes() for path in catalog.iterdir()}
+    assert report_digests.main(["tower_dp.smoke"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # one report.json per config, and only that catalog's configs
+    ids = [entry["id"] for entry in _catalog("tower_dp.smoke")]
+    assert sorted(line.split("/")[0] for line in lines if "/report.json " in line) == sorted(ids)
+    assert all(line.split("/")[0] in ids and len(line.split()[-1]) == 64 for line in lines)
+    assert not any("timing.json" in line for line in lines)
+    assert report_digests.main(["tower_dp.smoke"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    assert {path.name: path.read_bytes() for path in catalog.iterdir()} == before
+
+
+def test_report_digests_rejects_an_unknown_catalog(capsys):
+    assert report_digests.main(["tower_dp.smoke", "no_such_catalog"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no_such_catalog" in captured.err

@@ -369,6 +369,22 @@ def test_validate_rejects_marking_irreducibles_that_split():
     assert [d["field"] for d in cli.validate(cfg)] == ["analyses[0].irreducibles"]
 
 
+@pytest.mark.parametrize("analysis", [
+    {"op": "marking", "irreducibles": ["", "0", "1"], "window": "0"},
+    {"op": "ud_check", "irreducibles": ["", "0"]},
+    {"op": "tower_loops", "irreducibles": ["0", "", "01"], "base": "0"},
+    {"op": "spr", "irreducibles": [""], "base": "0"},
+])
+def test_validate_rejects_an_empty_irreducible_word(analysis):
+    # marking recorded an internal ValueError, and ud_check returned ok with
+    # the parse ["", "0"]: the empty word is no codeword
+    cfg = {"shift": {"family": "full", "k": 2}, "analyses": [analysis]}
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("error", "analyses[0].irreducibles")]
+    with pytest.raises(ConfigError):
+        cli.run(cfg)
+
+
 @pytest.mark.parametrize("depth", ["deep", 12.5, None, True])
 def test_validate_non_integer_shift_depth(depth, tmp_path):
     # run would raise ValueError from int() while building the oracle (exit 2)

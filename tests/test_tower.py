@@ -16,7 +16,9 @@ from shiftlab.errors import (
     PeriodicFamilyError,
 )
 from shiftlab.tower import (
+    FreeFamily,
     TowerGraph,
+    _block_graph,
     _finish_family,
     _logaddexp,
     _loop_logs,
@@ -144,6 +146,10 @@ def test_free_family_rejects_language_escape(golden):
     one = golden.alphabet.word("1")
     with pytest.raises(ValueError):
         sl.free_family_from_irreducibles(golden, [one], 4)  # 11 leaves L
+    # the tabulated code automaton reads symbols 0, 1, ... only, so a
+    # negative symbol is refused before the search could miss it
+    with pytest.raises(ValueError, match="symbol indices"):
+        sl.free_family_from_irreducibles(golden, [(0,), (-1, 0)], 4)
 
 
 def test_gibbs_equivalence_hook(golden):
@@ -365,7 +371,7 @@ def test_loops_range3_star_multi_code_brute(full2):
     table3 = {w: 0.07 * i - 0.1 for i, w in enumerate(full2.words(3))}
     pot = sl.Potential(3, table3)
     for star in (False, True):
-        logs = _loop_logs(tw, pot, 8, star)
+        logs = _indexed_loop_logs(tw, pot, 8, star)
         for n in range(1, 9):
             brute = _enumerated_loop_logs(tw, pot, n, star)
             dp = logs[n]
@@ -395,6 +401,21 @@ def test_distinct_star_counts_brute(full2):
                             reach[i + len(u)] = True
             brute += reach[m]
         assert counts[m] == brute
+
+
+def test_distinct_star_counts_without_the_base_word(full2):
+    # the cross-check counts the closure of the code less its base word
+    # (g_star); a one-word code leaves the empty code, whose closure holds
+    # the empty word alone
+    from shiftlab.tower import _distinct_star_counts
+
+    a = full2.alphabet
+    assert _distinct_star_counts([], 6, 2) == [1, 0, 0, 0, 0, 0, 0]
+    irr = [a.word("0"), a.word("01"), a.word("10")]
+    assert _distinct_star_counts([w for w in irr if w != a.word("0")], 9, 2) == \
+        [1, 0, 2, 0, 4, 0, 8, 0, 16, 0]
+    table = loop_sums(sl.build_tower_over(full2, [a.word("0")], 1, a.word("0")), zero(full2), 6)
+    assert [(r.z_count, r.z_star_count) for r in table.rows] == [(1, 1)] + [(1, 0)] * 5
 
 
 def test_loops_range3_potential_brute(full2):
@@ -447,6 +468,41 @@ def _enumerated_loop_logs(tw, potential, n, star):
     return total
 
 
+def _indexed_loop_logs(tw, potential, n_max, star):
+    """The weighted loop DP of loop_sums, over the indexed block graph."""
+    return _loop_logs(*_block_graph(tw, potential, n_max), n_max, star)
+
+
+def _reference_loop_logs(tw, potential, n_max, star):
+    """The weighted loop DP over dict tables keyed by the tuple blocks
+    themselves, sorted on every step: the same walks as the indexed DP,
+    relaxed in the same order, so its floats are bit-identical."""
+    r, base = potential.window, tw.base
+    value, sym = potential.value, tw.symbol
+    edges = {}
+
+    def out_edges(block):
+        if block not in edges:
+            edges[block] = [(block[1:] + (u,), value(tuple(sym(x) for x in (block + (u,))[:r])))
+                            for u in tw.successors(block[-1])]
+        return edges[block]
+
+    starts = [(base,)]
+    for _ in range(r - 2):
+        starts = [b + (u,) for b in starts for u in tw.successors(b[-1])]
+    out = [float("-inf")] * (n_max + 1)
+    for start in sorted(starts):
+        table = {start: 0.0}
+        for n in range(1, n_max + 1):
+            nxt = {}
+            for block, acc in sorted(table.items()):
+                for block2, weight in out_edges(block):
+                    nxt[block2] = _logaddexp(nxt.get(block2, float("-inf")), acc + weight)
+            out[n] = _logaddexp(out[n], nxt.get(start, float("-inf")))
+            table = {b: v for b, v in nxt.items() if b[0] != base} if star else nxt
+    return out
+
+
 def _reference_free_family(oracle, supply, depth):
     """free_family_from_irreducibles by listing the star closure, testing
     each member for membership (the least failing word of the shortest
@@ -494,13 +550,48 @@ def test_all_n_loop_dp_matches_enumeration(instance):
     for base, star in itertools.product(code, (False, True)):
         tw = sl.build_tower_over(sl.full_shift(k), code, 4, base)
         assert _zero_loop_counts(tw, 10, star) == _enumerated_loop_counts(tw, 10, star)
-        logs = _loop_logs(tw, pot, 8, star)
+        logs = _indexed_loop_logs(tw, pot, 8, star)
         for n in range(1, 9):
             brute = _enumerated_loop_logs(tw, pot, n, star)
             if brute == float("-inf"):
                 assert logs[n] == brute
             else:
                 assert logs[n] == pytest.approx(brute, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tower_instances(), st.integers(1, 5),
+       st.lists(st.lists(st.integers(-1, 3), max_size=9).map(tuple), max_size=10))
+# symbol 1 is in no codeword; 3 and -1 lie outside the alphabet
+@example((2, [(0,), (0, 0, 0)], sl.Potential(1, {(0,): 0.0, (1,): 0.0})), 2,
+         [(1,), (0, 1), (3,), (-1, 0), (0, 0, 0)])
+def test_tabulated_code_automaton_matches_parse_counts(instance, depth, drawn):
+    # contains runs the tabulated automaton; a member is a parseable word of
+    # length 1..depth, so the empty word and longer words are not members
+    k, code, _ = instance
+    irreducibles = {}
+    for w in sorted(code, key=lambda w: (len(w), w)):
+        irreducibles.setdefault(len(w), []).append(w)
+    fam = FreeFamily(sl.full_shift(k), depth, None,
+                     {n: tuple(ws) for n, ws in irreducibles.items()}, math.gcd(*irreducibles))
+    listed = [w for n in range(depth + 3) for w in itertools.product(range(k), repeat=n)]
+    for w in listed + drawn:
+        assert fam.contains(w) == (0 < len(w) <= depth and fam.factorisation_count(w) > 0), w
+    assert fam.members == {n: tuple(w for w in itertools.product(range(k), repeat=n)
+                                    if fam.factorisation_count(w) > 0)
+                           for n in range(1, depth + 1)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(tower_instances())
+def test_indexed_loop_dp_is_bit_identical_to_reference(instance):
+    # not approx: the indexed DP must add the same floats in the same order
+    k, code, pot = instance
+    for base, star in itertools.product(code, (False, True)):
+        tw = sl.build_tower_over(sl.full_shift(k), code, 4, base)
+        for n_max in (1, 12):
+            assert _indexed_loop_logs(tw, pot, n_max, star) == \
+                _reference_loop_logs(tw, pot, n_max, star)
 
 
 @settings(max_examples=60, deadline=None)
@@ -576,7 +667,7 @@ def test_loops_with_constant_potential_are_weighted_counts(full2, r):
         tw = sl.build_tower_over(full2, [a.word("0"), a.word("01"), a.word("110")], 3, a.word(base))
         for star in (False, True):
             counts = _zero_loop_counts(tw, 80, star)
-            logs = _loop_logs(tw, pot, 80, star)
+            logs = _indexed_loop_logs(tw, pot, 80, star)
             for n in range(1, 81):
                 if counts[n] == 0:
                     assert logs[n] == float("-inf")
