@@ -658,7 +658,8 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
     """Execute the analyses in order; a failure in one analysis is recorded
     as an error block and later analyses still run.  Returns the report
     dict; when out_dir is given, writes report.json, one CSV per analysis,
-    gnuplot .dat files, and a timing sidecar.  ``threads`` is accepted for
+    gnuplot .dat files, and the sidecar timing.json: the run's wall seconds
+    and each analysis's (index, op, wall seconds).  ``threads`` is accepted for
     compatibility and ignored: every analysis runs serially."""
     started = time.perf_counter()
     diags, oracle, potential, failure, fields = _checked(config, depth_guard)
@@ -669,6 +670,7 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
 
     blocks: list[dict] = []
     artifacts: list[tuple[str, str]] = []
+    timings: list[dict] = []
     tables: dict = {}  # the loop tables of this run's towers
     for idx, analysis in enumerate(config["analyses"]):
         op = analysis["op"]
@@ -676,6 +678,7 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
         runner = _OPS[op][1]
         if op in ("tower_loops", "spr"):
             runner = functools.partial(runner, tables=tables)
+        begun = time.perf_counter()
         try:
             block, csv, dat = runner(oracle, potential, fields[idx])
             entry["status"] = "ok"
@@ -688,6 +691,7 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         blocks.append(entry)
+        timings.append({"index": idx, "op": op, "wall_seconds": time.perf_counter() - begun})
 
     config_text = json.dumps(config, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
     report = {
@@ -709,8 +713,8 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
             (out / name).write_text(text, encoding="utf-8")
         # timing is deliberately kept out of report.json so report bytes are
         # deterministic across runs
-        (out / "timing.json").write_text(json.dumps({"wall_seconds": wall}) + "\n",
-                                         encoding="utf-8")
+        (out / "timing.json").write_text(
+            json.dumps({"wall_seconds": wall, "analyses": timings}) + "\n", encoding="utf-8")
     return json.loads(report_text)
 
 

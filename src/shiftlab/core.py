@@ -140,10 +140,11 @@ class LanguageOracle:
     by one symbol.  A finite layer (SFT, S-gap, coded and nonnegative
     cocyclic shifts of dimension <= 3, and the ``WordSet`` products; see
     :meth:`finite_state`) tabulates ``transitions`` once over numbered
-    states, ``labels`` naming them: ``state`` is one run and ``count(n)``
-    the one count DP of finite layers.  Otherwise (beta, factor and the
-    other cocyclic shifts) the state is the word itself, ``step`` asks
-    ``membership``, and ``state`` asks it once behind ``Alphabet.valid``.
+    states, ``labels`` naming them: ``state`` is one run, ``count(n)``
+    the one count DP of finite layers, and ``connectors`` walks states.
+    Otherwise (beta, factor and the other cocyclic shifts) the state is the
+    word itself, ``step`` asks ``membership``, and ``state`` asks it once
+    behind ``Alphabet.valid``.
     Optional fields:
 
     * ``locality``: window size m within which membership is decidable (SFT
@@ -184,6 +185,15 @@ class LanguageOracle:
         #: potential -> ({word: phi_hat}, {(state, last symbols): phi_tail});
         #: see phi_hat and phi_tail
         self._phi_memo: dict[Potential, tuple[dict, dict]] = {}
+        #: the memos of a finite layer's walks: domain by word, followers by
+        #: (state, length), connectors by (state, domain, length) and
+        #: separates by (state, state, bound)
+        self._domains: dict[Word, frozenset[int]] = {}
+        self._followers: dict[tuple[int, int], list[tuple[Word, int]]] = {}
+        self._links: dict[tuple[int, frozenset[int], int], tuple[Word, ...]] = {}
+        self._separations: dict[tuple, bool] = {}
+        #: by length j, the states words of length j end on and those of 1..j
+        self._reach: list[tuple[frozenset[int], frozenset[int]]] = []
 
     @classmethod
     def finite_state(cls, alphabet: Alphabet, start, step: Callable, enumeration_limit: int,
@@ -225,13 +235,17 @@ class LanguageOracle:
     def contains(self, w: Word) -> bool:
         return self.state(w) is not None
 
-    def words(self, n: int) -> tuple[Word, ...]:
-        """All admissible words of length n, lexicographically sorted; past
-        the enumeration limit, DepthExceededError."""
+    def check_depth(self, n: int) -> None:
+        """DepthExceededError when length n is past the enumeration limit."""
         if n > self.enumeration_limit:
             raise DepthExceededError(
                 f"length {n} exceeds enumeration limit {self.enumeration_limit} of {self.name}"
             )
+
+    def words(self, n: int) -> tuple[Word, ...]:
+        """All admissible words of length n, lexicographically sorted; past
+        the enumeration limit, DepthExceededError."""
+        self.check_depth(n)
         if n < 0:
             return ()
         got = self._cache.get(n)
@@ -261,11 +275,110 @@ class LanguageOracle:
         lexicographically) for which ``accept(left + c + right)`` holds;
         ``accept`` defaults to ``contains``.  The one connector and extension
         search: gluing, [I*], qft constraints and synchronisation ask it."""
+        left_key, right_key, search = self._search(accept)
+        return search(left_key(left), right_key(right), lengths)
+
+    def connector_classes(self, lefts: Iterable[Word], rights: Iterable[Word],
+                          accept: Callable[[Word], bool] | None = None) -> tuple[dict, dict, Callable]:
+        """``connectors`` over every pair of a left and a right list, by
+        classes: each list as {key: index of its first word with that key},
+        in order, and ``search(left key, right key, lengths)``, which yields
+        what ``connectors(left, right, lengths, accept)`` does for every
+        pair in those classes.  So the first pair in list order that meets a
+        condition on its connectors is a pair of first words.
+
+        On a finite layer asked its own membership (``accept`` None or the
+        ``contains`` of its ``WordSet.language``), v.c.w is a word iff
+        state(v).c lies in ``domain(w)`` (Lind & Marcus, sec. 3.3): a left's
+        key is its state, a right's its domain, and ``search`` walks the
+        followers of the state (each a word, the language being
+        factorial).  Otherwise each word is its own key and
+        ``search`` asks ``accept`` of every word of each length."""
+        left_key, right_key, search = self._search(accept)
+        return _first_indices(map(left_key, lefts)), _first_indices(map(right_key, rights)), search
+
+    def _search(self, accept: Callable[[Word], bool] | None) -> tuple[Callable, Callable, Callable]:
+        """The left key, right key and search of ``connector_classes``."""
+        owner = getattr(accept, "__self__", None)
+        if self.transitions is not None and (accept is None or (
+                getattr(accept, "__func__", None) is WordSet.contains and owner.oracle is self
+                and owner.is_full_language and owner._explicit is None)):
+            return self.state, self.domain, self._walk
         accept = accept or self.contains
+
+        def search(left: Word, right: Word, lengths: Iterable[int]) -> Iterator[Word]:
+            for ell in lengths:
+                for c in self.words(ell):
+                    if accept(left + c + right):
+                        yield c
+
+        return _same, _same, search
+
+    def _walk(self, q: int | None, dom: frozenset[int], lengths: Iterable[int]) -> Iterator[Word]:
+        """The words c with |c| in ``lengths`` and q.c in ``dom``, by length,
+        then lexicographically; past the enumeration limit, as ``words``,
+        DepthExceededError, also when q is None (a left outside the
+        language)."""
         for ell in lengths:
-            for c in self.words(ell):
-                if accept(left + c + right):
-                    yield c
+            self.check_depth(ell)
+            if q is None or ell < 0:
+                continue
+            got = self._links.get((q, dom, ell))
+            if got is None:
+                got = self._links[q, dom, ell] = tuple(
+                    c for c, t in self._followers_of(q, ell) if t in dom)
+            yield from got
+
+    def _followers_of(self, q: int, ell: int) -> list[tuple[Word, int]]:
+        """The words of length ell readable from state q, lexicographically,
+        each with the state it ends on."""
+        got = self._followers.get((q, ell))
+        if got is None:
+            rows = self.transitions
+            got = [(EMPTY_WORD, q)] if ell == 0 else [
+                (c + (a,), t) for c, p in self._followers_of(q, ell - 1) for a, t in rows[p].items()]
+            self._followers[q, ell] = got
+        return got
+
+    def domain(self, w: Word) -> frozenset[int]:
+        """The finite-layer states from which w can be read, by suffixes:
+        the domain of a.w is the states whose a-successor lies in that of w."""
+        got = self._domains.get(w)
+        if got is None:
+            rows = self.transitions
+            if not w:
+                got = frozenset(range(len(rows)))
+            else:
+                a, rest = w[0], self.domain(w[1:])
+                got = frozenset(q for q, row in enumerate(rows) if row.get(a) in rest)
+            self._domains[w] = got
+        return got
+
+    def separates(self, p: int | None, q: int | None, bound: int) -> bool:
+        """Whether some word of length 1..bound is read from finite-layer
+        state p but not from q (None: from no state)."""
+        if bound < 1 or p is None:
+            return False
+        key = (p, q, bound)
+        got = self._separations.get(key)
+        if got is None:
+            rows = self.transitions
+            other = rows[q] if q is not None else {}
+            got = self._separations[key] = any(
+                a not in other or self.separates(t, other[a], bound - 1)
+                for a, t in rows[p].items())
+        return got
+
+    def reach(self, bound: int) -> frozenset[int]:
+        """The finite-layer states that words of length 1..bound end on."""
+        rows, steps = self.transitions, self._reach
+        if not steps:
+            steps.append((frozenset([self.start]), frozenset()))
+        while len(steps) <= bound:
+            level, union = steps[-1]
+            level = frozenset(t for p in level for t in rows[p].values())
+            steps.append((level, union | level))
+        return steps[max(bound, 0)][1]
 
     def count(self, n: int) -> int:
         """The count DP over a finite layer (no depth limit), else len(words(n)).
@@ -281,6 +394,18 @@ class LanguageOracle:
 
     def __repr__(self):
         return f"LanguageOracle({self.name}, k={self.alphabet.size}, n_max={self.enumeration_limit})"
+
+
+def _same(w: Word) -> Word:
+    return w
+
+
+def _first_indices(keys: Iterable) -> dict:
+    """{key: index of its first occurrence}, in order of first occurrence."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, i)
+    return out
 
 
 def path_counts(start, successors: Callable) -> Iterator[dict]:

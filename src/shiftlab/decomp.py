@@ -297,11 +297,12 @@ def check_complete_list_Istar(
     for M in M_list:
         good = good_words_from_obstructions(pair, oracle, M)
         words = _collection_words(good, n)
+        lefts, rights, search = oracle.connector_classes(words, words)
         worst = 0
-        for v, w in itertools.product(words, repeat=2):
-            c = next(oracle.connectors(v, w, range(n + 1)), None)
+        for (kv, i), (kw, j) in itertools.product(lefts.items(), rights.items()):
+            c = next(search(kv, kw, range(n + 1)), None)
             if c is None:
-                witnesses.append((M, (v, w)))
+                witnesses.append((M, (words[i], words[j])))
                 break
             worst = max(worst, len(c))
         else:
@@ -520,21 +521,43 @@ class QftReport:
 
 
 def _is_left_constraint(oracle: LanguageOracle, w: Word, bound: int) -> bool:
-    """Some v, 1 <= |v| <= bound, has w[1:].v a word and w.v not."""
+    """Some v, 1 <= |v| <= bound, has w[1:].v a word and w.v not: on a
+    finite layer, the run from the state of w[1:] survives, within bound
+    symbols, one that kills the run from the state of w."""
+    if not w:
+        return False
+    if oracle.transitions is not None:
+        cap = min(bound, oracle.enumeration_limit)
+        hit = oracle.separates(oracle.state(w[1:]), oracle.state(w), cap)
+        if not hit:  # as the word search, which reads on past the limit
+            oracle.check_depth(min(bound, oracle.enumeration_limit + 1))
+        return hit
+
     def splits(x: Word) -> bool:
         return oracle.contains(x) and not oracle.contains(w[:1] + x)
 
-    return len(w) > 0 and next(oracle.connectors(w[1:], EMPTY_WORD, range(1, bound + 1), splits),
-                               None) is not None
+    return next(oracle.connectors(w[1:], EMPTY_WORD, range(1, bound + 1), splits),
+                None) is not None
 
 
 def _is_right_constraint(oracle: LanguageOracle, w: Word, bound: int) -> bool:
-    """Some v, 1 <= |v| <= bound, has v.w[:-1] a word and v.w not."""
+    """Some v, 1 <= |v| <= bound, has v.w[:-1] a word and v.w not: on a
+    finite layer, some state that a word of length 1..bound ends on lies in
+    the domain of w[:-1] and not in that of w."""
+    if not w:
+        return False
+    if oracle.transitions is not None:
+        cap = min(bound, oracle.enumeration_limit)
+        hit = not oracle.reach(cap).isdisjoint(oracle.domain(w[:-1]) - oracle.domain(w))
+        if not hit:
+            oracle.check_depth(min(bound, oracle.enumeration_limit + 1))
+        return hit
+
     def splits(x: Word) -> bool:
         return oracle.contains(x) and not oracle.contains(x + w[-1:])
 
-    return len(w) > 0 and next(oracle.connectors(EMPTY_WORD, w[:-1], range(1, bound + 1), splits),
-                               None) is not None
+    return next(oracle.connectors(EMPTY_WORD, w[:-1], range(1, bound + 1), splits),
+                None) is not None
 
 
 def _constraint_bound(oracle: LanguageOracle) -> tuple[int, bool]:
@@ -590,13 +613,16 @@ def sync_decomposition(
     if not oracle.contains(s):
         raise NotSynchronisingError(f"{s} is not admissible", witness=s)
     rights = list(oracle.connectors(s, EMPTY_WORD, range(d + 1)))
-    for v in oracle.connectors(EMPTY_WORD, s, range(d + 1)):
-        for w in rights:
-            if not oracle.contains(v + s + w):
-                raise NotSynchronisingError(
-                    f"{v} and {w} witness failure of synchronisation for {s}",
-                    witness=(v, w),
-                )
+    lefts = list(oracle.connectors(EMPTY_WORD, s, range(d + 1)))
+    # v.s.w is a word iff the empty connector joins v.s to w
+    left_keys, right_keys, search = oracle.connector_classes([v + s for v in lefts], rights)
+    for (kv, i), (kw, j) in itertools.product(left_keys.items(), right_keys.items()):
+        if next(search(kv, kw, (0,)), None) is None:
+            v, w = lefts[i], rights[j]
+            raise NotSynchronisingError(
+                f"{v} and {w} witness failure of synchronisation for {s}",
+                witness=(v, w),
+            )
     connector = next(oracle.connectors(s, s, range(d + 1)), None)
     if connector is None:
         raise NotSynchronisingError(f"no connector c with scs admissible within {d}")

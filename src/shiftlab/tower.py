@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, product
 from typing import Iterable, Sequence
 
 from .core import (
@@ -76,10 +76,12 @@ def verify_sync_triple(triple: SyncTriple, oracle: LanguageOracle, good: WordSet
     failing (r', s') pair or None."""
     rights = _starting_with(good, triple.s, cert_depth)
     lefts = _ending_with(good, triple.r, cert_depth)
-    for rp in lefts:
-        for sp in rights:
-            if not good.contains(rp + triple.c + sp):
-                return (rp, sp)
+    # r'.c.s' is good iff the empty connector joins r'.c to s'
+    left_keys, right_keys, search = oracle.connector_classes(
+        [rp + triple.c for rp in lefts], rights, good.contains)
+    for (kl, i), (kr, j) in product(left_keys.items(), right_keys.items()):
+        if next(search(kl, kr, (0,)), None) is None:
+            return (lefts[i], rights[j])
     return None
 
 
@@ -112,22 +114,20 @@ def find_sync_triple(
             f"seed pair has no connector of length <= {tau}; gluing fails"
         )
     while True:
-        shrunk = False
         lefts = _ending_with(good, p, cert_depth)
-        for qc in _starting_with(good, q, cert_depth):
-            for pc in lefts:
-                cs = frozenset(oracle.connectors(pc, qc, range(tau + 1), good.contains))
-                if cs < current:
-                    if not cs:
-                        raise NotSpecifiedError(
-                            f"pair ({pc}, {qc}) in the good set has no connector; gluing fails"
-                        )
-                    p, q, current = pc, qc, cs
-                    shrunk = True
-                    break
-            if shrunk:
+        rights = _starting_with(good, q, cert_depth)
+        left_keys, right_keys, search = oracle.connector_classes(lefts, rights, good.contains)
+        for (kq, j), (kp, i) in product(right_keys.items(), left_keys.items()):
+            cs = frozenset(search(kp, kq, range(tau + 1)))
+            if cs < current:
+                if not cs:
+                    raise NotSpecifiedError(
+                        f"pair ({lefts[i]}, {rights[j]}) in the good set has no connector; "
+                        "gluing fails"
+                    )
+                p, q, current = lefts[i], rights[j], cs
                 break
-        if not shrunk:
+        else:
             break
     c = min(current, key=lambda u: (len(u), u))
     triple = SyncTriple(r=p, c=c, s=q, cert_depth=cert_depth,

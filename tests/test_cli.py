@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -738,6 +739,26 @@ def test_run_returns_the_report_it_writes(tmp_path):
     assert report["analyses"][0]["status"] == "ok"
     assert report == json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert report == cli.run(cfg)
+
+
+def test_timing_lists_each_analysis_and_leaves_the_report_alone(tmp_path):
+    # the digest of report.json is that of the run before timing.json held
+    # per-analysis times; a failing analysis is timed too
+    cfg = {"shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
+           "analyses": [{"op": "entropy_exact"}, {"op": "qft", "depth": 4},
+                        {"op": "sync_gap", "word": "11", "n_max": 6},
+                        {"op": "sync_gap", "word": "1", "n_max": 6}]}
+    report = cli.run(cfg, tmp_path)
+    assert [b["status"] for b in report["analyses"]] == ["ok", "ok", "error", "ok"]
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == "2974acafd4143213830a175e473451abaaba5daa4ff8a37f7954d40f3d324936"
+    timing = json.loads((tmp_path / "timing.json").read_text(encoding="utf-8"))
+    assert sorted(timing) == ["analyses", "wall_seconds"]
+    assert [(t["index"], t["op"]) for t in timing["analyses"]] == [
+        (i, a["op"]) for i, a in enumerate(cfg["analyses"])]
+    assert all(sorted(t) == ["index", "op", "wall_seconds"] for t in timing["analyses"])
+    spent = [t["wall_seconds"] for t in timing["analyses"]]
+    assert all(s >= 0.0 for s in spent) and sum(spent) <= timing["wall_seconds"]
 
 
 def test_csv_headers_name_their_columns(tmp_path):

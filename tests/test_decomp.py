@@ -11,11 +11,19 @@ from shiftlab import cli
 from shiftlab.core import WordSet
 from shiftlab.decomp import (
     Decomposition,
+    _constraint_bound,
+    _is_left_constraint,
+    _is_right_constraint,
     make_decomposer,
     qft_obstruction_pair,
     star_closure,
 )
-from shiftlab.errors import EmptyLanguageError, NotSynchronisingError, NoValidParametersError
+from shiftlab.errors import (
+    DepthExceededError,
+    EmptyLanguageError,
+    NotSynchronisingError,
+    NoValidParametersError,
+)
 
 
 def zero(oracle):
@@ -442,8 +450,10 @@ def _by_length(k, lengths):
 @st.composite
 def small_shifts(draw):
     """A generated SFT (2-3 symbols, up to three forbidden words of length 2
-    or 3) or S-gap shift (finite S, or S with an arithmetic tail)."""
-    if draw(st.booleans()):
+    or 3), S-gap shift (finite S, or S with an arithmetic tail) or coded
+    shift (2-3 symbols, up to three generators of length 1-3)."""
+    kind = draw(st.sampled_from(["sft", "s_gap", "coded"]))
+    if kind == "sft":
         k = draw(st.integers(2, 3))
         forbidden = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=2, max_size=3)
                                   .map(tuple), max_size=3, unique=True))
@@ -451,6 +461,11 @@ def small_shifts(draw):
             return sl.sft_from_forbidden(sl.SftSpec(sl.Alphabet.of_size(k), tuple(forbidden)))
         except EmptyLanguageError:
             reject()
+    if kind == "coded":
+        k = draw(st.integers(2, 3))
+        gens = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)
+                             .map(tuple), min_size=1, max_size=3, unique=True))
+        return sl.coded_shift(sl.CodedSpec(tuple(sorted(gens)), sl.Alphabet.of_size(k)))
     values = tuple(sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3))))
     tail = draw(st.sampled_from([(None, None), (3, 2), (5, 1)]))
     return sl.s_gap_shift(sl.SGapSpec(values, *tail))
@@ -507,3 +522,64 @@ def test_istar_tau_table_matches_brute_force(oracle, n, M_list):
     got = sl.check_complete_list_Istar(zero_runs_pair(oracle), oracle, M_list, n)
     assert got.parameters["tau_of_M"] == dict(sorted(table.items()))
     assert got.witnesses == witnesses
+
+
+# -- qft constraints against the word search -------------------------------------
+
+def _word_left_constraint(oracle, w, bound):
+    """Some v, 1 <= |v| <= bound, has w[1:].v a word and w.v not, asked of
+    every word v by the connector search's word loop."""
+    def splits(x):
+        return oracle.contains(x) and not oracle.contains(w[:1] + x)
+
+    return len(w) > 0 and next(oracle.connectors(w[1:], (), range(1, bound + 1), splits),
+                               None) is not None
+
+
+def _word_right_constraint(oracle, w, bound):
+    """Some v, 1 <= |v| <= bound, has v.w[:-1] a word and v.w not, asked of
+    every word v."""
+    def splits(x):
+        return oracle.contains(x) and not oracle.contains(x + w[-1:])
+
+    return len(w) > 0 and next(oracle.connectors((), w[:-1], range(1, bound + 1), splits),
+                               None) is not None
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except DepthExceededError as exc:
+        return str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_shifts())
+def test_qft_state_walks_match_word_search(oracle):
+    # every word to length 6, and every string to length 3 (members or not)
+    strings = set(_by_length(oracle.alphabet.size, range(4)))
+    strings.update(w for n in range(7) for w in oracle.words(n))
+    for w in sorted(strings, key=lambda u: (len(u), u)):
+        for bound in range(5):
+            assert _is_left_constraint(oracle, w, bound) == _word_left_constraint(oracle, w, bound)
+            assert _is_right_constraint(oracle, w, bound) == _word_right_constraint(oracle, w, bound)
+    bound, exact = _constraint_bound(oracle)
+    assert exact == (oracle.locality is not None)
+    rep = sl.qft_constraints(oracle, 5)
+    assert rep.exact == exact
+    for n in range(1, 6):
+        words = oracle.words(n)
+        assert rep.left[n] == tuple(w for w in words if _word_left_constraint(oracle, w, bound))
+        assert rep.right[n] == tuple(w for w in words if _word_right_constraint(oracle, w, bound))
+
+
+def test_qft_state_walks_raise_past_the_enumeration_limit_as_the_word_search():
+    # no constraint within the limit: both forms read on to length 3 and raise
+    golden = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["11"]), 2)
+    for w in _by_length(2, range(4)):
+        for bound in range(5):
+            for fast, slow in ((_is_left_constraint, _word_left_constraint),
+                               (_is_right_constraint, _word_right_constraint)):
+                assert _outcome(fast, golden, w, bound) == _outcome(slow, golden, w, bound)
+    assert _outcome(_is_left_constraint, golden, (0, 0), 4) == (
+        "length 3 exceeds enumeration limit 2 of sft(11)")

@@ -1,6 +1,7 @@
 """Differential tests: the finite layers of SFT, S-gap, coded and
-nonnegative cocyclic shifts (membership runs and count DPs) and the
-memoised predicate word sets against plain reference implementations.
+nonnegative cocyclic shifts (membership runs, count DPs and the state walk
+of connector searches) and the memoised predicate word sets against plain
+reference implementations.
 
 The references are whole-word scans: a forbidden-factor scan plus a
 live-window scan for SFTs, a per-run gap-set query for S-gap shifts, a
@@ -14,6 +15,8 @@ and k outside the alphabet, which the layer run must reject on its own.
 
 For every family, beta and cocyclic shifts included, ``words(n)`` is also
 compared with the sorted filter of all words of length n by ``contains``.
+A connector search's reference is the word loop, which a predicate
+``accept`` still takes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab import cli
@@ -530,3 +533,83 @@ def test_predicate_error_is_not_memoised(golden):
     assert ws.contains((0, 1))
     assert ws.contains((0, 1))
     assert calls == [(0, 1), (0, 1)]
+
+
+# -- connector searches ------------------------------------------------------------
+
+@st.composite
+def finite_layers(draw):
+    """A generated SFT, S-gap, coded or nonnegative cocyclic shift with a
+    small enumeration limit, so that searched lengths can pass it."""
+    limit = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["sft", "s_gap", "coded", "cocyclic"]))
+    if kind == "sft":
+        k, forbidden, _ = draw(sft_instances())
+        try:
+            oracle = sl.sft_from_forbidden(sl.SftSpec(sl.Alphabet.of_size(k), forbidden), limit)
+        except EmptyLanguageError:
+            reject()
+    elif kind == "s_gap":
+        oracle = sl.s_gap_shift(draw(sgap_instances())[0], limit)
+    elif kind == "coded":
+        k, gens, _ = draw(coded_instances())
+        oracle = sl.coded_shift(sl.CodedSpec(gens, sl.Alphabet.of_size(k)), limit)
+    else:
+        mats, _ = draw(nonnegative_cocyclic_instances())
+        oracle = sl.cocyclic_shift(sl.CocyclicSpec.from_lists(mats), limit)
+    assert oracle.transitions is not None
+    return oracle
+
+
+def _searched(search):
+    """The words a connector search yields, and the message of the
+    DepthExceededError that ends it (None when it runs out)."""
+    out = []
+    try:
+        for c in search:
+            out.append(c)
+    except DepthExceededError as exc:
+        return out, str(exc)
+    return out, None
+
+
+def _assert_walk_matches_word_loop(oracle, left, right, lengths):
+    # a predicate accept is answered by the word loop, the reference
+    reference = _searched(oracle.connectors(left, right, lengths, lambda x: oracle.contains(x)))
+    for accept in (None, sl.WordSet.language(oracle).contains):
+        assert _searched(oracle.connectors(left, right, lengths, accept)) == reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(finite_layers(), st.data())
+def test_connector_walk_matches_word_loop(oracle, data):
+    # left and right may be empty or outside the language, and the lengths
+    # may pass the enumeration limit
+    side = st.lists(st.integers(0, oracle.alphabet.size - 1), max_size=4).map(tuple)
+    left, right = data.draw(side), data.draw(side)
+    stop = data.draw(st.integers(0, oracle.enumeration_limit + 2))
+    _assert_walk_matches_word_loop(oracle, left, right, range(stop))
+    _assert_walk_matches_word_loop(oracle, left, right, [stop, 0])
+
+
+def test_connector_walk_edge_cases():
+    golden = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["11"]), 4)
+    for left, right in [((), ()), ((1,), ()), ((), (1,)), ((1, 1), ()), ((0,), (1, 1))]:
+        _assert_walk_matches_word_loop(golden, left, right, range(7))
+    # a left outside the language yields nothing, and still raises past the limit
+    assert _searched(golden.connectors((1, 1), (), range(7))) == (
+        [], "length 5 exceeds enumeration limit 4 of sft(11)")
+    assert _searched(golden.connectors((1,), (1,), range(4))) == (
+        [(0,), (0, 0), (0, 0, 0), (0, 1, 0)], None)
+
+
+def test_connector_predicate_is_asked_word_by_word(golden):
+    asked = []
+
+    def ends_in_zero(x):
+        asked.append(x)
+        return golden.contains(x) and x[-1:] == (0,)
+
+    got = list(golden.connectors((1,), (), range(3), ends_in_zero))
+    assert got == [(0,), (0, 0)]
+    assert asked == [(1,) + c for n in range(3) for c in golden.words(n)]
