@@ -17,11 +17,9 @@ from .core import (
     WordSet,
     distortion_bound,
     phi_hat,
-    subword,
 )
 from .models import (
     BetaSpec,
-    BlockCode,
     CocyclicSpec,
     CodedSpec,
     SGapSpec,
@@ -32,11 +30,9 @@ from .models import (
     coded_shift,
     cycle_sft,
     full_shift,
-    quasi_greedy_expansion,
     s_gap_shift,
     sft_entropy_exact,
     sft_from_forbidden,
-    sliding_block_factor,
 )
 from .thermo import (
     PressureReport,
@@ -55,9 +51,7 @@ from .decomp import (
     check_persistence,
     check_spec_I,
     check_stay_good_III,
-    check_strong_spec_Iprime,
     good_words_from_obstructions,
-    obstruction_complement,
     pressure_gap_II,
     qft_constraints,
     sync_decomposition,
@@ -71,7 +65,6 @@ from .tower import (
     ensure_no_long_overlaps,
     find_sync_triple,
     free_family_from_irreducibles,
-    generator_obstruction_set,
     is_uniquely_decipherable,
     loop_sums,
     marking_analysis,

@@ -31,19 +31,6 @@ def default_depth_guard(alphabet_size: int) -> int:
     return max(8, int(24 * math.log(2) / math.log(alphabet_size)))
 
 
-def subword(w: Word, i: int, j: int) -> Word:
-    """1-based inclusive subword w_{[i,j]}; empty when the range is empty.
-
-    Defined exactly for 1 <= i <= j <= |w| (and for j = i-1, the empty
-    range).
-    """
-    if i > j:
-        return EMPTY_WORD
-    if i < 1 or j > len(w):
-        raise IndexError(f"subword range [{i},{j}] invalid for length {len(w)}")
-    return w[i - 1 : j]
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered finite list of distinct symbol identifiers.
@@ -142,9 +129,10 @@ class LanguageOracle:
     :meth:`finite_state`) tabulates ``transitions`` once over numbered
     states, ``labels`` naming them: ``state`` is one run, ``count(n)``
     the one count DP of finite layers, and ``connectors`` walks states.
-    Otherwise (beta, factor and the other cocyclic shifts) the state is the
-    word itself, ``step`` asks ``membership``, and ``state`` asks it once
-    behind ``Alphabet.valid``.
+    Only beta shifts and cocyclic shifts that are signed or have d >= 4
+    have no finite layer: there the state is the word itself, ``step``
+    asks ``membership``, and ``state`` asks it once behind
+    ``Alphabet.valid``.
     Optional fields:
 
     * ``locality``: window size m within which membership is decidable (SFT
@@ -495,18 +483,18 @@ class WordSet:
                    is_full_language=True, name=f"L({oracle.name})")
 
     @classmethod
-    def from_words(cls, oracle: LanguageOracle, words: Iterable[Word], depth: int | None = None,
-                   name: str = "") -> "WordSet":
+    def from_words(cls, oracle: LanguageOracle, words: Iterable[Word],
+                   depth: int | None = None) -> "WordSet":
         table: dict[int, list[Word]] = {}
         for w in words:
             table.setdefault(len(w), []).append(w)
         d = depth if depth is not None else (max(table) if table else 0)
-        return cls(oracle, explicit=table, depth=d, name=name)
+        return cls(oracle, explicit=table, depth=d)
 
     @classmethod
     def from_predicate(cls, oracle: LanguageOracle, predicate: Callable[[Word], bool],
-                       depth: int | None = None, name: str = "") -> "WordSet":
-        return cls(oracle, predicate=predicate, depth=depth, name=name)
+                       name: str = "") -> "WordSet":
+        return cls(oracle, predicate=predicate, name=name)
 
     @classmethod
     def empty_word_only(cls, oracle: LanguageOracle) -> "WordSet":
@@ -517,7 +505,7 @@ class WordSet:
     def empty(cls, oracle: LanguageOracle) -> "WordSet":
         return cls(oracle, explicit={}, depth=oracle.enumeration_limit, name="{}")
 
-    def union(self, other: "WordSet", name: str = "") -> "WordSet":
+    def union(self, other: "WordSet") -> "WordSet":
         if other.oracle is not self.oracle:
             raise ValueError("union requires word sets over the same oracle")
         if self.known_empty:
@@ -528,7 +516,7 @@ class WordSet:
             self.oracle,
             predicate=lambda w: self.contains(w) or other.contains(w),
             depth=min(self.depth, other.depth),
-            name=name or f"({self.name} U {other.name})",
+            name=f"({self.name} U {other.name})",
         )
 
     # -- queries ----------------------------------------------------------
@@ -739,32 +727,6 @@ def _phi_hat(potential: Potential, oracle: LanguageOracle, w: Word) -> float:
             f"word {w} has no admissible {r - 1}-symbol extension (oracle not extendable)"
         )
     return fixed + tail
-
-
-def check_factorial(oracle: LanguageOracle, n_max: int) -> list[Word]:
-    """Exhaustively verify factoriality up to n_max; returns violating subwords."""
-    bad: list[Word] = []
-    for n in range(1, n_max + 1):
-        for w in oracle.words(n):
-            for i in range(len(w)):
-                for j in range(i + 1, len(w) + 1):
-                    if not oracle.contains(w[i:j]):
-                        bad.append(w[i:j])
-    return bad
-
-
-def check_extendable(oracle: LanguageOracle, n_max: int) -> list[Word]:
-    """Verify that every admissible word shorter than n_max has a one-symbol
-    right and left extension; returns the stranded words."""
-    bad: list[Word] = []
-    k = oracle.alphabet.size
-    for n in range(0, n_max):
-        for w in oracle.words(n):
-            if not any(oracle.contains(w + (a,)) for a in range(k)):
-                bad.append(w)
-            elif not any(oracle.contains((a,) + w) for a in range(k)):
-                bad.append(w)
-    return bad
 
 
 def chunked_fsum(terms: Sequence[float]) -> float:

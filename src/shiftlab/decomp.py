@@ -24,6 +24,8 @@ from . import thermo
 from .thermo import NEG_INF, PressureReport, pressure_estimate, rate_estimate
 
 DEFAULT_MARGIN = 0.05
+#: the thresholds M and N that cgc_construct scans, smallest first
+_M_GRID, _N_GRID = (2, 3, 4), (2, 3, 4, 6, 8, 10)
 
 
 @dataclass
@@ -64,39 +66,27 @@ def _collection_words(ws: WordSet, n: int) -> list[Word]:
 
 
 # ---------------------------------------------------------------------------
-# Conditions [I], [I'], [III]/[III_a]/[III_b]
+# Conditions [I] and [III]
 # ---------------------------------------------------------------------------
 
 def check_spec_I(collections: TripleCollections, oracle: LanguageOracle, n: int) -> Verdict:
     """[I]: every pair of good words glues with a connector u, |u| <= tau."""
-    return _check_gluing(collections.good, oracle, collections.tau, n,
-                         exact_length=False, condition="[I]")
-
-
-def check_strong_spec_Iprime(collections: TripleCollections, oracle: LanguageOracle, n: int) -> Verdict:
-    """[I']: as [I] but the connector has length exactly tau."""
-    return _check_gluing(collections.good, oracle, collections.tau, n,
-                         exact_length=True, condition="[I']")
-
-
-def _check_gluing(good: WordSet, oracle: LanguageOracle, tau: int, n: int,
-                  *, exact_length: bool, condition: str) -> Verdict:
-    if getattr(good, "_explicit", None) is not None and 2 * n + tau > good.depth:
+    good, tau = collections.good, collections.tau
+    if good._explicit is not None and 2 * n + tau > good.depth:
         raise DepthExceededError(
             f"gluing check needs membership at length {2 * n + tau}, set certified to {good.depth}"
         )
     words = _collection_words(good, n)
-    lengths = [tau] if exact_length else range(tau + 1)
     witnesses: list[tuple[Word, Word]] = []
     max_needed = 0
     for v, w in itertools.product(words, repeat=2):
-        hit = next(oracle.connectors(v, w, lengths, good.contains), None)
+        hit = next(oracle.connectors(v, w, range(tau + 1), good.contains), None)
         if hit is None:
             witnesses.append((v, w))
         else:
             max_needed = max(max_needed, len(hit))
     return Verdict(
-        condition,
+        "[I]",
         n,
         not witnesses,
         witnesses[:20],
@@ -105,28 +95,15 @@ def _check_gluing(good: WordSet, oracle: LanguageOracle, tau: int, n: int,
     )
 
 
-def check_stay_good_III(
-    collections: TripleCollections,
-    oracle: LanguageOracle,
-    n: int,
-    *,
-    mode: str = "full",
-) -> Verdict:
-    """[III] and its one-sided variants over all admissible u,v,w with
-    |uvw| <= n, |v| >= L, uv and vw good, uvw admissible.
-
-    mode "full": require v and uvw good ([III]);
-    mode "inter": require v good ([III_a]);
-    mode "union": require uvw good whenever additionally some admissible x
-    has x.uvw good ([III_b]); x is searched to n - |uvw| symbols.
-    """
+def check_stay_good_III(collections: TripleCollections, oracle: LanguageOracle, n: int) -> Verdict:
+    """[III] over all admissible u,v,w with |uvw| <= n, |v| >= L, uv and vw
+    good, uvw admissible: v and uvw must be good."""
     if collections.L_param is None:
         raise ValueError("check_stay_good_III needs L_param")
     L = collections.L_param
     good = collections.good
     witnesses: list[tuple[Word, Word, Word]] = []
     checked = 0
-    label = {"full": "[III]", "inter": "[III_a]", "union": "[III_b]"}[mode]
     for m in range(L, n + 1):
         for t in oracle.words(m):
             for i in range(0, m + 1):
@@ -135,23 +112,15 @@ def check_stay_good_III(
                     if not (good.contains(t[:j]) and good.contains(t[i:])):
                         continue
                     checked += 1
-                    if mode == "union":
-                        xs = oracle.connectors(EMPTY_WORD, t, range(1, n - m + 1), good.contains)
-                        if next(xs, None) is None:  # no x with x.uvw good
-                            continue
-                        ok = good.contains(t)
-                    elif mode == "inter":
-                        ok = good.contains(v)
-                    else:
-                        ok = good.contains(v) and good.contains(t)
-                    if not ok:
+                    if not (good.contains(v) and good.contains(t)):
                         witnesses.append((u, v, w))
     return Verdict(
-        label,
+        "[III]",
         n,
         not witnesses,
         witnesses[:20],
-        parameters={"L": L, "mode": mode},
+        # recorded reports name the mode, though "full" is the only one
+        parameters={"L": L, "mode": "full"},
         extras={"instances": checked},
     )
 
@@ -176,20 +145,6 @@ def make_decomposer(collections: TripleCollections) -> Callable[[Word], Decompos
         return None
 
     return decompose
-
-
-def obstruction_complement(
-    collections: TripleCollections, oracle: LanguageOracle, n: int
-) -> tuple[WordSet, Callable[[Word], Decomposition | None]]:
-    """The words of length 1..n with no Cp.G.Cs decomposition, together with
-    the decomposition finder (the empty word is never reported)."""
-    decompose = make_decomposer(collections)
-    table: dict[int, list[Word]] = {}
-    for m in range(1, n + 1):
-        table[m] = [w for w in oracle.words(m) if decompose(w) is None]
-    ws = WordSet.from_words(oracle, [w for ws_ in table.values() for w in ws_],
-                            depth=n, name="L\\CpGCs")
-    return ws, decompose
 
 
 @dataclass
@@ -359,11 +314,9 @@ def cgc_construct(
     eps: float = DEFAULT_MARGIN,
     *,
     depth: int | None = None,
-    M_grid: Sequence[int] = (2, 3, 4),
-    N_grid: Sequence[int] = (2, 3, 4, 6, 8, 10),
 ) -> CgcResult:
     """Builds prefix/good/suffix collections from a persistent complete
-    obstruction list, scanning (M, N) over the grid and returning the
+    obstruction list, scanning (M, N) over _M_GRID x _N_GRID and returning the
     smallest pair that passes the margin rule with margin eps; [I*] is
     checked to depth min(depth, 6).
 
@@ -401,7 +354,7 @@ def cgc_construct(
         phat = max((logs[m] / m for m in lengths if logs[m] > NEG_INF), default=NEG_INF)
         return phat <= rate + eps or phat == NEG_INF
 
-    for M in M_grid:
+    for M in _M_GRID:
         if not surrogate_ok(cminus, M, rate_minus):
             continue
         if not surrogate_ok(cplus, M, rate_plus):
@@ -412,7 +365,7 @@ def cgc_construct(
         tau = istar.parameters["tau_of_M"][M]
         dminus = _near_obstructions(cminus, oracle, tau + M, side="right")
         dplus = _near_obstructions(cplus, oracle, tau + M, side="left")
-        for N in N_grid:
+        for N in _N_GRID:
             if N < M:
                 continue
             if not surrogate_ok(dminus, N, rate_minus):
@@ -424,7 +377,7 @@ def cgc_construct(
             if result is not None:
                 return result
     raise NoValidParametersError(
-        f"no (M, N) in {list(M_grid)} x {list(N_grid)} meets the margin rule at depth {work_depth}"
+        f"no (M, N) in {list(_M_GRID)} x {list(_N_GRID)} meets the margin rule at depth {work_depth}"
     )
 
 

@@ -1,13 +1,12 @@
-"""Constructors for concrete shift families and sliding-block factor maps.
+"""Constructors for concrete shift families.
 
 Each constructor returns an exact :class:`~shiftlab.core.LanguageOracle`.
 SFT, S-gap, coded and nonnegative cocyclic shifts of dimension <= 3 have a
 finite layer (sets of forbidden-word automaton states, run and gap
-lengths, code-automaton position sets, product supports); beta, factor and
+lengths, code-automaton position sets, product supports); beta shifts and
 the other cocyclic shifts answer a membership predicate over the whole
-word.  No constructor checks factoriality or extendability;
-``core.check_factorial`` and ``core.check_extendable`` test them by
-enumeration.
+word.  No constructor checks factoriality or extendability; the tests
+check them by enumeration.
 """
 
 from __future__ import annotations
@@ -121,13 +120,16 @@ def sft_entropy_exact(source: SftSpec | LanguageOracle) -> float:
     its paths from the start are the words, and the entropy is the log
     spectral radius of its transition matrix on the states of bi-infinite
     paths (for an SFT, the pruned forbidden-word automaton), from one
-    eigensolve.  Raises ValueError for an oracle with no finite layer
-    (beta, factor and signed or d >= 4 cocyclic shifts)."""
+    eigensolve.  Raises EmptyLanguageError when no state lies on a
+    bi-infinite path, and ValueError for an oracle with no finite layer
+    (beta shifts, and cocyclic shifts that are signed or have d >= 4)."""
     oracle = sft_from_forbidden(source) if isinstance(source, SftSpec) else source
     rows = oracle.transitions
     if rows is None:
         raise ValueError(f"{oracle.name} has no finite layer")
     states = sorted(_recurrent({q: row.values() for q, row in enumerate(rows)}))
+    if not states:
+        raise EmptyLanguageError(f"{oracle.name} has no bi-infinite path")
     idx = {q: i for i, q in enumerate(states)}
     a = np.zeros((len(states), len(states)))
     for q in states:
@@ -181,10 +183,10 @@ class BetaSpec:
     depth: int
 
     @classmethod
-    def from_beta(cls, beta: float, depth: int = 24, tol: float = 1e-12) -> "BetaSpec":
+    def from_beta(cls, beta: float, depth: int = 24) -> "BetaSpec":
         if beta <= 1:
             raise ValueError("beta must be > 1")
-        pre, period = _quasi_greedy_digits(beta, depth, tol)
+        pre, period = _quasi_greedy_digits(beta, depth)
         return cls(beta, pre, period, depth)
 
     @classmethod
@@ -211,34 +213,22 @@ class BetaSpec:
             top = max(digits)
         return Alphabet(tuple(str(d) for d in range(top + 1)))
 
-    def expansion_sums_to_one(self, tol: float = 1e-12) -> bool:
-        """Numerical check that sum z_k beta^{-k} = 1 at certificate depth."""
-        if self.beta is None:
-            return True
-        with mp.workdps(60):
-            b = mp.mpf(self.beta)
-            if self.z_period is not None:
-                p, q = self.z_pre, self.z_period
-                head = mp.fsum(d * b ** -(i + 1) for i, d in enumerate(p))
-                block = mp.fsum(d * b ** -(i + 1) for i, d in enumerate(q))
-                tail = block * b ** -len(p) / (1 - b ** -len(q))
-                return abs(head + tail - 1) <= tol
-            partial = mp.fsum(d * b ** -(i + 1) for i, d in enumerate(self.z_pre))
-            top = math.ceil(self.beta) - 1
-            max_tail = top * b ** -len(self.z_pre) / (b - 1)
-            return -tol <= 1 - partial <= max_tail + tol
+
+#: a greedy step this close to an integer is snapped to it; one closer
+#: than _GUARD but not snapped cannot be resolved
+_SNAP, _GUARD = 1e-12, 1e-9
 
 
-def _quasi_greedy_digits(beta: float, n: int, tol: float) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+def _quasi_greedy_digits(beta: float, n: int) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
     """First n digits of the quasi-greedy expansion of 1 in base beta.
 
     Runs the greedy algorithm in high precision.  A step landing within
-    ``tol`` of an integer is snapped: the greedy expansion terminates there
+    ``_SNAP`` of an integer is snapped: the greedy expansion terminates there
     and the quasi-greedy sequence is the terminating word with its last
-    digit decremented, repeated.  A step landing near an integer but outside
-    the snap zone cannot be resolved and raises ExpansionUncertainError.
+    digit decremented, repeated.  A step landing within ``_GUARD`` of an
+    integer but outside the snap zone cannot be resolved and raises
+    ExpansionUncertainError.
     """
-    guard = max(tol * 1000, 1e-9)
     dps = max(50, 30 + int(n * math.log10(beta)) + 10)
     with mp.workdps(dps):
         b = mp.mpf(beta)
@@ -249,17 +239,17 @@ def _quasi_greedy_digits(beta: float, n: int, tol: float) -> tuple[tuple[int, ..
             x = b * r
             nearest = int(mp.nint(x))
             dist = abs(x - nearest)
-            if dist <= tol:
+            if dist <= _SNAP:
                 if nearest < 1:
                     raise ExpansionUncertainError(
                         f"digit {k} of the expansion of 1 in base {beta} is ambiguous near 0"
                     )
                 period = tuple(digits + [nearest - 1])
                 return (), period
-            if dist <= guard:
+            if dist <= _GUARD:
                 raise ExpansionUncertainError(
                     f"digit {k} of the expansion of 1 in base {beta} cannot be resolved "
-                    f"within tolerance {tol:g} (distance {float(dist):.3e} to integer)"
+                    f"within tolerance {_SNAP:g} (distance {float(dist):.3e} to integer)"
                 )
             d = int(mp.floor(x))
             if k > 1 and d > top:
@@ -269,11 +259,6 @@ def _quasi_greedy_digits(beta: float, n: int, tol: float) -> tuple[tuple[int, ..
             digits.append(d)
             r = x - d
         return tuple(digits), None
-
-
-def quasi_greedy_expansion(beta: float, n: int, tol: float = 1e-12) -> Word:
-    """First n digits of the lexicographically maximal driving sequence z."""
-    return BetaSpec.from_beta(beta, n, tol).prefix(n)
 
 
 def beta_shift(spec: BetaSpec, enumeration_limit: int | None = None) -> LanguageOracle:
@@ -319,10 +304,6 @@ class SGapSpec:
     def __post_init__(self):
         if not self.values and self.tail_start is None:
             raise ValueError("S must be nonempty")
-
-    @classmethod
-    def naturals(cls) -> "SGapSpec":
-        return cls((), tail_start=0, tail_period=1)
 
     @property
     def unbounded(self) -> bool:
@@ -516,62 +497,3 @@ def cocyclic_shift(spec: CocyclicSpec, enumeration_limit: int | None = None) -> 
         return not _mat_is_zero(product(w))
 
     return LanguageOracle(spec.alphabet, member, limit, name=name)
-
-
-# ---------------------------------------------------------------------------
-# Sliding-block codes and factors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlockCode:
-    """Window map with radius m: theta sends source (2m+1)-words to target
-    symbol indices."""
-
-    radius: int
-    theta: Mapping[Word, int]
-    target_alphabet: Alphabet
-
-    def apply(self, u: Word) -> Word:
-        m = self.radius
-        width = 2 * m + 1
-        if len(u) < width:
-            return EMPTY_WORD
-        return tuple(self.theta[u[i : i + width]] for i in range(len(u) - width + 1))
-
-
-def sliding_block_factor(source: LanguageOracle, code: BlockCode,
-                         enumeration_limit: int | None = None) -> LanguageOracle:
-    """Factor language: length-n words are the images of source words of
-    length n + 2m under the window map."""
-    m = code.radius
-    limit_cap = source.enumeration_limit - 2 * m
-    limit = min(enumeration_limit, limit_cap) if enumeration_limit is not None else limit_cap
-    images: dict[int, frozenset[Word]] = {}
-
-    def image_at(n: int) -> frozenset[Word]:
-        got = images.get(n)
-        if got is None:
-            if n + 2 * m > source.enumeration_limit:
-                raise DepthExceededError(
-                    f"factor membership at length {n} needs source depth {n + 2 * m}"
-                )
-            got = frozenset(code.apply(u) for u in source.words(n + 2 * m))
-            images[n] = got
-        return got
-
-    def member(w: Word) -> bool:
-        return w in image_at(len(w))
-
-    return LanguageOracle(code.target_alphabet, member, limit, name=f"factor({source.name}, m={m})")
-
-
-def compose_block_codes(source: LanguageOracle, inner: BlockCode, outer: BlockCode) -> BlockCode:
-    """The code computing outer∘inner directly, with radius m1+m2; its table
-    is built over the admissible source windows."""
-    m = inner.radius + outer.radius
-    width = 2 * m + 1
-    table: dict[Word, int] = {}
-    for u in source.words(width):
-        mid = inner.apply(u)
-        table[u] = outer.theta[mid]
-    return BlockCode(m, table, outer.target_alphabet)

@@ -46,8 +46,8 @@ def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
     DP over (product state, last <= r-1 symbols), with no word listed and so
     at any n: each step adds phi of the r-window it completes, and the last
     adds ``phi_tail``, so every path weighs exactly e^{phi_hat(w)}.  Other
-    sets (predicate and explicit sets; beta, factor and predicate cocyclic
-    shifts) sum e^{phi_hat(w)} over the listed words, which stays the reference;
+    sets (predicate and explicit sets; beta and predicate cocyclic shifts)
+    sum e^{phi_hat(w)} over the listed words, which stays the reference;
     only listing meets the enumeration limit.  Either way terms are
     combined after a max shift with compensated summation in a fixed order,
     so the result is reproducible; the two agree to rounding.
@@ -230,9 +230,6 @@ class CylinderTable:
     pressure_used: float
     rows: list[CylinderRow]
 
-    def ratios(self) -> list[float]:
-        return [r.gibbs_ratio for r in self.rows]
-
 
 def cylinder_count_table(
     oracle: LanguageOracle,
@@ -326,27 +323,6 @@ class PeriodicMeasure:
     cylinder_weights: dict[Word, float]
     exact_periods: bool
 
-    def weight(self, u: Word) -> float:
-        return self.cylinder_weights.get(u, 0.0)
-
-    def marginal(self, depth: int) -> dict[Word, float]:
-        """Cylinder weights at a shallower depth, by summing tails."""
-        if depth > self.depth:
-            raise ValueError("cannot deepen a stored measure")
-        out: dict[Word, float] = {}
-        for u, wt in sorted(self.cylinder_weights.items()):
-            out[u[:depth]] = out.get(u[:depth], 0.0) + wt
-        return out
-
-    def shifted_marginal(self, depth: int) -> dict[Word, float]:
-        """Weights of sigma^{-1}-cylinders [*u] at the given depth."""
-        if depth > self.depth - 1:
-            raise ValueError("shifted marginal needs depth <= stored depth - 1")
-        out: dict[Word, float] = {}
-        for u, wt in sorted(self.cylinder_weights.items()):
-            out[u[1 : 1 + depth]] = out.get(u[1 : 1 + depth], 0.0) + wt
-        return out
-
 
 def periodic_orbit_measure(
     oracle: LanguageOracle,
@@ -398,10 +374,6 @@ class HyperbolicityReport:
     point_estimate: float
     verdict: str
 
-    @property
-    def is_hyperbolic_at_depth(self) -> bool:
-        return self.verdict == "hyperbolic-at-depth"
-
 
 def hyperbolicity_diagnostic(
     oracle: LanguageOracle,
@@ -450,21 +422,3 @@ def hyperbolicity_diagnostic(
     widening = gaps[-1] >= gaps[0] - tol
     verdict = "hyperbolic-at-depth" if (positive and widening) else "not-hyperbolic-at-depth"
     return HyperbolicityReport(rows, point, verdict)
-
-
-# ---------------------------------------------------------------------------
-# Small combinatorial bounds used by the proofs
-# ---------------------------------------------------------------------------
-
-def entropy_function(delta: float) -> float:
-    """The standard two-point entropy h(delta); 0 at the endpoints."""
-    if delta <= 0.0 or delta >= 1.0:
-        return 0.0
-    return -delta * math.log(delta) - (1 - delta) * math.log(1 - delta)
-
-
-def binomial_entropy_bound_holds(n: int, ell: int) -> bool:
-    """C(n, ell) <= (n+1) e^{h(ell/n) n + 1}, exact integer-vs-float check."""
-    lhs = math.comb(n, ell)
-    rhs = (n + 1) * math.exp(entropy_function(ell / n) * n + 1)
-    return lhs <= rhs

@@ -328,16 +328,6 @@ class FreeFamily:
     def irreducible_words(self) -> list[Word]:
         return [w for n in sorted(self.irreducibles) for w in self.irreducibles[n]]
 
-    def factorisation_count(self, w: Word) -> int:
-        """Number of parses of w into irreducible words (exact integer)."""
-        n = len(w)
-        irr = {u for ws in self.irreducibles.values() for u in ws}
-        f = [0] * (n + 1)
-        f[0] = 1
-        for j in range(1, n + 1):
-            f[j] = sum(f[i] for i in range(j) if w[i:j] in irr)
-        return f[n]
-
 
 def build_free_family(
     triple: SyncTriple,
@@ -528,18 +518,6 @@ class TowerGraph:
     def symbol(self, vertex: tuple[Word, int]) -> int:
         w, k = vertex
         return w[k - 1]
-
-    def to_edge_list_text(self) -> str:
-        alphabet = self.oracle.alphabet
-        name = lambda v: f"{alphabet.text(v[0])}:{v[1]}"
-        lines = [
-            f"# tower base={name(self.base)} depth={self.depth} "
-            f"vertices={len(self.vertices)} edges={self.edge_count()}"
-        ]
-        for v in self.vertices:
-            for u in self.successors(v):
-                lines.append(f"{name(v)} -> {name(u)}")
-        return "\n".join(lines) + "\n"
 
 
 def build_tower_over(
@@ -810,10 +788,6 @@ class SprReport:
     generator_rate: float
     family_rate: float
 
-    @property
-    def is_spr_at_depth(self) -> bool:
-        return self.verdict == "spr-at-depth"
-
 
 def spr_diagnostic(
     tower: TowerGraph,
@@ -860,16 +834,10 @@ class MarkingReport:
     window: Word
     maximal_sets: list[tuple[int, ...]]
     injective_at_window: bool
-    union_closure: bool | None
     truncated: bool
 
 
-def marking_analysis(
-    x_window: Word,
-    family: FreeFamily,
-    *,
-    check_union_closure: bool = False,
-) -> MarkingReport:
+def marking_analysis(x_window: Word, family: FreeFamily) -> MarkingReport:
     """All maximal marking sets spanning the window: sets of cut positions
     containing both ends, whose consecutive blocks lie in the family,
     maximal under inclusion among such sets.
@@ -920,49 +888,12 @@ def marking_analysis(
                 stack.append((j, path + (j,)))
     maximal.sort()
 
-    union_ok: bool | None = None
-    if check_union_closure and len(maximal) >= 2:
-        # the union lemma trims strictly inside the common range
-        union_ok = True
-        for a in range(len(maximal)):
-            for b in range(a + 1, len(maximal)):
-                j1, j2 = maximal[a], maximal[b]
-                lo = max(j1[0], j2[0]) + 1
-                hi = min(j1[-1], j2[-1]) - 1
-                merged = [c for c in sorted(set(j1) | set(j2)) if lo <= c <= hi]
-                for x, y in zip(merged, merged[1:]):
-                    if not in_f(x_window[x - 1 : y - 1]):
-                        union_ok = False
-    return MarkingReport(x_window, maximal, len(maximal) == 1, union_ok, truncated)
+    return MarkingReport(x_window, maximal, len(maximal) == 1, truncated)
 
 
 # ---------------------------------------------------------------------------
-# Generator obstructions and synchronising times
+# Synchronising times
 # ---------------------------------------------------------------------------
-
-def generator_obstruction_set(irreducibles: Iterable[Word] | FreeFamily,
-                              oracle: LanguageOracle | None = None,
-                              depth: int | None = None) -> WordSet:
-    """All subwords of the irreducible generators up to depth (the
-    obstruction collection whose pressure gap drives the tower results)."""
-    if isinstance(irreducibles, FreeFamily):
-        oracle = irreducibles.oracle
-        words = irreducibles.irreducible_words()
-    else:
-        if oracle is None:
-            raise ValueError("pass the oracle for an explicit irreducible set")
-        words = list(irreducibles)
-    # lengths past the longest generator are certified empty, so the set can
-    # be fed to pressure tables at any depth
-    d = depth if depth is not None else oracle.enumeration_limit
-    subs: set[Word] = {EMPTY_WORD}
-    for w in words:
-        for i in range(len(w)):
-            for j in range(i + 1, min(len(w), i + d) + 1):
-                subs.add(w[i:j])
-    return WordSet.from_words(oracle, sorted(subs, key=lambda u: (len(u), u)),
-                              depth=d, name="D(I)")
-
 
 @dataclass(frozen=True)
 class SyncTimes:

@@ -1,0 +1,93 @@
+"""Plainly correct references that the tests compare the library with: the
+enumeration checks of factoriality and extendability, the parse count
+behind unique decipherability, the obstruction complement of a
+decomposition, the union lemma on marking sets, and the binomial-entropy
+lemma of the proofs.  None of them runs in the library."""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Iterable, Sequence
+
+from shiftlab.core import LanguageOracle, Word, WordSet
+from shiftlab.decomp import Decomposition, TripleCollections, make_decomposer
+
+
+def check_factorial(oracle: LanguageOracle, n_max: int) -> list[Word]:
+    """Exhaustively verify factoriality up to n_max; returns violating subwords."""
+    bad: list[Word] = []
+    for n in range(1, n_max + 1):
+        for w in oracle.words(n):
+            for i in range(len(w)):
+                for j in range(i + 1, len(w) + 1):
+                    if not oracle.contains(w[i:j]):
+                        bad.append(w[i:j])
+    return bad
+
+
+def check_extendable(oracle: LanguageOracle, n_max: int) -> list[Word]:
+    """Verify that every admissible word shorter than n_max has a one-symbol
+    right and left extension; returns the stranded words."""
+    bad: list[Word] = []
+    k = oracle.alphabet.size
+    for n in range(0, n_max):
+        for w in oracle.words(n):
+            if not any(oracle.contains(w + (a,)) for a in range(k)):
+                bad.append(w)
+            elif not any(oracle.contains((a,) + w) for a in range(k)):
+                bad.append(w)
+    return bad
+
+
+def factorisation_count(irreducibles: Iterable[Word], w: Word) -> int:
+    """Number of parses of w into irreducible words (exact integer)."""
+    n = len(w)
+    irr = set(irreducibles)
+    f = [0] * (n + 1)
+    f[0] = 1
+    for j in range(1, n + 1):
+        f[j] = sum(f[i] for i in range(j) if w[i:j] in irr)
+    return f[n]
+
+
+def obstruction_complement(
+    collections: TripleCollections, oracle: LanguageOracle, n: int
+) -> tuple[WordSet, Callable[[Word], Decomposition | None]]:
+    """The words of length 1..n with no Cp.G.Cs decomposition, together with
+    the decomposition finder (the empty word is never reported)."""
+    decompose = make_decomposer(collections)
+    words = [w for m in range(1, n + 1) for w in oracle.words(m) if decompose(w) is None]
+    return WordSet.from_words(oracle, words, depth=n), decompose
+
+
+def union_closure(maximal_sets: Sequence[tuple[int, ...]], window: Word,
+                  contains: Callable[[Word], bool]) -> bool | None:
+    """The union lemma on the maximal marking sets of a window: for every two
+    of them, the union of their cuts strictly inside their common range
+    marks the window there, each block between consecutive cuts lying in
+    the family.  None with fewer than two sets."""
+    if len(maximal_sets) < 2:
+        return None
+    for a in range(len(maximal_sets)):
+        for b in range(a + 1, len(maximal_sets)):
+            j1, j2 = maximal_sets[a], maximal_sets[b]
+            lo = max(j1[0], j2[0]) + 1
+            hi = min(j1[-1], j2[-1]) - 1
+            merged = [c for c in sorted(set(j1) | set(j2)) if lo <= c <= hi]
+            if not all(contains(window[x - 1 : y - 1]) for x, y in zip(merged, merged[1:])):
+                return False
+    return True
+
+
+def entropy_function(delta: float) -> float:
+    """The standard two-point entropy h(delta); 0 at the endpoints."""
+    if delta <= 0.0 or delta >= 1.0:
+        return 0.0
+    return -delta * math.log(delta) - (1 - delta) * math.log(1 - delta)
+
+
+def binomial_entropy_bound_holds(n: int, ell: int) -> bool:
+    """C(n, ell) <= (n+1) e^{h(ell/n) n + 1}, exact integer-vs-float check."""
+    lhs = math.comb(n, ell)
+    rhs = (n + 1) * math.exp(entropy_function(ell / n) * n + 1)
+    return lhs <= rhs

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
-from shiftlab.core import WordSet, check_extendable, check_factorial, subword
+from shiftlab.core import WordSet
 from shiftlab.errors import DepthExceededError, NotInLanguageError
+
+from reference import check_extendable, check_factorial
 
 
 def test_alphabet_rejects_duplicates():
@@ -20,25 +22,6 @@ def test_alphabet_roundtrip_multichar():
     w = a.word("10,12,11")
     assert w == (0, 2, 1)
     assert a.text(w) == "10,12,11"
-
-
-def test_subword_conventions():
-    w = (0, 1, 0, 0, 1)
-    assert subword(w, 1, 5) == w
-    assert subword(w, 2, 4) == (1, 0, 0)
-    assert subword(w, 3, 2) == ()  # empty range
-    with pytest.raises(IndexError):
-        subword(w, 0, 2)
-    with pytest.raises(IndexError):
-        subword(w, 1, 6)
-
-
-@given(st.lists(st.integers(0, 1), min_size=0, max_size=12))
-def test_subword_matches_slicing(symbols):
-    w = tuple(symbols)
-    for i in range(1, len(w) + 1):
-        for j in range(i, len(w) + 1):
-            assert subword(w, i, j) == w[i - 1 : j]
 
 
 # -- enumeration ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The package imports only what pyproject.toml declares: the standard
-library, numpy and mpmath (and itself)."""
+library, numpy and mpmath (and itself); and every definition in it has a
+reader in it, so that the package is what its front end reaches."""
 
 from __future__ import annotations
 
@@ -32,3 +33,48 @@ def test_src_imports_only_declared_dependencies():
 def test_an_undeclared_import_is_caught():
     tree = ast.parse("import os\nimport scipy.linalg\nfrom networkx import Graph\nfrom . import core\n")
     assert [n for n in _imported(tree) if n not in ALLOWED] == ["scipy", "networkx"]
+
+
+def _unread(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(file, name) of every function, class and method that nothing reads
+    outside its own body; dunder methods are exempt.  A method counts as
+    read by an attribute load of its name, anything else by a name or an
+    attribute load."""
+    defs = []  # (file, name, is a method, first line, last line)
+    reads = []  # (file, line, name, is a bare name)
+    for fname, text in sources.items():
+        tree = ast.parse(text)
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((fname, node.name, id(node) in methods, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((fname, node.lineno, node.id, True))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((fname, node.lineno, node.attr, False))
+    return [(fname, name) for fname, name, method, first, last in defs
+            if not (name.startswith("__") and name.endswith("__"))
+            and not any(n == name and not (method and bare)
+                        and (f != fname or not first <= line <= last)
+                        for f, line, n, bare in reads)]
+
+
+def test_every_definition_has_a_reader_in_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert sources
+    assert _unread(sources) == []
+
+
+def test_an_unread_definition_is_caught():
+    # loner reads only itself; spare is read only as a bare name, which is
+    # not its method; get is read as an attribute, __repr__ is exempt
+    sources = {
+        "a.py": "def used():\n    return 1\n\ndef loner(n):\n    return loner(n - 1)\n",
+        "b.py": ("from .a import used\n\nclass Box:\n    def get(self):\n        return used()\n\n"
+                 "    def spare(self):\n        return 0\n\n"
+                 "    def __repr__(self):\n        return 'Box'\n\n"
+                 "spare = Box().get()\nprint(spare)\n"),
+    }
+    assert _unread(sources) == [("a.py", "loner"), ("b.py", "spare")]

@@ -29,9 +29,10 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab import cli
-from shiftlab.core import check_extendable, check_factorial
 from shiftlab.errors import DepthExceededError, EmptyLanguageError, ExpansionUncertainError
 from shiftlab.tower import _distinct_star_counts
+
+from reference import check_extendable, check_factorial
 
 MAX_LEN = 10
 

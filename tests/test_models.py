@@ -5,8 +5,9 @@ import math
 import pytest
 
 import shiftlab as sl
-from shiftlab.core import check_extendable, check_factorial
 from shiftlab.errors import DepthExceededError, EmptyLanguageError, ExpansionUncertainError
+
+from reference import check_extendable, check_factorial
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 LOG_GOLDEN = math.log(GOLDEN_RATIO)
@@ -64,6 +65,19 @@ def test_memory_zero_sft_forbidding_every_symbol_is_empty():
         sl.sft_entropy_exact(sl.SftSpec.from_strings("01", ["0", "1"]))
 
 
+def test_entropy_exact_with_no_recurrent_state_raises_empty_language():
+    # M * M = 0, so no word is longer than one symbol: the layer has no state
+    # on a bi-infinite path, and so no transition matrix to take a radius of
+    from shiftlab import cli
+
+    matrices = [[[0, 1], [0, 0]], [[0, 1], [0, 0]]]
+    with pytest.raises(EmptyLanguageError):
+        sl.sft_entropy_exact(sl.cocyclic_shift(sl.CocyclicSpec.from_lists(matrices)))
+    report = cli.run({"shift": {"family": "cocyclic", "matrices": matrices},
+                      "analyses": [{"op": "entropy_exact"}]})
+    assert report["analyses"][0]["error"].startswith("EmptyLanguageError: ")
+
+
 def test_entropy_oracles(golden, forbid111):
     assert sl.sft_entropy_exact(sl.full_shift(3)) == pytest.approx(math.log(3), abs=1e-11)
     assert sl.sft_entropy_exact(golden) == pytest.approx(LOG_GOLDEN, abs=1e-11)
@@ -116,16 +130,16 @@ def test_avoid_symbol_count_hook_matches_enumeration(cycle5):
 # -- beta shifts ----------------------------------------------------------------
 
 def test_quasi_greedy_golden():
-    z = sl.quasi_greedy_expansion(GOLDEN_RATIO, 6)
+    z = sl.BetaSpec.from_beta(GOLDEN_RATIO, 6).prefix(6)
     assert z == (1, 0, 1, 0, 1, 0)
 
 
 def test_quasi_greedy_base_two():
-    assert sl.quasi_greedy_expansion(2.0, 4) == (1, 1, 1, 1)
+    assert sl.BetaSpec.from_beta(2.0, 4).prefix(4) == (1, 1, 1, 1)
 
 
 def test_quasi_greedy_first_digit_small_beta():
-    z = sl.quasi_greedy_expansion(1.1, 8)
+    z = sl.BetaSpec.from_beta(1.1, 8).prefix(8)
     assert z[0] == 1
 
 
@@ -133,13 +147,15 @@ def test_quasi_greedy_uncertain_near_boundary():
     # perturb the golden ratio into the unresolvable zone between the snap
     # tolerance and the guard
     with pytest.raises(ExpansionUncertainError):
-        sl.quasi_greedy_expansion(GOLDEN_RATIO + 1e-11, 8)
+        sl.BetaSpec.from_beta(GOLDEN_RATIO + 1e-11, 8).prefix(8)
 
 
 def test_beta_spec_sum_check():
     spec = sl.BetaSpec.from_beta(GOLDEN_RATIO, 20)
     assert spec.z_period == (1, 0)
-    assert spec.expansion_sums_to_one()
+    # sum z_k beta^-k = 1: the first 60 digits, and a tail below beta^-60
+    head = math.fsum(d * GOLDEN_RATIO ** -(i + 1) for i, d in enumerate(spec.prefix(60)))
+    assert head == pytest.approx(1.0, abs=1e-12)
 
 
 def test_beta_golden_equals_golden_sft(golden):
@@ -195,7 +211,7 @@ def test_sgap_membership_examples(sgap12):
 
 
 def test_sgap_naturals_allows_adjacent_ones():
-    s = sl.s_gap_shift(sl.SGapSpec.naturals())
+    s = sl.s_gap_shift(sl.SGapSpec((), tail_start=0, tail_period=1))
     assert s.contains(s.alphabet.word("11"))
 
 
@@ -268,39 +284,3 @@ def test_cocyclic_swap_is_not_window_local(cocyclic_swap):
     assert cocyclic_swap.contains(a.word("1331"))
     assert check_factorial(cocyclic_swap, 6) == []
     assert check_extendable(cocyclic_swap, 6) == []
-
-
-# -- sliding block codes -------------------------------------------------------------
-
-def test_factor_identity(golden):
-    code = sl.BlockCode(0, {(0,): 0, (1,): 1}, golden.alphabet)
-    fac = sl.sliding_block_factor(golden, code)
-    for n in range(1, 9):
-        assert fac.words(n) == golden.words(n)
-
-
-def test_factor_relabel_full_shift(full2):
-    code = sl.BlockCode(0, {(0,): 1, (1,): 0}, full2.alphabet)
-    fac = sl.sliding_block_factor(full2, code)
-    assert all(fac.count(n) == 2 ** n for n in range(1, 7))
-
-
-def test_factor_xor_counts(golden):
-    code = sl.BlockCode(1, {w: w[1] ^ w[2] for w in golden.words(3)}, golden.alphabet)
-    fac = sl.sliding_block_factor(golden, code)
-    # frozen via image enumeration of L_{n+2}: 010 needs an inadmissible
-    # alternating preimage, so the image at length 3 misses exactly one word
-    assert [fac.count(n) for n in range(1, 6)] == [2, 4, 7, 12, 20]
-    assert not fac.contains(golden.alphabet.word("010"))
-
-
-def test_factor_composition(golden):
-    from shiftlab.models import compose_block_codes
-
-    inner = sl.BlockCode(1, {w: w[1] ^ w[2] for w in golden.words(3)}, golden.alphabet)
-    mid = sl.sliding_block_factor(golden, inner)
-    outer = sl.BlockCode(1, {w: w[0] ^ w[1] ^ w[2] for w in mid.words(3)}, golden.alphabet)
-    two_step = sl.sliding_block_factor(mid, outer)
-    combined = sl.sliding_block_factor(golden, compose_block_codes(golden, inner, outer))
-    for n in range(1, 7):
-        assert two_step.words(n) == combined.words(n)

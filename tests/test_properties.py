@@ -11,9 +11,16 @@ import math
 import pytest
 
 import shiftlab as sl
-from shiftlab.core import WordSet, check_extendable, check_factorial
+from shiftlab.core import WordSet
 from shiftlab.decomp import qft_obstruction_pair
 from shiftlab.thermo import log_partition_sum
+
+from reference import (
+    binomial_entropy_bound_holds,
+    check_extendable,
+    check_factorial,
+    factorisation_count,
+)
 
 SYSTEM_DEPTH = 12
 
@@ -71,8 +78,6 @@ def test_lambda_submultiplicative(system):
 
 
 def test_binomial_entropy_bound():
-    from shiftlab.thermo import binomial_entropy_bound_holds
-
     assert all(
         binomial_entropy_bound_holds(n, ell)
         for n in range(1, 61)
@@ -113,7 +118,7 @@ def test_ud_iff_unique_factorisation(full2):
         verdict = sl.is_uniquely_decipherable(fam)
         assert verdict.passed is expected
         unique = all(
-            fam.factorisation_count(w) == 1
+            factorisation_count(fam.irreducible_words(), w) == 1
             for ws in fam.members.values()
             for w in ws
         )

