@@ -132,13 +132,16 @@ class LanguageOracle:
     Only beta shifts and cocyclic shifts that are signed or have d >= 4
     have no finite layer: there the state is the word itself, ``step``
     asks ``membership``, and ``state`` asks it once behind
-    ``Alphabet.valid``.
+    ``Alphabet.valid`` (a beta shift's membership runs z's tie automaton,
+    one step per symbol).
     Optional fields:
 
     * ``locality``: window size m within which membership is decidable (SFT
       memory + 1); then p^infinity is admissible iff a repetition of p of
       length >= |p| + m is, so periodic points are exact.  ``None`` for
-      non-local rules, whose periodic points are depth-certified,
+      non-local rules, whose periodic points are depth-certified.  Either
+      way ``thermo.periodic_points`` reads a finite layer's repetitions on
+      from the states that ``words(n)`` keeps in ``_states``,
     * ``periodic_check(p)``: exact periodic-point predicate overriding the
       window rule (used by S-gap shifts).
     """

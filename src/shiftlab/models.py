@@ -3,10 +3,12 @@
 Each constructor returns an exact :class:`~shiftlab.core.LanguageOracle`.
 SFT, S-gap, coded and nonnegative cocyclic shifts of dimension <= 3 have a
 finite layer (sets of forbidden-word automaton states, run and gap
-lengths, code-automaton position sets, product supports); beta shifts and
-the other cocyclic shifts answer a membership predicate over the whole
-word.  No constructor checks factoriality or extendability; the tests
-check them by enumeration.
+lengths, code-automaton position sets, product supports); beta shifts
+(through the tie automaton of z) and the other cocyclic shifts answer a
+membership predicate over the whole word.  No constructor checks
+factoriality or extendability; the tests check them by enumeration.
+numpy and mpmath are imported by the two functions that use them, so a
+run that needs neither does not load them.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ import numbers
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import mpmath as mp
-import numpy as np
 
 from .core import (
     Alphabet,
@@ -123,6 +122,8 @@ def sft_entropy_exact(source: SftSpec | LanguageOracle) -> float:
     eigensolve.  Raises EmptyLanguageError when no state lies on a
     bi-infinite path, and ValueError for an oracle with no finite layer
     (beta shifts, and cocyclic shifts that are signed or have d >= 4)."""
+    import numpy as np  # imported here, so only an eigensolve pays for it
+
     oracle = sft_from_forbidden(source) if isinstance(source, SftSpec) else source
     rows = oracle.transitions
     if rows is None:
@@ -202,9 +203,6 @@ class BetaSpec:
             return self.z_period[(i - len(self.z_pre) - 1) % len(self.z_period)]
         raise DepthExceededError(f"driving sequence certified only to depth {len(self.z_pre)}")
 
-    def prefix(self, n: int) -> Word:
-        return tuple(self.digit(i) for i in range(1, n + 1))
-
     def digit_alphabet(self) -> Alphabet:
         if self.beta is not None:
             top = math.ceil(self.beta) - 1
@@ -229,6 +227,8 @@ def _quasi_greedy_digits(beta: float, n: int) -> tuple[tuple[int, ...], tuple[in
     integer but outside the snap zone cannot be resolved and raises
     ExpansionUncertainError.
     """
+    import mpmath as mp  # imported here, so only a beta given as a number pays for it
+
     dps = max(50, 30 + int(n * math.log10(beta)) + 10)
     with mp.workdps(dps):
         b = mp.mpf(beta)
@@ -262,26 +262,57 @@ def _quasi_greedy_digits(beta: float, n: int) -> tuple[tuple[int, ...], tuple[in
 
 
 def beta_shift(spec: BetaSpec, enumeration_limit: int | None = None) -> LanguageOracle:
-    """Membership via the lexicographic condition against the quasi-greedy z:
-    a word is admissible iff every suffix is lexicographically <= the prefix
-    of z of the same length."""
+    """A word is admissible iff every suffix is lexicographically <= the
+    prefix of z of the same length, read by z's tie automaton.
+
+    Its state m is the length of the longest suffix read so far that equals
+    z[:m]; the other tied suffixes are the borders of z[:m], which the
+    Knuth-Morris-Pratt failure links list.  Reading a is rejected if a > z[l]
+    for some tied l, and otherwise moves to the longest l + 1 with z[l] = a,
+    or to 0.  That is the suffix condition read one symbol at a time, so it
+    is exact for any z; for a quasi-greedy z it is Parry's automaton (Parry,
+    "On the beta-expansions of real numbers", 1960).  Rows are tabulated on
+    demand, row m reading digit m + 1, and a word of length n first asks
+    for rows 0..n-1: past the certified depth of z, ``BetaSpec.digit``
+    raises DepthExceededError whatever the word, and a raise is not cached.
+    The state is not a layer state (its count grows with n), so the oracle
+    answers membership as a predicate over the whole word.
+    """
     alphabet = spec.digit_alphabet()
     limit = enumeration_limit if enumeration_limit is not None else spec.depth
     if spec.z_period is None and limit > len(spec.z_pre):
         limit = len(spec.z_pre)
 
-    prefixes: dict[int, Word] = {}
+    #: rows[m][a]: the state after reading a at state m, for a up to the
+    #: least digit z[l] over the tied lengths l; a larger a is rejected
+    rows: list[tuple[int, ...]] = []
+    #: fail[m]: the length of the longest proper border of z[:m] (m >= 1)
+    fail: list[int] = [0, 0]
+    z: list[int] = []
+
+    def grow(n: int) -> None:
+        while len(rows) < n:
+            m = len(rows)
+            d = spec.digit(m + 1)  # raises past the certified depth
+            if m > 1:
+                # the border of z[:m] from those of z[:m-1], as in KMP
+                k = fail[m - 1]
+                while k and z[k] != z[m - 1]:
+                    k = fail[k]
+                fail.append(k + (z[k] == z[m - 1]))
+            below = rows[fail[m]] if m else (0,) * (d + 1)
+            rows.append(tuple(m + 1 if a == d else below[a] for a in range(min(d + 1, len(below)))))
+            z.append(d)
 
     def member(w: Word) -> bool:
-        n = len(w)
-        z = prefixes.get(n)
-        if z is None:
-            # raises DepthExceededError if uncertified, and a raise is not cached
-            z = prefixes[n] = spec.prefix(n)
-        for k in range(n):
-            suffix = w[k:]
-            if suffix > z[: n - k]:
+        if len(w) > len(rows):
+            grow(len(w))
+        m = 0
+        for a in w:
+            row = rows[m]
+            if a >= len(row):
                 return False
+            m = row[a]
         return True
 
     label = f"beta({spec.beta})" if spec.beta is not None else "beta(z)"

@@ -280,40 +280,54 @@ class PeriodicPoints:
 
 
 def periodic_points(oracle: LanguageOracle, n: int) -> PeriodicPoints:
-    """All length-n words whose infinite repetition is admissible.
+    """All length-n words p whose infinite repetition is admissible.
 
     Exact when the oracle provides a periodic check (S-gap) or is
-    window-local (SFTs, by their ``locality``); otherwise the repetition is
-    tested to the enumeration limit and the result is flagged approximate.
+    window-local (SFTs, by their ``locality`` m): then p^infinity is
+    admissible iff p^reps is, for the fewest reps with n * reps >= n + m.
+    Otherwise p^reps is tested with n * reps >= enumeration limit + n, and
+    the result is flagged approximate.  On a finite layer p^reps is read on
+    from the state ``words(n)`` left after p, one p at a time, and stops
+    early once that orbit of states repeats: from there it cycles and
+    never dies.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
-    out: list[Word] = []
-    exact = True
-    check = oracle.periodic_check
-    window = oracle.locality
-    for p in oracle.words(n):
-        if check is not None:
-            ok = check(p)
-        elif window is not None:
-            reps = max(1, -(-(n + window) // n))
-            ok = oracle.contains(p * reps)
-        else:
-            exact = False
-            reps = max(1, -(-(oracle.enumeration_limit + n) // n))
-            ok = oracle.contains(p * reps)
-        if ok:
-            out.append(p)
+    check, window = oracle.periodic_check, oracle.locality
+    reps = max(1, -(-(n + (oracle.enumeration_limit if window is None else window)) // n))
+    words = oracle.words(n)
+    exact = check is not None or window is not None or not words
+    if check is not None:
+        out = [p for p in words if check(p)]
+    elif oracle.transitions is None:
+        out = [p for p in words if oracle.contains(p * reps)]
+    else:
+        rows, out = oracle.transitions, []
+        for p, q in zip(words, oracle._states[n]):
+            seen = {q}
+            for _ in range(reps - 1):
+                for a in p:
+                    q = rows[q].get(a)
+                    if q is None:
+                        break
+                if q is None or q in seen:
+                    break
+                seen.add(q)
+            if q is not None:
+                out.append(p)
     return PeriodicPoints(n, tuple(out), exact)
 
 
+def _cyclic(p: Word, m: int) -> Word:
+    """The first m symbols of p^infinity."""
+    return p * (m // len(p)) + p[: m % len(p)]
+
+
 def _cyclic_birkhoff(potential: Potential, p: Word) -> float:
-    """Birkhoff sum of one full period along the periodic point p^infinity."""
-    r = potential.window
+    """Birkhoff sum of one full period along the periodic point p^infinity:
+    the windows starting in p, read from its first |p| + r - 1 symbols."""
     k = len(p)
-    reps = 1 + -(-(r) // k)
-    ext = p * reps
-    return potential.window_sum(ext, 0, k)
+    return potential.window_sum(_cyclic(p, k + potential.window - 1), 0, k)
 
 
 @dataclass
@@ -346,8 +360,7 @@ def periodic_orbit_measure(
     log_total = log_sum_exp([a[2] for a in atoms])
     weights: dict[Word, float] = {}
     for p, k, s in atoms:
-        reps = 1 + -(-depth // k)
-        u = (p * reps)[:depth]
+        u = _cyclic(p, depth)
         weights[u] = weights.get(u, 0.0) + math.exp(s - log_total)
     return PeriodicMeasure(n, depth, weights, exact)
 

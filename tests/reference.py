@@ -1,8 +1,9 @@
 """Plainly correct references that the tests compare the library with: the
-enumeration checks of factoriality and extendability, the parse count
-behind unique decipherability, the obstruction complement of a
-decomposition, the union lemma on marking sets, and the binomial-entropy
-lemma of the proofs.  None of them runs in the library."""
+enumeration checks of factoriality and extendability, beta membership by
+the suffix scan, periodic points by listing, the parse count behind unique
+decipherability, the obstruction complement of a decomposition, the union
+lemma on marking sets, and the binomial-entropy lemma of the proofs.  None
+of them runs in the library."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ from typing import Callable, Iterable, Sequence
 
 from shiftlab.core import LanguageOracle, Word, WordSet
 from shiftlab.decomp import Decomposition, TripleCollections, make_decomposer
+from shiftlab.models import BetaSpec
+from shiftlab.thermo import PeriodicPoints
 
 
 def check_factorial(oracle: LanguageOracle, n_max: int) -> list[Word]:
@@ -37,6 +40,37 @@ def check_extendable(oracle: LanguageOracle, n_max: int) -> list[Word]:
             elif not any(oracle.contains((a,) + w) for a in range(k)):
                 bad.append(w)
     return bad
+
+
+def beta_suffix_scan(spec: BetaSpec, w: Word) -> bool:
+    """Beta-shift membership by the lexicographic condition read off
+    directly: every suffix of w is <= the prefix of z of the same length.
+    The prefix z[:|w|] is read first, so past the certified depth of z the
+    scan raises DepthExceededError whatever w is."""
+    n = len(w)
+    z = tuple(spec.digit(i) for i in range(1, n + 1))
+    return all(w[k:] <= z[: n - k] for k in range(n))
+
+
+def periodic_points_listing(oracle: LanguageOracle, n: int) -> PeriodicPoints:
+    """The periodic points of period n by asking ``contains(p * reps)`` of
+    every listed word p, with the repetition rule of ``periodic_points``:
+    length >= n + locality where the oracle is window-local (exact), else
+    length >= enumeration limit + n (approximate).  A periodic check, where
+    the oracle has one, is asked instead."""
+    exact = True
+    out = []
+    for p in oracle.words(n):
+        if oracle.periodic_check is not None:
+            ok = oracle.periodic_check(p)
+        elif oracle.locality is not None:
+            ok = oracle.contains(p * max(1, -(-(n + oracle.locality) // n)))
+        else:
+            exact = False
+            ok = oracle.contains(p * max(1, -(-(oracle.enumeration_limit + n) // n)))
+        if ok:
+            out.append(p)
+    return PeriodicPoints(n, tuple(out), exact)
 
 
 def factorisation_count(irreducibles: Iterable[Word], w: Word) -> int:

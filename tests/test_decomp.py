@@ -206,7 +206,8 @@ def test_good_words_beta_prefixes():
     spec = sl.BetaSpec.from_beta((1 + math.sqrt(5)) / 2, 24)
     b = sl.beta_shift(spec, 16)
     prefixes = WordSet.from_predicate(
-        b, lambda w: len(w) >= 1 and w == spec.prefix(len(w)), name="z-prefixes"
+        b, lambda w: len(w) >= 1 and w == tuple(map(spec.digit, range(1, len(w) + 1))),
+        name="z-prefixes",
     )
     pair = sl.ObstructionPair(WordSet.empty(b), prefixes)
     g = sl.good_words_from_obstructions(pair, b, 2)
@@ -328,12 +329,13 @@ def test_cgc_beta_excludes_long_prefix_tails():
     spec = sl.BetaSpec.from_beta((1 + math.sqrt(5)) / 2, 24)
     b = sl.beta_shift(spec, 14)
     prefixes = WordSet.from_predicate(
-        b, lambda w: len(w) >= 1 and w == spec.prefix(len(w)), name="z-prefixes"
+        b, lambda w: len(w) >= 1 and w == tuple(map(spec.digit, range(1, len(w) + 1))),
+        name="z-prefixes",
     )
     pair = sl.ObstructionPair(WordSet.empty(b), prefixes)
     res = sl.cgc_construct(pair, b, zero(b), 0.1, depth=10)
     M = res.parameters["M"]
-    long_prefix_tail = (0,) + spec.prefix(M + 2)
+    long_prefix_tail = (0,) + tuple(map(spec.digit, range(1, M + 3)))
     assert b.contains(long_prefix_tail)
     assert not res.collections.good.contains(long_prefix_tail)
 

@@ -1,10 +1,14 @@
 """The package imports only what pyproject.toml declares: the standard
-library, numpy and mpmath (and itself); and every definition in it has a
-reader in it, so that the package is what its front end reaches."""
+library, numpy and mpmath (and itself), the last two only where they are
+used; and every definition in it has a reader in it, so that the package is
+what its front end reaches."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,6 +37,31 @@ def test_src_imports_only_declared_dependencies():
 def test_an_undeclared_import_is_caught():
     tree = ast.parse("import os\nimport scipy.linalg\nfrom networkx import Graph\nfrom . import core\n")
     assert [n for n in _imported(tree) if n not in ALLOWED] == ["scipy", "networkx"]
+
+
+def _modules_loaded_by_validate(config: dict) -> dict:
+    """Whether numpy and mpmath are loaded after ``import shiftlab.cli`` and
+    ``cli.validate(config)`` in a fresh interpreter."""
+    code = ("import json, sys\nimport shiftlab.cli\n"
+            f"assert shiftlab.cli.validate({config!r}) == []\n"
+            "print(json.dumps({m: m in sys.modules for m in ('numpy', 'mpmath')}))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_numpy_and_mpmath_are_imported_only_where_used():
+    # numpy serves the exact-entropy eigensolve and mpmath the expansion of
+    # a beta given as a number, so validating an SFT config, whose
+    # entropy_exact does not run, loads neither; a beta base loads mpmath
+    sft = {"shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
+           "potential": "zero", "analyses": [{"op": "entropy_exact"}]}
+    assert _modules_loaded_by_validate(sft) == {"numpy": False, "mpmath": False}
+    beta = {"shift": {"family": "beta", "beta": 1.5}, "potential": "zero",
+            "analyses": [{"op": "pressure_estimate", "n_max": 8}]}
+    assert _modules_loaded_by_validate(beta) == {"numpy": False, "mpmath": True}
 
 
 def _unread(sources: dict[str, str]) -> list[tuple[str, str]]:

@@ -13,6 +13,12 @@ every word up to the length where k**n passes 1024, plus drawn words up to
 length 10.  Drawn words may use the symbols -1
 and k outside the alphabet, which the layer run must reject on its own.
 
+Beta membership, read by the tie automaton, is compared with the suffix
+scan of ``reference.py`` over every word up to length 10, for quasi-greedy
+and arbitrary driving sequences, raises past the certified depth included,
+and the periodic points of finite layers, read from layer states, with the
+listing of ``reference.py``.
+
 For every family, beta and cocyclic shifts included, ``words(n)`` is also
 compared with the sorted filter of all words of length n by ``contains``.
 A connector search's reference is the word loop, which a predicate
@@ -32,7 +38,7 @@ from shiftlab import cli
 from shiftlab.errors import DepthExceededError, EmptyLanguageError, ExpansionUncertainError
 from shiftlab.tower import _distinct_star_counts
 
-from reference import check_extendable, check_factorial
+from reference import beta_suffix_scan, check_extendable, check_factorial, periodic_points_listing
 
 MAX_LEN = 10
 
@@ -394,6 +400,44 @@ def test_cocyclic_layer_strands_no_word():
     assert check_extendable(oracle, 7) == []
 
 
+# -- beta shifts ------------------------------------------------------------------
+
+@st.composite
+def beta_specs(draw):
+    """A quasi-greedy z from a drawn base, or an arbitrary z_pre/z_period,
+    which need not be shift-maximal, certified to a drawn depth."""
+    depth = draw(st.integers(3, 12))
+    if draw(st.booleans()):
+        try:
+            return sl.BetaSpec.from_beta(draw(st.floats(1.05, 3.95)), depth)
+        except ExpansionUncertainError:
+            reject()
+    period = draw(st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    pre = draw(st.lists(st.integers(0, 3), min_size=0 if period else 1, max_size=depth))
+    return sl.BetaSpec.from_sequence(pre, period, depth)
+
+
+def _outcome(member, w):
+    try:
+        return member(w)
+    except DepthExceededError:
+        return "raises"
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta_specs(), st.booleans())
+@example(sl.BetaSpec.from_sequence((2, 1, 2, 0), (1, 2), 8), False)  # not shift-maximal
+@example(sl.BetaSpec.from_sequence((1, 0, 1), None), True)  # raises past length 3
+def test_beta_tie_automaton_matches_the_suffix_scan(spec, longest_first):
+    # every word up to length 10 (fewer on larger alphabets), shortest or
+    # longest first, so that the rows grow in either order: the same
+    # verdicts, and DepthExceededError at the same lengths
+    oracle = sl.beta_shift(spec)
+    words = list(_all_words(oracle.alphabet.size))
+    for w in reversed(words) if longest_first else words:
+        assert _outcome(oracle.contains, w) == _outcome(lambda u: beta_suffix_scan(spec, u), w), w
+
+
 # -- count DPs -------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -498,6 +542,39 @@ def test_words_are_the_sorted_members(build):
                                if oracle.contains(w)]
         assert len(set(words)) == len(words)
     assert check_factorial(oracle, n_max) == []
+
+
+# -- periodic points on finite layers ------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    sft_instances().map(lambda i: _built(
+        sl.sft_from_forbidden, sl.SftSpec(sl.Alphabet.of_size(i[0]), i[1]))),
+    st.integers(1, 3).map(lambda k: _built(sl.full_shift, k)),
+    st.integers(4, 6).map(lambda k: _built(sl.cycle_sft, k)),
+    coded_instances().map(lambda i: _built(
+        sl.coded_shift, sl.CodedSpec(i[1], sl.Alphabet.of_size(i[0])))),
+    nonnegative_cocyclic_instances().map(lambda i: _built(
+        sl.cocyclic_shift, sl.CocyclicSpec.from_lists(i[0]))),
+))
+# 0^7 is a word and 0^8 is not, so at limit 6 (7 repetitions of a 1-word)
+# the depth-certified answer holds the period-1 point 0 only if the
+# repetition count is kept exactly
+@example(_built(sl.coded_shift, sl.CodedSpec((((1,) + (0,) * 7 + (1,)),), sl.Alphabet.of_size(2)), 6))
+def test_periodic_points_match_the_listing(build):
+    # the orbit of layer states against contains(p * reps) on a fresh
+    # oracle, for every period up to 8 (fewer where k**n passes 1024): the
+    # same words and the same exact flag
+    try:
+        oracle, listed = build(), build()
+    except EmptyLanguageError:
+        return
+    assert oracle.transitions is not None
+    n_max = min(8, oracle.enumeration_limit)
+    while oracle.alphabet.size ** n_max > 1024:
+        n_max -= 1
+    for n in range(1, n_max + 1):
+        assert sl.periodic_points(oracle, n) == periodic_points_listing(listed, n)
 
 
 # -- memoised predicate word sets ------------------------------------------------

@@ -129,17 +129,22 @@ def test_avoid_symbol_count_hook_matches_enumeration(cycle5):
 
 # -- beta shifts ----------------------------------------------------------------
 
+def _z(spec, n):
+    """The first n digits of the driving sequence."""
+    return tuple(spec.digit(i) for i in range(1, n + 1))
+
+
 def test_quasi_greedy_golden():
-    z = sl.BetaSpec.from_beta(GOLDEN_RATIO, 6).prefix(6)
+    z = _z(sl.BetaSpec.from_beta(GOLDEN_RATIO, 6), 6)
     assert z == (1, 0, 1, 0, 1, 0)
 
 
 def test_quasi_greedy_base_two():
-    assert sl.BetaSpec.from_beta(2.0, 4).prefix(4) == (1, 1, 1, 1)
+    assert _z(sl.BetaSpec.from_beta(2.0, 4), 4) == (1, 1, 1, 1)
 
 
 def test_quasi_greedy_first_digit_small_beta():
-    z = sl.BetaSpec.from_beta(1.1, 8).prefix(8)
+    z = _z(sl.BetaSpec.from_beta(1.1, 8), 8)
     assert z[0] == 1
 
 
@@ -147,14 +152,14 @@ def test_quasi_greedy_uncertain_near_boundary():
     # perturb the golden ratio into the unresolvable zone between the snap
     # tolerance and the guard
     with pytest.raises(ExpansionUncertainError):
-        sl.BetaSpec.from_beta(GOLDEN_RATIO + 1e-11, 8).prefix(8)
+        _z(sl.BetaSpec.from_beta(GOLDEN_RATIO + 1e-11, 8), 8)
 
 
 def test_beta_spec_sum_check():
     spec = sl.BetaSpec.from_beta(GOLDEN_RATIO, 20)
     assert spec.z_period == (1, 0)
     # sum z_k beta^-k = 1: the first 60 digits, and a tail below beta^-60
-    head = math.fsum(d * GOLDEN_RATIO ** -(i + 1) for i, d in enumerate(spec.prefix(60)))
+    head = math.fsum(d * GOLDEN_RATIO ** -(i + 1) for i, d in enumerate(_z(spec, 60)))
     assert head == pytest.approx(1.0, abs=1e-12)
 
 
@@ -176,12 +181,13 @@ def test_beta_driving_sequence_admissible():
         spec = sl.BetaSpec.from_beta(beta, 24)
         b = sl.beta_shift(spec, 20)
         for n in (5, 12, 20):
-            assert b.contains(spec.prefix(n))
+            assert b.contains(_z(spec, n))
 
 
 def test_beta_without_period_raises_past_certified_depth_every_time():
-    # the membership rule caches the prefix of z per length; a length past
-    # the certified depth has no prefix to cache and must raise each time
+    # the membership rule tabulates one automaton row per digit of z; a
+    # length past the certified depth has no row to add and must raise each
+    # time, whether or not the word would be rejected earlier
     spec = sl.BetaSpec.from_sequence((1, 0, 1), None)
     b = sl.beta_shift(spec)
     assert b.enumeration_limit == 3
@@ -191,6 +197,8 @@ def test_beta_without_period_raises_past_certified_depth_every_time():
         assert b.contains((1, 0, 1)) and not b.contains((1, 1, 0))
         with pytest.raises(DepthExceededError):
             b.contains((1, 0, 1, 0, 0))
+        with pytest.raises(DepthExceededError):
+            b.contains((1, 1, 0, 0))
     with pytest.raises(DepthExceededError):
         b.words(4)
 
