@@ -69,5 +69,4 @@ from .tower import (
     loop_sums,
     marking_analysis,
     spr_diagnostic,
-    sync_times,
 )

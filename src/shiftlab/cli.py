@@ -503,7 +503,7 @@ def _analysis_sync_pipeline(oracle, potential, f):
     block["free_violations"] = len(tower.check_free_concatenation(family))
     block["gcd_lengths"] = family.gcd_lengths
     hi = min(20, oracle.enumeration_limit) if f["fraction_hi"] is None else f["fraction_hi"]
-    rows = tower.obstruction_fraction_table(oracle, fixed, good, range(f["fraction_lo"], hi + 1))
+    rows = tower.obstruction_fraction_table(oracle, fixed, range(f["fraction_lo"], hi + 1))
     block["fraction_monotone"] = all(b[3] <= a[3] + 1e-12 for a, b in zip(rows, rows[1:]))
     csv = csv_text("n,obstructed,fraction,total",
                    ((n, bad, frac, total) for n, bad, total, frac in rows))
@@ -522,9 +522,8 @@ def _analysis_qft(oracle, potential, f):
 def _obstruction_pair(oracle, f) -> decomp.ObstructionPair:
     if f["obstructions"] == "zero_runs":
         zero = oracle.alphabet.index("0")
-        runs = WordSet.from_predicate(
-            oracle, lambda w: len(w) >= 1 and all(c == zero for c in w), name="0^k"
-        )
+        runs = WordSet(oracle, predicate=lambda w: len(w) >= 1 and all(c == zero for c in w),
+                       pattern=(0, lambda p, a: p if a == zero else None), name="0^k")
         return decomp.ObstructionPair(runs, runs)
     if f["obstructions"] == "qft":
         return decomp.qft_obstruction_pair(oracle)
@@ -612,7 +611,7 @@ _OPS: dict[str, tuple[dict, Any]] = {
     "cgc": ({**_OBSTRUCTION, "eps": (_number, 0.05), "depth": (_length(4), None, LISTED),
              "check_depth": (_length(), 5)}, _analysis_cgc),
     "sync_gap": ({"word": (_word, REQUIRED), "cert_depth": (_length(), None, LISTED),
-                  "n_max": (_length(4), 12, LISTED), "margin": (_number, 0.05)},
+                  "n_max": (_length(4), 12, COUNTED), "margin": (_number, 0.05)},
                  _analysis_sync_gap),
 }
 

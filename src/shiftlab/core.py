@@ -176,10 +176,12 @@ class LanguageOracle:
         #: potential -> ({word: phi_hat}, {(state, last symbols): phi_tail});
         #: see phi_hat and phi_tail
         self._phi_memo: dict[Potential, tuple[dict, dict]] = {}
-        #: the memos of a finite layer's walks: domain by word, followers by
-        #: (state, length), connectors by (state, domain, length) and
-        #: separates by (state, state, bound)
+        #: the memos of a finite layer's walks: domain by word and its
+        #: preimage step by (symbol, domain), followers by (state, length),
+        #: connectors by (state, domain, length) and separates by (state,
+        #: state, bound)
         self._domains: dict[Word, frozenset[int]] = {}
+        self._preimages: dict[tuple[int, frozenset[int]], frozenset[int]] = {}
         self._followers: dict[tuple[int, int], list[tuple[Word, int]]] = {}
         self._links: dict[tuple[int, frozenset[int], int], tuple[Word, ...]] = {}
         self._separations: dict[tuple, bool] = {}
@@ -265,7 +267,16 @@ class LanguageOracle:
         """The words c with |c| in ``lengths`` (by length, then
         lexicographically) for which ``accept(left + c + right)`` holds;
         ``accept`` defaults to ``contains``.  The one connector and extension
-        search: gluing, [I*], qft constraints and synchronisation ask it."""
+        search: gluing, [I*], qft constraints, synchronisation and ``cgc``'s
+        near obstructions ask it.
+
+        On a finite layer, when ``accept`` is the ``contains`` of a
+        ``WordSet`` over this oracle that is not an explicit list, only the
+        c with left.c.right a word can be accepted, so the search walks the
+        followers of state(left) into domain(right) and asks ``accept`` of
+        those alone, in the same order.  Explicit lists may hold words
+        outside the language (see ``WordSet``), so they and other
+        predicates are asked of every word of each length."""
         left_key, right_key, search = self._search(accept)
         return search(left_key(left), right_key(right), lengths)
 
@@ -283,18 +294,26 @@ class LanguageOracle:
         state(v).c lies in ``domain(w)`` (Lind & Marcus, sec. 3.3): a left's
         key is its state, a right's its domain, and ``search`` walks the
         followers of the state (each a word, the language being
-        factorial).  Otherwise each word is its own key and
-        ``search`` asks ``accept`` of every word of each length."""
+        factorial).  Otherwise each word is its own key, and ``search`` is
+        that of ``connectors``."""
         left_key, right_key, search = self._search(accept)
         return _first_indices(map(left_key, lefts)), _first_indices(map(right_key, rights)), search
 
     def _search(self, accept: Callable[[Word], bool] | None) -> tuple[Callable, Callable, Callable]:
         """The left key, right key and search of ``connector_classes``."""
         owner = getattr(accept, "__self__", None)
-        if self.transitions is not None and (accept is None or (
-                getattr(accept, "__func__", None) is WordSet.contains and owner.oracle is self
-                and owner.is_full_language and owner._explicit is None)):
+        walked = self.transitions is not None and (accept is None or (
+            getattr(accept, "__func__", None) is WordSet.contains and owner.oracle is self
+            and owner._explicit is None))
+        if walked and (accept is None or owner.is_full_language):
             return self.state, self.domain, self._walk
+        if walked:  # a predicate set: its members are words
+            def search(left: Word, right: Word, lengths: Iterable[int]) -> Iterator[Word]:
+                for c in self._walk(self.state(left), self.domain(right), lengths):
+                    if accept(left + c + right):
+                        yield c
+
+            return _same, _same, search
         accept = accept or self.contains
 
         def search(left: Word, right: Word, lengths: Iterable[int]) -> Iterator[Word]:
@@ -333,15 +352,20 @@ class LanguageOracle:
 
     def domain(self, w: Word) -> frozenset[int]:
         """The finite-layer states from which w can be read, by suffixes:
-        the domain of a.w is the states whose a-successor lies in that of w."""
+        the domain of a.w is the states whose a-successor lies in that of w,
+        a preimage step that words sharing a and that domain share."""
         got = self._domains.get(w)
         if got is None:
             rows = self.transitions
             if not w:
                 got = frozenset(range(len(rows)))
             else:
-                a, rest = w[0], self.domain(w[1:])
-                got = frozenset(q for q, row in enumerate(rows) if row.get(a) in rest)
+                key = (w[0], self.domain(w[1:]))
+                got = self._preimages.get(key)
+                if got is None:
+                    a, rest = key
+                    got = self._preimages[key] = frozenset(
+                        q for q, row in enumerate(rows) if row.get(a) in rest)
             self._domains[w] = got
         return got
 
@@ -418,17 +442,23 @@ class WordSet:
 
     Either explicit sorted per-length lists up to a depth, or a predicate
     over the backing oracle's language for lazy enumeration.  Enumeration
-    at each length is duplicate-free and lexicographically sorted, and every
-    member is admissible in the backing oracle.
+    at each length is duplicate-free and lexicographically sorted.  A
+    predicate set's members are admissible in the backing oracle:
+    ``contains`` asks the oracle first.  An explicit list is taken as
+    given, so it may hold words outside the language, and ``contains``
+    answers True for them (ROADMAP finding 14).
 
     A predicate set may also declare a ``pattern`` automaton ``(start,
     step)`` read alongside the oracle's layer: ``step(p, a)`` is the next
     pattern state, or None to reject (so None is never a state).  Over a
     finite layer, ``layer`` is then their product (Lind & Marcus, ch. 3), a
-    finite-state oracle labelled by (pattern state, layer state) pairs whose
-    paths are the set's words: ``count`` is its count DP, and the partition
-    sums of ``thermo`` a transfer DP over it.  The predicate must select the
-    same words, because ``contains`` and ``at`` still read it.
+    finite-state oracle labelled by (pattern state, layer state) pairs:
+    ``count`` is its count DP, the partition sums of ``thermo`` a transfer
+    DP over it, and ``at`` filters its words by the predicate.  The
+    contract: every word the predicate selects is a path of ``layer``.
+    ``count`` and the transfer DP read the paths themselves, so a set is
+    counted or summed only at lengths where its paths are its words: the
+    paths of a cylinder position's set shorter than the position are not.
 
     A predicate must be a pure function of the word: ``contains`` memoises
     its answer per word for the lifetime of the set.  An exception raised
@@ -486,6 +516,39 @@ class WordSet:
                    is_full_language=True, name=f"L({oracle.name})")
 
     @classmethod
+    def avoiding(cls, oracle: LanguageOracle, s: Word, name: str = "L\\LsL") -> "WordSet":
+        """The words of the language with no factor s.  The pattern is the
+        Knuth-Morris-Pratt automaton of s (Knuth, Morris & Pratt, 1977): its
+        state is the length of the longest suffix read that is a proper
+        prefix of s, the failure links give the shorter ones, and completing
+        s rejects.  The predicate runs the same automaton.  No word avoids
+        the empty word, so that set is empty."""
+        if not s:
+            return cls(oracle, explicit={}, name=name)
+        fail = [0, 0]  # fail[m]: the longest proper border of s[:m]
+        for m in range(1, len(s)):
+            b = fail[m]
+            while b and s[b] != s[m]:
+                b = fail[b]
+            fail.append(b + (s[b] == s[m]))
+
+        def step(m: int, a: int) -> int | None:
+            while m and s[m] != a:
+                m = fail[m]
+            m += s[m] == a
+            return None if m == len(s) else m
+
+        def avoids(w: Word) -> bool:
+            m = 0
+            for a in w:
+                m = step(m, a)
+                if m is None:
+                    return False
+            return True
+
+        return cls(oracle, predicate=avoids, pattern=(0, step), name=name)
+
+    @classmethod
     def from_words(cls, oracle: LanguageOracle, words: Iterable[Word],
                    depth: int | None = None) -> "WordSet":
         table: dict[int, list[Word]] = {}
@@ -540,7 +603,10 @@ class WordSet:
     def at(self, n: int) -> tuple[Word, ...]:
         """The set's words of length n, sorted.  Past the set's depth,
         DepthExceededError; the whole language leaves that to its oracle's
-        ``words``, which reports the enumeration limit."""
+        ``words``, which reports the enumeration limit.  A predicate set
+        filters the words of its ``layer`` where it has one, else those of
+        the oracle, and either way raises the oracle's error past its
+        limit."""
         if n > self.depth and not self.is_full_language:
             raise DepthExceededError(f"length {n} exceeds word-set depth {self.depth}")
         if n in self._cache:
@@ -549,6 +615,9 @@ class WordSet:
             out = self._explicit.get(n, ())
         elif self.is_full_language:
             out = self.oracle.words(n)
+        elif self.layer is not None:
+            self.oracle.check_depth(n)  # the layer's own limit is the set's depth
+            out = tuple(filter(self._predicate, self.layer.words(n)))
         else:
             out = tuple(filter(self._predicate, self.oracle.words(n)))
         self._cache[n] = out

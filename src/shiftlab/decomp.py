@@ -31,13 +31,15 @@ _M_GRID, _N_GRID = (2, 3, 4), (2, 3, 4, 6, 8, 10)
 @dataclass
 class TripleCollections:
     """Prefix, good, and suffix collections with the gluing bound tau and
-    the overlap parameter L."""
+    the overlap parameter L, and, where it is known in closed form, the
+    [II] obstruction set Cp u Cs u (L \\ Cp.G.Cs)."""
 
     cp: WordSet
     good: WordSet
     cs: WordSet
     tau: int
     L_param: int | None = None
+    obstructions: WordSet | None = None
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,9 @@ def check_stay_good_III(collections: TripleCollections, oracle: LanguageOracle, 
 
 def make_decomposer(collections: TripleCollections) -> Callable[[Word], Decomposition | None]:
     """Split finder for Cp.G.Cs with the deterministic tie rule: smallest
-    prefix end, then largest good end."""
+    prefix end, then largest good end.  ``pressure_gap_II`` builds it only
+    for collections with no closed-form obstruction set (``cgc``'s), and
+    ``tests/reference.py`` lists the [II] set of any collections with it."""
 
     cp, good, cs = collections.cp, collections.good, collections.cs
 
@@ -178,14 +182,18 @@ def pressure_gap_II(
     margin: float = DEFAULT_MARGIN,
 ) -> GapReport:
     """[II]: pressure of Cp u Cs u (L \\ Cp.G.Cs) versus the full language,
-    judged by the margin rule."""
-    decompose = make_decomposer(collections)
-    cp, cs = collections.cp, collections.cs
+    judged by the margin rule.  The set is ``collections.obstructions``
+    where the collections give it, else a predicate running
+    ``make_decomposer``'s split search on each word."""
+    obstructions = collections.obstructions
+    if obstructions is None:
+        decompose = make_decomposer(collections)
+        cp, cs = collections.cp, collections.cs
 
-    def in_obstructions(w: Word) -> bool:
-        return cp.contains(w) or cs.contains(w) or decompose(w) is None
+        def in_obstructions(w: Word) -> bool:
+            return cp.contains(w) or cs.contains(w) or decompose(w) is None
 
-    obstructions = WordSet.from_predicate(oracle, in_obstructions, name="C")
+        obstructions = WordSet.from_predicate(oracle, in_obstructions, name="C")
     lang = WordSet.language(oracle)
     rep_c = pressure_estimate(obstructions, potential, n_max)
     rep_l = pressure_estimate(lang, potential, n_max)
@@ -558,6 +566,10 @@ def sync_decomposition(
     """Collections for a synchronising word: good words start and end with
     s, prefix/suffix obstructions avoid s entirely, and tau is the length
     of the least connector c with s.c.s admissible, searched to the depth.
+    A word that holds s splits at its first and last s into Cp.G.Cs, so
+    the [II] set ``obstructions``, named "C", is the words avoiding s (all
+    words when s is empty): on a finite layer, the paths of the layer's
+    product with s's automaton (Lind & Marcus, sec. 3.3).
 
     The synchronising property (vs, sw admissible implies vsw admissible)
     is verified exhaustively to the given depth; a failing pair raises
@@ -585,9 +597,10 @@ def sync_decomposition(
     def in_good(w: Word) -> bool:
         return len(w) >= ls and w[:ls] == s and w[len(w) - ls :] == s and oracle.contains(w)
 
-    def avoids_s(w: Word) -> bool:
-        return all(w[i : i + ls] != s for i in range(len(w) - ls + 1))
-
     good = WordSet.from_predicate(oracle, in_good, name=f"G(sync {oracle.alphabet.text(s)})")
-    edge = WordSet.from_predicate(oracle, avoids_s, name="L\\LsL")
-    return TripleCollections(edge, good, edge, tau=len(connector), L_param=ls)
+    edge = WordSet.avoiding(oracle, s)
+    # with s empty, Cp and Cs are empty and every word is an obstruction
+    obstructions = WordSet.avoiding(oracle, s, name="C") if s else WordSet(
+        oracle, predicate=lambda w: True, pattern=(0, lambda p, a: p), name="C")
+    return TripleCollections(edge, good, edge, tau=len(connector), L_param=ls,
+                             obstructions=obstructions)

@@ -242,10 +242,9 @@ def cylinder_count_table(
     Lambda_n(H) * e^{-(n-|v|) P - phi_hat(v)} as empirical Gibbs constants,
     P being the point estimate of the full language at depth n.
 
-    Each position's set declares a pattern that counts the symbols read up
-    to the end of v and forces v's at positions i-1 .. i+|v|-2 (0-based).
-    On a finite layer its sum is the transfer DP over the product and, at
-    zero potential, its count an exact path count; no word is listed, and n
+    Each position's set (``position_set``) declares a pattern.  On a
+    finite layer its sum is the transfer DP over the product and, at zero
+    potential, its count an exact path count; no word is listed, and n
     may exceed the enumeration limit.  Otherwise the words are listed, and
     a length past the limit raises the oracle's DepthExceededError.
     """
@@ -258,14 +257,23 @@ def cylinder_count_table(
     pv = phi_hat(potential, oracle, v)
     rows: list[CylinderRow] = []
     for i in range(1, n - k + 1):
-        hits = WordSet(oracle, predicate=lambda w, i=i: w[i - 1 : i - 1 + k] == v, depth=n,
-                       pattern=(0, lambda p, a, lo=i - 1: p if p == lo + k else (
-                           None if p >= lo and a != v[p - lo] else p + 1)))
+        hits = position_set(oracle, v, i, n)
         ls = log_partition_sum(hits, potential, n)
         count = hits.count(n) if potential.is_zero else None
         ratio = math.exp(ls - (n - k) * p_hat - pv) if ls > NEG_INF else 0.0
         rows.append(CylinderRow(i, ls, count, ratio))
     return CylinderTable(v, n, p_hat, rows)
+
+
+def position_set(oracle: LanguageOracle, v: Word, i: int, depth: int) -> WordSet:
+    """The words that hold v at 1-based start position i, to ``depth``.
+    Its pattern counts the symbols read up to the end of v and forces v's
+    at positions i-1 .. i+|v|-2 (0-based), so its paths shorter than i+|v|-1
+    are not members."""
+    lo, k = i - 1, len(v)
+    return WordSet(oracle, predicate=lambda w: w[lo : lo + k] == v, depth=depth,
+                   pattern=(0, lambda p, a: p if p == lo + k else (
+                       None if p >= lo and a != v[p - lo] else p + 1)))
 
 
 # ---------------------------------------------------------------------------

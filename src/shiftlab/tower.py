@@ -895,49 +895,20 @@ def marking_analysis(x_window: Word, family: FreeFamily) -> MarkingReport:
 # Synchronising times
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyncTimes:
-    word: Word
-    times: tuple[int, ...]
-    in_obstruction_set: bool
-
-
-def sync_times(
-    w: Word,
-    triple: SyncTriple,
-    good: WordSet,
-    oracle: LanguageOracle,
-) -> SyncTimes:
-    """Synchronising times of a word: 1-based positions i marking the end of
-    an occurrence of r with c.s following.  When the good set is smaller
-    than the language, the prefix w[.. i] and the tail past the connector
-    must also be good."""
-    uniform = good.is_full_language
-    pat = triple.pattern
-    lr, lc, ls = len(triple.r), len(triple.c), len(triple.s)
-    out = []
-    for i in range(lr, len(w) - lc - ls + 1):
-        if w[i - lr : i + lc + ls] != pat:
-            continue
-        if not uniform:
-            if not good.contains(w[:i]):
-                continue
-            if not good.contains(w[i + lc:]):
-                continue
-        out.append(i)
-    return SyncTimes(w, tuple(out), not out)
-
-
 def obstruction_fraction_table(
     oracle: LanguageOracle,
     triple: SyncTriple,
-    good: WordSet,
     n_range: Sequence[int],
 ) -> list[tuple[int, int, int, float]]:
-    """(n, #E_n, #L_n, fraction) for the words with no synchronising time."""
+    """(n, #E_n, #L_n, fraction) for the words of the language with no
+    synchronising time, the ends of r in occurrences of r.c.s: E_n is the
+    words of length n that avoid r.c.s.  Both are counts, path counts on a
+    finite layer; past the enumeration limit, DepthExceededError, as a
+    listing of the words would raise."""
+    avoiders = WordSet.avoiding(oracle, triple.pattern)
     rows = []
     for n in n_range:
-        words = oracle.words(n)
-        bad = sum(1 for w in words if sync_times(w, triple, good, oracle).in_obstruction_set)
-        rows.append((n, bad, len(words), bad / len(words) if words else 0.0))
+        oracle.check_depth(n)
+        bad, total = avoiders.count(n), oracle.count(n)
+        rows.append((n, bad, total, bad / total if total else 0.0))
     return rows

@@ -1,19 +1,21 @@
 """Plainly correct references that the tests compare the library with: the
 enumeration checks of factoriality and extendability, beta membership by
 the suffix scan, periodic points by listing, the parse count behind unique
-decipherability, the obstruction complement of a decomposition, the union
-lemma on marking sets, and the binomial-entropy lemma of the proofs.  None
-of them runs in the library."""
+decipherability, the obstruction complement of a decomposition, the
+synchronising times of a word, the union lemma on marking sets, and the
+binomial-entropy lemma of the proofs.  None of them runs in the library."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from shiftlab.core import LanguageOracle, Word, WordSet
 from shiftlab.decomp import Decomposition, TripleCollections, make_decomposer
 from shiftlab.models import BetaSpec
 from shiftlab.thermo import PeriodicPoints
+from shiftlab.tower import SyncTriple
 
 
 def check_factorial(oracle: LanguageOracle, n_max: int) -> list[Word]:
@@ -92,6 +94,35 @@ def obstruction_complement(
     decompose = make_decomposer(collections)
     words = [w for m in range(1, n + 1) for w in oracle.words(m) if decompose(w) is None]
     return WordSet.from_words(oracle, words, depth=n), decompose
+
+
+@dataclass(frozen=True)
+class SyncTimes:
+    word: Word
+    times: tuple[int, ...]
+    in_obstruction_set: bool
+
+
+def sync_times(w: Word, triple: SyncTriple, good: WordSet, oracle: LanguageOracle) -> SyncTimes:
+    """Synchronising times of a word: 1-based positions i marking the end of
+    an occurrence of r with c.s following.  When the good set is smaller
+    than the language, the prefix w[.. i] and the tail past the connector
+    must also be good.  Over the whole language, the words with no time
+    are those that ``tower.obstruction_fraction_table`` counts."""
+    uniform = good.is_full_language
+    pat = triple.pattern
+    lr, lc, ls = len(triple.r), len(triple.c), len(triple.s)
+    out = []
+    for i in range(lr, len(w) - lc - ls + 1):
+        if w[i - lr : i + lc + ls] != pat:
+            continue
+        if not uniform:
+            if not good.contains(w[:i]):
+                continue
+            if not good.contains(w[i + lc:]):
+                continue
+        out.append(i)
+    return SyncTimes(w, tuple(out), not out)
 
 
 def union_closure(maximal_sets: Sequence[tuple[int, ...]], window: Word,

@@ -138,7 +138,7 @@ def test_criterion_6_synchronising_pipeline():
     family = sl.build_free_family(fixed, oracle, lang, 13)
     assert check_free_concatenation(family) == []
 
-    rows = obstruction_fraction_table(oracle, fixed, lang, range(10, 21))
+    rows = obstruction_fraction_table(oracle, fixed, range(10, 21))
     fractions = [r[3] for r in rows]
     assert all(b < a_ for a_, b in zip(fractions, fractions[1:]))
 

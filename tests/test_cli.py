@@ -627,6 +627,33 @@ def test_validate_counts_zero_potential_depths_on_finite_state_families(shift):
     assert [b["status"] for b in blocks] == ["ok", "ok"]
 
 
+def test_validate_counts_sync_gap_n_max_on_a_finite_layer():
+    # both sides of [II] are path counts on the layer (the obstructions
+    # avoid the word), so n_max passes the guard and the table reaches it
+    shift = {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"], "depth": 10}
+    cfg = {"shift": shift,
+           "analyses": [{"op": "sync_gap", "word": "0", "n_max": 30, "cert_depth": 4}]}
+    assert cli.validate(cfg) == []
+    block = cli.run(cfg)["analyses"][0]
+    assert block["status"] == "ok"
+    obstructions, language = block["result"]["obstructions"], block["result"]["language"]
+    assert [r["n"] for r in obstructions["rows"]] == list(range(1, 31))
+    # only 1 avoids 0, and 11 is forbidden
+    assert [r["count"] for r in obstructions["rows"]] == [1] + [0] * 29
+    assert language["rows"][-1]["count"] == 2178309  # Fibonacci F(32)
+
+
+def test_validate_still_guards_sync_gap_n_max_on_a_beta_shift():
+    # no finite layer: the obstructions are listed, so n_max warns past the
+    # limit and the run raises at the first length past it
+    cfg = {"shift": {"family": "beta", "beta": 1.8, "depth": 10},
+           "analyses": [{"op": "sync_gap", "word": "00", "n_max": 12, "cert_depth": 2}]}
+    assert [(d["level"], d["field"], d["message"]) for d in cli.validate(cfg)] == [
+        ("warning", "analyses[0].n_max", "12 exceeds the depth guard 10")]
+    assert cli.run(cfg)["analyses"][0]["error"] == (
+        "DepthExceededError: length 11 exceeds word-set depth 10")
+
+
 def test_validate_counts_zero_potential_hyperbolicity():
     # at zero potential the diagnostic counts words, so its n_max passes the guard
     cfg = {"shift": {"family": "full", "k": 2, "depth": 12},

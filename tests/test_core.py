@@ -182,3 +182,15 @@ def test_word_set_members_admissible(golden):
     for n in range(1, 6):
         for w in ws.at(n):
             assert golden.contains(w)
+
+
+@pytest.mark.xfail(strict=True, reason="explicit word sets keep words outside the language "
+                   "(ROADMAP finding 14)")
+def test_explicit_word_set_holds_only_words_of_the_language():
+    # sync_search.022: cplus ["00", "11"] on the SFT forbidding {011, 11},
+    # where 11 is no word; a member of a word set is admissible
+    oracle = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["011", "11"]))
+    cplus = WordSet.from_words(oracle, [(0, 0), (1, 1)], depth=oracle.enumeration_limit)
+    assert not oracle.contains((1, 1))
+    assert not cplus.contains((1, 1))
+    assert cplus.at(2) == ((0, 0),)

