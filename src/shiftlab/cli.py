@@ -58,6 +58,7 @@ from .thermo import (
     cylinder_count_table,
     hyperbolicity_diagnostic,
     periodic_orbit_measure,
+    periodic_reps,
     pressure_estimate,
 )
 from . import decomp, tower
@@ -172,6 +173,16 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
         for key, holds, what in _BOUNDS.get(op, ()) if f and alphabet else ():
             if not holds(f):
                 err(f"analyses[{i}].{key}", f"must be {what}")
+        if (op == "periodic_measure" and f and oracle is not None
+                and oracle.certified_depth is not None):
+            # period k reads more than k symbols, so the search ends by period top + 1
+            top = oracle.certified_depth
+            k = next((k for k in range(1, min(f["horizon"], top + 1) + 1)
+                      if k * periodic_reps(oracle, k) > top), None)
+            if k is not None:
+                warn(f"analyses[{i}].horizon", f"period {k} reads words of length "
+                     f"{k * periodic_reps(oracle, k)}, past the certified depth {top} "
+                     f"of {oracle.name}")
         if (op == "cgc" and f and f["depth"] is None and oracle is not None
                 and oracle.enumeration_limit < 4):
             err(f"analyses[{i}].depth", "must be given: the default, the enumeration limit "
@@ -598,18 +609,20 @@ _OPS: dict[str, tuple[dict, Any]] = {
     "spr": ({**_TOWER, "margin": (_number, 0.05)}, _analysis_spr),
     "marking": ({"irreducibles": _IRREDUCIBLES, "depth": (_length(), 16),
                  "window": (_word, REQUIRED)}, _analysis_marking),
-    # family_depth and the fraction bounds list words but were never guarded
-    # (see ROADMAP); seed defaults to the first symbol
+    # seed defaults to the first symbol; the fraction table counts paths but
+    # keeps the oracle's depth check, so fraction_hi raises past the limit
+    # as a listing would
     "sync_pipeline": ({"tau": (_length(), 1), "seed": (_word, (0,)),
-                       "cert_depth": (_length(), 10, LISTED), "family_depth": (_length(), 13),
-                       "fraction_lo": (_length(), 10), "fraction_hi": (_length(), None)},
+                       "cert_depth": (_length(), 10, LISTED),
+                       "family_depth": (_length(), 13, LISTED),
+                       "fraction_lo": (_length(), 10), "fraction_hi": (_length(), None, LISTED)},
                       _analysis_sync_pipeline),
     "qft": ({"depth": (_length(), 8, LISTED)}, _analysis_qft),
     "persistence": ({**_OBSTRUCTION, "depth": (_length(), 10, LISTED)}, _analysis_persistence),
     "istar": ({**_OBSTRUCTION, "M_list": (_list_of(_length(1)), (1, 2)),
                "depth": (_length(), 8, LISTED)}, _analysis_istar),
     "cgc": ({**_OBSTRUCTION, "eps": (_number, 0.05), "depth": (_length(4), None, LISTED),
-             "check_depth": (_length(), 5)}, _analysis_cgc),
+             "check_depth": (_length(), 5, LISTED)}, _analysis_cgc),
     "sync_gap": ({"word": (_word, REQUIRED), "cert_depth": (_length(), None, LISTED),
                   "n_max": (_length(4), 12, COUNTED), "margin": (_number, 0.05)},
                  _analysis_sync_gap),

@@ -139,11 +139,16 @@ class LanguageOracle:
     * ``locality``: window size m within which membership is decidable (SFT
       memory + 1); then p^infinity is admissible iff a repetition of p of
       length >= |p| + m is, so periodic points are exact.  ``None`` for
-      non-local rules, whose periodic points are depth-certified.  Either
-      way ``thermo.periodic_points`` reads a finite layer's repetitions on
-      from the states that ``words(n)`` keeps in ``_states``,
-    * ``periodic_check(p)``: exact periodic-point predicate overriding the
-      window rule (used by S-gap shifts).
+      non-local rules, whose periodic points are depth-certified.  On a
+      finite layer ``thermo.periodic_points`` reads those repetitions off
+      the transition-monoid element of p (q -> q.p), once per element,
+    * ``exact_periods``: on a finite layer, p^infinity is admissible iff
+      the orbit of the start under q -> q.p never dies, read until it
+      repeats, so periodic points are exact whatever the locality (S-gap
+      shifts),
+    * ``certified_depth``: the longest word whose membership is certified,
+      longer ones raising DepthExceededError (a beta shift whose z has no
+      period); ``None`` when there is no such bound.
     """
 
     def __init__(
@@ -154,14 +159,16 @@ class LanguageOracle:
         *,
         name: str = "",
         locality: int | None = None,
-        periodic_check: Callable[[Word], bool] | None = None,
+        exact_periods: bool = False,
+        certified_depth: int | None = None,
     ):
         self.alphabet = alphabet
         self._membership = membership
         self.enumeration_limit = int(enumeration_limit)
         self.name = name or "shift"
         self.locality = locality
-        self.periodic_check = periodic_check
+        self.exact_periods = exact_periods
+        self.certified_depth = certified_depth
         self.start = EMPTY_WORD
         #: rows {symbol: next state} of a finite layer, by state; else None
         self.transitions: list[dict[int, int]] | None = None
@@ -176,6 +183,8 @@ class LanguageOracle:
         #: potential -> ({word: phi_hat}, {(state, last symbols): phi_tail});
         #: see phi_hat and phi_tail
         self._phi_memo: dict[Potential, tuple[dict, dict]] = {}
+        #: a finite layer's transition monoid, made by thermo.periodic_points
+        self._monoid = None
         #: the memos of a finite layer's walks: domain by word and its
         #: preimage step by (symbol, domain), followers by (state, length),
         #: connectors by (state, domain, length) and separates by (state,

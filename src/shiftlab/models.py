@@ -273,8 +273,9 @@ def beta_shift(spec: BetaSpec, enumeration_limit: int | None = None) -> Language
     is exact for any z; for a quasi-greedy z it is Parry's automaton (Parry,
     "On the beta-expansions of real numbers", 1960).  Rows are tabulated on
     demand, row m reading digit m + 1, and a word of length n first asks
-    for rows 0..n-1: past the certified depth of z, ``BetaSpec.digit``
-    raises DepthExceededError whatever the word, and a raise is not cached.
+    for rows 0..n-1: past the certified depth of z (the oracle's
+    ``certified_depth`` when z has no period), ``BetaSpec.digit`` raises
+    DepthExceededError whatever the word, and a raise is not cached.
     The state is not a layer state (its count grows with n), so the oracle
     answers membership as a predicate over the whole word.
     """
@@ -316,7 +317,8 @@ def beta_shift(spec: BetaSpec, enumeration_limit: int | None = None) -> Language
         return True
 
     label = f"beta({spec.beta})" if spec.beta is not None else "beta(z)"
-    return LanguageOracle(alphabet, member, limit, name=label)
+    return LanguageOracle(alphabet, member, limit, name=label,
+                          certified_depth=len(spec.z_pre) if spec.z_period is None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +354,9 @@ def s_gap_shift(spec: SGapSpec, enumeration_limit: int | None = None) -> Languag
     ("gap", g), the g 0s since the last 1, which a 1 closes only if g is in
     S.  Both stay at most max(S); with a tail the leading run is not
     counted, and a gap past the tail start and every finite value is folded
-    back by the tail period, which keeps its verdict.
+    back by the tail period, which keeps its verdict.  The layer reads the
+    language exactly, so p^infinity is a point iff the orbit of the start
+    under q -> q.p never dies (``exact_periods``), bounded or not.
     """
     alphabet = Alphabet.of_size(2)
     mx = spec.max_finite()
@@ -378,14 +382,6 @@ def s_gap_shift(spec: SGapSpec, enumeration_limit: int | None = None) -> Languag
             return q
         return ("gap", g + 1 if g + 1 < fold else g + 1 - tail_period)
 
-    def periodic_check(p: Word) -> bool:
-        ones = [i for i, c in enumerate(p) if c == 1]
-        if not ones:
-            return spec.unbounded
-        cyc = [b - a - 1 for a, b in zip(ones, ones[1:])]
-        cyc.append(ones[0] + len(p) - 1 - ones[-1])
-        return all(gap_ok(g) for g in cyc)
-
     limit = enumeration_limit if enumeration_limit is not None else default_depth_guard(2)
     return LanguageOracle.finite_state(
         alphabet,
@@ -394,7 +390,7 @@ def s_gap_shift(spec: SGapSpec, enumeration_limit: int | None = None) -> Languag
         limit,
         name=f"s_gap({list(spec.values)}{'+' if spec.unbounded else ''})",
         locality=None if spec.unbounded else mx + 2,
-        periodic_check=periodic_check,
+        exact_periods=True,
     )
 
 

@@ -285,45 +285,102 @@ class PeriodicPoints:
     period: int
     words: tuple[Word, ...]
     exact: bool
+    #: where each of ``words`` stands in ``oracle.words(period)``
+    positions: tuple[int, ...] = field(default=(), compare=False, repr=False)
+
+
+def periodic_reps(oracle: LanguageOracle, n: int) -> int | None:
+    """The copies of a period-n word that ``periodic_points`` reads: the
+    fewest reaching n + locality, else n + the enumeration limit; None (all
+    of them) where the oracle has ``exact_periods``."""
+    if oracle.exact_periods:
+        return None
+    window = oracle.locality
+    return max(1, -(-(n + (oracle.enumeration_limit if window is None else window)) // n))
 
 
 def periodic_points(oracle: LanguageOracle, n: int) -> PeriodicPoints:
-    """All length-n words p whose infinite repetition is admissible.
+    """All length-n words p whose infinite repetition is admissible: those
+    with p^reps a word, reps from ``periodic_reps``.  Exact when the oracle
+    has ``exact_periods`` (S-gap) or is window-local (SFTs); otherwise the
+    repetition only reaches past the enumeration limit, and the result is
+    flagged approximate.
 
-    Exact when the oracle provides a periodic check (S-gap) or is
-    window-local (SFTs, by their ``locality`` m): then p^infinity is
-    admissible iff p^reps is, for the fewest reps with n * reps >= n + m.
-    Otherwise p^reps is tested with n * reps >= enumeration limit + n, and
-    the result is flagged approximate.  On a finite layer p^reps is read on
-    from the state ``words(n)`` left after p, one p at a time, and stops
-    early once that orbit of states repeats: from there it cycles and
-    never dies.
+    On a finite layer p^reps is a word iff the orbit of the start under
+    p's transition-monoid element f_p: q -> q.p lives for reps steps (or
+    forever, read until it repeats).  Each word of ``words(n)`` takes f_p's
+    id from its prefix's, and each (id, reps) is decided once.  Other
+    oracles ask ``contains(p * reps)`` of every listed word.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
-    check, window = oracle.periodic_check, oracle.locality
-    reps = max(1, -(-(n + (oracle.enumeration_limit if window is None else window)) // n))
+    reps = periodic_reps(oracle, n)
     words = oracle.words(n)
-    exact = check is not None or window is not None or not words
-    if check is not None:
-        out = [p for p in words if check(p)]
-    elif oracle.transitions is None:
-        out = [p for p in words if oracle.contains(p * reps)]
+    exact = oracle.exact_periods or oracle.locality is not None or not words
+    if oracle.transitions is None:
+        keep = [i for i, p in enumerate(words) if oracle.contains(p * reps)]
     else:
-        rows, out = oracle.transitions, []
-        for p, q in zip(words, oracle._states[n]):
-            seen = {q}
-            for _ in range(reps - 1):
-                for a in p:
-                    q = rows[q].get(a)
-                    if q is None:
-                        break
-                if q is None or q in seen:
-                    break
-                seen.add(q)
-            if q is not None:
-                out.append(p)
-    return PeriodicPoints(n, tuple(out), exact)
+        monoid = oracle._monoid
+        if monoid is None:
+            monoid = oracle._monoid = _TransitionMonoid(oracle.transitions)
+        ids = monoid.word_ids(oracle._states, n)
+        verdict = monoid.verdicts.setdefault(reps, {})
+        for m in set(ids).difference(verdict):
+            verdict[m] = _orbit_lives(monoid.elements[m], reps)
+        keep = [i for i, m in enumerate(ids) if verdict[m]]
+    return PeriodicPoints(n, tuple(words[i] for i in keep), exact, tuple(keep))
+
+
+class _TransitionMonoid:
+    """The elements q -> q.p of a finite layer's words p, as tuples of
+    images (``dead`` for none), numbered as met from the empty word's, 0."""
+
+    def __init__(self, rows: list[dict[int, int]]):
+        self.rows, self.dead = rows, len(rows)
+        self.elements = [tuple(range(self.dead + 1))]
+        self.index = {self.elements[0]: 0}
+        #: steps[id][a]: the id of p.a's element, for p of element id
+        self.steps: list[dict[int, int]] = [{}]
+        #: reps -> {id: whether the orbit of the start lives}
+        self.verdicts: dict[int | None, dict[int, bool]] = {}
+        self.length, self.ids = 0, [0]
+
+    def word_ids(self, states: dict[int, list[int]], n: int) -> list[int]:
+        """The ids of words(n), carried from the last length read (or from
+        the empty word) over the states that words(n) keeps."""
+        if n < self.length:
+            self.length, self.ids = 0, [0]
+        rows, steps = self.rows, self.steps
+        while self.length < n:
+            ids = []
+            for m, q in zip(self.ids, states[self.length]):
+                step = steps[m]
+                for a in rows[q]:
+                    c = step.get(a)
+                    ids.append(self._step(m, a) if c is None else c)
+            self.length, self.ids = self.length + 1, ids
+        return self.ids
+
+    def _step(self, m: int, a: int) -> int:
+        f = tuple(q if q == self.dead else self.rows[q].get(a, self.dead)
+                  for q in self.elements[m])
+        c = self.steps[m][a] = self.index.setdefault(f, len(self.elements))
+        if c == len(self.elements):
+            self.elements.append(f)
+            self.steps.append({})
+        return c
+
+
+def _orbit_lives(f: tuple[int, ...], reps: int | None) -> bool:
+    """Whether start.p, ..., start.p^reps (every power when reps is None)
+    are states, f being q -> q.p (last the dead state's image) and 0 the
+    start; the orbit stops at its first repeat, from which it cycles."""
+    q, seen, read, dead = f[0], set(), 1, len(f) - 1
+    while q != dead and q not in seen and read != reps:
+        seen.add(q)
+        q = f[q]
+        read += 1
+    return q != dead
 
 
 def _cyclic(p: Word, m: int) -> Word:
@@ -336,6 +393,73 @@ def _cyclic_birkhoff(potential: Potential, p: Word) -> float:
     the windows starting in p, read from its first |p| + r - 1 symbols."""
     k = len(p)
     return potential.window_sum(_cyclic(p, k + potential.window - 1), 0, k)
+
+
+def _scale(potential: Potential, n: int) -> int | None:
+    """2**E for the least E with every table value an integer over 2**E, or
+    None where integer sums could part from ``math.fsum``: a value that is
+    not a finite float, or sums of n windows near overflow."""
+    try:
+        values = [float(v) for v in potential.table.values()]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not all(map(math.isfinite, values)) or n * max(map(abs, values), default=0.0) >= 1e300:
+        return None
+    return 1 << max((v.as_integer_ratio()[1].bit_length() - 1 for v in values), default=0)
+
+
+class _CyclicSums:
+    """Exact Birkhoff sums of one period of p^infinity, length by length,
+    each table value scaled by ``scale`` to an integer.  Each word of a
+    finite layer carries, from its prefix, its last r - 1 symbols and the
+    sum of the windows inside it (None once one is missing); a period adds
+    the windows that wrap around p^infinity."""
+
+    def __init__(self, oracle: LanguageOracle, potential: Potential, scale: int):
+        self.oracle, self.potential, self.scale = oracle, potential, scale
+        #: steps[tail][a]: (the value of the window tail.a completes, 0
+        #: below length r, None if missing; the tail of tail.a)
+        self.steps: dict[Word, dict[int, tuple[int | None, Word]]] = {(): {}}
+        self.wraps: dict[Word, int | None] = {}
+        self.length, self.inner, self.tails = 0, [0], [()]
+
+    def advance(self) -> None:
+        """Carry the sums and tails on to the next length."""
+        inner, tails, rows = [], [], self.oracle.transitions
+        for s, t, q in zip(self.inner, self.tails, self.oracle._states[self.length]):
+            step = self.steps[t]
+            for a in rows[q]:
+                v, u = step.get(a) or self._step(t, a)
+                inner.append(None if s is None or v is None else s + v)
+                tails.append(u)
+        self.length, self.inner, self.tails = self.length + 1, inner, tails
+
+    def _step(self, t: Word, a: int) -> tuple[int | None, Word]:
+        w = t + (a,)
+        full = len(w) == self.potential.window
+        tail = w[1:] if full else w
+        self.steps.setdefault(tail, {})
+        out = self.steps[t][a] = (self._scaled(w) if full else 0, tail)
+        return out
+
+    def _scaled(self, window: Word) -> int | None:
+        try:
+            num, den = float(self.potential.table[window]).as_integer_ratio()
+        except KeyError:
+            return None
+        return num * (self.scale // den)
+
+    def cyclic(self, i: int, p: Word) -> float:
+        """The sum for p, word i of the current length; a missing window
+        raises as ``_cyclic_birkhoff`` does."""
+        k, r = len(p), self.potential.window
+        u = p[k - r + 1:] + p[:r - 1] if k >= r - 1 else _cyclic(p, k + r - 1)
+        if u not in self.wraps:
+            sums = [self._scaled(u[j:j + r]) for j in range(len(u) - r + 1)]
+            self.wraps[u] = None if None in sums else sum(sums)
+        if self.inner[i] is None or self.wraps[u] is None:
+            return _cyclic_birkhoff(self.potential, p)
+        return (self.inner[i] + self.wraps[u]) / self.scale
 
 
 @dataclass
@@ -353,15 +477,30 @@ def periodic_orbit_measure(
     depth: int,
 ) -> PeriodicMeasure:
     """The normalized phi-weighted sum of point masses on periodic points of
-    period at most n, reported as cylinder weights at the given depth."""
+    period at most n, reported as cylinder weights at the given depth.
+
+    Each period asks ``periodic_points``.  On a finite layer each Birkhoff
+    sum is an exact integer carried over the layer (``_CyclicSums``: every
+    table value is an integer over 2**E), divided once by 2**E.  CPython's
+    int true division and ``math.fsum`` are both correctly rounded, so each
+    sum is, bit for bit, the fsum of its windows along p^infinity
+    (``_cyclic_birkhoff``), which other oracles and tables with non-finite
+    or near-overflow values take.
+    """
     if not (n >= depth >= 1):
         raise ValueError("need horizon >= depth >= 1")
+    scale = _scale(potential, n) if oracle.transitions is not None else None
+    sums = None if scale is None else _CyclicSums(oracle, potential, scale)
     atoms: list[tuple[Word, int, float]] = []
     exact = True
     for k in range(1, n + 1):
         per = periodic_points(oracle, k)
         exact = exact and per.exact
-        atoms.extend((p, k, _cyclic_birkhoff(potential, p)) for p in per.words)
+        if sums is None:
+            atoms.extend((p, k, _cyclic_birkhoff(potential, p)) for p in per.words)
+        else:
+            sums.advance()
+            atoms.extend((p, k, sums.cyclic(i, p)) for i, p in zip(per.positions, per.words))
     if not atoms:
         raise NoPeriodicPointsError(f"no periodic points up to period {n}")
     # normalised in logs: a Birkhoff sum past ~709 overflows math.exp

@@ -1,6 +1,7 @@
 """Plainly correct references that the tests compare the library with: the
 enumeration checks of factoriality and extendability, beta membership by
-the suffix scan, periodic points by listing, the parse count behind unique
+the suffix scan, periodic points and orbit measures by listing, S-gap
+periodic points by their cyclic gaps, the parse count behind unique
 decipherability, the obstruction complement of a decomposition, the
 synchronising times of a word, the union lemma on marking sets, and the
 binomial-entropy lemma of the proofs.  None of them runs in the library."""
@@ -11,10 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from shiftlab.core import LanguageOracle, Word, WordSet
+from shiftlab.core import LanguageOracle, Potential, Word, WordSet, log_sum_exp
 from shiftlab.decomp import Decomposition, TripleCollections, make_decomposer
-from shiftlab.models import BetaSpec
-from shiftlab.thermo import PeriodicPoints
+from shiftlab.errors import NoPeriodicPointsError
+from shiftlab.models import BetaSpec, SGapSpec
+from shiftlab.thermo import PeriodicMeasure, PeriodicPoints
 from shiftlab.tower import SyncTriple
 
 
@@ -54,17 +56,21 @@ def beta_suffix_scan(spec: BetaSpec, w: Word) -> bool:
     return all(w[k:] <= z[: n - k] for k in range(n))
 
 
-def periodic_points_listing(oracle: LanguageOracle, n: int) -> PeriodicPoints:
+def periodic_points_listing(oracle: LanguageOracle, n: int,
+                            check: Callable[[Word], bool] | None = None) -> PeriodicPoints:
     """The periodic points of period n by asking ``contains(p * reps)`` of
     every listed word p, with the repetition rule of ``periodic_points``:
     length >= n + locality where the oracle is window-local (exact), else
-    length >= enumeration limit + n (approximate).  A periodic check, where
-    the oracle has one, is asked instead."""
+    length >= enumeration limit + n (approximate).  A periodic check, given
+    for an oracle with ``exact_periods`` (``s_gap_cyclic_gaps_ok``), is
+    asked instead, and is exact."""
+    if oracle.exact_periods and check is None:
+        raise ValueError(f"{oracle.name} has exact periods: give its periodic check")
     exact = True
     out = []
     for p in oracle.words(n):
-        if oracle.periodic_check is not None:
-            ok = oracle.periodic_check(p)
+        if check is not None:
+            ok = check(p)
         elif oracle.locality is not None:
             ok = oracle.contains(p * max(1, -(-(n + oracle.locality) // n)))
         else:
@@ -73,6 +79,45 @@ def periodic_points_listing(oracle: LanguageOracle, n: int) -> PeriodicPoints:
         if ok:
             out.append(p)
     return PeriodicPoints(n, tuple(out), exact)
+
+
+def s_gap_cyclic_gaps_ok(spec: SGapSpec, p: Word) -> bool:
+    """Whether p^infinity lies in the S-gap shift, read off p's cyclic
+    gaps: every run of 0s between cyclically consecutive 1s of p has its
+    length in S, and 0^infinity needs S unbounded."""
+    ones = [i for i, c in enumerate(p) if c == 1]
+    if not ones:
+        return spec.unbounded
+    gaps = [b - a - 1 for a, b in zip(ones, ones[1:])]
+    gaps.append(ones[0] + len(p) - 1 - ones[-1])
+    return all(g in spec.values or (spec.unbounded and g >= spec.tail_start
+                                    and (g - spec.tail_start) % (spec.tail_period or 1) == 0)
+               for g in gaps)
+
+
+def periodic_orbit_measure_listing(oracle: LanguageOracle, potential: Potential, n: int,
+                                   depth: int, check: Callable[[Word], bool] | None = None
+                                   ) -> PeriodicMeasure:
+    """``thermo.periodic_orbit_measure`` by listing: the periodic points of
+    ``periodic_points_listing`` (``check`` passed on), each weighed by the
+    fsum of its windows along p^infinity."""
+    if not (n >= depth >= 1):
+        raise ValueError("need horizon >= depth >= 1")
+    atoms: list[tuple[Word, float]] = []
+    exact = True
+    for k in range(1, n + 1):
+        per = periodic_points_listing(oracle, k, check)
+        exact = exact and per.exact
+        atoms.extend((p, potential.window_sum((p * (k + potential.window))[:k + potential.window - 1],
+                                              0, k)) for p in per.words)
+    if not atoms:
+        raise NoPeriodicPointsError(f"no periodic points up to period {n}")
+    log_total = log_sum_exp([s for _, s in atoms])
+    weights: dict[Word, float] = {}
+    for p, s in atoms:
+        u = (p * depth)[:depth]
+        weights[u] = weights.get(u, 0.0) + math.exp(s - log_total)
+    return PeriodicMeasure(n, depth, weights, exact)
 
 
 def factorisation_count(irreducibles: Iterable[Word], w: Word) -> int:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -57,14 +59,25 @@ def _beta_and_periodic_entries():
 
 def test_every_catalog_config_validates_as_before():
     # stricter parsing must not reject benchmark traffic: no catalog config
-    # has an error, and the 16 whose SFT prunes to nothing warn on shift
+    # has an error.  The 16 whose SFT prunes to nothing warn on shift; the 9
+    # beta periodic measures, whose z has no period and which record a
+    # DepthExceededError, warn on horizon; and sync_pipeline family_depth
+    # and fraction_hi values past the guard warn, in configs whose pipeline
+    # stops before it reaches them
     paths = sorted((ROOT / "perfbench" / "catalog").glob("*.json"))
     configs = [entry["config"] for path in paths
                for entry in json.loads(path.read_text(encoding="utf-8"))["entries"]]
     assert (len(paths), len(configs)) == (6, 450)
     diags = [d for config in configs for d in cli.validate(config)]
-    assert [(d["level"], d["field"]) for d in diags] == [("warning", "shift")] * 16
-    assert all(d["message"].startswith("EmptyLanguageError: ") for d in diags)
+    assert {d["level"] for d in diags} == {"warning"}
+    fields = Counter(d["field"].split(".")[-1] for d in diags)
+    assert fields == {"shift": 16, "horizon": 9, "family_depth": 19, "fraction_hi": 16}
+    guard = r"\d+ exceeds the depth guard \d+"
+    messages = {"shift": r"EmptyLanguageError: .*", "family_depth": guard, "fraction_hi": guard,
+                "horizon": r"period 1 reads words of length 25, past the certified depth 24 "
+                           r"of beta\(.*\)"}
+    for d in diags:
+        assert re.fullmatch(messages[d["field"].split(".")[-1]], d["message"]), d
 
 
 def test_benchmark_smoke_run_is_correct():

@@ -654,6 +654,40 @@ def test_validate_still_guards_sync_gap_n_max_on_a_beta_shift():
         "DepthExceededError: length 11 exceeds word-set depth 10")
 
 
+@pytest.mark.parametrize("analysis, field", [
+    ({"op": "sync_pipeline", "cert_depth": 4, "family_depth": 9, "fraction_lo": 4,
+      "fraction_hi": 8}, "family_depth"),
+    # the fraction table counts paths, but keeps the oracle's depth check
+    ({"op": "sync_pipeline", "cert_depth": 4, "family_depth": 8, "fraction_lo": 4,
+      "fraction_hi": 9}, "fraction_hi"),
+    ({"op": "cgc", "obstructions": "zero_runs", "depth": 6, "check_depth": 9}, "check_depth"),
+])
+def test_validate_guards_the_listed_pipeline_and_cgc_lengths(analysis, field):
+    # each field lists words (or checks the depth) to its length, so past
+    # the limit validate warns and the run raises
+    cfg = {"shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"], "depth": 8},
+           "analyses": [analysis]}
+    assert [(d["level"], d["field"], d["message"]) for d in cli.validate(cfg)] == [
+        ("warning", f"analyses[0].{field}", "9 exceeds the depth guard 8")]
+    assert cli.run(cfg)["analyses"][0]["error"].startswith("DepthExceededError: length 9 exceeds")
+
+
+def test_validate_warns_on_a_beta_periodic_measure_past_the_certified_depth():
+    # z of beta 1.8 has no period, so membership is certified to depth 10,
+    # which is also the limit: period 1 reads 0^11 and the run raises
+    cfg = {"shift": {"family": "beta", "beta": 1.8, "depth": 10},
+           "analyses": [{"op": "periodic_measure", "horizon": 3}]}
+    assert [(d["level"], d["field"], d["message"]) for d in cli.validate(cfg)] == [
+        ("warning", "analyses[0].horizon",
+         "period 1 reads words of length 11, past the certified depth 10 of beta(1.8)")]
+    assert cli.run(cfg)["analyses"][0]["error"] == (
+        "DepthExceededError: driving sequence certified only to depth 10")
+    # an eventually periodic z is certified at every depth
+    cfg["shift"] = {"family": "beta", "z_pre": [1], "z_period": [1, 0], "depth": 10}
+    assert cli.validate(cfg) == []
+    assert cli.run(cfg)["analyses"][0]["status"] == "ok"
+
+
 def test_validate_counts_zero_potential_hyperbolicity():
     # at zero potential the diagnostic counts words, so its n_max passes the guard
     cfg = {"shift": {"family": "full", "k": 2, "depth": 12},

@@ -16,8 +16,10 @@ and k outside the alphabet, which the layer run must reject on its own.
 Beta membership, read by the tie automaton, is compared with the suffix
 scan of ``reference.py`` over every word up to length 10, for quasi-greedy
 and arbitrary driving sequences, raises past the certified depth included,
-and the periodic points of finite layers, read from layer states, with the
-listing of ``reference.py``.
+and the periodic points and periodic-orbit measures of finite layers, read
+from transition-monoid elements and carried integer sums, with the
+listings of ``reference.py`` (weights bit for bit), S-gap periodic points
+with their cyclic gaps.
 
 For every family, beta and cocyclic shifts included, ``words(n)`` is also
 compared with the sorted filter of all words of length n by ``contains``.
@@ -29,6 +31,7 @@ list from their product layers with the filter of the language's words.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -37,10 +40,22 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab import cli
-from shiftlab.errors import DepthExceededError, EmptyLanguageError, ExpansionUncertainError
+from shiftlab.errors import (
+    DepthExceededError,
+    EmptyLanguageError,
+    ExpansionUncertainError,
+    ShiftLabError,
+)
 from shiftlab.tower import _distinct_star_counts
 
-from reference import beta_suffix_scan, check_extendable, check_factorial, periodic_points_listing
+from reference import (
+    beta_suffix_scan,
+    check_extendable,
+    check_factorial,
+    periodic_orbit_measure_listing,
+    periodic_points_listing,
+    s_gap_cyclic_gaps_ok,
+)
 
 MAX_LEN = 10
 
@@ -577,6 +592,119 @@ def test_periodic_points_match_the_listing(build):
         n_max -= 1
     for n in range(1, n_max + 1):
         assert sl.periodic_points(oracle, n) == periodic_points_listing(listed, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sgap_instances())
+def test_sgap_periodic_points_match_the_cyclic_gaps(instance):
+    # the orbit of the start, read until it repeats, against the cyclic gaps
+    # of each word, bounded and tailed, for every period up to 12; longest
+    # first, so that the element ids restart from the empty word
+    spec = instance[0]
+    oracle, listed = sl.s_gap_shift(spec), sl.s_gap_shift(spec)
+    check = functools.partial(s_gap_cyclic_gaps_ok, spec)
+    for n in range(12, 0, -1):
+        got = sl.periodic_points(oracle, n)
+        assert got == periodic_points_listing(listed, n, check) and got.exact
+        assert tuple(oracle.words(n)[i] for i in got.positions) == got.words
+
+
+def _layer(build):
+    """A finite-layer family as (constructor, spec, S-gap periodic check)."""
+    return lambda spec: (build, spec, None)
+
+
+_PERIODIC_LAYERS = st.one_of(
+    sft_instances().map(lambda i: (sl.sft_from_forbidden,
+                                   sl.SftSpec(sl.Alphabet.of_size(i[0]), i[1]), None)),
+    st.integers(1, 3).map(_layer(sl.full_shift)),
+    st.integers(4, 6).map(_layer(sl.cycle_sft)),
+    sgap_instances().map(lambda i: (sl.s_gap_shift, i[0],
+                                    functools.partial(s_gap_cyclic_gaps_ok, i[0]))),
+    coded_instances().map(lambda i: (sl.coded_shift,
+                                     sl.CodedSpec(i[1], sl.Alphabet.of_size(i[0])), None)),
+    nonnegative_cocyclic_instances().map(lambda i: (sl.cocyclic_shift,
+                                                    sl.CocyclicSpec.from_lists(i[0]), None)),
+)
+
+#: mixed exponents (2**-1049 to 2**19), a negative zero and inexact decimals
+_TABLE_VALUES = st.sampled_from([0.0, -0.0, 0.1, -0.3, 2.5, 1 / 3, 1e-300, 1e6, -5.0])
+
+
+def _drawn_potential(data, alphabet):
+    """Zero, an indicator, or a range 1-3 table, which may lack one window."""
+    kind = data.draw(st.sampled_from(["zero", "indicator", "table"]))
+    if kind == "zero":
+        return sl.Potential.zero(alphabet)
+    r = data.draw(st.integers(1, 3 if alphabet.size <= 3 else 2))
+    if kind == "indicator":
+        pattern = data.draw(st.lists(st.integers(0, alphabet.size - 1), min_size=r, max_size=r))
+        return sl.Potential.indicator(alphabet, alphabet.text(tuple(pattern)),
+                                      data.draw(_TABLE_VALUES))
+    windows = list(itertools.product(range(alphabet.size), repeat=r))
+    values = data.draw(st.lists(_TABLE_VALUES, min_size=len(windows), max_size=len(windows)))
+    table = dict(zip(windows, values))
+    if data.draw(st.sampled_from([False, False, True])):
+        del table[data.draw(st.sampled_from(windows))]
+    return sl.Potential(r, table)
+
+
+def _measure_outcome(measure):
+    try:
+        mu = measure()
+    except ShiftLabError as exc:
+        return type(exc), str(exc)
+    return list(mu.cylinder_weights.items()), mu.exact_periods
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PERIODIC_LAYERS, st.sampled_from([None, 3, 5]), st.data())
+def test_periodic_orbit_measure_matches_the_listing(layer, limit, data):
+    # the one-pass measure against the listing, on a fresh oracle: the same
+    # weights bit for bit, in the same order, the same exact flag, or the
+    # same error at the same atom (a missing window, a period past the
+    # limit).  Horizons run to 7 (fewer where k**n passes 1024), so periods
+    # below r - 1 and depths above a period both occur
+    build, spec, check = layer
+    try:
+        oracle, listed = build(spec, limit), build(spec, limit)
+    except EmptyLanguageError:
+        return
+    potential = _drawn_potential(data, oracle.alphabet)
+    horizon = data.draw(st.integers(1, 7))
+    while oracle.alphabet.size ** horizon > 1024:
+        horizon -= 1
+    depth = data.draw(st.integers(1, horizon))
+    assert _measure_outcome(lambda: sl.periodic_orbit_measure(
+        oracle, potential, horizon, depth)) == _measure_outcome(
+        lambda: periodic_orbit_measure_listing(listed, potential, horizon, depth, check))
+
+
+_GOLDEN_SPEC = sl.SftSpec.from_strings("01", ["11"])
+_SGAP_SPEC = sl.SGapSpec((1,), tail_start=3, tail_period=2)
+
+
+@pytest.mark.parametrize("build, check, window, table, horizon, depth", [
+    # exponents from 2**-1049 to 2**0 in one table, and a -0.0
+    (lambda: sl.full_shift(2), None, 2, {"00": 1e-300, "01": 1e6, "10": -0.0, "11": 0.1}, 8, 3),
+    # 11 is missing but lies on no periodic orbit of the golden-mean shift
+    (lambda: sl.sft_from_forbidden(_GOLDEN_SPEC), None, 2, {"00": 0.5, "01": -0.25, "10": 1e6},
+     9, 2),
+    # 110 is missing: period 3 raises at 011, whose cyclic windows hold it
+    (lambda: sl.full_shift(2), None, 3,
+     {w: 0.1 * i for i, w in enumerate(["000", "001", "010", "011", "100", "101", "111"])}, 5, 4),
+    (lambda: sl.s_gap_shift(_SGAP_SPEC), functools.partial(s_gap_cyclic_gaps_ok, _SGAP_SPEC), 3,
+     {f"{i:03b}": 1.0 / (1 + i) for i in range(8)}, 12, 5),
+])
+def test_periodic_measure_matches_the_listing_on_chosen_tables(
+        build, check, window, table, horizon, depth):
+    # the weights are the listing's floats, bit for bit, and a missing
+    # window raises the listing's error at the same atom
+    oracle, listed = build(), build()
+    potential = sl.Potential.from_strings(oracle.alphabet, window, table)
+    got = _measure_outcome(lambda: sl.periodic_orbit_measure(oracle, potential, horizon, depth))
+    assert got == _measure_outcome(lambda: periodic_orbit_measure_listing(
+        listed, potential, horizon, depth, check))
 
 
 # -- memoised predicate word sets ------------------------------------------------

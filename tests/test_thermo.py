@@ -5,7 +5,7 @@ import math
 import pytest
 
 import shiftlab as sl
-from shiftlab import cli
+from shiftlab import cli, thermo
 from shiftlab.core import WordSet
 from shiftlab.errors import NoPeriodicPointsError, NotInLanguageError
 from shiftlab.thermo import log_partition_sum
@@ -230,7 +230,40 @@ def test_periodic_measure_no_points():
         sl.periodic_orbit_measure(x, zero(x), 1, 1)
 
 
-# -- hyperbolicity ------------------------------------------------------------
+def test_periodic_points_walk_one_orbit_per_monoid_element(monkeypatch):
+    # the orbit of the start is walked once per (element q -> q.p, reps),
+    # not once per word: the full 2-shift's words all act as the identity
+    walks = [0]
+    orbit_lives = thermo._orbit_lives
+
+    def counted(*args):
+        walks[0] += 1
+        return orbit_lives(*args)
+
+    monkeypatch.setattr(thermo, "_orbit_lives", counted)
+    full = sl.full_shift(2)
+    assert len(sl.periodic_points(full, 12).words) == 4096
+    assert walks[0] == 1
+    sgap = sl.s_gap_shift(sl.SGapSpec((1, 2), tail_start=5, tail_period=2))
+    rows = sgap.transitions
+
+    def element(p):
+        images = []
+        for q in range(len(rows)):
+            for a in p:
+                q = None if q is None else rows[q].get(a)
+            images.append(q)
+        return tuple(images)
+
+    walks[0], elements, words = 0, set(), 0
+    for n in range(1, 15):
+        sl.periodic_points(sgap, n)
+        elements.update(map(element, sgap.words(n)))
+        words += len(sgap.words(n))
+    assert walks[0] <= len(elements) and 10 * len(elements) < words
+
+
+# -- hyperbolicity ------------------------------------------------------------# -- hyperbolicity ------------------------------------------------------------
 
 def test_hyperbolic_zero_potential(golden):
     rep = sl.hyperbolicity_diagnostic(golden, zero(golden), 14)
