@@ -8,6 +8,8 @@ diagnostics.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .core import (
     Alphabet,
     EMPTY_WORD,
@@ -43,30 +45,23 @@ from .thermo import (
     periodic_points,
     pressure_estimate,
 )
-from .decomp import (
-    ObstructionPair,
-    TripleCollections,
-    cgc_construct,
-    check_complete_list_Istar,
-    check_persistence,
-    check_spec_I,
-    check_stay_good_III,
-    good_words_from_obstructions,
-    pressure_gap_II,
-    qft_constraints,
-    sync_decomposition,
-)
-from .tower import (
-    FreeFamily,
-    SyncTriple,
-    TowerGraph,
-    build_free_family,
-    build_tower_over,
-    ensure_no_long_overlaps,
-    find_sync_triple,
-    free_family_from_irreducibles,
-    is_uniquely_decipherable,
-    loop_sums,
-    marking_analysis,
-    spr_diagnostic,
-)
+#: the names re-exported from decomp and tower, which are imported on first
+#: use (PEP 562), so that a run that never reaches them does not load them
+_LAZY = {
+    "decomp": ("ObstructionPair", "TripleCollections", "cgc_construct",
+               "check_complete_list_Istar", "check_persistence", "check_spec_I",
+               "check_stay_good_III", "good_words_from_obstructions", "pressure_gap_II",
+               "qft_constraints", "sync_decomposition"),
+    "tower": ("FreeFamily", "SyncTriple", "TowerGraph", "build_free_family", "build_tower_over",
+              "ensure_no_long_overlaps", "find_sync_triple", "free_family_from_irreducibles",
+              "is_uniquely_decipherable", "loop_sums", "marking_analysis", "spr_diagnostic"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            mod = importlib.import_module(f"{__name__}.{module}")
+            value = globals()[name] = mod if name == module else getattr(mod, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

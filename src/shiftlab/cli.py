@@ -29,7 +29,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .core import (
@@ -61,7 +61,11 @@ from .thermo import (
     periodic_reps,
     pressure_estimate,
 )
-from . import decomp, tower
+
+# decomp and tower are imported by the runners that use them, so that a run
+# that never reaches them does not load them
+if TYPE_CHECKING:
+    from . import decomp, tower
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +99,8 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
     def read(section: dict, table: dict, where: str, name: str) -> dict | None:
         """The fields ``table`` declares, parsed from ``section`` or
         defaulted, or None if one is missing or malformed (an error on
-        ``where.<field>``); a guarded length past the guard warns."""
+        ``where.<field>``); a guarded length past the guard warns, whether
+        given or defaulted."""
         values, mark = {}, len(diags)
         for key, (parse, default, *guarded) in table.items():
             if key in ("cminus", "cplus") and values.get("obstructions") != "explicit":
@@ -103,15 +108,15 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
             if key not in section:
                 if isinstance(default, _Required) and not any(k in section for k in default):
                     err(f"{where}.{key}", f"{name} needs {' or '.join((key, *default))}")
-                values[key] = None if isinstance(default, _Required) else default
-                continue
-            try:
-                values[key] = value = parse(section[key], alphabet)
-            except (ConfigError, *_MALFORMED) as exc:
-                err(f"{where}.{key}", str(exc) if isinstance(exc, ConfigError)
-                    else f"{type(exc).__name__}: {exc}")
-                continue
-            if (guarded and guard is not None and value > guard
+                values[key] = value = None if isinstance(default, _Required) else default
+            else:
+                try:
+                    values[key] = value = parse(section[key], alphabet)
+                except (ConfigError, *_MALFORMED) as exc:
+                    err(f"{where}.{key}", str(exc) if isinstance(exc, ConfigError)
+                        else f"{type(exc).__name__}: {exc}")
+                    continue
+            if (guarded and guard is not None and value is not None and value > guard
                     and not (guarded == [COUNTED] and counted)):
                 warn(f"{where}.{key}", f"{value} exceeds the depth guard {guard}")
         return None if any(d["level"] == "error" for d in diags[mark:]) else values
@@ -395,6 +400,64 @@ def _dat(points) -> str:
     return "\n".join(f"{n} {format17(v)}" for n, v in points) + "\n"
 
 
+def json_text(x, newline: str = "\n") -> str:
+    """``json.dumps(x, sort_keys=True, indent=2)``, byte for byte, written
+    directly: the standard library falls back to its slower pure-Python
+    encoder when it indents.  ``newline`` is the line break and indent of
+    x's own line.  Strings are escaped by the library's own ASCII escaper,
+    floats written as ``float.__repr__`` (NaN, Infinity, -Infinity where
+    not finite), and dict keys sorted as given, then written as the
+    encoder writes them; what the encoder rejects raises TypeError here
+    too."""
+    if isinstance(x, str):
+        return _escape(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            f"{_escape(k if isinstance(k, str) else _json_key(k))}: {json_text(v, inner)}"
+            for k, v in sorted(x.items())]) + newline + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([json_text(v, inner) for v in x]) + newline + "]"
+    text = _json_scalar(x)
+    if text is None:
+        raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+    return text
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(x) -> str | None:
+    """The JSON of None, a bool, an int or a float; None for anything
+    else."""
+    if x is None:
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x in (math.inf, -math.inf):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    return None
+
+
+def _json_key(k) -> str:
+    """A dict key other than a string as the encoder writes it."""
+    text = _json_scalar(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return text
+
+
 #: past this a CSV's sum stays in log space (exp would be ~1e130)
 _EXP_CAP = 300.0
 
@@ -451,6 +514,7 @@ def _analysis_hyperbolicity(oracle, potential, f):
 
 
 def _analysis_ud(oracle, potential, f):
+    from . import tower
     verdict = tower.is_uniquely_decipherable(f["irreducibles"], f["depth"])
     block = {"pass": verdict.passed}
     if verdict.witness is not None:
@@ -464,6 +528,7 @@ def _loop_table(oracle, potential, f, tables: dict, cross_check: bool):
     default), based at ``base``, and its loop table to ``n_max``.
     ``tables`` keeps one run's tables by tower, n_max and cross-check, so
     tower_loops and spr over the same tower build its table once."""
+    from . import tower
     irr = f["irreducibles"]
     depth = max(len(w) for w in irr) if f["depth"] is None else f["depth"]
     graph = tower.build_tower_over(oracle, irr, depth, f["base"])
@@ -482,12 +547,14 @@ def _analysis_tower_loops(oracle, potential, f, tables):
 
 
 def _analysis_spr(oracle, potential, f, tables):
+    from . import tower
     graph, table = _loop_table(oracle, potential, f, tables, True)
     rep = tower.spr_diagnostic(graph, potential, f["n_max"], margin=f["margin"], table=table)
     return _render({k: v for k, v in vars(rep).items() if k != "table"}), _loop_csv(table), None
 
 
 def _analysis_marking(oracle, potential, f):
+    from . import tower
     family = tower.free_family_from_irreducibles(oracle, f["irreducibles"], f["depth"])
     rep = tower.marking_analysis(f["window"], family)
     return {
@@ -500,6 +567,7 @@ def _analysis_marking(oracle, potential, f):
 
 
 def _analysis_sync_pipeline(oracle, potential, f):
+    from . import tower
     good = WordSet.language(oracle)
     tau, seed, cert_depth = f["tau"], f["seed"], f["cert_depth"]
     triple = tower.find_sync_triple(oracle, good, tau, seed, seed, cert_depth)
@@ -522,6 +590,7 @@ def _analysis_sync_pipeline(oracle, potential, f):
 
 
 def _analysis_qft(oracle, potential, f):
+    from . import decomp
     rep = decomp.qft_constraints(oracle, f["depth"])
     return {
         "exact": rep.exact,
@@ -531,6 +600,7 @@ def _analysis_qft(oracle, potential, f):
 
 
 def _obstruction_pair(oracle, f) -> decomp.ObstructionPair:
+    from . import decomp
     if f["obstructions"] == "zero_runs":
         zero = oracle.alphabet.index("0")
         runs = WordSet(oracle, predicate=lambda w: len(w) >= 1 and all(c == zero for c in w),
@@ -544,17 +614,20 @@ def _obstruction_pair(oracle, f) -> decomp.ObstructionPair:
 
 
 def _analysis_persistence(oracle, potential, f):
+    from . import decomp
     verdict = decomp.check_persistence(_obstruction_pair(oracle, f), oracle, f["depth"])
     return _verdict(verdict, oracle.alphabet), None, None
 
 
 def _analysis_istar(oracle, potential, f):
+    from . import decomp
     verdict = decomp.check_complete_list_Istar(_obstruction_pair(oracle, f), oracle,
                                                f["M_list"], f["depth"])
     return _verdict(verdict, oracle.alphabet), None, None
 
 
 def _analysis_cgc(oracle, potential, f):
+    from . import decomp
     result = decomp.cgc_construct(_obstruction_pair(oracle, f), oracle, potential, f["eps"],
                                   depth=f["depth"])
     spec_v = decomp.check_spec_I(result.collections, oracle, f["check_depth"])
@@ -569,6 +642,7 @@ def _analysis_cgc(oracle, potential, f):
 
 
 def _analysis_sync_gap(oracle, potential, f):
+    from . import decomp
     collections = decomp.sync_decomposition(oracle, f["word"], depth=f["cert_depth"])
     rep = decomp.pressure_gap_II(collections, oracle, potential, f["n_max"], margin=f["margin"])
     block = {"condition": rep.condition, "margin": rep.margin, "pass": rep.passed,
@@ -716,7 +790,7 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
     }
     wall = time.perf_counter() - started
     # serialized once, so that the report returned is the one written
-    report_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    report_text = json_text(report) + "\n"
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -120,20 +120,23 @@ class LanguageOracle:
     which the oracle certifies enumeration; deeper requests raise
     DepthExceededError.
 
-    One layer reads every word: a ``start`` state and ``step(state, a)``,
-    the state after symbol a or None once the word leaves the language;
-    ``state(w)`` is the state after a whole word, and ``contains(w)`` asks
-    whether it exists.  ``words(n)`` extends each stored (word, state) pair
-    by one symbol.  A finite layer (SFT, S-gap, coded and nonnegative
-    cocyclic shifts of dimension <= 3, and the ``WordSet`` products; see
+    Every oracle is a layer read one symbol at a time: a ``start`` state
+    and ``step(state, a)``, the state after symbol a or None once the word
+    leaves the language; ``_rows[q]`` is {a: step(q, a)} over the symbols
+    that stay in it, ``state(w)`` is the state after a whole word, and
+    ``contains(w)`` asks whether it exists.  ``words(n)`` extends each
+    stored (word, state) pair by one symbol and keeps the states of its
+    words in ``_states[n]``, so that what is carried over the words (the
+    window sums of ``thermo``) is carried from each word's prefix.  A
+    finite layer (SFT, S-gap, coded and nonnegative cocyclic shifts of
+    dimension <= 3, and the ``WordSet`` products; see
     :meth:`finite_state`) tabulates ``transitions`` once over numbered
-    states, ``labels`` naming them: ``state`` is one run, ``count(n)``
-    the one count DP of finite layers, and ``connectors`` walks states.
-    Only beta shifts and cocyclic shifts that are signed or have d >= 4
-    have no finite layer: there the state is the word itself, ``step``
-    asks ``membership``, and ``state`` asks it once behind
-    ``Alphabet.valid`` (a beta shift's membership runs z's tie automaton,
-    one step per symbol).
+    states, ``labels`` naming them: ``count(n)`` is then a count DP with no
+    depth limit, and ``connectors`` walks states.  The other layers step a
+    real state and make each state's row on its first lookup: a beta shift
+    steps its tie-automaton state with the length read, a signed or d >= 4
+    cocyclic shift its integer matrix product; their ``count(n)`` is the
+    same DP over the rows, behind the enumeration limit.
     Optional fields:
 
     * ``locality``: window size m within which membership is decidable (SFT
@@ -154,7 +157,8 @@ class LanguageOracle:
     def __init__(
         self,
         alphabet: Alphabet,
-        membership: Callable[[Word], bool] | None,
+        start,
+        step: Callable | None,
         enumeration_limit: int,
         *,
         name: str = "",
@@ -163,26 +167,30 @@ class LanguageOracle:
         certified_depth: int | None = None,
     ):
         self.alphabet = alphabet
-        self._membership = membership
+        self.start = start
         self.enumeration_limit = int(enumeration_limit)
         self.name = name or "shift"
         self.locality = locality
         self.exact_periods = exact_periods
         self.certified_depth = certified_depth
-        self.start = EMPTY_WORD
         #: rows {symbol: next state} of a finite layer, by state; else None
         self.transitions: list[dict[int, int]] | None = None
         #: the state ``finite_state`` was given behind each state number; else None
         self.labels: list | None = None
+        #: {state: {symbol: next state}}: ``transitions`` on a finite layer,
+        #: else each state's row of ``step``, made on its first lookup
+        self._rows = _SteppedRows(step, alphabet.size)
         self._cache: dict[int, tuple[Word, ...]] = {}
-        #: n -> the finite-layer states of words(n), in the same order
-        self._states: dict[int, list[int]] = {0: [0]}
+        #: n -> the states of words(n), in the same order
+        self._states: dict[int, list] = {0: [start]}
         #: count(n) for n < len, and the count DP that extends them
         self._counts: list[int] = []
         self._count_walk = None
         #: potential -> ({word: phi_hat}, {(state, last symbols): phi_tail});
         #: see phi_hat and phi_tail
         self._phi_memo: dict[Potential, tuple[dict, dict]] = {}
+        #: potential -> the window sums thermo carries over ``words``
+        self._sums: dict[Potential, object] = {}
         #: a finite layer's transition monoid, made by thermo.periodic_points
         self._monoid = None
         #: the memos of a finite layer's walks: domain by word and its
@@ -203,7 +211,7 @@ class LanguageOracle:
         """An oracle over the states reachable from ``start`` under ``step``,
         numbered in breadth-first order (0 is the start, symbols ascending);
         ``labels[q]`` is the state numbered q."""
-        oracle = cls(alphabet, None, enumeration_limit, **options)
+        oracle = cls(alphabet, 0, None, enumeration_limit, **options)
         labels, ids, rows = [start], {start: 0}, []
         for q in labels:  # grows as new states are found
             targets = [(a, t) for a in range(alphabet.size) if (t := step(q, a)) is not None]
@@ -212,22 +220,19 @@ class LanguageOracle:
                     ids[t] = len(labels)
                     labels.append(t)
             rows.append({a: ids[t] for a, t in targets})
-        oracle.start, oracle.transitions, oracle.labels = 0, rows, labels
+        oracle.transitions = oracle._rows = rows
+        oracle.labels = labels
         return oracle
 
     def step(self, state, a: int):
-        if self.transitions is not None:
-            return self.transitions[state].get(a)
-        w = state + (a,)
-        return w if 0 <= a < self.alphabet.size and self._membership(w) else None
+        return self._rows[state].get(a)
 
     def state(self, w: Word):
         """The state after reading w from ``start``, or None when w is not
         in the language."""
-        rows = self.transitions
-        if rows is None:
-            return w if not w or (self.alphabet.valid(w) and self._membership(w)) else None
-        q = 0
+        if self.transitions is None and not self.alphabet.valid(w):
+            return None
+        rows, q = self._rows, self.start
         for a in w:
             q = rows[q].get(a)
             if q is None:
@@ -253,22 +258,19 @@ class LanguageOracle:
         got = self._cache.get(n)
         if got is not None:
             return got
+        acc: list[Word] = []
+        states: list = []
         if n == 0:
-            out: tuple[Word, ...] = (EMPTY_WORD,)
-        elif self.transitions is None:
-            # the generic step, inlined: the word is its own state
-            member, k = self._membership, self.alphabet.size
-            out = tuple(w for p in self.words(n - 1) for a in range(k) if member(w := p + (a,)))
+            acc.append(EMPTY_WORD)
+            states.append(self.start)
         else:
-            acc: list[Word] = []
-            states: list[int] = []
+            rows = self._rows
             for p, q in zip(self.words(n - 1), self._states[n - 1]):
-                for a, t in self.transitions[q].items():
+                for a, t in rows[q].items():
                     acc.append(p + (a,))
                     states.append(t)
-            out = tuple(acc)
-            self._states[n] = states
-        self._cache[n] = out
+        out = self._cache[n] = tuple(acc)
+        self._states[n] = states
         return out
 
     def connectors(self, left: Word, right: Word, lengths: Iterable[int],
@@ -405,19 +407,37 @@ class LanguageOracle:
         return steps[max(bound, 0)][1]
 
     def count(self, n: int) -> int:
-        """The count DP over a finite layer (no depth limit), else len(words(n)).
-        The DP is kept and extended, so each length is counted once."""
-        rows = self.transitions
-        if rows is None or n < 0:
-            return len(self.words(n))
+        """The count DP over the layer's rows: no depth limit on a finite
+        layer, elsewhere the enumeration limit of ``words``.  The DP is
+        kept and extended, so each length is counted once."""
+        if self.transitions is None:
+            self.check_depth(n)
+        if n < 0:
+            return 0
         if self._count_walk is None:
-            self._count_walk = path_counts(0, lambda q: rows[q].values())
+            rows = self._rows
+            self._count_walk = path_counts(self.start, lambda q: rows[q].values())
         while len(self._counts) <= n:
             self._counts.append(sum(next(self._count_walk).values()))
         return self._counts[n]
 
     def __repr__(self):
         return f"LanguageOracle({self.name}, k={self.alphabet.size}, n_max={self.enumeration_limit})"
+
+
+class _SteppedRows(dict):
+    """{state: {a: step(state, a)} over the symbols a that stay in the
+    language}, each row made on its first lookup; a step that raises
+    stores nothing."""
+
+    def __init__(self, step: Callable | None, k: int):
+        super().__init__()
+        self.step, self.k = step, k
+
+    def __missing__(self, q) -> dict:
+        step = self.step
+        got = self[q] = {a: t for a in range(self.k) if (t := step(q, a)) is not None}
+        return got
 
 
 def _same(w: Word) -> Word:
@@ -459,15 +479,17 @@ class WordSet:
 
     A predicate set may also declare a ``pattern`` automaton ``(start,
     step)`` read alongside the oracle's layer: ``step(p, a)`` is the next
-    pattern state, or None to reject (so None is never a state).  Over a
-    finite layer, ``layer`` is then their product (Lind & Marcus, ch. 3), a
-    finite-state oracle labelled by (pattern state, layer state) pairs:
-    ``count`` is its count DP, the partition sums of ``thermo`` a transfer
-    DP over it, and ``at`` filters its words by the predicate.  The
-    contract: every word the predicate selects is a path of ``layer``.
-    ``count`` and the transfer DP read the paths themselves, so a set is
-    counted or summed only at lengths where its paths are its words: the
-    paths of a cylinder position's set shorter than the position are not.
+    pattern state, or None to reject (so None is never a state).  ``paths``
+    is then their product (Lind & Marcus, ch. 3), an oracle over (pattern
+    state, layer state) pairs, and ``count`` its count DP.  Over a finite
+    layer the product is finite too, ``layer``: the partition sums of
+    ``thermo`` are a transfer DP over it, and ``at`` filters its words by
+    the predicate.  Over a beta or signed cocyclic layer the product steps,
+    and ``count`` keeps the depth errors of listing.  The contract: every
+    word the predicate selects is a path of ``paths``.  ``count`` and the
+    transfer DP read the paths themselves, so a set is counted or summed
+    only at lengths where its paths are its words: the paths of a cylinder
+    position's set shorter than the position are not.
 
     A predicate must be a pure function of the word: ``contains`` memoises
     its answer per word for the lifetime of the set.  An exception raised
@@ -502,19 +524,31 @@ class WordSet:
         self.transfer_memo: dict[Potential, tuple] = {}
 
     @cached_property
-    def layer(self) -> LanguageOracle | None:
-        """The product of ``pattern`` and the oracle's finite layer, or None."""
-        rows = self.oracle.transitions
-        if self.pattern is None or rows is None:
+    def paths(self) -> LanguageOracle | None:
+        """The product of ``pattern`` and the oracle's layer, or None with
+        no pattern: over a finite layer a finite-state oracle, to the set's
+        depth; over another layer a stepped one with the oracle's limit and
+        name, so that its ``count`` raises as listing the oracle would."""
+        if self.pattern is None:
             return None
         start, step = self.pattern
+        oracle, rows = self.oracle, self.oracle._rows
 
         def product(pq, a):
             p, q = step(pq[0], a), rows[pq[1]].get(a)
             return None if p is None or q is None else (p, q)
 
-        return LanguageOracle.finite_state(self.oracle.alphabet, (start, self.oracle.start),
+        if oracle.transitions is None:
+            return LanguageOracle(oracle.alphabet, (start, oracle.start), product,
+                                  oracle.enumeration_limit, name=oracle.name)
+        return LanguageOracle.finite_state(oracle.alphabet, (start, oracle.start),
                                            product, self.depth, name=self.name)
+
+    @property
+    def layer(self) -> LanguageOracle | None:
+        """``paths`` where it is a finite layer, else None."""
+        paths = self.paths
+        return paths if paths is not None and paths.transitions is not None else None
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -616,8 +650,7 @@ class WordSet:
         filters the words of its ``layer`` where it has one, else those of
         the oracle, and either way raises the oracle's error past its
         limit."""
-        if n > self.depth and not self.is_full_language:
-            raise DepthExceededError(f"length {n} exceeds word-set depth {self.depth}")
+        self._check_depth(n)
         if n in self._cache:
             return self._cache[n]
         if self._explicit is not None:
@@ -633,8 +666,21 @@ class WordSet:
         return out
 
     def count(self, n: int) -> int:
-        """|D_n|: the count DP of ``layer`` (no depth limit), else len(at(n))."""
-        return len(self.at(n)) if self.layer is None else self.layer.count(n)
+        """|D_n|: the count DP of ``paths`` where the set has a pattern (no
+        depth limit over a finite layer; elsewhere the set's depth, then the
+        oracle's limit, raise as ``at`` does), else len(at(n))."""
+        paths = self.paths
+        if paths is None:
+            return len(self.at(n))
+        if paths.transitions is None:
+            self._check_depth(n)
+        return paths.count(n)
+
+    def _check_depth(self, n: int) -> None:
+        """DepthExceededError past the set's depth, except on the whole
+        language, whose oracle reports its own limit."""
+        if n > self.depth and not self.is_full_language:
+            raise DepthExceededError(f"length {n} exceeds word-set depth {self.depth}")
 
     def __repr__(self):
         return f"WordSet({self.name or 'anon'}, depth={self.depth})"
@@ -762,27 +808,25 @@ def _phi_memos(potential: Potential, oracle: LanguageOracle) -> tuple[dict, dict
 
 def phi_tail(potential: Potential, oracle: LanguageOracle, q, s: Word) -> float | None:
     """What phi_hat adds to the windows that lie inside a word w: the max
-    over the admissible (r-1)-symbol extensions e of w, read by
-    ``oracle.step`` from the state q after w, of the windows of s + e that
+    over the admissible (r-1)-symbol extensions e of w, read from the
+    oracle's rows at the state q after w, of the windows of s + e that
     start inside s, where s is the last min(|w|, r-1) symbols of w.  It
     depends on w only through (q, s); None when w has no such extension.
 
     The extensions are the oracle's, whatever word set w is drawn from:
     phi_hat is a sup over the cylinder in the shift.  Memoised with phi_hat
-    where q is a finite-layer state; elsewhere the state is w itself and
-    phi_hat's own memo covers it.  Raises NotInLanguageError for a window
-    the potential's table lacks."""
+    by (q, s); an evaluation that raises is not.  Raises
+    NotInLanguageError for a window the potential's table lacks."""
     r = potential.window
     if r == 1:
         return 0.0
-    memo = _phi_memos(potential, oracle)[1] if oracle.transitions is not None else {}
+    memo = _phi_memos(potential, oracle)[1]
     got = memo.get((q, s))
     if got is None:
-        step, k = oracle.step, oracle.alphabet.size
+        rows = oracle._rows
         paths = [(s, q)]
         for _ in range(r - 1):
-            paths = [(u + (a,), t) for u, p in paths for a in range(k)
-                     if (t := step(p, a)) is not None]
+            paths = [(u + (a,), t) for u, p in paths for a, t in rows[p].items()]
         if not paths:
             return None
         # in lexicographic order, so ties keep the first maximum

@@ -4,8 +4,8 @@ Each constructor returns an exact :class:`~shiftlab.core.LanguageOracle`.
 SFT, S-gap, coded and nonnegative cocyclic shifts of dimension <= 3 have a
 finite layer (sets of forbidden-word automaton states, run and gap
 lengths, code-automaton position sets, product supports); beta shifts
-(through the tie automaton of z) and the other cocyclic shifts answer a
-membership predicate over the whole word.  No constructor checks
+step the tie automaton of z with the length read, and the other cocyclic
+shifts the integer product of their matrices.  No constructor checks
 factoriality or extendability; the tests check them by enumeration.
 numpy and mpmath are imported by the two functions that use them, so a
 run that needs neither does not load them.
@@ -272,12 +272,15 @@ def beta_shift(spec: BetaSpec, enumeration_limit: int | None = None) -> Language
     or to 0.  That is the suffix condition read one symbol at a time, so it
     is exact for any z; for a quasi-greedy z it is Parry's automaton (Parry,
     "On the beta-expansions of real numbers", 1960).  Rows are tabulated on
-    demand, row m reading digit m + 1, and a word of length n first asks
-    for rows 0..n-1: past the certified depth of z (the oracle's
-    ``certified_depth`` when z has no period), ``BetaSpec.digit`` raises
-    DepthExceededError whatever the word, and a raise is not cached.
-    The state is not a layer state (its count grows with n), so the oracle
-    answers membership as a predicate over the whole word.
+    demand, row m reading digit m + 1.
+
+    The layer state is (m, n), n the length read: reading the symbol after
+    n first asks for rows 0..n, and ``state(w)`` asks for rows 0..|w|-1
+    before it reads w.  Past the certified depth of z (the oracle's
+    ``certified_depth`` when z has no period) ``BetaSpec.digit`` raises
+    DepthExceededError, whatever the word, and a raise is not cached.  The
+    states of length n number at most n + 1, so ``count`` is a path count;
+    the layer is not finite, so words are listed to the enumeration limit.
     """
     alphabet = spec.digit_alphabet()
     limit = enumeration_limit if enumeration_limit is not None else spec.depth
@@ -305,20 +308,31 @@ def beta_shift(spec: BetaSpec, enumeration_limit: int | None = None) -> Language
             rows.append(tuple(m + 1 if a == d else below[a] for a in range(min(d + 1, len(below)))))
             z.append(d)
 
-    def member(w: Word) -> bool:
-        if len(w) > len(rows):
-            grow(len(w))
-        m = 0
-        for a in w:
-            row = rows[m]
-            if a >= len(row):
-                return False
-            m = row[a]
-        return True
+    def step(q: tuple[int, int], a: int) -> tuple[int, int] | None:
+        m, n = q
+        if n >= len(rows):
+            grow(n + 1)
+        row = rows[m]
+        return (row[a], n + 1) if a < len(row) else None
 
     label = f"beta({spec.beta})" if spec.beta is not None else "beta(z)"
-    return LanguageOracle(alphabet, member, limit, name=label,
-                          certified_depth=len(spec.z_pre) if spec.z_period is None else None)
+    return _BetaOracle(alphabet, grow, step, limit, name=label,
+                       certified_depth=len(spec.z_pre) if spec.z_period is None else None)
+
+
+class _BetaOracle(LanguageOracle):
+    """A beta shift's stepped layer, whose ``state(w)`` grows the tie
+    automaton's rows to |w| before it reads w, so that past the certified
+    depth every word raises, not only the ones that live that long."""
+
+    def __init__(self, alphabet: Alphabet, grow, step, limit: int, **options):
+        super().__init__(alphabet, (0, 0), step, limit, **options)
+        self._grow = grow
+
+    def state(self, w: Word):
+        if self.alphabet.valid(w):
+            self._grow(len(w))
+        return super().state(w)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +506,9 @@ def cocyclic_shift(spec: CocyclicSpec, enumeration_limit: int | None = None) -> 
     starting from the identity's: at most 2**(d*d) <= 512 states.  Signed
     matrices, whose Boolean product can be nonzero where the product is
     zero, and d >= 4, where the supports reached can run to tens of
-    thousands, answer the exact integer product as a predicate.
+    thousands, step the exact integer product M_w itself, from the
+    identity: M_w M_a is zero iff w.a leaves the language, since a prefix's
+    zero product stays zero.
     """
     d = spec.dimension
     mats = spec.matrices
@@ -512,15 +528,8 @@ def cocyclic_shift(spec: CocyclicSpec, enumeration_limit: int | None = None) -> 
                                            limit, name=name)
     identity = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
-    @functools.lru_cache(maxsize=262144)
-    def product(w: Word):
-        if len(w) == 0:
-            return identity
-        if len(w) == 1:
-            return mats[w[0]]
-        return _mat_mul(product(w[:-1]), mats[w[-1]], d)
+    def product(m, a: int):
+        t = _mat_mul(m, mats[a], d)
+        return None if _mat_is_zero(t) else t
 
-    def member(w: Word) -> bool:
-        return not _mat_is_zero(product(w))
-
-    return LanguageOracle(spec.alphabet, member, limit, name=name)
+    return LanguageOracle(spec.alphabet, identity, product, limit, name=name)

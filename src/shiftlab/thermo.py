@@ -46,11 +46,14 @@ def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
     DP over (product state, last <= r-1 symbols), with no word listed and so
     at any n: each step adds phi of the r-window it completes, and the last
     adds ``phi_tail``, so every path weighs exactly e^{phi_hat(w)}.  Other
-    sets (predicate and explicit sets; beta and predicate cocyclic shifts)
-    sum e^{phi_hat(w)} over the listed words, which stays the reference;
-    only listing meets the enumeration limit.  Either way terms are
-    combined after a max shift with compensated summation in a fixed order,
-    so the result is reproducible; the two agree to rounding.
+    sets (predicate and explicit sets; beta and signed or d >= 4 cocyclic
+    shifts) sum e^{phi_hat(w)} over the listed words, which stays the
+    reference; only listing meets the enumeration limit.  A listed word of
+    the language or of a predicate set drawn from it reads phi_hat from
+    its window sum carried from its prefix (``_phi_hats``), bit for bit the
+    value phi_hat computes.  Either way terms are combined after a max
+    shift with compensated summation in a fixed order, so the result is
+    reproducible; the two agree to rounding.
     """
     return _log_sum_and_sup(words, potential, n)[0]
 
@@ -75,8 +78,36 @@ def _log_sum_and_sup(words: WordSet, potential: Potential, n: int) -> tuple[floa
     elems = words.at(n)
     if not elems:
         return NEG_INF, NEG_INF
-    vals = [phi_hat(potential, words.oracle, w) for w in elems]
+    vals = _phi_hats(words, potential, n, elems)
     return log_sum_exp(vals), max(vals)
+
+
+def _phi_hats(words: WordSet, potential: Potential, n: int, elems) -> list[float]:
+    """phi_hat of each of ``elems``, the set's words of length n.  Where
+    they are drawn from ``oracle.words(n)`` (the whole language, or a
+    predicate set with no layer), each reads the window sum carried from
+    its prefix (``_CarriedSums``) and ``phi_tail`` at its state: the value
+    phi_hat takes, bit for bit, with no word read again.  A word with a
+    missing window or no extension asks phi_hat, which raises what listing
+    raises.  Other sets ask phi_hat of each word."""
+    oracle = words.oracle
+    drawn = words.is_full_language or (words._explicit is None and words.layer is None)
+    sums = _carried(oracle, potential, n) if drawn else None
+    if sums is None:
+        return [phi_hat(potential, oracle, w) for w in elems]
+    inner, tails = sums.at(oracle, n)
+    listed, states = oracle.words(n), oracle._states[n]
+    r, scale = potential.window, sums.scale
+    vals, i = [], 0
+    for w in elems:
+        while listed[i] != w:  # elems keep the order of listed
+            i += 1
+        s = inner[i]
+        tail = 0.0 if r == 1 or s is None else phi_tail(potential, oracle, states[i], tails[i])
+        vals.append(phi_hat(potential, oracle, w) if s is None or tail is None
+                    else s / scale + tail)
+        i += 1
+    return vals
 
 
 def _transfer_rows(words: WordSet, potential: Potential):
@@ -310,7 +341,8 @@ def periodic_points(oracle: LanguageOracle, n: int) -> PeriodicPoints:
     p's transition-monoid element f_p: q -> q.p lives for reps steps (or
     forever, read until it repeats).  Each word of ``words(n)`` takes f_p's
     id from its prefix's, and each (id, reps) is decided once.  Other
-    oracles ask ``contains(p * reps)`` of every listed word.
+    layers, whose states are not finitely many, ask ``contains(p * reps)``
+    of every listed word.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
@@ -395,44 +427,61 @@ def _cyclic_birkhoff(potential: Potential, p: Word) -> float:
     return potential.window_sum(_cyclic(p, k + potential.window - 1), 0, k)
 
 
-def _scale(potential: Potential, n: int) -> int | None:
-    """2**E for the least E with every table value an integer over 2**E, or
-    None where integer sums could part from ``math.fsum``: a value that is
-    not a finite float, or sums of n windows near overflow."""
-    try:
-        values = [float(v) for v in potential.table.values()]
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if not all(map(math.isfinite, values)) or n * max(map(abs, values), default=0.0) >= 1e300:
-        return None
-    return 1 << max((v.as_integer_ratio()[1].bit_length() - 1 for v in values), default=0)
+def _carried(oracle: LanguageOracle, potential: Potential, n: int) -> "_CarriedSums | None":
+    """The oracle's carried window sums for the potential, made on first
+    use, or None where integer sums could part from ``math.fsum``: a table
+    value that is not a finite float, or sums of n windows near overflow."""
+    if potential not in oracle._sums:
+        try:
+            values = [float(v) for v in potential.table.values()]
+        except (TypeError, ValueError, OverflowError):
+            values = None
+        oracle._sums[potential] = (
+            _CarriedSums(potential, values)
+            if values is not None and all(map(math.isfinite, values)) else None)
+    sums = oracle._sums[potential]
+    return None if sums is None or n * sums.bound >= 1e300 else sums
 
 
-class _CyclicSums:
-    """Exact Birkhoff sums of one period of p^infinity, length by length,
-    each table value scaled by ``scale`` to an integer.  Each word of a
-    finite layer carries, from its prefix, its last r - 1 symbols and the
-    sum of the windows inside it (None once one is missing); a period adds
-    the windows that wrap around p^infinity."""
+class _CarriedSums:
+    """Exact window sums over an oracle's words, length by length.  Each
+    table value is scaled by ``scale`` = 2**E to an integer, E the least
+    exponent that makes every value one.  Each word of ``oracle.words(n)``
+    carries from its prefix its last r - 1 symbols and the sum of the
+    windows that lie inside it (None once one is missing); a period adds
+    the windows that wrap around p^infinity.  CPython's int true division
+    and ``math.fsum`` are both correctly rounded, so a sum over ``scale``
+    is, bit for bit, the fsum of its windows."""
 
-    def __init__(self, oracle: LanguageOracle, potential: Potential, scale: int):
-        self.oracle, self.potential, self.scale = oracle, potential, scale
+    def __init__(self, potential: Potential, values: list[float]):
+        self.potential = potential
+        self.scale = 1 << max((v.as_integer_ratio()[1].bit_length() - 1 for v in values),
+                              default=0)
+        self.bound = max(map(abs, values), default=0.0)
         #: steps[tail][a]: (the value of the window tail.a completes, 0
         #: below length r, None if missing; the tail of tail.a)
         self.steps: dict[Word, dict[int, tuple[int | None, Word]]] = {(): {}}
         self.wraps: dict[Word, int | None] = {}
         self.length, self.inner, self.tails = 0, [0], [()]
 
-    def advance(self) -> None:
-        """Carry the sums and tails on to the next length."""
-        inner, tails, rows = [], [], self.oracle.transitions
-        for s, t, q in zip(self.inner, self.tails, self.oracle._states[self.length]):
-            step = self.steps[t]
-            for a in rows[q]:
-                v, u = step.get(a) or self._step(t, a)
-                inner.append(None if s is None or v is None else s + v)
-                tails.append(u)
-        self.length, self.inner, self.tails = self.length + 1, inner, tails
+    def at(self, oracle: LanguageOracle, n: int) -> tuple[list[int | None], list[Word]]:
+        """The sums and tails of the words of length n, in the order of
+        ``oracle.words(n)``, which must be listed: carried from the last
+        length read, or from the empty word.  The oracle, which keeps these
+        sums, is passed in, not held, so that no cycle keeps it alive."""
+        if n < self.length:
+            self.length, self.inner, self.tails = 0, [0], [()]
+        rows = oracle._rows
+        while self.length < n:
+            inner, tails = [], []
+            for s, t, q in zip(self.inner, self.tails, oracle._states[self.length]):
+                step = self.steps[t]
+                for a in rows[q]:
+                    v, u = step.get(a) or self._step(t, a)
+                    inner.append(None if s is None or v is None else s + v)
+                    tails.append(u)
+            self.length, self.inner, self.tails = self.length + 1, inner, tails
+        return self.inner, self.tails
 
     def _step(self, t: Word, a: int) -> tuple[int | None, Word]:
         w = t + (a,)
@@ -450,8 +499,9 @@ class _CyclicSums:
         return num * (self.scale // den)
 
     def cyclic(self, i: int, p: Word) -> float:
-        """The sum for p, word i of the current length; a missing window
-        raises as ``_cyclic_birkhoff`` does."""
+        """The Birkhoff sum of one period of p^infinity, p being word i of
+        the length last read; a missing window raises as
+        ``_cyclic_birkhoff`` does."""
         k, r = len(p), self.potential.window
         u = p[k - r + 1:] + p[:r - 1] if k >= r - 1 else _cyclic(p, k + r - 1)
         if u not in self.wraps:
@@ -479,18 +529,17 @@ def periodic_orbit_measure(
     """The normalized phi-weighted sum of point masses on periodic points of
     period at most n, reported as cylinder weights at the given depth.
 
-    Each period asks ``periodic_points``.  On a finite layer each Birkhoff
-    sum is an exact integer carried over the layer (``_CyclicSums``: every
-    table value is an integer over 2**E), divided once by 2**E.  CPython's
-    int true division and ``math.fsum`` are both correctly rounded, so each
-    sum is, bit for bit, the fsum of its windows along p^infinity
-    (``_cyclic_birkhoff``), which other oracles and tables with non-finite
-    or near-overflow values take.
+    Each period asks ``periodic_points``.  Each Birkhoff sum is an exact
+    integer carried over the oracle's words (``_CarriedSums``: every table
+    value is an integer over 2**E), divided once by 2**E.  CPython's int
+    true division and ``math.fsum`` are both correctly rounded, so each sum
+    is, bit for bit, the fsum of its windows along p^infinity
+    (``_cyclic_birkhoff``), which tables with non-finite or near-overflow
+    values take.
     """
     if not (n >= depth >= 1):
         raise ValueError("need horizon >= depth >= 1")
-    scale = _scale(potential, n) if oracle.transitions is not None else None
-    sums = None if scale is None else _CyclicSums(oracle, potential, scale)
+    sums = _carried(oracle, potential, n)
     atoms: list[tuple[Word, int, float]] = []
     exact = True
     for k in range(1, n + 1):
@@ -499,7 +548,7 @@ def periodic_orbit_measure(
         if sums is None:
             atoms.extend((p, k, _cyclic_birkhoff(potential, p)) for p in per.words)
         else:
-            sums.advance()
+            sums.at(oracle, k)
             atoms.extend((p, k, sums.cyclic(i, p)) for i, p in zip(per.positions, per.words))
     if not atoms:
         raise NoPeriodicPointsError(f"no periodic points up to period {n}")

@@ -1,23 +1,69 @@
-"""Plainly correct references that the tests compare the library with: the
-enumeration checks of factoriality and extendability, beta membership by
-the suffix scan, periodic points and orbit measures by listing, S-gap
-periodic points by their cyclic gaps, the parse count behind unique
-decipherability, the obstruction complement of a decomposition, the
+"""Plainly correct references that the tests compare the library with: an
+oracle whose state is the word itself, phi_hat by listing extensions, the
+enumeration checks of factoriality and extendability, beta membership by the suffix scan,
+periodic points and orbit measures by listing, S-gap periodic points by
+their cyclic gaps, the parse count behind unique decipherability, the obstruction complement of a decomposition, the
 synchronising times of a word, the union lemma on marking sets, and the
 binomial-entropy lemma of the proofs.  None of them runs in the library."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from shiftlab.core import LanguageOracle, Potential, Word, WordSet, log_sum_exp
+from shiftlab.core import EMPTY_WORD, Alphabet, LanguageOracle, Potential, Word, WordSet, log_sum_exp
 from shiftlab.decomp import Decomposition, TripleCollections, make_decomposer
-from shiftlab.errors import NoPeriodicPointsError
+from shiftlab.errors import NoPeriodicPointsError, NotInLanguageError
 from shiftlab.models import BetaSpec, SGapSpec
 from shiftlab.thermo import PeriodicMeasure, PeriodicPoints
 from shiftlab.tower import SyncTriple
+
+
+class WordStateOracle(LanguageOracle):
+    """A language given by a membership predicate over whole words, read as
+    a layer whose state is the word itself: ``step`` asks the predicate of
+    the word extended by one symbol, and ``state`` asks it once of the
+    whole word.  Listing, counting and phi_hat then read every word from
+    its first symbol, as the library's beta and signed cocyclic oracles did
+    before they stepped a real state."""
+
+    def __init__(self, alphabet: Alphabet, membership: Callable[[Word], bool],
+                 enumeration_limit: int, **options):
+        super().__init__(alphabet, EMPTY_WORD,
+                         lambda w, a: w + (a,) if membership(w + (a,)) else None,
+                         enumeration_limit, **options)
+        self.membership = membership
+
+    def state(self, w: Word):
+        return w if not w or (self.alphabet.valid(w) and self.membership(w)) else None
+
+
+def phi_hat_by_extensions(potential: Potential, oracle: LanguageOracle, w: Word) -> float:
+    """phi_hat read off directly: the fsum of the windows inside w, plus the
+    max, over the (r-1)-symbol words e (lexicographically, the first max
+    kept) with w.e a word by ``contains``, of the fsum of the windows of
+    s.e that start in s, s being the last min(|w|, r-1) symbols of w.  A
+    missing window raises NotInLanguageError at the first one met in that
+    order, as phi_hat does."""
+    if not w:
+        return 0.0
+    if not oracle.contains(w):
+        raise NotInLanguageError(f"word {w} not in language of {oracle.name}")
+    if potential.is_zero:
+        return 0.0
+    r, n = potential.window, len(w)
+    fixed = potential.window_sum(w, 0, n - r + 1) if n >= r else 0.0
+    if r == 1:
+        return fixed
+    s = w[max(0, n - r + 1):]
+    tails = [s + e for e in itertools.product(range(oracle.alphabet.size), repeat=r - 1)
+             if oracle.contains(w + e)]
+    if not tails:
+        raise NotInLanguageError(
+            f"word {w} has no admissible {r - 1}-symbol extension (oracle not extendable)")
+    return fixed + max(potential.window_sum(u, 0, len(s)) for u in tails)
 
 
 def check_factorial(oracle: LanguageOracle, n_max: int) -> list[Word]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import cli, errors
+from shiftlab import tower as tower_module
 from shiftlab.errors import ConfigError, EmptyLanguageError, ShiftLabError
 
 GOLDEN_CONFIG = {
@@ -672,6 +673,25 @@ def test_validate_guards_the_listed_pipeline_and_cgc_lengths(analysis, field):
     assert cli.run(cfg)["analyses"][0]["error"].startswith("DepthExceededError: length 9 exceeds")
 
 
+def test_validate_guards_defaulted_lengths():
+    # a default is guarded as a given value is: horizon 10 and persistence
+    # depth 10 pass the limit 8 unless given, and family_depth 13 the limit
+    # 10; each warns, and each raises at run
+    cfg = {"shift": {"family": "full", "k": 2, "depth": 8},
+           "analyses": [{"op": "periodic_measure"},
+                        {"op": "persistence", "obstructions": "zero_runs"}]}
+    assert [(d["level"], d["field"], d["message"]) for d in cli.validate(cfg)] == [
+        ("warning", "analyses[0].horizon", "10 exceeds the depth guard 8"),
+        ("warning", "analyses[1].depth", "10 exceeds the depth guard 8")]
+    assert [b["error"] for b in cli.run(cfg)["analyses"]] == [
+        "DepthExceededError: length 9 exceeds enumeration limit 8 of sft(full)",
+        "DepthExceededError: length 9 exceeds word-set depth 8"]
+    cfg = {"shift": {"family": "full", "k": 2, "depth": 10}, "analyses": [{"op": "sync_pipeline"}]}
+    assert [(d["level"], d["field"], d["message"]) for d in cli.validate(cfg)] == [
+        ("warning", "analyses[0].family_depth", "13 exceeds the depth guard 10")]
+    assert cli.run(cfg)["analyses"][0]["error"].startswith("DepthExceededError: length 11 exceeds")
+
+
 def test_validate_warns_on_a_beta_periodic_measure_past_the_certified_depth():
     # z of beta 1.8 has no period, so membership is certified to depth 10,
     # which is also the limit: period 1 reads 0^11 and the run raises
@@ -707,8 +727,8 @@ def test_tower_loops_and_spr_share_one_loop_table(potential, monkeypatch):
                 {"op": "tower_loops", **tower, "cross_check": False}]
     cfg = {"shift": {"family": "full", "k": 2}, "potential": potential, "analyses": analyses}
     built = []
-    loop_sums = cli.tower.loop_sums
-    monkeypatch.setattr(cli.tower, "loop_sums", lambda *a, **k: built.append(a[2]) or loop_sums(*a, **k))
+    loop_sums = tower_module.loop_sums  # the runners import tower on first use
+    monkeypatch.setattr(tower_module, "loop_sums", lambda *a, **k: built.append(a[2]) or loop_sums(*a, **k))
     blocks = cli.run(cfg)["analyses"]
     assert built == [24, 20, 24]
     alone = [cli.run(dict(cfg, analyses=[a]))["analyses"][0] for a in analyses]
@@ -1059,3 +1079,42 @@ def test_fuzz_validate_and_run_shifts_and_potentials(cfg):
         if block["status"] == "error":
             cls = getattr(errors, block["error"].split(":")[0], None)
             assert isinstance(cls, type) and issubclass(cls, ShiftLabError), block
+
+
+# -- the report writer ------------------------------------------------------------------
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
+_JSON_KEYS = st.integers(-50, 50) | st.text(max_size=4)
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers(-50, 50), inner, max_size=4)
+    | st.dictionaries(_JSON_KEYS | st.booleans() | st.none() | st.floats(), inner, max_size=3)),
+    max_leaves=24)
+
+
+def _json_outcome(write, value):
+    try:
+        return "text", write(value)
+    except TypeError:
+        return "raises", TypeError
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_writes_what_json_dumps_writes(value):
+    # int and str keys, nested empty containers, bools, None, nan and
+    # infinities and non-ASCII strings; keys that do not sort raise
+    # TypeError on both sides
+    assert _json_outcome(cli.json_text, value) == _json_outcome(
+        lambda v: json.dumps(v, sort_keys=True, indent=2), value)
+
+
+def test_json_text_rejects_what_json_dumps_rejects():
+    for value in ({(1, 2): 0}, {1: object()}, [b"bytes"]):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli.json_text(value)
+    assert cli.json_text(["ü\n", {}, []]) == '[\n  "\\u00fc\\n",\n  {},\n  []\n]'

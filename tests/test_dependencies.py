@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "shiftlab"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "mpmath", "shiftlab"}
 
@@ -39,12 +41,16 @@ def test_an_undeclared_import_is_caught():
     assert [n for n in _imported(tree) if n not in ALLOWED] == ["scipy", "networkx"]
 
 
-def _modules_loaded_by_validate(config: dict) -> dict:
-    """Whether numpy and mpmath are loaded after ``import shiftlab.cli`` and
-    ``cli.validate(config)`` in a fresh interpreter."""
+def _modules_loaded_by_validate(config: dict, run: bool = False,
+                                modules: tuple[str, ...] = ("numpy", "mpmath")) -> dict:
+    """Whether each of ``modules`` is loaded after ``import shiftlab.cli``
+    and ``cli.validate(config)``, then ``cli.run(config)`` if ``run``, in a
+    fresh interpreter."""
     code = ("import json, sys\nimport shiftlab.cli\n"
             f"assert shiftlab.cli.validate({config!r}) == []\n"
-            "print(json.dumps({m: m in sys.modules for m in ('numpy', 'mpmath')}))")
+            + (f"assert shiftlab.cli.run({config!r})['analyses'][0]['status'] == 'ok'\n"
+               if run else "")
+            + f"print(json.dumps({{m: m in sys.modules for m in {modules!r}}}))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
@@ -62,6 +68,30 @@ def test_numpy_and_mpmath_are_imported_only_where_used():
     beta = {"shift": {"family": "beta", "beta": 1.5}, "potential": "zero",
             "analyses": [{"op": "pressure_estimate", "n_max": 8}]}
     assert _modules_loaded_by_validate(beta) == {"numpy": False, "mpmath": True}
+
+
+def test_decomp_and_tower_are_imported_only_where_used():
+    # no pressure table reaches the [I]/[II]/[III] checkers or the tower, so
+    # validating and running one loads neither module; a persistence check
+    # loads decomp alone, through the package's lazy names too
+    config = {"shift": {"family": "full", "k": 2}, "potential": "zero",
+              "analyses": [{"op": "pressure_estimate", "n_max": 6}]}
+    modules = ("shiftlab.decomp", "shiftlab.tower")
+    assert _modules_loaded_by_validate(config, run=True, modules=modules) == dict.fromkeys(
+        modules, False)
+    config["analyses"] = [{"op": "persistence", "obstructions": "zero_runs", "depth": 6}]
+    assert _modules_loaded_by_validate(config, run=True, modules=modules) == {
+        "shiftlab.decomp": True, "shiftlab.tower": False}
+
+
+def test_the_package_names_decomp_and_tower_lazily():
+    import shiftlab
+    from shiftlab import decomp, tower
+
+    assert shiftlab.check_persistence is decomp.check_persistence
+    assert shiftlab.loop_sums is tower.loop_sums and shiftlab.tower is tower
+    with pytest.raises(AttributeError):
+        shiftlab.no_such_name
 
 
 def _unread(sources: dict[str, str]) -> list[tuple[str, str]]:

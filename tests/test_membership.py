@@ -21,6 +21,11 @@ from transition-monoid elements and carried integer sums, with the
 listings of ``reference.py`` (weights bit for bit), S-gap periodic points
 with their cyclic gaps.
 
+Beta and signed or 4 x 4 cocyclic oracles, which step their tie-automaton
+state or integer product, are compared with ``reference.WordStateOracle``
+(each word its own state) on words, counts, pattern-set counts, phi_hat and
+partition sums, bit for bit and error for error.
+
 For every family, beta and cocyclic shifts included, ``words(n)`` is also
 compared with the sorted filter of all words of length n by ``contains``.
 A connector search's reference is the word loop, which a plain predicate
@@ -36,10 +41,10 @@ import itertools
 import math
 
 import pytest
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 import shiftlab as sl
-from shiftlab import cli
+from shiftlab import cli, thermo
 from shiftlab.errors import (
     DepthExceededError,
     EmptyLanguageError,
@@ -54,7 +59,9 @@ from reference import (
     check_factorial,
     periodic_orbit_measure_listing,
     periodic_points_listing,
+    phi_hat_by_extensions,
     s_gap_cyclic_gaps_ok,
+    WordStateOracle,
 )
 
 MAX_LEN = 10
@@ -915,3 +922,168 @@ def test_pattern_set_lists_its_layer_words_as_the_language_filter(oracle, data):
         assert ws.layer is not None
         for n in range(max(ws.depth, oracle.enumeration_limit) + 2):
             assert _at(ws, n) == _listed(ws, predicate, oracle, n)
+
+
+# -- stepped oracles against the word as its own state ----------------------------------
+#
+# Beta shifts step their tie-automaton state with the length read, signed
+# and d >= 4 cocyclic shifts their integer matrix product.  The reference
+# reads every word from its first symbol (``reference.WordStateOracle``,
+# over the suffix scan and the whole product), and every outcome must be
+# the same: words, counts, pattern-set counts, phi_hat and partition sums
+# bit for bit, and errors by class and message.
+
+@st.composite
+def stepped_instances(draw):
+    """(stepped oracle, its reference): a beta shift from a drawn z_pre and
+    z_period, or a cocyclic shift with signed matrices of dimension 2-3 or
+    any of dimension 4, with a drawn enumeration limit."""
+    limit = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        period = draw(st.one_of(st.none(), st.lists(st.integers(0, 2), min_size=1, max_size=4)))
+        # a z_pre about as long as the limit, so that phi_hat's extensions
+        # of the longest words pass the certified depth of a z with no period
+        pre = draw(st.lists(st.integers(0, 2), min_size=1, max_size=limit + 1))
+        spec = sl.BetaSpec.from_sequence(pre, period, depth=limit)
+        oracle = sl.beta_shift(spec)
+        member = functools.partial(beta_suffix_scan, spec)
+    else:
+        d = draw(st.integers(2, 4))
+        entries = st.integers(-1, 2) if d == 4 else st.sampled_from([-1, 0, 1])
+        matrix = st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d)
+        mats = draw(st.lists(matrix, min_size=2, max_size=3))
+        if d < 4:
+            assume(any(x < 0 for m in mats for row in m for x in row))
+        oracle = sl.cocyclic_shift(sl.CocyclicSpec.from_lists(mats), limit)
+        member = reference_cocyclic_contains(mats)
+    assert oracle.transitions is None
+    return oracle, WordStateOracle(oracle.alphabet, member, oracle.enumeration_limit,
+                                   name=oracle.name, certified_depth=oracle.certified_depth)
+
+
+def _either(fn, *args):
+    """fn's value, or its error's class and message."""
+    try:
+        return "value", fn(*args)
+    except ShiftLabError as exc:
+        return "raises", type(exc).__name__, str(exc)
+
+
+def _bits(outcome):
+    """An outcome with each float as its hex form, so that == is bit for bit."""
+    if outcome[0] == "raises":
+        return outcome
+    value = outcome[1]
+    if isinstance(value, tuple):
+        return "value", tuple(v.hex() if isinstance(v, float) else v for v in value)
+    return "value", value.hex() if isinstance(value, float) else value
+
+
+@st.composite
+def stepped_tables(draw, alphabet):
+    """A range 1-3 table over every window, of values whose float sums
+    round (exponents from about 2**-997 to 2**19, -0.0 among them), one window
+    missing in a third of them."""
+    k = alphabet.size
+    r = draw(st.sampled_from([1, 2, 3] if k <= 2 else [1, 2]))
+    values = st.sampled_from([0.0, -0.0, 0.1, -0.3, 2.5, 1 / 3, 1e-300, 1e6, -5.0]) | st.floats(
+        -3.0, 3.0, allow_nan=False)
+    table = {w: draw(values) for w in itertools.product(range(k), repeat=r)}
+    if len(table) > 1 and draw(st.integers(0, 2)) == 0:
+        table.pop(draw(st.sampled_from(sorted(table))))
+    return sl.Potential(r, table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stepped_instances(), st.booleans())
+def test_stepped_oracles_list_and_count_as_the_word_state(instance, longest_first):
+    # words(n) and count(n) to one past the limit, and contains of every
+    # word to that length (at most 6), longest first or shortest first, so
+    # that the rows grow either way
+    oracle, ref = instance
+    top = oracle.enumeration_limit + 1
+    lengths = range(top, -1, -1) if longest_first else range(top + 1)
+    for n in lengths:
+        assert _either(oracle.words, n) == _either(ref.words, n), n
+        assert _either(oracle.count, n) == _either(lambda m: len(ref.words(m)), n), n
+    k = oracle.alphabet.size
+    words = [w for n in range(min(top, 6) + 1) for w in itertools.product(range(k), repeat=n)]
+    for w in reversed(words) if longest_first else words:
+        assert _either(oracle.contains, w) == _either(ref.contains, w), w
+
+
+@settings(max_examples=60, deadline=None)
+@given(stepped_instances(), st.data())
+def test_stepped_pattern_sets_count_as_their_listing(instance, data):
+    # the avoid-symbol and cylinder-position sets count paths over (pattern
+    # state, oracle state); the reference lists the filtered words, behind
+    # the same word-set depth and enumeration limit
+    oracle, ref = instance
+    a = data.draw(st.integers(0, oracle.alphabet.size - 1))
+    symbol = oracle.alphabet.symbols[a]
+    fast, slow = sl.avoid_symbol_set(oracle, symbol), sl.WordSet.from_predicate(
+        ref, lambda w: a not in w)
+    for n in range(oracle.enumeration_limit + 2):
+        assert _either(fast.count, n) == _either(slow.count, n), n
+    v = data.draw(st.sampled_from([w for m in range(1, min(2, oracle.enumeration_limit) + 1)
+                                   for w in oracle.words(m)] or [(0,)]))
+    n = data.draw(st.integers(len(v), oracle.enumeration_limit + 1))
+    i = data.draw(st.integers(1, n - len(v) + 1))
+    hits = sl.thermo.position_set(oracle, v, i, n)
+    listed = sl.WordSet(ref, predicate=lambda w: w[i - 1:i - 1 + len(v)] == v, depth=n)
+    assert _either(hits.count, n) == _either(listed.count, n)
+    assert _either(hits.count, n + 1) == _either(listed.count, n + 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(stepped_instances(), st.data())
+def test_stepped_phi_hat_and_sums_match_the_word_state_bit_for_bit(instance, data):
+    # phi_hat of every listed word, and the partition sum and sup of the
+    # language, the avoid-symbol set and a cylinder position's set, which
+    # read each word's sum carried from its prefix: against phi_hat by
+    # listed extensions over the reference, word by word in order, so
+    # that a missing window raises NotInLanguageError at the same word
+    oracle, ref = instance
+    potential = data.draw(stepped_tables(oracle.alphabet))
+    assume(not potential.is_zero)  # zero potentials count, as the tests above check
+    a = data.draw(st.integers(0, oracle.alphabet.size - 1))
+    for n in range(1, oracle.enumeration_limit + 2):
+        got = _either(oracle.words, n)
+        if got[0] == "raises":
+            assert got == _either(ref.words, n)
+            continue
+        for w in got[1]:
+            assert _bits(_either(sl.phi_hat, potential, oracle, w)) == _bits(
+                _either(phi_hat_by_extensions, potential, ref, w)), w
+        sets = [(sl.WordSet.language(oracle), ref.words(n)),
+                (sl.avoid_symbol_set(oracle, oracle.alphabet.symbols[a]),
+                 [w for w in ref.words(n) if a not in w]),
+                (sl.thermo.position_set(oracle, (a,), n, n),
+                 [w for w in ref.words(n) if w[n - 1] == a])]
+        for words, expect in sets:
+            def listing():
+                vals = [phi_hat_by_extensions(potential, ref, w) for w in expect]
+                return (sl.core.log_sum_exp(vals), max(vals)) if vals else (
+                    thermo.NEG_INF, thermo.NEG_INF)
+
+            assert _bits(_either(thermo._log_sum_and_sup, words, potential, n)) == _bits(
+                _either(listing)), (words, n)
+
+
+def test_beta_words_step_each_listed_word_once():
+    # words(n) extends each word of length n - 1 by at most k steps, and a
+    # state met again reads its row from the first time
+    oracle = sl.beta_shift(sl.BetaSpec.from_sequence((2, 1, 0, 2), (1, 1, 0), depth=14))
+    k, steps = oracle.alphabet.size, [0]
+    step = oracle._rows.step
+
+    def counted(q, a):
+        steps[0] += 1
+        return step(q, a)
+
+    oracle._rows.step = counted
+    for n in range(1, 15):
+        steps[0] = 0
+        oracle.words(n)
+        assert 0 < steps[0] <= k * len(oracle.words(n - 1)), n
+    assert steps[0] < len(oracle.words(13))

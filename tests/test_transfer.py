@@ -30,13 +30,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab import thermo
-from shiftlab.core import LanguageOracle, WordSet
+from shiftlab.core import WordSet
 from shiftlab.errors import (
     DepthExceededError,
     EmptyLanguageError,
     NotInLanguageError,
     ShiftLabError,
 )
+
+from reference import WordStateOracle
 
 TOL = 1e-12
 
@@ -73,10 +75,11 @@ def _same_value(x, y):
 
 
 def twin(oracle, limit=None):
-    """The oracle's language with no finite layer, so that words are listed,
-    to the oracle's enumeration limit or to ``limit``."""
-    return LanguageOracle(oracle.alphabet, oracle.contains,
-                          oracle.enumeration_limit if limit is None else limit, name=oracle.name)
+    """The oracle's language with no finite layer, each word its own state
+    (``reference.WordStateOracle``), so that words are listed, to the
+    oracle's enumeration limit or to ``limit``."""
+    return WordStateOracle(oracle.alphabet, oracle.contains,
+                           oracle.enumeration_limit if limit is None else limit, name=oracle.name)
 
 
 # -- instances ------------------------------------------------------------------------
@@ -357,13 +360,17 @@ def test_hyperbolicity_reads_no_gap_in_rounding_noise(oracle, potential, n_max, 
 
 def test_hyperbolicity_weighs_each_listed_word_once(monkeypatch):
     # beta and cocyclic shifts list their words: the sum and the sup share
-    # one phi_hat per word
+    # one value per word, read from the window sum carried from its prefix,
+    # so no word is read again by phi_hat; each row's sup is, bit for bit,
+    # the max of phi_hat over the words
     calls = []
     monkeypatch.setattr(thermo, "phi_hat", lambda p, o, w: calls.append(w) or sl.phi_hat(p, o, w))
     beta = sl.beta_shift(sl.BetaSpec.from_beta(1.8, 12))
     pot = sl.Potential.from_strings(beta.alphabet, 2, {"00": 0.3, "01": -0.2, "10": 0.5, "11": 0.1})
-    sl.hyperbolicity_diagnostic(beta, pot, 10)
-    assert sorted(calls) == sorted(w for n in range(1, 11) for w in beta.words(n))
+    rep = sl.hyperbolicity_diagnostic(beta, pot, 10)
+    assert calls == []
+    for n, row in enumerate(rep.rows, 1):
+        assert row.sup_rate == max(sl.phi_hat(pot, beta, w) for w in beta.words(n)) / n
 
 
 # -- no enumeration limit on a finite layer ---------------------------------------------
