@@ -191,6 +191,9 @@ class LanguageOracle:
         self._phi_memo: dict[Potential, tuple[dict, dict]] = {}
         #: potential -> the window sums thermo carries over ``words``
         self._sums: dict[Potential, object] = {}
+        #: potential -> the transfer DP of the language over this layer,
+        #: which thermo makes and extends
+        self._transfer: dict[Potential, object] = {}
         #: a finite layer's transition monoid, made by thermo.periodic_points
         self._monoid = None
         #: the memos of a finite layer's walks: domain by word and its
@@ -485,11 +488,14 @@ class WordSet:
     layer the product is finite too, ``layer``: the partition sums of
     ``thermo`` are a transfer DP over it, and ``at`` filters its words by
     the predicate.  Over a beta or signed cocyclic layer the product steps,
-    and ``count`` keeps the depth errors of listing.  The contract: every
-    word the predicate selects is a path of ``paths``.  ``count`` and the
-    transfer DP read the paths themselves, so a set is counted or summed
-    only at lengths where its paths are its words: the paths of a cylinder
-    position's set shorter than the position are not.
+    and ``count`` keeps the depth errors of listing.  The whole language
+    builds no product: its ``paths`` are the oracle itself, and its
+    transfer DP is kept on the oracle.  The contract: every word the
+    predicate selects is a path of ``paths``.  ``count`` and the transfer
+    DP read the paths themselves, so a set is counted or summed only at
+    lengths where its paths are its words: a pattern that forces a symbol
+    at position j has paths shorter than j that are not members, and the
+    cylinder tables of ``thermo`` read no such set.
 
     A predicate must be a pure function of the word: ``contains`` memoises
     its answer per word for the lifetime of the set.  An exception raised
@@ -520,15 +526,19 @@ class WordSet:
         self.name = name
         self._cache: dict[int, tuple[Word, ...]] = {}
         self._memo: dict[Word, bool] = {}
-        #: potential -> (transfer DP over ``layer``, its rows so far); see thermo
-        self.transfer_memo: dict[Potential, tuple] = {}
+        #: potential -> the transfer DP over ``layer`` of a pattern set; the
+        #: language's is kept on the oracle (see thermo)
+        self.transfer_memo: dict[Potential, object] = {}
 
     @cached_property
     def paths(self) -> LanguageOracle | None:
-        """The product of ``pattern`` and the oracle's layer, or None with
-        no pattern: over a finite layer a finite-state oracle, to the set's
-        depth; over another layer a stepped one with the oracle's limit and
-        name, so that its ``count`` raises as listing the oracle would."""
+        """The oracle itself for the whole language; else the product of
+        ``pattern`` and the oracle's layer, or None with no pattern: over a
+        finite layer a finite-state oracle, to the set's depth; over another
+        layer a stepped one with the oracle's limit and name, so that its
+        ``count`` raises as listing the oracle would."""
+        if self.is_full_language:
+            return self.oracle
         if self.pattern is None:
             return None
         start, step = self.pattern
@@ -553,10 +563,8 @@ class WordSet:
     # -- constructors ----------------------------------------------------
     @classmethod
     def language(cls, oracle: LanguageOracle) -> "WordSet":
-        """The whole language; its pattern is trivial, so over a finite layer
-        its ``layer`` is a copy of the oracle's."""
-        return cls(oracle, pattern=(0, lambda p, a: p),
-                   is_full_language=True, name=f"L({oracle.name})")
+        """The whole language, whose ``paths`` are the oracle's own layer."""
+        return cls(oracle, is_full_language=True, name=f"L({oracle.name})")
 
     @classmethod
     def avoiding(cls, oracle: LanguageOracle, s: Word, name: str = "L\\LsL") -> "WordSet":

@@ -19,10 +19,11 @@ from .core import (
     WordSet,
     distortion_bound,
     log_sum_exp,
+    path_counts,
     phi_hat,
     phi_tail,
 )
-from .errors import NoPeriodicPointsError, NotInLanguageError
+from .errors import NoPeriodicPointsError, NotInLanguageError, ShiftLabError
 
 NEG_INF = float("-inf")
 
@@ -42,18 +43,21 @@ def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
     """log Lambda_n(D, phi); -inf when D_n is empty.
 
     Zero potentials use exact integer counts (``WordSet.count``).  A set
-    with a product ``layer`` (a pattern over a finite layer) sums a transfer
-    DP over (product state, last <= r-1 symbols), with no word listed and so
-    at any n: each step adds phi of the r-window it completes, and the last
-    adds ``phi_tail``, so every path weighs exactly e^{phi_hat(w)}.  Other
-    sets (predicate and explicit sets; beta and signed or d >= 4 cocyclic
-    shifts) sum e^{phi_hat(w)} over the listed words, which stays the
-    reference; only listing meets the enumeration limit.  A listed word of
-    the language or of a predicate set drawn from it reads phi_hat from
-    its window sum carried from its prefix (``_phi_hats``), bit for bit the
-    value phi_hat computes.  Either way terms are combined after a max
-    shift with compensated summation in a fixed order, so the result is
-    reproducible; the two agree to rounding.
+    with a finite ``layer`` (the language of a finite layer, whose layer is
+    the oracle's own, or a pattern over one) sums the transfer DP of that
+    layer (``_Transfer``) over (layer state, last <= r-1 symbols), with no
+    word listed and so at any n: each step adds phi of the r-window it
+    completes, and the last adds ``phi_tail``, so every path weighs exactly
+    e^{phi_hat(w)}.  The language's DP is kept on the oracle, one per
+    potential, so that every analysis of a config over that language reads
+    one DP.  Other sets (predicate and explicit sets; beta and signed or
+    d >= 4 cocyclic shifts) sum e^{phi_hat(w)} over the listed words, which
+    stays the reference; only listing meets the enumeration limit.  A
+    listed word of the language or of a predicate set drawn from it reads
+    phi_hat from its window sum carried from its prefix (``_phi_hats``),
+    bit for bit the value phi_hat computes.  Either way terms are combined
+    after a max shift with compensated summation in a fixed order, so the
+    result is reproducible; the two agree to rounding.
     """
     return _log_sum_and_sup(words, potential, n)[0]
 
@@ -64,15 +68,12 @@ def _log_sum_and_sup(words: WordSet, potential: Potential, n: int) -> tuple[floa
     if potential.is_zero:
         c = words.count(n)
         return (math.log(c) if c > 0 else NEG_INF), 0.0
-    if words.layer is not None and n >= 1:
-        entry = words.transfer_memo.get(potential)
-        if entry is None:
-            entry = words.transfer_memo[potential] = (_transfer_rows(words, potential), [])
-        walk, table = entry
-        while len(table) < n:
-            table.append(next(walk))
-        if table[n - 1] is not None:
-            return table[n - 1]
+    layer = words.layer
+    if layer is not None and n >= 1:
+        memo = words.oracle._transfer if words.is_full_language else words.transfer_memo
+        got = _transfer(memo, potential, layer).total(layer, words.oracle, n)
+        if got is not None:
+            return got
         # a missing window or a stranded word: listing reports it exactly,
         # or, past the enumeration limit, reports the limit
     elems = words.at(n)
@@ -110,59 +111,92 @@ def _phi_hats(words: WordSet, potential: Potential, n: int, elems) -> list[float
     return vals
 
 
-def _transfer_rows(words: WordSet, potential: Potential):
-    """(log Lambda_n, max phi_hat) for n = 1, 2, ... over the paths of
-    ``words.layer``, or None for a length that listing must answer.
+def _transfer(memo: dict, potential: Potential, layer: LanguageOracle) -> "_Transfer":
+    """The potential's transfer DP in ``memo`` (an oracle's ``_transfer`` or
+    a set's ``transfer_memo``), made on first use from the layer's start."""
+    dp = memo.get(potential)
+    if dp is None:
+        dp = memo[potential] = _Transfer(potential, layer.start)
+    return dp
 
-    The DP state of a path w is (product state, last min(|w|, r-1)
-    symbols), carrying log sum e^{F(w)} and max F(w), F(w) being the
-    running sum of the windows inside w (phi_hat takes their fsum), or None
-    once some path into it has met a window missing from the table; the
-    mark is carried forward.  A length with a marked live state, or where
-    ``phi_tail`` (read at the oracle's state in the product's label) finds
-    no extension or a missing window, yields None: then some word raises in
-    phi_hat, and listing reports the same error (past the enumeration
-    limit, the limit).  A length with no live state yields -inf.
+
+class _Transfer:
+    """The transfer DP of one layer at one potential (Ruelle's transfer
+    operator on the higher-block presentation of Lind & Marcus, sec. 2.3),
+    extended one length at a time.  Its owner keeps it, the oracle for its
+    language and a pattern set for its product; it holds no reference to
+    either, and the layer and the oracle are passed in, so that no cycle
+    keeps an oracle and its ``words`` cache alive.
+
+    ``vectors[j]`` is the forward vector F_j.  Its keys are the DP states
+    of the words w of length j, (layer state, last min(j, r-1) symbols),
+    and its values (log sum e^{F(w)}, max F(w)) over the words ending
+    there, F(w) being the running sum of the windows inside w (phi_hat
+    takes their fsum), or None once some path into the state has met a
+    window missing from the table; the mark is carried forward, so every
+    successor of a key is a key of the next vector.
     """
-    oracle, layer, r, table = words.oracle, words.layer, potential.window, potential.table
-    rows, labels = layer.transitions, layer.labels
-    vec: dict[tuple[int, Word], tuple[float, float] | None] = {(layer.start, ()): (0.0, 0.0)}
-    while True:
-        sums: dict[tuple[int, Word], list[float]] = {}
-        best: dict[tuple[int, Word], float] = {}
-        marked = set()
-        for (q, s), val in vec.items():
-            for a, t in rows[q].items():
-                win = s + (a,)
-                f = 0.0
-                if len(win) == r:
-                    try:
-                        f = table[win]
-                    except KeyError:
-                        f = None
-                    win = win[1:]
-                key = (t, win)
-                if val is None or f is None:
-                    marked.add(key)
-                    continue
-                sums.setdefault(key, []).append(val[0] + f)
-                if key not in best or val[1] + f > best[key]:
-                    best[key] = val[1] + f
-        vec = {key: (log_sum_exp(vals), best[key]) for key, vals in sums.items()}
-        vec.update(dict.fromkeys(marked))
-        if not vec:
-            yield NEG_INF, NEG_INF
-            continue
-        try:
-            tails = [] if marked else [phi_tail(potential, oracle, labels[q][1], s)
-                                       for q, s in vec]
-        except NotInLanguageError:
-            tails = [None]
-        if marked or None in tails:
-            yield None
-            continue
-        yield (log_sum_exp([ls + t for (ls, _), t in zip(vec.values(), tails)]),
-               max(mx + t for (_, mx), t in zip(vec.values(), tails)))
+
+    def __init__(self, potential: Potential, start):
+        self.potential = potential
+        self.vectors: list[dict[tuple, tuple[float, float] | None]] = [{(start, ()): (0.0, 0.0)}]
+        #: n -> ``total``
+        self.totals: dict[int, tuple[float, float] | None] = {}
+
+    def vector(self, rows, j: int) -> dict[tuple, tuple[float, float] | None]:
+        """F_j, extended over ``rows`` (the layer's) from the last kept."""
+        r, table = self.potential.window, self.potential.table
+        while len(self.vectors) <= j:
+            sums: dict[tuple, list[float]] = {}
+            best: dict[tuple, float] = {}
+            marked = set()
+            for (q, s), val in self.vectors[-1].items():
+                for a, t in rows[q].items():
+                    win = s + (a,)
+                    f = 0.0
+                    if len(win) == r:
+                        try:
+                            f = table[win]
+                        except KeyError:
+                            f = None
+                        win = win[1:]
+                    key = (t, win)
+                    if val is None or f is None:
+                        marked.add(key)
+                        continue
+                    sums.setdefault(key, []).append(val[0] + f)
+                    if key not in best or val[1] + f > best[key]:
+                        best[key] = val[1] + f
+            vec = {key: (log_sum_exp(vals), best[key]) for key, vals in sums.items()}
+            vec.update(dict.fromkeys(marked))
+            self.vectors.append(vec)
+        return self.vectors[j]
+
+    def total(self, layer: LanguageOracle, oracle: LanguageOracle,
+              n: int) -> tuple[float, float] | None:
+        """(log Lambda_n, max phi_hat) over the paths of length n >= 1, each
+        F_n value plus ``phi_tail`` at the oracle's state (the layer's own
+        state on the oracle, else the one in the product's label); -inf
+        with no path.  None where listing must answer: a marked state, or a
+        ``phi_tail`` that finds no extension or a missing window.  Then
+        some word raises in phi_hat, and listing reports the same error
+        (past the enumeration limit, the limit)."""
+        if n in self.totals:
+            return self.totals[n]
+        vec = self.vector(layer._rows, n)
+        got = None if vec else (NEG_INF, NEG_INF)
+        if vec and None not in vec.values():
+            own = layer is oracle
+            try:
+                tails = [phi_tail(self.potential, oracle, q if own else layer.labels[q][1], s)
+                         for q, s in vec]
+            except NotInLanguageError:
+                tails = [None]
+            if None not in tails:
+                got = (log_sum_exp([ls + t for (ls, _), t in zip(vec.values(), tails)]),
+                       max(mx + t for (_, mx), t in zip(vec.values(), tails)))
+        self.totals[n] = got
+        return got
 
 
 @dataclass(frozen=True)
@@ -273,11 +307,20 @@ def cylinder_count_table(
     Lambda_n(H) * e^{-(n-|v|) P - phi_hat(v)} as empirical Gibbs constants,
     P being the point estimate of the full language at depth n.
 
-    Each position's set (``position_set``) declares a pattern.  On a
-    finite layer its sum is the transfer DP over the product and, at zero
-    potential, its count an exact path count; no word is listed, and n
-    may exceed the enumeration limit.  Otherwise the words are listed, and
-    a length past the limit raises the oracle's DepthExceededError.
+    The rows come from two passes over the oracle's layer
+    (``_cylinder_sums``), whatever the oracle: the forward vectors of the
+    language's transfer DP, which on a finite layer the pressure estimate
+    has just extended to n, and one backward pass from length n.  At zero
+    potential both carry exact integer counts.  So no row lists a word or
+    builds a product, and on a finite layer n may exceed the enumeration
+    limit.
+
+    Errors: the pressure estimate comes first and reads every word of
+    lengths 1..n, so a missing window, a word with no extension or, on a
+    layer that lists its words, a length past the limit raises there, as
+    listing the language raises it.  A row that still meets one is
+    answered by listing that position's words, rows in order, which raises
+    what the listing raises.
     """
     if not oracle.contains(v):
         raise NotInLanguageError(f"{v} is not admissible")
@@ -287,24 +330,114 @@ def cylinder_count_table(
     p_hat = pressure_estimate(WordSet.language(oracle), potential, n).point_estimate
     pv = phi_hat(potential, oracle, v)
     rows: list[CylinderRow] = []
-    for i in range(1, n - k + 1):
-        hits = position_set(oracle, v, i, n)
-        ls = log_partition_sum(hits, potential, n)
-        count = hits.count(n) if potential.is_zero else None
+    for i, (ls, count) in enumerate(_cylinder_sums(oracle, potential, v, n), 1):
         ratio = math.exp(ls - (n - k) * p_hat - pv) if ls > NEG_INF else 0.0
         rows.append(CylinderRow(i, ls, count, ratio))
     return CylinderTable(v, n, p_hat, rows)
 
 
-def position_set(oracle: LanguageOracle, v: Word, i: int, depth: int) -> WordSet:
-    """The words that hold v at 1-based start position i, to ``depth``.
-    Its pattern counts the symbols read up to the end of v and forces v's
-    at positions i-1 .. i+|v|-2 (0-based), so its paths shorter than i+|v|-1
-    are not members."""
-    lo, k = i - 1, len(v)
-    return WordSet(oracle, predicate=lambda w: w[lo : lo + k] == v, depth=depth,
-                   pattern=(0, lambda p, a: p if p == lo + k else (
-                       None if p >= lo and a != v[p - lo] else p + 1)))
+def _cylinder_sums(oracle: LanguageOracle, potential: Potential, v: Word,
+                   n: int) -> list[tuple[float, int | None]]:
+    """(log Lambda_n, the count at zero potential or None) over the words
+    of length n that hold v at start position i, for i = 1 .. n - |v|.
+
+    A word u.v.x with |u| = i - 1 weighs e^{F(u)}, from the forward vector
+    F_{i-1} of the language's transfer DP, times e^f for the windows f
+    completed while v is read (``_read``), times e^{B_m} at the DP state
+    after u.v, m = |x|.  The backward vector B_0 is ``phi_tail``, and B_m
+    sums, over each symbol read, the window it completes plus B_{m-1} at
+    the state it reaches; B_m is made only at the keys of F_{n-m}, which
+    hold every state that a word of length n - m reaches.  At zero
+    potential the same passes carry path counts, so each count is exact.
+    On a layer that is not finite a length past the enumeration limit
+    raises DepthExceededError first, as listing does.
+
+    A term that meets a missing window, a word with no extension or a
+    marked forward state leaves its row None.  Such rows are answered in
+    order by listing the position's words with phi_hat, which raises the
+    error that listing the row's word set raises.
+    """
+    rows, k = oracle._rows, len(v)
+    if n <= k:
+        return []
+    if oracle.transitions is None:
+        oracle.check_depth(n)
+    if potential.is_zero:
+        walk = path_counts(oracle.start, lambda q: rows[q].values())
+        forward = [next(walk) for _ in range(n + 1)]
+        back = dict.fromkeys(forward[n], 1)
+        counts = [0] * (n - k)
+        for m in range(1, n - k + 1):
+            back = {q: sum(back[t] for t in rows[q].values()) for q in forward[n - m]}
+            i = n - m - k  # the 0-based row whose v ends at length n - m
+            counts[i] = sum(c * back[t] for q, c in forward[i].items()
+                            if (t := _state_after(rows, q, v)) is not None)
+        return [(math.log(c) if c > 0 else NEG_INF, c) for c in counts]
+    forward = [_transfer(oracle._transfer, potential, oracle).vector(rows, j)
+               for j in range(n + 1)]
+    back = {}
+    for q, s in forward[n]:
+        try:
+            back[q, s] = phi_tail(potential, oracle, q, s)
+        except ShiftLabError:  # a missing window, or a beta digit past the certified depth
+            back[q, s] = None
+    out: list = [None] * (n - k)
+    for m in range(1, n - k + 1):
+        back = {key: _through(((0.0,) + _read(rows, potential, key, (a,)) for a in rows[key[0]]),
+                              back) for key in forward[n - m]}
+        i = n - m - k
+        terms = ((None if val is None else val[0],) + got for key, val in forward[i].items()
+                 if (got := _read(rows, potential, key, v)) is not None)
+        out[i] = _through(terms, back)
+    for i, got in enumerate(out):
+        if got is None:
+            vals = [phi_hat(potential, oracle, w) for w in oracle.words(n) if w[i:i + k] == v]
+            out[i] = log_sum_exp(vals) if vals else NEG_INF
+    return [(ls, None) for ls in out]
+
+
+def _state_after(rows, q, u: Word):
+    """The layer state after reading u from q, or None."""
+    for a in u:
+        q = rows[q].get(a)
+        if q is None:
+            return None
+    return q
+
+
+def _read(rows, potential: Potential, key: tuple, u: Word) -> tuple | None:
+    """(the sum of the windows completed while u is read from ``key``, or
+    None for one the table lacks; the DP key after u), or None when u
+    cannot be read from the key's layer state."""
+    (q, s), r, f = key, potential.window, 0.0
+    for a in u:
+        q = rows[q].get(a)
+        if q is None:
+            return None
+        s += (a,)
+        if len(s) == r:
+            if f is not None:
+                try:
+                    f += potential.table[s]
+                except KeyError:
+                    f = None
+            s = s[1:]
+    return f, (q, s)
+
+
+def _through(terms, back: dict) -> float | None:
+    """log sum e^{x + f + back[key]} over the (x, f, key) of ``terms`` whose
+    key has a path on (back[key] > -inf); None when one of those has x, f
+    or back[key] None."""
+    vals = []
+    for x, f, key in terms:
+        b = back[key]
+        if b == NEG_INF:
+            continue
+        if x is None or f is None or b is None:
+            return None
+        vals.append(x + f + b)
+    return log_sum_exp(vals) if vals else NEG_INF
 
 
 # ---------------------------------------------------------------------------

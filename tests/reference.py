@@ -1,5 +1,6 @@
 """Plainly correct references that the tests compare the library with: an
-oracle whose state is the word itself, phi_hat by listing extensions, the
+oracle whose state is the word itself, phi_hat by listing extensions,
+cylinder tables one start position's word set at a time, the
 enumeration checks of factoriality and extendability, beta membership by the suffix scan,
 periodic points and orbit measures by listing, S-gap periodic points by
 their cyclic gaps, the parse count behind unique decipherability, the obstruction complement of a decomposition, the
@@ -13,11 +14,28 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from shiftlab.core import EMPTY_WORD, Alphabet, LanguageOracle, Potential, Word, WordSet, log_sum_exp
+from shiftlab.core import (
+    EMPTY_WORD,
+    Alphabet,
+    LanguageOracle,
+    Potential,
+    Word,
+    WordSet,
+    log_sum_exp,
+    phi_hat,
+)
 from shiftlab.decomp import Decomposition, TripleCollections, make_decomposer
 from shiftlab.errors import NoPeriodicPointsError, NotInLanguageError
 from shiftlab.models import BetaSpec, SGapSpec
-from shiftlab.thermo import PeriodicMeasure, PeriodicPoints
+from shiftlab.thermo import (
+    NEG_INF,
+    CylinderRow,
+    CylinderTable,
+    PeriodicMeasure,
+    PeriodicPoints,
+    log_partition_sum,
+    pressure_estimate,
+)
 from shiftlab.tower import SyncTriple
 
 
@@ -64,6 +82,49 @@ def phi_hat_by_extensions(potential: Potential, oracle: LanguageOracle, w: Word)
         raise NotInLanguageError(
             f"word {w} has no admissible {r - 1}-symbol extension (oracle not extendable)")
     return fixed + max(potential.window_sum(u, 0, len(s)) for u in tails)
+
+
+def position_set(oracle: LanguageOracle, v: Word, i: int, depth: int) -> WordSet:
+    """The words that hold v at 1-based start position i, to ``depth``.
+    Its pattern counts the symbols read up to the end of v and forces v's
+    at positions i-1 .. i+|v|-2 (0-based), so its paths shorter than i+|v|-1
+    are not members."""
+    lo, k = i - 1, len(v)
+    return WordSet(oracle, predicate=lambda w: w[lo : lo + k] == v, depth=depth,
+                   pattern=(0, lambda p, a: p if p == lo + k else (
+                       None if p >= lo and a != v[p - lo] else p + 1)))
+
+
+def cylinder_sums_by_positions(oracle: LanguageOracle, potential: Potential, v: Word,
+                               n: int) -> list[tuple[float, int | None]]:
+    """(log Lambda_n, the count at zero potential or None) of each start
+    position's ``position_set``, i = 1 .. n - |v|, in order: over a finite
+    layer the transfer DP of its own product, which falls back to listing
+    the set's words where some word raises; elsewhere the listed words."""
+    rows = []
+    for i in range(1, n - len(v) + 1):
+        hits = position_set(oracle, v, i, n)
+        rows.append((log_partition_sum(hits, potential, n),
+                     hits.count(n) if potential.is_zero else None))
+    return rows
+
+
+def cylinder_table_by_positions(oracle: LanguageOracle, potential: Potential, v: Word,
+                                n: int) -> CylinderTable:
+    """``thermo.cylinder_count_table`` with one word set, one product and
+    one DP from length 0 per start position (``cylinder_sums_by_positions``)."""
+    if not oracle.contains(v):
+        raise NotInLanguageError(f"{v} is not admissible")
+    k = len(v)
+    if k == 0 or k > n:
+        raise ValueError("need 1 <= |v| <= n")
+    p_hat = pressure_estimate(WordSet.language(oracle), potential, n).point_estimate
+    pv = phi_hat(potential, oracle, v)
+    rows = []
+    for i, (ls, count) in enumerate(cylinder_sums_by_positions(oracle, potential, v, n), 1):
+        ratio = math.exp(ls - (n - k) * p_hat - pv) if ls > NEG_INF else 0.0
+        rows.append(CylinderRow(i, ls, count, ratio))
+    return CylinderTable(v, n, p_hat, rows)
 
 
 def check_factorial(oracle: LanguageOracle, n_max: int) -> list[Word]:

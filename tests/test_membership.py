@@ -57,9 +57,12 @@ from reference import (
     beta_suffix_scan,
     check_extendable,
     check_factorial,
+    cylinder_sums_by_positions,
+    cylinder_table_by_positions,
     periodic_orbit_measure_listing,
     periodic_points_listing,
     phi_hat_by_extensions,
+    position_set,
     s_gap_cyclic_gaps_ok,
     WordStateOracle,
 )
@@ -912,7 +915,7 @@ def test_pattern_set_lists_its_layer_words_as_the_language_filter(oracle, data):
         (sl.avoid_symbol_set(oracle, oracle.alphabet.symbols[symbol]), lambda w: symbol not in w),
         (sl.WordSet.avoiding(oracle, s), lambda w: all(
             w[j : j + len(s)] != s for j in range(len(w) - len(s) + 1))),
-        (sl.thermo.position_set(oracle, v, i, depth), lambda w: w[i - 1 : i - 1 + len(v)] == v),
+        (position_set(oracle, v, i, depth), lambda w: w[i - 1 : i - 1 + len(v)] == v),
     ]
     if "0" in oracle.alphabet.symbols:
         zero = oracle.alphabet.index("0")
@@ -1029,7 +1032,7 @@ def test_stepped_pattern_sets_count_as_their_listing(instance, data):
                                    for w in oracle.words(m)] or [(0,)]))
     n = data.draw(st.integers(len(v), oracle.enumeration_limit + 1))
     i = data.draw(st.integers(1, n - len(v) + 1))
-    hits = sl.thermo.position_set(oracle, v, i, n)
+    hits = position_set(oracle, v, i, n)
     listed = sl.WordSet(ref, predicate=lambda w: w[i - 1:i - 1 + len(v)] == v, depth=n)
     assert _either(hits.count, n) == _either(listed.count, n)
     assert _either(hits.count, n + 1) == _either(listed.count, n + 1)
@@ -1058,7 +1061,7 @@ def test_stepped_phi_hat_and_sums_match_the_word_state_bit_for_bit(instance, dat
         sets = [(sl.WordSet.language(oracle), ref.words(n)),
                 (sl.avoid_symbol_set(oracle, oracle.alphabet.symbols[a]),
                  [w for w in ref.words(n) if a not in w]),
-                (sl.thermo.position_set(oracle, (a,), n, n),
+                (position_set(oracle, (a,), n, n),
                  [w for w in ref.words(n) if w[n - 1] == a])]
         for words, expect in sets:
             def listing():
@@ -1087,3 +1090,123 @@ def test_beta_words_step_each_listed_word_once():
         oracle.words(n)
         assert 0 < steps[0] <= k * len(oracle.words(n - 1)), n
     assert steps[0] < len(oracle.words(13))
+
+
+# -- cylinder tables against one word set per start position ----------------------
+#
+# ``thermo.cylinder_count_table`` reads every row from one forward and one
+# backward pass over the oracle's layer; the reference builds each start
+# position's word set (``reference.position_set``) and sums it on its own.
+# Counts must be equal, log sums, pressures and Gibbs ratios agree within
+# 1e-12, and errors have the same class and message.  The rows are also
+# compared on their own (``thermo._cylinder_sums``), without the table's
+# pressure estimate, which would raise first, so that the row-ordered
+# listing that answers a row meeting a missing window or a word with no
+# extension is compared with the per-position sets too.
+
+def _cylinder_potential(data, alphabet):
+    """Zero, an indicator, or a range 1-3 table of moderate values (so that
+    1e-12 bounds the difference of two summation orders in the ratios),
+    lacking one window in a third of the tables."""
+    kind = data.draw(st.sampled_from(["zero", "indicator", "table", "table"]))
+    if kind == "zero":
+        return sl.Potential.zero(alphabet)
+    r = data.draw(st.integers(1, 3 if alphabet.size <= 3 else 2))
+    value = st.floats(-2.0, 2.0, allow_nan=False, width=32)
+    if kind == "indicator":
+        pattern = data.draw(st.lists(st.integers(0, alphabet.size - 1), min_size=r, max_size=r))
+        return sl.Potential.indicator(alphabet, alphabet.text(tuple(pattern)), data.draw(value))
+    windows = list(itertools.product(range(alphabet.size), repeat=r))
+    table = {w: data.draw(value) for w in windows}
+    if data.draw(st.sampled_from([False, False, True])):
+        del table[data.draw(st.sampled_from(windows))]
+    return sl.Potential(r, table)
+
+
+def _close_outcomes(got, expect):
+    """The same error, or equal values but for floats within 1e-12."""
+    if got[0] != expect[0] or got[0] == "raises":
+        return got == expect
+
+    def close(x, y):
+        if isinstance(x, float) and isinstance(y, float):
+            return x == y or math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12)
+        if isinstance(x, (tuple, list)):
+            return len(x) == len(y) and all(map(close, x, y))
+        return type(x) is type(y) and x == y
+
+    return close(got[1], expect[1])
+
+
+def _table(build, oracle, potential, v, n):
+    """The table's values, or its error's class and message (an n below 4
+    is the pressure estimate's ValueError)."""
+    try:
+        tab = build(oracle, potential, v, n)
+    except (ShiftLabError, ValueError) as exc:
+        return "raises", type(exc).__name__, str(exc)
+    return "value", (tab.pressure_used,
+                     [(r.position, r.log_sum, r.count, r.gibbs_ratio) for r in tab.rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(finite_layers().map(lambda o: (o, 3 * o.enumeration_limit)),
+                 stepped_instances().map(lambda i: (i[0], i[0].enumeration_limit + 1))),
+       st.data())
+def test_cylinder_rows_match_one_set_per_position(instance, data):
+    oracle, top = instance
+    potential = _cylinder_potential(data, oracle.alphabet)
+    short = [w for m in (1, 2) if m <= oracle.enumeration_limit for w in oracle.words(m)]
+    v = data.draw(st.sampled_from(short or [(0,)]))
+    for n in range(len(v), top + 1):
+        rows = _either(thermo._cylinder_sums, oracle, potential, v, n)
+        assert _close_outcomes(rows, _either(cylinder_sums_by_positions, oracle, potential, v, n)), n
+        assert _close_outcomes(_table(sl.cylinder_count_table, oracle, potential, v, n),
+                               _table(cylinder_table_by_positions, oracle, potential, v, n)), n
+
+
+_STRANDING = sl.CocyclicSpec.from_lists([[[0, 1], [0, 0]], [[1, 0], [0, 0]]])
+
+
+@pytest.mark.parametrize("build, window, table, v, errors", [
+    # 21 is stranded and 2^k 1 is a word for every k: each row that holds
+    # one raises for the first such word, past the limit the limit
+    (lambda: sl.cocyclic_shift(_STRANDING, 6), 2,
+     {"11": 0.25, "12": -0.5, "21": 1.0, "22": 0.125}, "2",
+     {"no admissible 1-symbol extension", "exceeds enumeration limit 6"}),
+    # the same shift with the window 1 missing: a word holding 1 before its
+    # end dies there, so every row is -inf, past the limit too
+    (lambda: sl.cocyclic_shift(_STRANDING, 6), 1, {"2": 0.5}, "1", set()),
+    # 00 is missing: every row of length >= 4 holds a word with it; past
+    # the limit the finite layer lists nothing and reports the limit
+    (lambda: sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["11"]), 4), 2,
+     {"01": 0.3, "10": -0.7, "11": 0.0}, "1",
+     {"no entry for window (0, 0)", "exceeds enumeration limit 4"}),
+    # the words are 0^a 2 1^b, 0^a and 1^b, and 02 is missing: rows 1 and 2
+    # have sums, and from row 3 on the window lies in the words' prefixes
+    (lambda: sl.sft_from_forbidden(sl.SftSpec.from_strings("012", ["01", "10", "12", "20", "22"])),
+     2, {"00": 0.1, "11": 0.2, "21": 0.3}, "1", {"no entry for window (0, 2)"}),
+    # 01 and 10 are missing: row 1's first word 10.. raises on 10, while
+    # every later row's first word 0..01.. raises on 01
+    (lambda: sl.full_shift(2), 2, {"00": 0.5, "11": -0.5}, "1", {"no entry for window (1, 0)"}),
+    # 1 is missing at range 1, where phi_tail reads no window: row 1 meets
+    # it only after v, in the backward pass
+    (lambda: sl.full_shift(2), 1, {"0": 0.5}, "0", {"no entry for window (1,)"}),
+    # z = 1011 has no period, so a word of length 4 has no certified
+    # extension: listing raises for row 1's first word, 1000, on 00
+    (lambda: sl.beta_shift(sl.BetaSpec.from_sequence((1, 0, 1, 1), None, depth=4)), 2,
+     {"01": 0.1, "10": 0.2, "11": 0.3}, "1",
+     {"no entry for window (0, 0)", "exceeds enumeration limit 4"}),
+])
+def test_cylinder_rows_match_one_set_per_position_on_chosen_tables(build, window, table, v,
+                                                                  errors):
+    # each names the errors its rows must meet
+    oracle = build()
+    potential = sl.Potential.from_strings(oracle.alphabet, window, table)
+    v = oracle.alphabet.word(v)
+    seen = set()
+    for n in range(1, 10):
+        rows = _either(thermo._cylinder_sums, oracle, potential, v, n)
+        assert _close_outcomes(rows, _either(cylinder_sums_by_positions, oracle, potential, v, n)), n
+        seen.update(e for e in errors if rows[0] == "raises" and e in rows[2])
+    assert seen == errors

@@ -21,9 +21,11 @@ limit, where the deeper reference reports the word's error.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import re
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -257,8 +259,10 @@ def test_cylinder_tables_and_hyperbolicity_match_listing(instance):
     assert _same(_outcome(hyperbolicity, oracle), _outcome(hyperbolicity, listed), past)
 
 
-def _rows_read(n_max):
-    """Layer rows read by log_partition_sum(1..n_max) on a fresh set."""
+def _rows_read(n_max, run):
+    """Layer rows that ``run(oracle, potential, n_max)`` reads on a fresh
+    oracle (the SFT forbidding 111 and 0101, the range-3 table 0.1 i), the
+    oracle's own and those of any product built from it."""
     oracle = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["111", "0101"]), n_max)
     pot = sl.Potential.from_strings(oracle.alphabet, 3, {
         w: 0.1 * i for i, w in enumerate(["000", "001", "010", "011", "100", "101", "110", "111"])})
@@ -269,17 +273,49 @@ def _rows_read(n_max):
             reads[0] += 1
             return super().__getitem__(q)
 
+    oracle.transitions = oracle._rows = Rows(oracle.transitions)
+    run(oracle, pot, n_max)
+    return reads[0]
+
+
+def _partition_sums(oracle, pot, n_max):
     lang = WordSet.language(oracle)
-    lang.layer.transitions = Rows(lang.layer.transitions)
     for n in range(1, n_max + 1):
         sl.log_partition_sum(lang, pot, n)
-    return reads[0]
 
 
 def test_transfer_extends_one_dp():
     # each length is one more DP step, so the work grows linearly in n_max;
     # a DP rerun from step 0 for every length would read about 4x the rows
-    assert _rows_read(200) <= 2.2 * _rows_read(100)
+    assert _rows_read(200, _partition_sums) <= 2.2 * _rows_read(100, _partition_sums)
+
+
+def test_cylinder_table_reads_linear_work():
+    # one forward and one backward pass, and v read from each forward
+    # state of each row: linear in n; one product and one DP per start
+    # position would read about 4x the rows
+    def table(oracle, pot, n):
+        sl.cylinder_count_table(oracle, pot, (0,), n)
+
+    assert _rows_read(200, table) <= 2.2 * _rows_read(100, table)
+
+
+def test_a_summed_language_frees_its_oracle():
+    # the transfer DPs of the language and of a pattern set hold no
+    # reference back to their set or oracle, so with the cyclic collector
+    # off the oracle dies with its last reference
+    gc.disable()
+    try:
+        oracle = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["111", "0101"]))
+        pot = sl.Potential.from_strings(oracle.alphabet, 2, {"00": 0.1, "01": 0.2, "10": -0.3,
+                                                             "11": 0.4})
+        for words in (WordSet.language(oracle), sl.avoid_symbol_set(oracle, "1")):
+            assert math.isfinite(sl.log_partition_sum(words, pot, 12))
+        ref = weakref.ref(oracle)
+        del oracle, words
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- what the DP reads -------------------------------------------------------------------
