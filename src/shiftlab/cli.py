@@ -134,7 +134,9 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
             oracle = _SHIFTS[family][1](f, f["depth"] if "depth" in shift else depth_guard)
             alphabet = oracle.alphabet
         except ShiftLabError as exc:  # such as an empty language: run raises it
-            failure = exc
+            # kept without its traceback, whose frames hold this one and the
+            # build's oracles, so that no cycle keeps them alive
+            failure = exc.with_traceback(None)
             warn("shift", f"{type(exc).__name__}: {exc}")
         except _MALFORMED as exc:
             err("shift", f"{type(exc).__name__}: {exc}")
@@ -752,7 +754,10 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
     if any(d["level"] == "error" for d in diags):
         raise ConfigError("config invalid", diags)
     if failure is not None:
-        raise failure
+        try:
+            raise failure
+        finally:  # its traceback holds this frame, so no local may hold it
+            del failure
 
     blocks: list[dict] = []
     artifacts: list[tuple[str, str]] = []

@@ -194,7 +194,8 @@ class LanguageOracle:
         #: potential -> the transfer DP of the language over this layer,
         #: which thermo makes and extends
         self._transfer: dict[Potential, object] = {}
-        #: a finite layer's transition monoid, made by thermo.periodic_points
+        #: a finite layer's transition monoid, made on first use by
+        #: thermo.periodic_points or thermo.periodic_orbit_measure
         self._monoid = None
         #: the memos of a finite layer's walks: domain by word and its
         #: preimage step by (symbol, domain), followers by (state, length),

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
+
 from .core import (
     LanguageOracle,
     Potential,
@@ -485,20 +487,26 @@ def periodic_points(oracle: LanguageOracle, n: int) -> PeriodicPoints:
     if oracle.transitions is None:
         keep = [i for i, p in enumerate(words) if oracle.contains(p * reps)]
     else:
-        monoid = oracle._monoid
-        if monoid is None:
-            monoid = oracle._monoid = _TransitionMonoid(oracle.transitions)
+        monoid = _monoid(oracle)
         ids = monoid.word_ids(oracle._states, n)
-        verdict = monoid.verdicts.setdefault(reps, {})
-        for m in set(ids).difference(verdict):
-            verdict[m] = _orbit_lives(monoid.elements[m], reps)
+        verdict = monoid.decide(ids, reps)
         keep = [i for i, m in enumerate(ids) if verdict[m]]
     return PeriodicPoints(n, tuple(words[i] for i in keep), exact, tuple(keep))
 
 
+def _monoid(oracle: LanguageOracle) -> "_TransitionMonoid":
+    """The finite layer's transition monoid, kept on the oracle."""
+    if oracle._monoid is None:
+        oracle._monoid = _TransitionMonoid(oracle.transitions)
+    return oracle._monoid
+
+
 class _TransitionMonoid:
     """The elements q -> q.p of a finite layer's words p, as tuples of
-    images (``dead`` for none), numbered as met from the empty word's, 0."""
+    images (``dead`` for none), numbered as met from the empty word's, 0.
+    ``periodic_points`` steps the ids of ``words(n)`` (``word_ids``), and
+    ``periodic_orbit_measure`` the ids of its classes (``_step``); both
+    decide each (id, reps) once (``decide``)."""
 
     def __init__(self, rows: list[dict[int, int]]):
         self.rows, self.dead = rows, len(rows)
@@ -525,6 +533,14 @@ class _TransitionMonoid:
                     ids.append(self._step(m, a) if c is None else c)
             self.length, self.ids = self.length + 1, ids
         return self.ids
+
+    def decide(self, ids, reps: int | None) -> dict[int, bool]:
+        """{id: whether the start's orbit lives for reps steps}, the orbit
+        walked once per id and reps."""
+        verdict = self.verdicts.setdefault(reps, {})
+        for m in set(ids).difference(verdict):
+            verdict[m] = _orbit_lives(self.elements[m], reps)
+        return verdict
 
     def _step(self, m: int, a: int) -> int:
         f = tuple(q if q == self.dead else self.rows[q].get(a, self.dead)
@@ -636,13 +652,21 @@ class _CarriedSums:
         the length last read; a missing window raises as
         ``_cyclic_birkhoff`` does."""
         k, r = len(p), self.potential.window
-        u = p[k - r + 1:] + p[:r - 1] if k >= r - 1 else _cyclic(p, k + r - 1)
+        wrap = self.wrap(p[k - r + 1:] + p[:r - 1] if k >= r - 1 else _cyclic(p, k + r - 1))
+        if self.inner[i] is None or wrap is None:
+            return _cyclic_birkhoff(self.potential, p)
+        return (self.inner[i] + wrap) / self.scale
+
+    def wrap(self, u: Word) -> int | None:
+        """The scaled sum of the windows of u, or None for one the table
+        lacks: u holds the last r - 1 and first r - 1 symbols of a period
+        (all of p^infinity's first |p| + r - 1 when |p| < r - 1), so its
+        windows are the ones that wrap around."""
         if u not in self.wraps:
+            r = self.potential.window
             sums = [self._scaled(u[j:j + r]) for j in range(len(u) - r + 1)]
             self.wraps[u] = None if None in sums else sum(sums)
-        if self.inner[i] is None or self.wraps[u] is None:
-            return _cyclic_birkhoff(self.potential, p)
-        return (self.inner[i] + self.wraps[u]) / self.scale
+        return self.wraps[u]
 
 
 @dataclass
@@ -660,38 +684,129 @@ def periodic_orbit_measure(
     depth: int,
 ) -> PeriodicMeasure:
     """The normalized phi-weighted sum of point masses on periodic points of
-    period at most n, reported as cylinder weights at the given depth.
+    period at most n, reported as cylinder weights at the given depth
+    (under specification they tend to the equilibrium state; Bowen 1975,
+    ch. 1).
 
-    Each period asks ``periodic_points``.  Each Birkhoff sum is an exact
-    integer carried over the oracle's words (``_CarriedSums``: every table
-    value is an integer over 2**E), divided once by 2**E.  CPython's int
-    true division and ``math.fsum`` are both correctly rounded, so each sum
-    is, bit for bit, the fsum of its windows along p^infinity
-    (``_cyclic_birkhoff``), which tables with non-finite or near-overflow
-    values take.
+    On a finite layer with a table of finite values (``_carried``) no word
+    is listed: ``_class_sums`` sums the periodic words by class, keeping
+    their window sums as exact integers, so no rounding grows with |phi|.
+    Period k asks ``check_depth(k)`` first, as listing does, so the
+    enumeration limit still bounds the horizon.  Other layers and tables
+    weigh each word of ``periodic_points`` as its own atom, by its Birkhoff
+    sum: an exact integer carried over the oracle's words
+    (``_CarriedSums.cyclic``) where the table allows, else the fsum of its
+    windows along p^infinity (``_cyclic_birkhoff``).  Either way a missing
+    window raises what listing raises, at the same atom.
     """
     if not (n >= depth >= 1):
         raise ValueError("need horizon >= depth >= 1")
     sums = _carried(oracle, potential, n)
-    atoms: list[tuple[Word, int, float]] = []
+    if oracle.transitions is not None and sums is not None:
+        weights, exact = _class_sums(oracle, potential, sums, n, depth)
+        return PeriodicMeasure(n, depth, weights, exact)
+    atoms: list[tuple[Word, float]] = []
     exact = True
     for k in range(1, n + 1):
         per = periodic_points(oracle, k)
         exact = exact and per.exact
         if sums is None:
-            atoms.extend((p, k, _cyclic_birkhoff(potential, p)) for p in per.words)
+            atoms.extend((p, _cyclic_birkhoff(potential, p)) for p in per.words)
         else:
             sums.at(oracle, k)
-            atoms.extend((p, k, sums.cyclic(i, p)) for i, p in zip(per.positions, per.words))
+            atoms.extend((p, sums.cyclic(i, p)) for i, p in zip(per.positions, per.words))
     if not atoms:
         raise NoPeriodicPointsError(f"no periodic points up to period {n}")
     # normalised in logs: a Birkhoff sum past ~709 overflows math.exp
-    log_total = log_sum_exp([a[2] for a in atoms])
+    log_total = log_sum_exp([s for _, s in atoms])
     weights: dict[Word, float] = {}
-    for p, k, s in atoms:
+    for p, s in atoms:
         u = _cyclic(p, depth)
         weights[u] = weights.get(u, 0.0) + math.exp(s - log_total)
     return PeriodicMeasure(n, depth, weights, exact)
+
+
+def _class_sums(oracle: LanguageOracle, potential: Potential, sums: "_CarriedSums",
+                n: int, depth: int) -> tuple[dict[Word, float], bool]:
+    """(cylinder weights, exact flag) of ``periodic_orbit_measure`` on a
+    finite layer, from the classes of ``_classes`` with head max(depth,
+    r - 1).  At period k each class's element decides the orbit rule of
+    ``periodic_points`` once; a live class adds the windows that wrap
+    around p^infinity, read from its last and first symbols, and is summed
+    into the cylinder of its first depth symbols.  The classes come in the
+    order of their first symbols, as ``words(k)`` keeps its words, so the
+    cylinders enter in the listing's order.  A live class that holds a
+    missing window lists period k, whose first such atom raises."""
+    r, scale = potential.window, sums.scale
+    monoid = _monoid(oracle)
+    levels = _classes(oracle, sums, monoid, max(depth, r - 1))
+    cylinders: dict[Word, tuple[int, float]] = {}
+    exact = True
+    for k in range(1, n + 1):
+        oracle.check_depth(k)
+        level = next(levels)
+        exact = exact and (oracle.exact_periods or oracle.locality is not None or not level)
+        verdict = monoid.decide({m for m, _, _ in level}, periodic_reps(oracle, k))
+        for (m, head, tail), (ref, mant) in level.items():
+            if not verdict[m]:
+                continue
+            wrap = sums.wrap(tail + head[:r - 1] if k >= r - 1 else _cyclic(head, k + r - 1))
+            if ref is None or wrap is None:
+                for p in periodic_points(oracle, k).words:
+                    _cyclic_birkhoff(potential, p)
+                raise AssertionError("a periodic class with a missing window listed none")
+            u = head[:depth] if k >= depth else _cyclic(head, depth)
+            cylinders[u] = _merged(cylinders.get(u), ref + wrap, mant, scale)
+    if not cylinders:
+        raise NoPeriodicPointsError(f"no periodic points up to period {n}")
+    top = max(ref for ref, _ in cylinders.values())
+    terms = {u: mant * math.exp((ref - top) / scale) for u, (ref, mant) in cylinders.items()}
+    total = math.fsum(terms.values())
+    return {u: term / total for u, term in terms.items()}, exact
+
+
+def _classes(oracle: LanguageOracle, sums: "_CarriedSums", monoid: _TransitionMonoid,
+             head: int) -> Iterator[dict[tuple, tuple[int | None, float]]]:
+    """For k = 1, 2, ..., the words of length k summed by class, as
+    {(element id, first min(k, head) symbols, last min(k, r - 1) symbols):
+    (R, m)}; until k passes head a class is one word.  Over the words w of
+    a class, the sum of e^{S(w)/scale} is m e^{R/scale}, S(w) being the
+    scaled integer sum of the windows inside w; R is None once one of them
+    holds a missing window.  A class steps from its element's image of the
+    start, each symbol adding the window it completes to R
+    (``_CarriedSums.steps``)."""
+    rows, start, scale = oracle.transitions, oracle.start, sums.scale
+    elements, msteps, ssteps = monoid.elements, monoid.steps, sums.steps
+    level = {(0, (), ()): (0, 1.0)}
+    while True:
+        grown: dict[tuple, tuple[int | None, float]] = {}
+        for (m, h, t), (ref, mant) in level.items():
+            mstep, sstep, longer = msteps[m], ssteps[t], len(h) < head
+            for a in rows[elements[m][start]]:
+                c = mstep.get(a)
+                v, u = sstep.get(a) or sums._step(t, a)
+                key = (monoid._step(m, a) if c is None else c, h + (a,) if longer else h, u)
+                grown[key] = _merged(grown.get(key), None if ref is None or v is None else ref + v,
+                                     mant, scale)
+        level = grown
+        yield level
+
+
+def _merged(old: tuple[int | None, float] | None, ref: int | None, mant: float,
+            scale: int) -> tuple[int | None, float]:
+    """old's m e^{R/scale} plus mant e^{ref/scale}, as (R, m): the larger R
+    is kept and the other mantissa scaled by exp of the exact integer
+    difference over scale, correctly rounded, so no rounding grows with
+    |R|.  Mantissas start at 1 and never fall below it.  A None R marks a
+    missing window, and the mark is kept."""
+    if old is None:
+        return ref, mant
+    ref0, mant0 = old
+    if ref is None or ref0 is None:
+        return None, mant
+    if ref >= ref0:
+        return ref, mant + mant0 * math.exp((ref0 - ref) / scale)
+    return ref0, mant0 + mant * math.exp((ref - ref0) / scale)
 
 
 # ---------------------------------------------------------------------------

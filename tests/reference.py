@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from shiftlab.core import (
@@ -202,28 +203,66 @@ def s_gap_cyclic_gaps_ok(spec: SGapSpec, p: Word) -> bool:
                for g in gaps)
 
 
-def periodic_orbit_measure_listing(oracle: LanguageOracle, potential: Potential, n: int,
-                                   depth: int, check: Callable[[Word], bool] | None = None
-                                   ) -> PeriodicMeasure:
-    """``thermo.periodic_orbit_measure`` by listing: the periodic points of
-    ``periodic_points_listing`` (``check`` passed on), each weighed by the
-    fsum of its windows along p^infinity."""
+def _periodic_atoms(oracle: LanguageOracle, potential: Potential, n: int, depth: int,
+                    check: Callable[[Word], bool] | None) -> tuple[list[tuple[Word, list]], bool]:
+    """The atoms of a periodic-orbit measure by listing, as (p, the table
+    values of the windows starting in p along p^infinity), every periodic
+    point of ``periodic_points_listing`` (``check`` passed on) up to period
+    n, and the exact flag.  Raises what listing raises: the enumeration
+    limit at its period, a missing window at its atom, and no periodic
+    points after the last period."""
     if not (n >= depth >= 1):
         raise ValueError("need horizon >= depth >= 1")
-    atoms: list[tuple[Word, float]] = []
+    r = potential.window
+    atoms: list[tuple[Word, list]] = []
     exact = True
     for k in range(1, n + 1):
         per = periodic_points_listing(oracle, k, check)
         exact = exact and per.exact
-        atoms.extend((p, potential.window_sum((p * (k + potential.window))[:k + potential.window - 1],
-                                              0, k)) for p in per.words)
+        for p in per.words:
+            u = (p * (k + r))[:k + r - 1]
+            atoms.append((p, [potential.value(u[j:j + r]) for j in range(k)]))
     if not atoms:
         raise NoPeriodicPointsError(f"no periodic points up to period {n}")
-    log_total = log_sum_exp([s for _, s in atoms])
+    return atoms, exact
+
+
+def periodic_orbit_measure_listing(oracle: LanguageOracle, potential: Potential, n: int,
+                                   depth: int, check: Callable[[Word], bool] | None = None
+                                   ) -> PeriodicMeasure:
+    """``thermo.periodic_orbit_measure`` by listing: the atoms of
+    ``_periodic_atoms``, each weighed by the fsum of its windows."""
+    atoms, exact = _periodic_atoms(oracle, potential, n, depth, check)
+    sums = [math.fsum(values) for _, values in atoms]
+    log_total = log_sum_exp(sums)
     weights: dict[Word, float] = {}
-    for p, s in atoms:
+    for (p, _), s in zip(atoms, sums):
         u = (p * depth)[:depth]
         weights[u] = weights.get(u, 0.0) + math.exp(s - log_total)
+    return PeriodicMeasure(n, depth, weights, exact)
+
+
+def periodic_orbit_measure_exact(oracle: LanguageOracle, potential: Potential, n: int,
+                                 depth: int, check: Callable[[Word], bool] | None = None
+                                 ) -> PeriodicMeasure:
+    """The listing's measure in exact arithmetic: each atom's Birkhoff sum
+    an exact ``Fraction`` of its windows, each weight evaluated with mpmath
+    at 50 digits and rounded once to a float.  Same keys in the same order,
+    and the same errors, as ``periodic_orbit_measure_listing``."""
+    import mpmath
+
+    atoms, exact = _periodic_atoms(oracle, potential, n, depth, check)
+    sums = [sum(map(Fraction, values), Fraction(0)) for _, values in atoms]
+    top = max(sums)
+    with mpmath.workdps(50):
+        terms: dict[Word, mpmath.mpf] = {}
+        for (p, _), s in zip(atoms, sums):
+            u = (p * depth)[:depth]
+            d = s - top
+            x = mpmath.exp(mpmath.mpf(d.numerator) / d.denominator)
+            terms[u] = terms.get(u, mpmath.mpf(0)) + x
+        total = mpmath.fsum(terms.values())
+        weights = {u: float(x / total) for u, x in terms.items()}
     return PeriodicMeasure(n, depth, weights, exact)
 
 

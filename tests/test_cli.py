@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab import cli, errors
 from shiftlab import tower as tower_module
+from shiftlab.core import LanguageOracle
 from shiftlab.errors import ConfigError, EmptyLanguageError, ShiftLabError
 
 GOLDEN_CONFIG = {
@@ -580,6 +582,36 @@ def test_run_reports_empty_memory_zero_sft(tmp_path):
     cfg_path = tmp_path / "empty.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_run_frees_the_oracles_of_a_failed_build():
+    # the build made an automaton oracle before it found the language empty
+    # (as enum_tables.014, 056 and 105 do); once run's error is handled,
+    # and once validate returns, reference counting alone must free it and
+    # the error, so no cycle may hold the traceback, whose frames hold both
+    cfg = {
+        "shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["00", "1", "10"]},
+        "analyses": [{"op": "periodic_measure", "horizon": 2, "depth": 2}],
+    }
+
+    def alive():
+        return sum(isinstance(o, (LanguageOracle, EmptyLanguageError)) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        try:
+            cli.run(cfg)
+        except EmptyLanguageError:
+            pass
+        else:
+            pytest.fail("the build did not raise")
+        cli.validate(cfg)
+        after = alive()
+    finally:
+        gc.enable()
+    assert after == before
 
 
 @pytest.mark.parametrize("shift, entropy", [

@@ -17,9 +17,9 @@ Beta membership, read by the tie automaton, is compared with the suffix
 scan of ``reference.py`` over every word up to length 10, for quasi-greedy
 and arbitrary driving sequences, raises past the certified depth included,
 and the periodic points and periodic-orbit measures of finite layers, read
-from transition-monoid elements and carried integer sums, with the
-listings of ``reference.py`` (weights bit for bit), S-gap periodic points
-with their cyclic gaps.
+from transition-monoid elements, with the listings of ``reference.py``
+(the measures' keys and errors, and their weights to 1e-12 relative of the
+exact reference), S-gap periodic points with their cyclic gaps.
 
 Beta and signed or 4 x 4 cocyclic oracles, which step their tie-automaton
 state or integer product, are compared with ``reference.WordStateOracle``
@@ -59,6 +59,7 @@ from reference import (
     check_factorial,
     cylinder_sums_by_positions,
     cylinder_table_by_positions,
+    periodic_orbit_measure_exact,
     periodic_orbit_measure_listing,
     periodic_points_listing,
     phi_hat_by_extensions,
@@ -663,31 +664,52 @@ def _measure_outcome(measure):
     try:
         mu = measure()
     except ShiftLabError as exc:
-        return type(exc), str(exc)
-    return list(mu.cylinder_weights.items()), mu.exact_periods
+        return "raises", type(exc), str(exc)
+    return "value", list(mu.cylinder_weights.items()), mu.exact_periods
+
+
+def _assert_measure_matches(build, spec, check, potential, horizon, depth):
+    """The library's measure against the listing's, each on a fresh oracle:
+    the same error (class and message), or the same keys in the same order
+    and the same exact flag.  On a finite layer, which sums classes, each
+    weight is within 1e-12 relative of the exact reference (1e-300 absolute
+    where it underflows); on a stepped layer, which weighs the listing's
+    atoms, each weight is the listing's float, bit for bit."""
+    oracle, listed = build(*spec), build(*spec)
+    got = _measure_outcome(lambda: sl.periodic_orbit_measure(oracle, potential, horizon, depth))
+    want = _measure_outcome(lambda: periodic_orbit_measure_listing(
+        listed, potential, horizon, depth, check))
+    if oracle.transitions is None or got[0] == "raises" or want[0] == "raises":
+        assert got == want
+        return
+    assert [u for u, _ in got[1]] == [u for u, _ in want[1]] and got[2] == want[2]
+    exact = periodic_orbit_measure_exact(listed, potential, horizon, depth, check)
+    assert list(exact.cylinder_weights) == [u for u, _ in got[1]]
+    for u, weight in got[1]:
+        assert math.isclose(weight, exact.cylinder_weights[u], rel_tol=1e-12,
+                            abs_tol=1e-300), (u, weight, exact.cylinder_weights[u])
 
 
 @settings(max_examples=100, deadline=None)
 @given(_PERIODIC_LAYERS, st.sampled_from([None, 3, 5]), st.data())
 def test_periodic_orbit_measure_matches_the_listing(layer, limit, data):
-    # the one-pass measure against the listing, on a fresh oracle: the same
-    # weights bit for bit, in the same order, the same exact flag, or the
-    # same error at the same atom (a missing window, a period past the
-    # limit).  Horizons run to 7 (fewer where k**n passes 1024), so periods
-    # below r - 1 and depths above a period both occur
+    # the class DP against the listing and the exact reference, on a fresh
+    # oracle: the same keys in the same order and exact flag, weights to
+    # 1e-12 relative, or the same error at the same atom (a missing window,
+    # a period past the limit).  Horizons run to 7 (fewer where k**n
+    # passes 1024), so periods below r - 1 and depths above a period both
+    # occur
     build, spec, check = layer
     try:
-        oracle, listed = build(spec, limit), build(spec, limit)
+        alphabet = build(spec, limit).alphabet
     except EmptyLanguageError:
         return
-    potential = _drawn_potential(data, oracle.alphabet)
+    potential = _drawn_potential(data, alphabet)
     horizon = data.draw(st.integers(1, 7))
-    while oracle.alphabet.size ** horizon > 1024:
+    while alphabet.size ** horizon > 1024:
         horizon -= 1
     depth = data.draw(st.integers(1, horizon))
-    assert _measure_outcome(lambda: sl.periodic_orbit_measure(
-        oracle, potential, horizon, depth)) == _measure_outcome(
-        lambda: periodic_orbit_measure_listing(listed, potential, horizon, depth, check))
+    _assert_measure_matches(build, (spec, limit), check, potential, horizon, depth)
 
 
 _GOLDEN_SPEC = sl.SftSpec.from_strings("01", ["11"])
@@ -695,7 +717,7 @@ _SGAP_SPEC = sl.SGapSpec((1,), tail_start=3, tail_period=2)
 
 
 @pytest.mark.parametrize("build, check, window, table, horizon, depth", [
-    # exponents from 2**-1049 to 2**0 in one table, and a -0.0
+    # exponents from 2**-1049 to 2**19 in one table, and a -0.0
     (lambda: sl.full_shift(2), None, 2, {"00": 1e-300, "01": 1e6, "10": -0.0, "11": 0.1}, 8, 3),
     # 11 is missing but lies on no periodic orbit of the golden-mean shift
     (lambda: sl.sft_from_forbidden(_GOLDEN_SPEC), None, 2, {"00": 0.5, "01": -0.25, "10": 1e6},
@@ -705,16 +727,25 @@ _SGAP_SPEC = sl.SGapSpec((1,), tail_start=3, tail_period=2)
      {w: 0.1 * i for i, w in enumerate(["000", "001", "010", "011", "100", "101", "111"])}, 5, 4),
     (lambda: sl.s_gap_shift(_SGAP_SPEC), functools.partial(s_gap_cyclic_gaps_ok, _SGAP_SPEC), 3,
      {f"{i:03b}": 1.0 / (1 + i) for i in range(8)}, 12, 5),
+    # a period past the limit raises at that period, after periods 1-6
+    (lambda: sl.full_shift(2, 6), None, 1, {"0": 0.25, "1": -1e6}, 8, 2),
+    # stepped layers, which keep one atom per periodic word: an eventually
+    # periodic z, and signed matrices
+    (lambda: sl.beta_shift(sl.BetaSpec.from_sequence((2, 1, 0, 2), (1, 1, 0), depth=14)), None,
+     2, {f"{a}{b}": 0.5 * a - 0.25 * b + 1e6 * (a == b == 2) for a in range(3) for b in range(3)},
+     7, 2),
+    (lambda: sl.cocyclic_shift(sl.CocyclicSpec.from_lists(
+        [[[1, -1], [0, 0]], [[1, 0], [1, 0]], [[0, 1], [1, 1]]]), 8), None,
+     1, {"1": 0.1, "2": 1 / 3, "3": -2.5}, 8, 3),
 ])
 def test_periodic_measure_matches_the_listing_on_chosen_tables(
         build, check, window, table, horizon, depth):
-    # the weights are the listing's floats, bit for bit, and a missing
-    # window raises the listing's error at the same atom
-    oracle, listed = build(), build()
-    potential = sl.Potential.from_strings(oracle.alphabet, window, table)
-    got = _measure_outcome(lambda: sl.periodic_orbit_measure(oracle, potential, horizon, depth))
-    assert got == _measure_outcome(lambda: periodic_orbit_measure_listing(
-        listed, potential, horizon, depth, check))
+    # the exact reference's weights to 1e-12 relative (the listing's,
+    # rounding each Birkhoff sum of about 1e7, is further off), the stepped
+    # layers' bit for bit, and a missing window raises the listing's error
+    # at the same atom
+    potential = sl.Potential.from_strings(build().alphabet, window, table)
+    _assert_measure_matches(build, (), check, potential, horizon, depth)
 
 
 # -- memoised predicate word sets ------------------------------------------------

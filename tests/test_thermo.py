@@ -7,7 +7,7 @@ import pytest
 import shiftlab as sl
 from shiftlab import cli, thermo
 from shiftlab.core import WordSet
-from shiftlab.errors import NoPeriodicPointsError, NotInLanguageError
+from shiftlab.errors import DepthExceededError, NoPeriodicPointsError, NotInLanguageError
 from shiftlab.thermo import log_partition_sum
 
 from reference import binomial_entropy_bound_holds, entropy_function
@@ -262,6 +262,39 @@ def test_periodic_points_walk_one_orbit_per_monoid_element(monkeypatch):
         words += len(sgap.words(n))
     assert walks[0] <= len(elements) and 10 * len(elements) < words
 
+
+
+def test_periodic_measure_lists_no_word_on_a_finite_layer(monkeypatch):
+    # 2**40 periodic words at period 40, summed as two classes per length
+    # (the one element, first symbol 0 or 1), so the horizon costs linear
+    # time and no length past 1 is listed; past the enumeration limit
+    # period 65 still raises what listing raises there
+    full = sl.full_shift(2, 64)
+    message = pytest.raises(DepthExceededError, sl.full_shift(2, 64).words, 65).value.args
+    listed, steps = [], []
+    words, classes = sl.LanguageOracle.words, thermo._classes
+
+    def listing(oracle, n):
+        listed.append(n)
+        return words(oracle, n)
+
+    def counted(*args):
+        for level in classes(*args):
+            steps[-1] += len(level)
+            yield level
+
+    monkeypatch.setattr(sl.LanguageOracle, "words", listing)
+    monkeypatch.setattr(thermo, "_classes", counted)
+    for horizon in (10, 20, 40):
+        steps.append(0)
+        mu = sl.periodic_orbit_measure(full, zero(full), horizon, 1)
+        assert list(mu.cylinder_weights) == [(0,), (1,)]
+        assert all(abs(w - 0.5) <= 1e-15 for w in mu.cylinder_weights.values())
+    assert [n for n in listed if n >= 2] == []
+    assert steps[1] <= 2.2 * steps[0] and steps[2] <= 2.2 * steps[1]
+    with pytest.raises(DepthExceededError) as exc:
+        sl.periodic_orbit_measure(full, zero(full), 65, 1)
+    assert exc.value.args == message
 
 # -- hyperbolicity ------------------------------------------------------------# -- hyperbolicity ------------------------------------------------------------
 
