@@ -197,6 +197,9 @@ class LanguageOracle:
         #: a finite layer's transition monoid, made on first use by
         #: thermo.periodic_points or thermo.periodic_orbit_measure
         self._monoid = None
+        #: the class DPs of tower's synchronisation checks (tower._FirstWords),
+        #: made on first use on a finite layer
+        self._first_words = None
         #: the memos of a finite layer's walks: domain by word and its
         #: preimage step by (symbol, domain), followers by (state, length),
         #: connectors by (state, domain, length) and separates by (state,
@@ -310,7 +313,15 @@ class LanguageOracle:
         key is its state, a right's its domain, and ``search`` walks the
         followers of the state (each a word, the language being
         factorial).  Otherwise each word is its own key, and ``search`` is
-        that of ``connectors``."""
+        that of ``connectors``.
+
+        Its callers are [I*] (``decomp.check_complete_list_Istar``) and the
+        word-list path of the synchronisation checks (``tower``'s triple
+        search and verification, on stepped layers and good sets other than
+        the language, and ``decomp.sync_decomposition`` on stepped layers).
+        Over the language of a finite layer those checks read their classes
+        from the class DPs of ``tower._FirstWords`` instead, listing no
+        word."""
         left_key, right_key, search = self._search(accept)
         return _first_indices(map(left_key, lefts)), _first_indices(map(right_key, rights)), search
 
@@ -371,17 +382,20 @@ class LanguageOracle:
         a preimage step that words sharing a and that domain share."""
         got = self._domains.get(w)
         if got is None:
-            rows = self.transitions
             if not w:
-                got = frozenset(range(len(rows)))
+                got = frozenset(range(len(self.transitions)))
             else:
-                key = (w[0], self.domain(w[1:]))
-                got = self._preimages.get(key)
-                if got is None:
-                    a, rest = key
-                    got = self._preimages[key] = frozenset(
-                        q for q, row in enumerate(rows) if row.get(a) in rest)
+                got = self.preimage(w[0], self.domain(w[1:]))
             self._domains[w] = got
+        return got
+
+    def preimage(self, a: int, dom: frozenset[int]) -> frozenset[int]:
+        """The finite-layer states whose a-successor lies in dom, memoised
+        per (symbol, domain)."""
+        got = self._preimages.get((a, dom))
+        if got is None:
+            got = self._preimages[a, dom] = frozenset(
+                q for q, row in enumerate(self.transitions) if row.get(a) in dom)
         return got
 
     def separates(self, p: int | None, q: int | None, bound: int) -> bool:

@@ -353,7 +353,9 @@ def cgc_construct(
         if rate == NEG_INF:
             return True
         if ws not in rows:
-            rows[ws] = (WordSet.from_predicate(ws.oracle, ws.contains), {})
+            # only an explicit list may hold words outside the language
+            rows[ws] = (WordSet.from_predicate(ws.oracle, ws.contains)
+                        if ws._explicit is not None else ws, {})
         admissible, logs = rows[ws]
         lengths = range(max(1, cutoff), work_depth + 1)
         for m in lengths:
@@ -392,18 +394,45 @@ def cgc_construct(
 def _near_obstructions(obstructions: WordSet, oracle: LanguageOracle, reach: int,
                        side: str) -> WordSet:
     """Words within `reach` symbols of an obstruction: side="right" means
-    some extension wx lands in the collection, side="left" means some xw
-    does."""
+    some extension wx, x a word with |x| <= reach, lands in the collection,
+    side="left" means some xw does; w is a nonempty word, and the
+    collection is asked of wx whether or not wx is a word.
+
+    An explicit list over a finite layer makes this a finite set, read off
+    its members o = w.x (x.w) once: the w with x a word, |x| <= reach.
+    Elsewhere each member test searches the x of each length in turn.  The
+    search lists the words x of each length, so where reach passes the
+    enumeration limit a w with no x within the limit raises
+    DepthExceededError; the finite set raises the same for it."""
     if obstructions.known_empty:
         return WordSet.empty(oracle)
+    name = f"D{'+' if side == 'left' else '-'}"
+    if obstructions._explicit is not None and oracle.transitions is not None:
+        limit = oracle.enumeration_limit
+        cap = min(reach, limit)
+        near = set()
+        for o in itertools.chain.from_iterable(obstructions._explicit.values()):
+            if side == "right":  # o = w.x
+                splits = ((o[:i], o[i:]) for i in range(max(1, len(o) - cap), len(o) + 1))
+            else:  # o = x.w
+                splits = ((o[i:], o[:i]) for i in range(min(cap, len(o) - 1) + 1))
+            near.update(w for w, x in splits if oracle.contains(x))
+
+        def near_member(w: Word) -> bool:
+            if w in near:
+                return True
+            if w and reach > limit:
+                oracle.check_depth(limit + 1)
+            return False
+
+        return WordSet.from_predicate(oracle, near_member, name=name)
 
     def member(w: Word) -> bool:
         left, right = (w, EMPTY_WORD) if side == "right" else (EMPTY_WORD, w)
         x = oracle.connectors(left, right, range(reach + 1), obstructions.contains)
         return len(w) > 0 and next(x, None) is not None
 
-    return WordSet.from_predicate(oracle, member,
-                                  name=f"D{'+' if side == 'left' else '-'}")
+    return WordSet.from_predicate(oracle, member, name=name)
 
 
 def _assemble_cgc(pair, oracle, potential, M, N, tau, dminus, dplus, depth, margin):
@@ -573,17 +602,32 @@ def sync_decomposition(
 
     The synchronising property (vs, sw admissible implies vsw admissible)
     is verified exhaustively to the given depth; a failing pair raises
-    NotSynchronisingError with the witness."""
+    NotSynchronisingError with the witness.  Whether v.s.w is a word
+    depends on state(v.s) and domain(w) alone, so on a finite layer the
+    check reads one v per state and one w per domain from the class DPs of
+    ``tower`` and lists no word; a stepped layer lists both and keys them
+    with ``connector_classes``.  Either way the first failing pair is the
+    one the lists meet first."""
     d = depth if depth is not None else min(oracle.enumeration_limit // 2, 8)
     if not oracle.contains(s):
         raise NotSynchronisingError(f"{s} is not admissible", witness=s)
-    rights = list(oracle.connectors(s, EMPTY_WORD, range(d + 1)))
-    lefts = list(oracle.connectors(EMPTY_WORD, s, range(d + 1)))
     # v.s.w is a word iff the empty connector joins v.s to w
-    left_keys, right_keys, search = oracle.connector_classes([v + s for v in lefts], rights)
-    for (kv, i), (kw, j) in itertools.product(left_keys.items(), right_keys.items()):
+    if oracle.transitions is not None:
+        from .tower import _check_lengths, _left_classes, _right_classes
+
+        _check_lengths(oracle, range(d + 1))
+        rights = _right_classes(oracle, s, d, through_prefix=False)
+        lefts = _left_classes(oracle, s, EMPTY_WORD, d)
+        search = oracle._walk
+    else:
+        right_words = list(oracle.connectors(s, EMPTY_WORD, range(d + 1)))
+        left_words = list(oracle.connectors(EMPTY_WORD, s, range(d + 1)))
+        left_keys, right_keys, search = oracle.connector_classes(
+            [v + s for v in left_words], right_words)
+        lefts = {k: left_words[i] for k, i in left_keys.items()}
+        rights = {k: right_words[j] for k, j in right_keys.items()}
+    for (kv, v), (kw, w) in itertools.product(lefts.items(), rights.items()):
         if next(search(kv, kw, (0,)), None) is None:
-            v, w = lefts[i], rights[j]
             raise NotSynchronisingError(
                 f"{v} and {w} witness failure of synchronisation for {s}",
                 witness=(v, w),

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import groupby, product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Alphabet,
@@ -70,18 +70,181 @@ def _starting_with(good: WordSet, prefix: Word, max_len: int) -> list[Word]:
     return out
 
 
+class _LexLevels:
+    """A lexicographically-first DP over a finite layer: ``levels[n]`` is
+    [(node, least word of length n reaching it)], in the order of those
+    words, each level made from the last by ``grow(oracle, level)``.  The
+    levels stop at the first node set that repeats an earlier one: each
+    level's nodes are a function of the last level's, so the sets that
+    follow would repeat too and reach no node first."""
+
+    def __init__(self, root, grow: Callable):
+        self.levels = [[(root, EMPTY_WORD)]]
+        self.grow = grow
+        self._seen = {frozenset([root])}
+        self._closed = False
+
+    def upto(self, oracle: LanguageOracle, n: int) -> list[list[tuple]]:
+        """Levels 0..n, fewer where the node sets start to repeat."""
+        levels = self.levels
+        while not self._closed and len(levels) <= n:
+            nxt = self.grow(oracle, levels[-1])
+            nodes = frozenset(nxt)
+            if nodes in self._seen:
+                self._closed = True
+            else:
+                self._seen.add(nodes)
+                levels.append(list(nxt.items()))
+        return levels[: max(n + 1, 0)]
+
+
+def _appended(oracle: LanguageOracle, level: list[tuple[int, Word]]) -> dict:
+    """The next level of least words by state: symbols appended, ascending,
+    to each word in order, so each state is met first through its least
+    word."""
+    rows, nxt = oracle.transitions, {}
+    for q, w in level:
+        for a, t in rows[q].items():
+            if t not in nxt:
+                nxt[t] = w + (a,)
+    return nxt
+
+
+def _prepended(oracle: LanguageOracle, level: list[tuple[frozenset[int], Word]]) -> dict:
+    """The next level of least words by nonempty domain: domain(a.y) is the
+    preimage under a of domain(y), so symbols a are prepended, ascending,
+    each to every word in order, and each domain is met first through its
+    least word."""
+    nxt = {}
+    for a in range(oracle.alphabet.size):
+        for dom, w in level:
+            got = oracle.preimage(a, dom)
+            if got and got not in nxt:
+                nxt[got] = (a,) + w
+    return nxt
+
+
+class _FirstWords:
+    """The two class DPs that the synchronisation checks read in place of
+    lists of words, kept on a finite-layer oracle (``_first_words``) and
+    extended by length: the least word reaching each layer state
+    (``states``), and the least word with each nonempty domain, the states
+    from which it can be read (``domains``; Lind & Marcus, sec. 3.3)."""
+
+    def __init__(self, oracle: LanguageOracle):
+        self.states = _LexLevels(oracle.start, _appended)
+        self.domains = _LexLevels(frozenset(range(len(oracle.transitions))), _prepended)
+
+
+def _first_words(oracle: LanguageOracle) -> _FirstWords:
+    if oracle._first_words is None:
+        oracle._first_words = _FirstWords(oracle)
+    return oracle._first_words
+
+
+def _read(rows: list[dict[int, int]], q: int | None, w: Word) -> int | None:
+    """q.w on a finite layer, None once it dies."""
+    for a in w:
+        if q is None:
+            return None
+        q = rows[q].get(a)
+    return q
+
+
+def _check_lengths(oracle: LanguageOracle, lengths: range) -> None:
+    """DepthExceededError at the first length past the enumeration limit, as
+    listing the words of each length in turn would raise."""
+    for n in lengths:
+        oracle.check_depth(n)
+
+
+def _left_classes(oracle: LanguageOracle, suffix: Word, tail: Word, longest: int) -> dict:
+    """{state(x.suffix.tail): x} on a finite layer, for the least x of each
+    key by length, then lexicographically, over the x with |x| <= longest
+    and x.suffix a word; the key is None where x.suffix.tail is no word.
+    The key is read once per state of x."""
+    rows, out, keys = oracle.transitions, {}, {}
+    for level in _first_words(oracle).states.upto(oracle, longest):
+        for q, x in level:
+            if q not in keys:
+                t = _read(rows, q, suffix)
+                keys[q] = (t is not None, _read(rows, t, tail))
+            alive, key = keys[q]
+            if alive and key not in out:
+                out[key] = x
+    return out
+
+
+def _right_classes(oracle: LanguageOracle, prefix: Word, longest: int, *,
+                   through_prefix: bool = True) -> dict:
+    """{domain(prefix.y): y} on a finite layer (domain(y) when not
+    ``through_prefix``), for the least y of each key by length, then
+    lexicographically, over the y with |y| <= longest and prefix.y a word.
+    A domain D is kept when it holds state(prefix), and its key {t:
+    t.prefix in D} is made once."""
+    rows = oracle.transitions
+    q = oracle.state(prefix)
+    ends = [_read(rows, t, prefix) for t in range(len(rows))]
+    out, keys = {}, {}
+    for level in _first_words(oracle).domains.upto(oracle, longest):
+        for dom, y in level:
+            if q not in dom:
+                continue
+            key = keys.get(dom)
+            if key is None:
+                key = keys[dom] = frozenset(
+                    t for t, e in enumerate(ends) if e in dom) if through_prefix else dom
+            if key not in out:
+                out[key] = y
+    return out
+
+
+def _pair_classes(oracle: LanguageOracle, good: WordSet, r: Word, c: Word, s: Word,
+                  depth: int, *, rights_first: bool) -> tuple[dict, dict, Callable]:
+    """The good words r' ending with r and s' starting with s, of length at
+    most depth, by the classes of ``LanguageOracle.connector_classes``: {key:
+    first r'} with r'.c keyed, {key: first s'}, and ``search(left key, right
+    key, lengths)``, which yields the connectors u with r'.c.u.s' good, for
+    every r', s' in those classes.
+
+    Where the good set is the whole language over a finite layer, the keys
+    are state(r'.c) and domain(s'), read from the class DPs
+    (``_left_classes``, ``_right_classes``) without listing a word, and the
+    search walks the followers of the state.  Elsewhere both lists are
+    listed and handed to ``connector_classes``.  Either way keys come in
+    the (length, lexicographic) order of their first words, so a scan over
+    key pairs meets the same first pair, and a list past the enumeration
+    limit raises the same error (the rights first when ``rights_first``)."""
+    if oracle.transitions is not None and good.is_full_language and good.oracle is oracle:
+        spans = [range(len(r), depth + 1), range(len(s), depth + 1)]
+        for span in spans[::-1] if rights_first else spans:
+            _check_lengths(oracle, span)
+        return ({k: x + r for k, x in _left_classes(oracle, r, c, depth - len(r)).items()},
+                {k: s + y for k, y in _right_classes(oracle, s, depth - len(s)).items()},
+                oracle._walk)
+    if rights_first:
+        right_words, left_words = _starting_with(good, s, depth), _ending_with(good, r, depth)
+    else:
+        left_words, right_words = _ending_with(good, r, depth), _starting_with(good, s, depth)
+    left_keys, right_keys, search = oracle.connector_classes(
+        [w + c for w in left_words], right_words, good.contains)
+    return ({k: left_words[i] for k, i in left_keys.items()},
+            {k: right_words[j] for k, j in right_keys.items()}, search)
+
+
 def verify_sync_triple(triple: SyncTriple, oracle: LanguageOracle, good: WordSet,
                        cert_depth: int) -> tuple[Word, Word] | None:
     """Exhaustive check of the triple property up to cert_depth; returns a
-    failing (r', s') pair or None."""
-    rights = _starting_with(good, triple.s, cert_depth)
-    lefts = _ending_with(good, triple.r, cert_depth)
-    # r'.c.s' is good iff the empty connector joins r'.c to s'
-    left_keys, right_keys, search = oracle.connector_classes(
-        [rp + triple.c for rp in lefts], rights, good.contains)
-    for (kl, i), (kr, j) in product(left_keys.items(), right_keys.items()):
+    failing (r', s') pair or None.  r'.c.s' is good iff the empty connector
+    joins r'.c to s', so the check reads one r' and one s' per class of
+    ``_pair_classes``: with the whole language over a finite layer, one
+    per state(r'.c) and one per domain(s'), and no word is listed; a r'
+    with r'.c no word is a class of its own, on which the check fails."""
+    lefts, rights, search = _pair_classes(oracle, good, triple.r, triple.c, triple.s,
+                                          cert_depth, rights_first=True)
+    for (kl, left), (kr, right) in product(lefts.items(), rights.items()):
         if next(search(kl, kr, (0,)), None) is None:
-            return (lefts[i], rights[j])
+            return (left, right)
     return None
 
 
@@ -99,6 +262,13 @@ def find_sync_triple(
     synchronising triple candidate, and the property is then verified
     exhaustively to cert_depth.
 
+    A round reads one extension per class of ``_pair_classes``, since the
+    connectors of a pair depend on its classes alone.  With the whole
+    language over a finite layer those are one x.p per state and one q.y
+    per domain, read from the class DPs, so no round lists a word; stepped
+    layers and other good sets list both extensions and key them with
+    ``connector_classes``.  Both meet the pairs in the same order.
+
     The caller asserts that the good set satisfies the gluing condition for
     this tau; if the final verification fails, NotSpecifiedError is raised
     when the gluing condition itself fails at depth, otherwise
@@ -114,18 +284,17 @@ def find_sync_triple(
             f"seed pair has no connector of length <= {tau}; gluing fails"
         )
     while True:
-        lefts = _ending_with(good, p, cert_depth)
-        rights = _starting_with(good, q, cert_depth)
-        left_keys, right_keys, search = oracle.connector_classes(lefts, rights, good.contains)
-        for (kq, j), (kp, i) in product(right_keys.items(), left_keys.items()):
+        lefts, rights, search = _pair_classes(oracle, good, p, EMPTY_WORD, q, cert_depth,
+                                              rights_first=False)
+        for (kq, right), (kp, left) in product(rights.items(), lefts.items()):
             cs = frozenset(search(kp, kq, range(tau + 1)))
             if cs < current:
                 if not cs:
                     raise NotSpecifiedError(
-                        f"pair ({lefts[i]}, {rights[j]}) in the good set has no connector; "
+                        f"pair ({left}, {right}) in the good set has no connector; "
                         "gluing fails"
                     )
-                p, q, current = lefts[i], rights[j], cs
+                p, q, current = left, right, cs
                 break
         else:
             break

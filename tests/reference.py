@@ -5,7 +5,8 @@ enumeration checks of factoriality and extendability, beta membership by the suf
 periodic points and orbit measures by listing, S-gap periodic points by
 their cyclic gaps, the parse count behind unique decipherability, the obstruction complement of a decomposition, the
 synchronising times of a word, the union lemma on marking sets, and the
-binomial-entropy lemma of the proofs.  None of them runs in the library."""
+binomial-entropy lemma of the proofs, and ``cgc``'s near obstructions by a
+connector search per word.  None of them runs in the library."""
 
 from __future__ import annotations
 
@@ -285,6 +286,24 @@ def obstruction_complement(
     decompose = make_decomposer(collections)
     words = [w for m in range(1, n + 1) for w in oracle.words(m) if decompose(w) is None]
     return WordSet.from_words(oracle, words, depth=n), decompose
+
+
+def near_obstructions_by_search(obstructions: WordSet, oracle: LanguageOracle, reach: int,
+                                side: str) -> WordSet:
+    """``cgc``'s near obstructions D-+ as a connector search per word: w is
+    a member iff it is a nonempty word and some word x with |x| <= reach,
+    listed length by length, has w.x (side "right") or x.w (side "left") in
+    the collection, asked whether or not that is a word.  An empty list
+    gives the empty set."""
+    if obstructions.known_empty:
+        return WordSet.empty(oracle)
+
+    def member(w: Word) -> bool:
+        left, right = (w, EMPTY_WORD) if side == "right" else (EMPTY_WORD, w)
+        x = oracle.connectors(left, right, range(reach + 1), obstructions.contains)
+        return len(w) > 0 and next(x, None) is not None
+
+    return WordSet.from_predicate(oracle, member, name=f"D{'+' if side == 'left' else '-'}")
 
 
 @dataclass(frozen=True)
