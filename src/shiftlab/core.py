@@ -135,8 +135,9 @@ class LanguageOracle:
     depth limit, and ``connectors`` walks states.  The other layers step a
     real state and make each state's row on its first lookup: a beta shift
     steps its tie-automaton state with the length read, a signed or d >= 4
-    cocyclic shift its integer matrix product; their ``count(n)`` is the
-    same DP over the rows, behind the enumeration limit.
+    cocyclic shift its integer matrix product; their ``count(n)`` and
+    ``thermo``'s partition sums are the same DPs over the rows, behind the
+    enumeration limit.
     Optional fields:
 
     * ``locality``: window size m within which membership is decidable (SFT
@@ -499,13 +500,14 @@ class WordSet:
     step)`` read alongside the oracle's layer: ``step(p, a)`` is the next
     pattern state, or None to reject (so None is never a state).  ``paths``
     is then their product (Lind & Marcus, ch. 3), an oracle over (pattern
-    state, layer state) pairs, and ``count`` its count DP.  Over a finite
-    layer the product is finite too, ``layer``: the partition sums of
-    ``thermo`` are a transfer DP over it, and ``at`` filters its words by
-    the predicate.  Over a beta or signed cocyclic layer the product steps,
-    and ``count`` keeps the depth errors of listing.  The whole language
-    builds no product: its ``paths`` are the oracle itself, and its
-    transfer DP is kept on the oracle.  The contract: every word the
+    state, layer state) pairs, ``count`` its count DP, and the partition
+    sums of ``thermo`` a transfer DP over it.  Over a finite layer the
+    product is finite too, ``layer``, and ``at`` filters its words by the
+    predicate.  Over a beta or signed cocyclic layer the product steps, and
+    ``count`` and the sums keep the depth errors of listing
+    (``check_depth``).  The whole language builds no product: its
+    ``paths`` are the oracle itself, and its transfer DP is kept on the
+    oracle.  The contract: every word the
     predicate selects is a path of ``paths``.  ``count`` and the transfer
     DP read the paths themselves, so a set is counted or summed only at
     lengths where its paths are its words: a pattern that forces a symbol
@@ -696,8 +698,15 @@ class WordSet:
         if paths is None:
             return len(self.at(n))
         if paths.transitions is None:
-            self._check_depth(n)
+            self.check_depth(n)
         return paths.count(n)
+
+    def check_depth(self, n: int) -> None:
+        """The DepthExceededError that listing length n raises, in its
+        order: past the set's depth, then past the oracle's limit.  A set
+        over stepped paths asks it before it counts or sums them."""
+        self._check_depth(n)
+        self.oracle.check_depth(n)
 
     def _check_depth(self, n: int) -> None:
         """DepthExceededError past the set's depth, except on the whole

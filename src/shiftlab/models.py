@@ -7,8 +7,8 @@ lengths, code-automaton position sets, product supports); beta shifts
 step the tie automaton of z with the length read, and the other cocyclic
 shifts the integer product of their matrices.  No constructor checks
 factoriality or extendability; the tests check them by enumeration.
-numpy and mpmath are imported by the two functions that use them, so a
-run that needs neither does not load them.
+numpy is imported by the one function that uses it, so a run that needs
+no eigensolve does not load it.
 """
 
 from __future__ import annotations
@@ -220,45 +220,42 @@ _SNAP, _GUARD = 1e-12, 1e-9
 def _quasi_greedy_digits(beta: float, n: int) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
     """First n digits of the quasi-greedy expansion of 1 in base beta.
 
-    Runs the greedy algorithm in high precision.  A step landing within
-    ``_SNAP`` of an integer is snapped: the greedy expansion terminates there
-    and the quasi-greedy sequence is the terminating word with its last
-    digit decremented, repeated.  A step landing within ``_GUARD`` of an
-    integer but outside the snap zone cannot be resolved and raises
-    ExpansionUncertainError.
+    Runs the greedy map r -> beta r - floor(beta r) from r = 1 in integers:
+    beta is the binary rational num / 2**e that the float holds exactly,
+    and r is R / 2**prec with prec = 133 + n log2(beta) bits (at least
+    167).  A step multiplies by num and shifts right by e, so it is exact
+    while e k <= prec and then drops bits below 2**-prec; later steps
+    multiply that error by beta, so it stays below 2**-133 / (beta - 1).
+    A step landing within ``_SNAP`` of an integer is snapped: the greedy
+    expansion terminates there and the quasi-greedy sequence is the
+    terminating word with its last digit decremented, repeated.  A step
+    landing within ``_GUARD`` of an integer but outside the snap zone
+    cannot be resolved and raises ExpansionUncertainError.  Both bounds are
+    compared exactly, as multiples of 2**-prec.  Each digit is below beta
+    (r < 1), and a snap lands on an integer >= 1 (a kept r exceeds
+    ``_GUARD``, and beta r >= r).
     """
-    import mpmath as mp  # imported here, so only a beta given as a number pays for it
-
-    dps = max(50, 30 + int(n * math.log10(beta)) + 10)
-    with mp.workdps(dps):
-        b = mp.mpf(beta)
-        top = math.ceil(beta) - 1
-        r = mp.mpf(1)
-        digits: list[int] = []
-        for k in range(1, n + 1):
-            x = b * r
-            nearest = int(mp.nint(x))
-            dist = abs(x - nearest)
-            if dist <= _SNAP:
-                if nearest < 1:
-                    raise ExpansionUncertainError(
-                        f"digit {k} of the expansion of 1 in base {beta} is ambiguous near 0"
-                    )
-                period = tuple(digits + [nearest - 1])
-                return (), period
-            if dist <= _GUARD:
-                raise ExpansionUncertainError(
-                    f"digit {k} of the expansion of 1 in base {beta} cannot be resolved "
-                    f"within tolerance {_SNAP:g} (distance {float(dist):.3e} to integer)"
-                )
-            d = int(mp.floor(x))
-            if k > 1 and d > top:
-                raise ExpansionUncertainError(
-                    f"digit {k} exceeded the digit alphabet; beta too imprecise"
-                )
-            digits.append(d)
-            r = x - d
-        return tuple(digits), None
+    num, den = float(beta).as_integer_ratio()
+    e = den.bit_length() - 1
+    prec = max(167, 133 + math.ceil(n * math.log2(beta)))
+    one = 1 << prec
+    snap, guard = ((a << prec) >> (b.bit_length() - 1)
+                   for a, b in (_SNAP.as_integer_ratio(), _GUARD.as_integer_ratio()))
+    r, digits = one, []
+    for k in range(1, n + 1):
+        x = num * r >> e
+        d, f = x >> prec, x & (one - 1)
+        nearest, dist = (d, f) if 2 * f <= one else (d + 1, one - f)
+        if dist <= snap:
+            return (), tuple(digits + [nearest - 1])
+        if dist <= guard:
+            raise ExpansionUncertainError(
+                f"digit {k} of the expansion of 1 in base {beta} cannot be resolved "
+                f"within tolerance {_SNAP:g} (distance {dist / one:.3e} to integer)"
+            )
+        digits.append(d)
+        r = f
+    return tuple(digits), None
 
 
 def beta_shift(spec: BetaSpec, enumeration_limit: int | None = None) -> LanguageOracle:

@@ -45,21 +45,23 @@ def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
     """log Lambda_n(D, phi); -inf when D_n is empty.
 
     Zero potentials use exact integer counts (``WordSet.count``).  A set
-    with a finite ``layer`` (the language of a finite layer, whose layer is
-    the oracle's own, or a pattern over one) sums the transfer DP of that
-    layer (``_Transfer``) over (layer state, last <= r-1 symbols), with no
-    word listed and so at any n: each step adds phi of the r-window it
-    completes, and the last adds ``phi_tail``, so every path weighs exactly
-    e^{phi_hat(w)}.  The language's DP is kept on the oracle, one per
+    with ``paths`` (the language, whose paths are the oracle's own layer,
+    or a pattern set, whose paths are its product with that layer) sums
+    the transfer DP of its paths (``_Transfer``) over (path state, last
+    <= r-1 symbols), with no word listed: each step adds phi of the
+    r-window it completes, and the last adds ``phi_tail``, so every path
+    weighs exactly e^{phi_hat(w)}.  On a finite layer that holds at any n.
+    A stepped layer (beta, signed and d >= 4 cocyclic shifts, and their
+    products) first raises the depth errors that listing raises, in the
+    order ``WordSet.count`` raises them: the set's depth, then the
+    oracle's limit.  The language's DP is kept on the oracle, one per
     potential, so that every analysis of a config over that language reads
-    one DP.  Other sets (predicate and explicit sets; beta and signed or
-    d >= 4 cocyclic shifts) sum e^{phi_hat(w)} over the listed words, which
-    stays the reference; only listing meets the enumeration limit.  A
-    listed word of the language or of a predicate set drawn from it reads
-    phi_hat from its window sum carried from its prefix (``_phi_hats``),
-    bit for bit the value phi_hat computes.  Either way terms are combined
-    after a max shift with compensated summation in a fixed order, so the
-    result is reproducible; the two agree to rounding.
+    one DP.  Other sets (predicate sets with no pattern, explicit lists),
+    and a DP that meets a missing window or a word with no extension, sum
+    e^{phi_hat(w)} over the listed words, which raises what listing
+    raises.  Either way terms are combined after a max shift with
+    compensated summation in a fixed order, so the result is
+    reproducible; the two agree to rounding.
     """
     return _log_sum_and_sup(words, potential, n)[0]
 
@@ -70,47 +72,21 @@ def _log_sum_and_sup(words: WordSet, potential: Potential, n: int) -> tuple[floa
     if potential.is_zero:
         c = words.count(n)
         return (math.log(c) if c > 0 else NEG_INF), 0.0
-    layer = words.layer
-    if layer is not None and n >= 1:
+    paths = words.paths
+    if paths is not None and n >= 1:
+        if paths.transitions is None:
+            words.check_depth(n)
         memo = words.oracle._transfer if words.is_full_language else words.transfer_memo
-        got = _transfer(memo, potential, layer).total(layer, words.oracle, n)
+        got = _transfer(memo, potential, paths).total(paths, words.oracle, n)
         if got is not None:
             return got
         # a missing window or a stranded word: listing reports it exactly,
-        # or, past the enumeration limit, reports the limit
+        # or, past the enumeration limit of a finite layer, reports the limit
     elems = words.at(n)
     if not elems:
         return NEG_INF, NEG_INF
-    vals = _phi_hats(words, potential, n, elems)
+    vals = [phi_hat(potential, words.oracle, w) for w in elems]
     return log_sum_exp(vals), max(vals)
-
-
-def _phi_hats(words: WordSet, potential: Potential, n: int, elems) -> list[float]:
-    """phi_hat of each of ``elems``, the set's words of length n.  Where
-    they are drawn from ``oracle.words(n)`` (the whole language, or a
-    predicate set with no layer), each reads the window sum carried from
-    its prefix (``_CarriedSums``) and ``phi_tail`` at its state: the value
-    phi_hat takes, bit for bit, with no word read again.  A word with a
-    missing window or no extension asks phi_hat, which raises what listing
-    raises.  Other sets ask phi_hat of each word."""
-    oracle = words.oracle
-    drawn = words.is_full_language or (words._explicit is None and words.layer is None)
-    sums = _carried(oracle, potential, n) if drawn else None
-    if sums is None:
-        return [phi_hat(potential, oracle, w) for w in elems]
-    inner, tails = sums.at(oracle, n)
-    listed, states = oracle.words(n), oracle._states[n]
-    r, scale = potential.window, sums.scale
-    vals, i = [], 0
-    for w in elems:
-        while listed[i] != w:  # elems keep the order of listed
-            i += 1
-        s = inner[i]
-        tail = 0.0 if r == 1 or s is None else phi_tail(potential, oracle, states[i], tails[i])
-        vals.append(phi_hat(potential, oracle, w) if s is None or tail is None
-                    else s / scale + tail)
-        i += 1
-    return vals
 
 
 def _transfer(memo: dict, potential: Potential, layer: LanguageOracle) -> "_Transfer":
@@ -128,7 +104,12 @@ class _Transfer:
     extended one length at a time.  Its owner keeps it, the oracle for its
     language and a pattern set for its product; it holds no reference to
     either, and the layer and the oracle are passed in, so that no cycle
-    keeps an oracle and its ``words`` cache alive.
+    keeps an oracle and its ``words`` cache alive.  The layer is finite or
+    stepped: a stepped layer's rows are made as the DP first reads them,
+    and a row that raises (a beta digit past the certified depth) raises
+    here, as listing the words raises it.  A beta layer's states at length
+    j are (m, j) with m <= j, so F_j has at most (j + 1) k^(r-1) keys,
+    where listing reads every word.
 
     ``vectors[j]`` is the forward vector F_j.  Its keys are the DP states
     of the words w of length j, (layer state, last min(j, r-1) symbols),
@@ -177,8 +158,9 @@ class _Transfer:
     def total(self, layer: LanguageOracle, oracle: LanguageOracle,
               n: int) -> tuple[float, float] | None:
         """(log Lambda_n, max phi_hat) over the paths of length n >= 1, each
-        F_n value plus ``phi_tail`` at the oracle's state (the layer's own
-        state on the oracle, else the one in the product's label); -inf
+        F_n value plus ``phi_tail`` at the oracle's state: the layer's own
+        state on the oracle, else the second of the product's pair, which
+        a finite product keeps in its label and a stepped one is; -inf
         with no path.  None where listing must answer: a marked state, or a
         ``phi_tail`` that finds no extension or a missing window.  Then
         some word raises in phi_hat, and listing reports the same error
@@ -188,9 +170,10 @@ class _Transfer:
         vec = self.vector(layer._rows, n)
         got = None if vec else (NEG_INF, NEG_INF)
         if vec and None not in vec.values():
-            own = layer is oracle
+            own, labels = layer is oracle, layer.labels
             try:
-                tails = [phi_tail(self.potential, oracle, q if own else layer.labels[q][1], s)
+                tails = [phi_tail(self.potential, oracle,
+                                  q if own else (q if labels is None else labels[q])[1], s)
                          for q, s in vec]
             except NotInLanguageError:
                 tails = [None]
@@ -317,10 +300,10 @@ def cylinder_count_table(
     builds a product, and on a finite layer n may exceed the enumeration
     limit.
 
-    Errors: the pressure estimate comes first and reads every word of
+    Errors: the pressure estimate comes first and sums every word of
     lengths 1..n, so a missing window, a word with no extension or, on a
-    layer that lists its words, a length past the limit raises there, as
-    listing the language raises it.  A row that still meets one is
+    stepped layer, a length past the limit raises there, as listing the
+    language raises it.  A row that still meets one is
     answered by listing that position's words, rows in order, which raises
     what the listing raises.
     """
@@ -843,10 +826,11 @@ def hyperbolicity_diagnostic(
     log Lambda_n - log Lambda_{n-1} minus the sup Birkhoff rate.  The point
     estimate is ``rate_estimate`` of the table's own (n, log Lambda_n)
     values.  Each row's log Lambda_n and sup come from one pass over the
-    full language, the one behind ``log_partition_sum``: on a finite layer
-    the transfer DP and its max-plus twin, at any n_max; else one phi_hat
-    per listed word, to the oracle's enumeration limit.  At zero potential
-    the sum is the oracle's count and the sup 0.
+    full language, the one behind ``log_partition_sum``: the transfer DP
+    and its max-plus twin, at any n_max on a finite layer and to the
+    enumeration limit on a stepped one; one phi_hat per listed word only
+    where the DP meets a missing window or a word with no extension.  At
+    zero potential the sum is the oracle's count and the sup 0.
     Verdict is "hyperbolic-at-depth" iff over the last quarter of the table
     every gap exceeds 1e-9 (so rounding noise around an exact gap of 0 is
     no gap) and does not shrink on net (the oscillation tolerance scales

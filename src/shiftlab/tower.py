@@ -30,6 +30,7 @@ from .core import (
 from .errors import (
     CertExhaustedError,
     InconsistentDecipherabilityError,
+    NotInLanguageError,
     NotSpecifiedError,
     PeriodicFamilyError,
 )
@@ -527,8 +528,9 @@ def free_family_from_irreducibles(
     language and that no irreducible word splits into others (I n II must
     be empty).  The first check is a breadth-first search of the product of
     the code automaton, run from its boundary, with the oracle's layer, so
-    the closure is never listed; it names the lexicographically least
-    concatenation that leaves the language, at the shortest length.  Only
+    the closure is never listed; it raises NotInLanguageError naming the
+    lexicographically least concatenation that leaves the language, at the
+    shortest length: a finding about the shift, not a malformed input.  Only
     the supplied words need the split test: every other member is u + v
     for a supplied u and a nonempty member v, so it is reducible."""
     irr = sorted(set(irreducibles), key=lambda w: (len(w), w))
@@ -554,7 +556,8 @@ def free_family_from_irreducibles(
                     nxt[key] = w + (a,)
         for (s, q), w in nxt.items():
             if q is None and final[s]:
-                raise ValueError(f"concatenation {w} leaves the language; not a free family")
+                raise NotInLanguageError(
+                    f"concatenation {w} leaves the language; not a free family")
         level = nxt
     supplied = set(kept)
     computed = {w for w in kept if not out.splits(w)}

@@ -1,6 +1,8 @@
 """Plainly correct references that the tests compare the library with: an
-oracle whose state is the word itself, phi_hat by listing extensions,
-cylinder tables one start position's word set at a time, the
+oracle whose state is the word itself, cocyclic membership by the whole
+integer product, phi_hat by listing extensions, and in exact ``Fraction``
+arithmetic with 50-digit partition sums, the quasi-greedy expansion of 1
+in mpmath, cylinder tables one start position's word set at a time, the
 enumeration checks of factoriality and extendability, beta membership by the suffix scan,
 periodic points and orbit measures by listing, S-gap periodic points by
 their cyclic gaps, the parse count behind unique decipherability, the obstruction complement of a decomposition, the
@@ -27,8 +29,8 @@ from shiftlab.core import (
     phi_hat,
 )
 from shiftlab.decomp import Decomposition, TripleCollections, make_decomposer
-from shiftlab.errors import NoPeriodicPointsError, NotInLanguageError
-from shiftlab.models import BetaSpec, SGapSpec
+from shiftlab.errors import ExpansionUncertainError, NoPeriodicPointsError, NotInLanguageError
+from shiftlab.models import _GUARD, _SNAP, BetaSpec, SGapSpec
 from shiftlab.thermo import (
     NEG_INF,
     CylinderRow,
@@ -60,6 +62,23 @@ class WordStateOracle(LanguageOracle):
         return w if not w or (self.alphabet.valid(w) and self.membership(w)) else None
 
 
+def reference_cocyclic_contains(mats):
+    """The ordered product of the word's matrices in exact integers,
+    multiplied out from the identity: a member iff it is nonzero."""
+    d = len(mats[0])
+
+    def contains(w):
+        if w and not (min(w) >= 0 and max(w) < len(mats)):
+            return False
+        p = [[int(i == j) for j in range(d)] for i in range(d)]
+        for a in w:
+            m = mats[a]
+            p = [[sum(p[i][k] * m[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+        return any(any(row) for row in p)
+
+    return contains
+
+
 def phi_hat_by_extensions(potential: Potential, oracle: LanguageOracle, w: Word) -> float:
     """phi_hat read off directly: the fsum of the windows inside w, plus the
     max, over the (r-1)-symbol words e (lexicographically, the first max
@@ -84,6 +103,59 @@ def phi_hat_by_extensions(potential: Potential, oracle: LanguageOracle, w: Word)
         raise NotInLanguageError(
             f"word {w} has no admissible {r - 1}-symbol extension (oracle not extendable)")
     return fixed + max(potential.window_sum(u, 0, len(s)) for u in tails)
+
+
+def _exact_window_sum(potential: Potential, w: Word, start: int, stop: int) -> Fraction:
+    """``Potential.window_sum`` as an exact ``Fraction``, with its error."""
+    r = potential.window
+    try:
+        values = [potential.table[w[j:j + r]] for j in range(start, stop)]
+    except KeyError as exc:
+        raise NotInLanguageError(f"potential table has no entry for window {exc.args[0]}") from None
+    return sum(map(Fraction, values), Fraction(0))
+
+
+def phi_hat_exact(potential: Potential, oracle: LanguageOracle, w: Word) -> Fraction:
+    """``phi_hat_by_extensions`` in exact arithmetic: every window sum a
+    ``Fraction``, the same errors in the same order."""
+    if not w:
+        return Fraction(0)
+    if not oracle.contains(w):
+        raise NotInLanguageError(f"word {w} not in language of {oracle.name}")
+    if potential.is_zero:
+        return Fraction(0)
+    r, n = potential.window, len(w)
+    fixed = _exact_window_sum(potential, w, 0, n - r + 1) if n >= r else Fraction(0)
+    if r == 1:
+        return fixed
+    s = w[max(0, n - r + 1):]
+    tails = [s + e for e in itertools.product(range(oracle.alphabet.size), repeat=r - 1)
+             if oracle.contains(w + e)]
+    if not tails:
+        raise NotInLanguageError(
+            f"word {w} has no admissible {r - 1}-symbol extension (oracle not extendable)")
+    return fixed + max(_exact_window_sum(potential, u, 0, len(s)) for u in tails)
+
+
+def log_sum_and_sup_exact(potential: Potential, oracle: LanguageOracle,
+                          words: Iterable[Word]) -> tuple[float, float]:
+    """(log of the sum of e^{phi_hat(w)}, max phi_hat(w)) over ``words``,
+    each phi_hat an exact ``Fraction`` (``phi_hat_exact``, asked word by
+    word in order, so that the first error met is raised) and the log-sum
+    evaluated with mpmath at 50 digits, each rounded once to a float; both
+    -inf for no word."""
+    import mpmath
+
+    vals = [phi_hat_exact(potential, oracle, w) for w in words]
+    if not vals:
+        return NEG_INF, NEG_INF
+    top = max(vals)
+    with mpmath.workdps(50):
+        def mpf(x: Fraction):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        total = mpmath.fsum(mpmath.exp(mpf(v - top)) for v in vals)
+        return float(mpf(top) + mpmath.log(total)), float(top)
 
 
 def position_set(oracle: LanguageOracle, v: Word, i: int, depth: int) -> WordSet:
@@ -163,6 +235,42 @@ def beta_suffix_scan(spec: BetaSpec, w: Word) -> bool:
     n = len(w)
     z = tuple(spec.digit(i) for i in range(1, n + 1))
     return all(w[k:] <= z[: n - k] for k in range(n))
+
+
+def quasi_greedy_digits_mpmath(beta: float, n: int
+                               ) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """``models._quasi_greedy_digits`` as it was computed before it ran in
+    integers: the greedy map in mpmath at max(50, 40 + n log10 beta)
+    digits, nearest integers by ``nint``, and the snap, guard, near-zero
+    and digit-alphabet checks, with the same messages."""
+    import mpmath as mp
+
+    dps = max(50, 30 + int(n * math.log10(beta)) + 10)
+    with mp.workdps(dps):
+        b = mp.mpf(beta)
+        top = math.ceil(beta) - 1
+        r = mp.mpf(1)
+        digits: list[int] = []
+        for k in range(1, n + 1):
+            x = b * r
+            nearest = int(mp.nint(x))
+            dist = abs(x - nearest)
+            if dist <= _SNAP:
+                if nearest < 1:
+                    raise ExpansionUncertainError(
+                        f"digit {k} of the expansion of 1 in base {beta} is ambiguous near 0")
+                return (), tuple(digits + [nearest - 1])
+            if dist <= _GUARD:
+                raise ExpansionUncertainError(
+                    f"digit {k} of the expansion of 1 in base {beta} cannot be resolved "
+                    f"within tolerance {_SNAP:g} (distance {float(dist):.3e} to integer)")
+            d = int(mp.floor(x))
+            if k > 1 and d > top:
+                raise ExpansionUncertainError(
+                    f"digit {k} exceeded the digit alphabet; beta too imprecise")
+            digits.append(d)
+            r = x - d
+        return tuple(digits), None
 
 
 def periodic_points_listing(oracle: LanguageOracle, n: int,

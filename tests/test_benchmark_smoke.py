@@ -157,3 +157,55 @@ def test_report_digests_rejects_an_unknown_catalog(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no_such_catalog" in captured.err
+
+
+_diff_spec = importlib.util.spec_from_file_location("report_diff", ROOT / "scripts" / "report_diff.py")
+report_diff = importlib.util.module_from_spec(_diff_spec)
+_diff_spec.loader.exec_module(report_diff)
+
+
+def _dump(log_sum="0.69314718055994529", zero="0", word="01", status="ok"):
+    return {"x.000": [{"op": "pressure_estimate", "status": status,
+                       "result": {"rows": [{"log_sum": log_sum, "n": 3}], "sup": zero,
+                                  "word": word}}],
+            "x.001": {"raised": "ConfigError: config invalid"}}
+
+
+def test_report_diff_prints_moved_floats_and_exits_zero(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(_dump()))
+    b.write_text(json.dumps(_dump(log_sum="0.69314718055994573", zero="1e-300")))
+    assert report_diff.main([str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("x.000 [0].result.rows[0].log_sum 6.4")
+    # "0" is how format17 writes 0.0: a float, since the other side has an exponent
+    assert lines[1:] == ["x.000 [0].result.sup 1", "x.000 max 1", "1 configs differ"]
+    assert report_diff.main([str(a), str(a)]) == 0
+    assert capsys.readouterr().out == "0 configs differ\n"
+
+
+@pytest.mark.parametrize("changed, line", [
+    (_dump(word="10"), 'x.000 [0].result.word "01" -> "10"'),
+    (_dump(status="error"), 'x.000 [0].status "ok" -> "error"'),
+    ({"x.000": [], "x.001": _dump()["x.001"]}, "x.000 length 1 -> 0"),
+    ({"x.000": _dump()["x.000"]}, "x.001 only in A"),
+])
+def test_report_diff_exits_one_when_another_value_moves(tmp_path, capsys, changed, line):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(_dump()))
+    b.write_text(json.dumps(changed))
+    assert report_diff.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert line in out.splitlines() and out.endswith("a value other than a float moved\n")
+
+
+def test_report_diff_dumps_one_smoke_catalog(tmp_path, capsys):
+    path = tmp_path / "dump.json"
+    assert report_diff.main(["--dump", str(path), "tower_dp.smoke"]) == 0
+    dumped = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(dumped) == sorted(entry["id"] for entry in _catalog("tower_dp.smoke"))
+    assert all(isinstance(v, list) and all("status" in a for a in v) or "raised" in v
+               for v in dumped.values())
+    assert report_diff.main([str(path), str(path)]) == 0
+    assert capsys.readouterr().out == "0 configs differ\n"
+    assert report_diff.main(["--dump"]) == 2

@@ -373,6 +373,18 @@ def test_validate_rejects_marking_irreducibles_that_split():
     assert [d["field"] for d in cli.validate(cfg)] == ["analyses[0].irreducibles"]
 
 
+def test_run_records_a_concatenation_outside_the_language_as_a_domain_error():
+    # ROADMAP finding 1's example: the irreducibles 0 and 1 concatenate to
+    # 11, which leaves the golden-mean language.  run recorded an internal
+    # ValueError; that is a finding about the shift, a NotInLanguageError
+    cfg = {"shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
+           "analyses": [{"op": "marking", "irreducibles": ["0", "1"], "window": "0"}]}
+    assert cli.validate(cfg) == []
+    entry = cli.run(cfg)["analyses"][0]
+    assert (entry["status"], entry["error"]) == (
+        "error", "NotInLanguageError: concatenation (1, 1) leaves the language; not a free family")
+
+
 @pytest.mark.parametrize("analysis", [
     {"op": "marking", "irreducibles": ["", "0", "1"], "window": "0"},
     {"op": "ud_check", "irreducibles": ["", "0"]},

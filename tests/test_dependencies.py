@@ -1,6 +1,5 @@
 """The package imports only what pyproject.toml declares: the standard
-library, numpy and mpmath (and itself), the last two only where they are
-used; and every definition in it has a reader in it, so that the package is
+library and numpy (and itself), numpy only where it is used; and every definition in it has a reader in it, so that the package is
 what its front end reaches."""
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "shiftlab"
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "mpmath", "shiftlab"}
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "shiftlab"}
 
 
 def _imported(tree: ast.AST):
@@ -58,16 +57,18 @@ def _modules_loaded_by_validate(config: dict, run: bool = False,
     return json.loads(proc.stdout)
 
 
-def test_numpy_and_mpmath_are_imported_only_where_used():
-    # numpy serves the exact-entropy eigensolve and mpmath the expansion of
-    # a beta given as a number, so validating an SFT config, whose
-    # entropy_exact does not run, loads neither; a beta base loads mpmath
+def test_numpy_is_imported_only_where_used_and_mpmath_nowhere():
+    # numpy serves the exact-entropy eigensolve, so validating an SFT
+    # config, whose entropy_exact does not run, does not load it; the
+    # expansion of a beta given as a number runs in integers, so running a
+    # beta base's pressure table loads neither (mpmath serves the tests'
+    # references only)
     sft = {"shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
            "potential": "zero", "analyses": [{"op": "entropy_exact"}]}
     assert _modules_loaded_by_validate(sft) == {"numpy": False, "mpmath": False}
     beta = {"shift": {"family": "beta", "beta": 1.5}, "potential": "zero",
             "analyses": [{"op": "pressure_estimate", "n_max": 8}]}
-    assert _modules_loaded_by_validate(beta) == {"numpy": False, "mpmath": True}
+    assert _modules_loaded_by_validate(beta, run=True) == {"numpy": False, "mpmath": False}
 
 
 def test_decomp_and_tower_are_imported_only_where_used():

@@ -23,8 +23,9 @@ exact reference), S-gap periodic points with their cyclic gaps.
 
 Beta and signed or 4 x 4 cocyclic oracles, which step their tie-automaton
 state or integer product, are compared with ``reference.WordStateOracle``
-(each word its own state) on words, counts, pattern-set counts, phi_hat and
-partition sums, bit for bit and error for error.
+(each word its own state) on words, counts, pattern-set counts and phi_hat,
+bit for bit and error for error, and on partition sums, which sum the
+transfer DP, to 1e-12 of the exact reference.
 
 For every family, beta and cocyclic shifts included, ``words(n)`` is also
 compared with the sorted filter of all words of length n by ``contains``.
@@ -59,11 +60,13 @@ from reference import (
     check_factorial,
     cylinder_sums_by_positions,
     cylinder_table_by_positions,
+    log_sum_and_sup_exact,
     periodic_orbit_measure_exact,
     periodic_orbit_measure_listing,
     periodic_points_listing,
     phi_hat_by_extensions,
     position_set,
+    reference_cocyclic_contains,
     s_gap_cyclic_gaps_ok,
     WordStateOracle,
 )
@@ -341,23 +344,6 @@ def test_distinct_star_counts_match_listing(instance):
 
 
 # -- cocyclic shifts -------------------------------------------------------------
-
-def reference_cocyclic_contains(mats):
-    """The ordered product of the word's matrices in exact integers,
-    multiplied out from the identity: a member iff it is nonzero."""
-    d = len(mats[0])
-
-    def contains(w):
-        if not _valid(len(mats), w):
-            return False
-        p = [[int(i == j) for j in range(d)] for i in range(d)]
-        for a in w:
-            m = mats[a]
-            p = [[sum(p[i][k] * m[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-        return any(any(row) for row in p)
-
-    return contains
-
 
 @st.composite
 def nonnegative_cocyclic_instances(draw):
@@ -964,8 +950,9 @@ def test_pattern_set_lists_its_layer_words_as_the_language_filter(oracle, data):
 # and d >= 4 cocyclic shifts their integer matrix product.  The reference
 # reads every word from its first symbol (``reference.WordStateOracle``,
 # over the suffix scan and the whole product), and every outcome must be
-# the same: words, counts, pattern-set counts, phi_hat and partition sums
-# bit for bit, and errors by class and message.
+# the same: words, counts, pattern-set counts and phi_hat bit for bit, and
+# errors by class and message; partition sums, which the transfer DP sums,
+# agree within 1e-12 with the exact sums over the reference's words.
 
 @st.composite
 def stepped_instances(draw):
@@ -1071,12 +1058,13 @@ def test_stepped_pattern_sets_count_as_their_listing(instance, data):
 
 @settings(max_examples=50, deadline=None)
 @given(stepped_instances(), st.data())
-def test_stepped_phi_hat_and_sums_match_the_word_state_bit_for_bit(instance, data):
-    # phi_hat of every listed word, and the partition sum and sup of the
-    # language, the avoid-symbol set and a cylinder position's set, which
-    # read each word's sum carried from its prefix: against phi_hat by
-    # listed extensions over the reference, word by word in order, so
-    # that a missing window raises NotInLanguageError at the same word
+def test_stepped_phi_hat_matches_the_word_state_and_sums_the_exact_reference(instance, data):
+    # phi_hat of every listed word bit for bit, against phi_hat by listed
+    # extensions over the reference, word by word in order, so that a
+    # missing window raises NotInLanguageError at the same word; and the
+    # partition sum and sup of the language, the avoid-symbol set and a
+    # cylinder position's set, which sum the transfer DP of their paths,
+    # within 1e-12 of the exact sums over the reference's words
     oracle, ref = instance
     potential = data.draw(stepped_tables(oracle.alphabet))
     assume(not potential.is_zero)  # zero potentials count, as the tests above check
@@ -1095,13 +1083,11 @@ def test_stepped_phi_hat_and_sums_match_the_word_state_bit_for_bit(instance, dat
                 (position_set(oracle, (a,), n, n),
                  [w for w in ref.words(n) if w[n - 1] == a])]
         for words, expect in sets:
-            def listing():
-                vals = [phi_hat_by_extensions(potential, ref, w) for w in expect]
-                return (sl.core.log_sum_exp(vals), max(vals)) if vals else (
-                    thermo.NEG_INF, thermo.NEG_INF)
-
-            assert _bits(_either(thermo._log_sum_and_sup, words, potential, n)) == _bits(
-                _either(listing)), (words, n)
+            got = _either(thermo._log_sum_and_sup, words, potential, n)
+            exact = _either(log_sum_and_sup_exact, potential, ref, expect)
+            assert got[0] == exact[0] and (got == exact if got[0] == "raises" else all(
+                x == y or math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12)
+                for x, y in zip(got[1], exact[1]))), (words, n, got, exact)
 
 
 def test_beta_words_step_each_listed_word_once():

@@ -3,11 +3,13 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
 from shiftlab.errors import DepthExceededError, EmptyLanguageError, ExpansionUncertainError
+from shiftlab.models import _quasi_greedy_digits
 
-from reference import check_extendable, check_factorial
+from reference import check_extendable, check_factorial, quasi_greedy_digits_mpmath
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 LOG_GOLDEN = math.log(GOLDEN_RATIO)
@@ -153,6 +155,55 @@ def test_quasi_greedy_uncertain_near_boundary():
     # tolerance and the guard
     with pytest.raises(ExpansionUncertainError):
         _z(sl.BetaSpec.from_beta(GOLDEN_RATIO + 1e-11, 8), 8)
+
+
+def _expansion(digits, beta, n):
+    try:
+        return digits(beta, n)
+    except ExpansionUncertainError as exc:
+        return "raises", str(exc)
+
+
+#: snapped bases (integers, the golden mean, an integer plus a step inside
+#: the snap zone) and bases whose first or second step lands in the guard
+#: zone, between the snap tolerance and the guard
+_SNAPPED = [(2.0, (1,)), (3.0, (2,)), (8.0, (7,)), (GOLDEN_RATIO, (1, 0)),
+            (2 + 1e-13, (1,)), (TRIBONACCI, None)]
+_GUARDED = [(2 + 5e-10, 1), (3 - 2e-10, 1), (GOLDEN_RATIO + 1e-11, 2), (GOLDEN_RATIO - 3e-11, 2)]
+
+
+@pytest.mark.parametrize("beta, period", _SNAPPED)
+def test_quasi_greedy_snaps_as_the_reference(beta, period):
+    for n in (1, 2, 3, 24, 80):
+        got = _expansion(_quasi_greedy_digits, beta, n)
+        assert got == _expansion(quasi_greedy_digits_mpmath, beta, n), n
+        if period is not None and n >= len(period):
+            assert got == ((), period), n
+
+
+@pytest.mark.parametrize("beta, k", _GUARDED)
+def test_quasi_greedy_guard_raises_as_the_reference(beta, k):
+    for n in (k, k + 1, 80):
+        got = _expansion(_quasi_greedy_digits, beta, n)
+        assert got[0] == "raises" and got[1].startswith(f"digit {k} of the expansion"), n
+        assert got == _expansion(quasi_greedy_digits_mpmath, beta, n), n
+    assert _expansion(_quasi_greedy_digits, beta, k - 1)[0] != "raises"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1.0, 8.0, exclude_min=True), st.integers(1, 80))
+def test_quasi_greedy_digits_match_the_mpmath_expansion(beta, n):
+    # digits, period and error, class and message, as the 50-digit mpmath
+    # greedy map gives them; every digit lies in the digit alphabet, so the
+    # reference's alphabet and near-zero errors, which the integer map no
+    # longer checks, never fire
+    got = _expansion(_quasi_greedy_digits, beta, n)
+    assert got == _expansion(quasi_greedy_digits_mpmath, beta, n)
+    if got[0] != "raises":
+        pre, period = got
+        top = math.ceil(beta) - 1
+        assert all(0 <= d <= top for d in pre + (period or ()))
+        assert len(pre) == n if period is None else not pre and len(period) <= n
 
 
 def test_beta_spec_sum_check():

@@ -12,6 +12,7 @@ from shiftlab import tower
 from shiftlab.core import WordSet
 from shiftlab.errors import (
     InconsistentDecipherabilityError,
+    NotInLanguageError,
     NotSpecifiedError,
     PeriodicFamilyError,
 )
@@ -146,7 +147,7 @@ def test_free_family_rejects_reducible_supply(full2):
 
 def test_free_family_rejects_language_escape(golden):
     one = golden.alphabet.word("1")
-    with pytest.raises(ValueError):
+    with pytest.raises(NotInLanguageError, match=r"concatenation \(1, 1\) leaves the language"):
         sl.free_family_from_irreducibles(golden, [one], 4)  # 11 leaves L
     # the tabulated code automaton reads symbols 0, 1, ... only, so a
     # negative symbol is refused before the search could miss it
@@ -510,7 +511,8 @@ def _reference_free_family(oracle, supply, depth):
         seen = {u + t for u in irr if len(u) <= n for t in members[n - len(u)]}
         for w in sorted(seen):
             if not oracle.contains(w):
-                raise ValueError(f"concatenation {w} leaves the language; not a free family")
+                raise NotInLanguageError(
+                    f"concatenation {w} leaves the language; not a free family")
         members[n] = sorted(seen)
     fam = {n: tuple(ws) for n, ws in members.items() if n > 0}
     out = _finish_family(oracle, depth, fam, None)
@@ -600,7 +602,8 @@ def test_indexed_loop_dp_is_bit_identical_to_reference(instance):
 def test_free_family_split_test_matches_reference(instance, extra, depth, shift):
     # extra words (possibly empty, reducible or outside the alphabet) and the
     # golden-mean and beta = 1.8 shifts, where concatenations can leave the
-    # language, exercise every ValueError; the beta shift has no finite
+    # language, exercise every ValueError and the NotInLanguageError of a
+    # concatenation that leaves the language; the beta shift has no finite
     # layer, so the product search runs its word-state step
     k, code, _ = instance
     oracle = {
@@ -613,8 +616,8 @@ def test_free_family_split_test_matches_reference(instance, extra, depth, shift)
     def outcome(build):
         try:
             fam = build(oracle, supply, depth)
-        except ValueError as exc:
-            return str(exc)
+        except (ValueError, NotInLanguageError) as exc:
+            return type(exc).__name__, str(exc)
         return fam.members, list(fam.irreducibles.items()), fam.gcd_lengths
 
     assert outcome(sl.free_family_from_irreducibles) == outcome(_reference_free_family)

@@ -1,4 +1,5 @@
-"""The transfer-DP partition sums of finite layers against listing words.
+"""The transfer-DP partition sums of finite and stepped layers against
+listing words.
 
 On a finite layer, ``log_partition_sum``, the hyperbolicity sup and the
 cylinder tables sum over (layer state, last r-1 symbols) instead of over
@@ -17,10 +18,18 @@ equal, and an error must have the same class and message.  The one
 exception is a length past the tested oracle's limit that the DP cannot
 answer (some word raises): it falls back to listing, which reports the
 limit, where the deeper reference reports the word's error.
+
+Beta and signed or 4 x 4 cocyclic layers step, and their language and
+avoid-symbol sets are summed by the same DP over their stepped rows; they
+are compared with exact ``Fraction`` sums over the words of a word-state
+twin (``reference.log_sum_and_sup_exact``), to one past the limit and
+past z's certified depth, and a beta pressure table is read to length
+40 with ``LanguageOracle.words`` made to fail.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import math
@@ -36,11 +45,13 @@ from shiftlab.core import WordSet
 from shiftlab.errors import (
     DepthExceededError,
     EmptyLanguageError,
+    ExpansionUncertainError,
     NotInLanguageError,
     ShiftLabError,
 )
 
-from reference import WordStateOracle
+import reference
+from reference import WordStateOracle, beta_suffix_scan, reference_cocyclic_contains
 
 TOL = 1e-12
 
@@ -394,19 +405,158 @@ def test_hyperbolicity_reads_no_gap_in_rounding_noise(oracle, potential, n_max, 
     assert rep.verdict == "not-hyperbolic-at-depth"
 
 
-def test_hyperbolicity_weighs_each_listed_word_once(monkeypatch):
-    # beta and cocyclic shifts list their words: the sum and the sup share
-    # one value per word, read from the window sum carried from its prefix,
-    # so no word is read again by phi_hat; each row's sup is, bit for bit,
-    # the max of phi_hat over the words
-    calls = []
-    monkeypatch.setattr(thermo, "phi_hat", lambda p, o, w: calls.append(w) or sl.phi_hat(p, o, w))
+def test_hyperbolicity_lists_no_beta_word(monkeypatch):
+    # a beta shift's sum and sup come from the transfer DP over its stepped
+    # layer, as a finite layer's do: no word is listed and none is read by
+    # phi_hat, and each row's sup is within 1e-12 of the max of phi_hat
+    # over the words
     beta = sl.beta_shift(sl.BetaSpec.from_beta(1.8, 12))
     pot = sl.Potential.from_strings(beta.alphabet, 2, {"00": 0.3, "01": -0.2, "10": 0.5, "11": 0.1})
-    rep = sl.hyperbolicity_diagnostic(beta, pot, 10)
+    calls = []
+    monkeypatch.setattr(thermo, "phi_hat", lambda p, o, w: calls.append(w) or sl.phi_hat(p, o, w))
+    with monkeypatch.context() as m:
+        m.setattr(sl.LanguageOracle, "words", _no_listing)
+        rep = sl.hyperbolicity_diagnostic(beta, pot, 10)
     assert calls == []
     for n, row in enumerate(rep.rows, 1):
-        assert row.sup_rate == max(sl.phi_hat(pot, beta, w) for w in beta.words(n)) / n
+        assert _close(row.sup_rate, max(sl.phi_hat(pot, beta, w) for w in beta.words(n)) / n)
+
+
+def _no_listing(oracle, n):
+    raise AssertionError(f"words({n}) listed")
+
+
+# -- stepped layers: the DP against the exact listing -----------------------------------
+#
+# Beta and signed or d = 4 cocyclic layers are not finite, but their
+# language and pattern sets have stepped paths, and the same transfer DP
+# sums them.  The reference lists the words over the layer's
+# ``WordStateOracle`` (the suffix scan or the whole product), with the
+# same limit, name and certified depth, and sums exact ``Fraction``
+# phi_hats at 50 digits (``reference.log_sum_and_sup_exact``).  Sums and
+# sups must agree within 1e-12, and errors (past the limit or the set's
+# depth, past z's certified depth, a missing window, a stranded word) by
+# class and message.
+
+@st.composite
+def stepped_layers(draw):
+    """(stepped oracle, its word-state reference): a beta shift from a
+    periodic or aperiodic z or from a base, a signed 2 x 2 cocyclic shift
+    or a 4 x 4 one, with an enumeration limit of 3-6."""
+    limit = draw(st.integers(3, 6))
+    kind = draw(st.sampled_from(["periodic", "aperiodic", "base", "signed", "d4"]))
+    digits = st.lists(st.integers(0, 2), min_size=1, max_size=limit + 1)
+    if kind in ("periodic", "aperiodic", "base"):
+        if kind == "base":
+            try:
+                spec = sl.BetaSpec.from_beta(draw(st.floats(1.05, 3.5)), limit)
+            except ExpansionUncertainError:
+                assume(False)
+        else:
+            period = draw(digits) if kind == "periodic" else None
+            spec = sl.BetaSpec.from_sequence(draw(digits), period, depth=limit)
+        oracle = sl.beta_shift(spec)
+        member = functools.partial(beta_suffix_scan, spec)
+    else:
+        d = 2 if kind == "signed" else 4
+        entries = st.sampled_from([-1, 0, 1]) if d == 2 else st.integers(-1, 2)
+        matrix = st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d)
+        mats = draw(st.lists(matrix, min_size=2, max_size=3))
+        if d == 2:
+            assume(any(x < 0 for m in mats for row in m for x in row))
+        oracle = sl.cocyclic_shift(sl.CocyclicSpec.from_lists(mats), limit)
+        member = reference_cocyclic_contains(mats)
+    assert oracle.transitions is None
+    return oracle, WordStateOracle(oracle.alphabet, member, oracle.enumeration_limit,
+                                   name=oracle.name, certified_depth=oracle.certified_depth)
+
+
+@st.composite
+def stepped_potentials(draw, alphabet):
+    """A range 1-3 table of values of mixed size (all zero in some, which
+    count), one window missing in a quarter of them."""
+    k = alphabet.size
+    r = draw(st.integers(1, 3))
+    values = st.sampled_from([0.0, -0.0, 0.1, -0.3, 2.5, 1 / 3, 1e-300, 1e6, -5.0]) | st.floats(
+        -3.0, 3.0, allow_nan=False)
+    table = {w: draw(values) for w in itertools.product(range(k), repeat=r)}
+    if len(table) > 1 and draw(st.integers(0, 3)) == 0:
+        table.pop(draw(st.sampled_from(sorted(table))))
+    return sl.Potential(r, table)
+
+
+def _assert_stepped_sums_match(oracle, ref, potential, a):
+    sets = [(WordSet.language(oracle), WordSet.language(ref)),
+            (sl.avoid_symbol_set(oracle, oracle.alphabet.symbols[a]),
+             WordSet.from_predicate(ref, lambda w: a not in w))]
+    for fast, slow in sets:
+        assert fast.paths is not None and fast.layer is None
+        for n in range(1, oracle.enumeration_limit + 3):
+            got = _outcome(thermo._log_sum_and_sup, fast, potential, n)
+            expect = _outcome(lambda: reference.log_sum_and_sup_exact(potential, ref, slow.at(n)))
+            if potential.is_zero and expect[0] == "value":  # no word is weighed: the sup is 0
+                expect = "value", (expect[1][0], 0.0)
+            assert _same(got, expect), (fast.name, n, got, expect)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stepped_layers(), st.data())
+def test_stepped_sums_match_the_exact_listing(instance, data):
+    oracle, ref = instance
+    potential = data.draw(stepped_potentials(oracle.alphabet))
+    _assert_stepped_sums_match(oracle, ref, potential, data.draw(
+        st.integers(0, oracle.alphabet.size - 1)))
+
+
+def test_stepped_sums_raise_the_stranded_word_error():
+    # M_a M_b = 0 for every pair, so no word of length 1 has an extension:
+    # every length raises the first word's NotInLanguageError, as listing
+    # does (ROADMAP finding 13's signed case)
+    mats = [[[0, -1], [0, 0]], [[0, 1], [0, 0]]]
+    oracle = sl.cocyclic_shift(sl.CocyclicSpec.from_lists(mats), 4)
+    ref = WordStateOracle(oracle.alphabet, reference_cocyclic_contains(mats), 4, name=oracle.name)
+    pot = sl.Potential(2, {w: 0.5 * w[0] - 0.25 for w in itertools.product(range(2), repeat=2)})
+    with pytest.raises(NotInLanguageError, match="no admissible 1-symbol extension"):
+        thermo.log_partition_sum(WordSet.language(oracle), pot, 1)
+    _assert_stepped_sums_match(oracle, ref, pot, 0)
+
+
+def _no_listing_past_one(words):
+    def listing(oracle, n):
+        if n >= 2:
+            raise AssertionError(f"words({n}) listed")
+        return words(oracle, n)
+    return listing
+
+
+def test_beta_pressure_lists_no_word(monkeypatch):
+    # the 1.8^40 or so words of length 40 could not be listed: the DP over
+    # the layer state (m, n) and the last r-1 symbols holds at most
+    # (n + 1) k^(r-1) entries per length, for the language and for the
+    # product of an avoid-symbol set
+    beta = sl.beta_shift(sl.BetaSpec.from_beta(1.8, 60), 60)
+    k = beta.alphabet.size
+    pot = sl.Potential(3, {w: 0.1 * sum(w) - 0.05 * w[0] * w[2]
+                           for w in itertools.product(range(k), repeat=3)})
+    monkeypatch.setattr(sl.LanguageOracle, "words", _no_listing_past_one(sl.LanguageOracle.words))
+    lang, avoid = WordSet.language(beta), sl.avoid_symbol_set(beta, "1")
+    rep = sl.pressure_estimate(lang, pot, 40)
+    assert rep.gap_flags["support_full"]
+    # only 0^40, whose windows are 0 and whose best extension, 11, adds
+    # the windows 001 and 011
+    assert _close(sl.pressure_estimate(avoid, pot, 40).rows[-1].log_sum, 0.1 + 0.2)
+    for memo in (beta._transfer, avoid.transfer_memo):
+        vectors = memo[pot].vectors
+        assert len(vectors) == 41
+        for n, vec in enumerate(vectors):
+            assert len(vec) <= (n + 1) * k ** (pot.window - 1), n
+    # the table's values lie in [0, 0.25], so the pressure lies in
+    # [log beta, log beta + 0.25]
+    assert math.log(1.8) - 0.01 <= rep.point_estimate <= math.log(1.8) + 0.26
+    # at length 59 phi_tail's extensions read digit 61, past z's certified
+    # depth: the DP raises that error itself, as listing would, listing none
+    with pytest.raises(DepthExceededError, match="certified only to depth 60"):
+        sl.log_partition_sum(lang, pot, 59)
 
 
 # -- no enumeration limit on a finite layer ---------------------------------------------
