@@ -337,10 +337,10 @@ _SHIFTS: dict[str, tuple[dict, Any]] = {
     "s_gap": ({**_DEPTH, "values": (_list_of(_length()), _Required(["tail"])),
                "tail": (_tail, (None, None))},
               lambda f, limit: s_gap_shift(SGapSpec(tuple(f["values"] or ()), *f["tail"]), limit)),
-    "coded": ({**_DEPTH, "alphabet": (_ALPHABET, REQUIRED), "truncated": (_flag, False),
+    "coded": ({**_DEPTH, "alphabet": (_ALPHABET, REQUIRED),
                "generators": (_list_of(_word, nonempty=True), REQUIRED)},
               lambda f, limit: coded_shift(CodedSpec.from_strings(
-                  f["alphabet"], f["generators"], f["truncated"]), limit)),
+                  f["alphabet"], f["generators"]), limit)),
     "cocyclic": ({**_DEPTH, "matrices": (_sized(_list_of(lambda m, alphabet: m, nonempty=True)),
                                          REQUIRED), "symbols": (_ALPHABET, None)},
                  lambda f, limit: cocyclic_shift(
@@ -747,8 +747,8 @@ def run(config: dict, out_dir: str | Path | None = None, *, threads: int = 1,
     as an error block and later analyses still run.  Returns the report
     dict; when out_dir is given, writes report.json, one CSV per analysis,
     gnuplot .dat files, and the sidecar timing.json: the run's wall seconds
-    and each analysis's (index, op, wall seconds).  ``threads`` is accepted for
-    compatibility and ignored: every analysis runs serially."""
+    and each analysis's (index, op, wall seconds).  ``threads`` is accepted
+    for callers that pass it and ignored: every analysis runs serially."""
     started = time.perf_counter()
     diags, oracle, potential, failure, fields = _checked(config, depth_guard)
     if any(d["level"] == "error" for d in diags):
@@ -820,8 +820,6 @@ def main(argv: list[str] | None = None) -> int:
     runp = sub.add_parser("run", help="Run the analyses in a config.")
     runp.add_argument("config", metavar="CONFIG_JSON")
     runp.add_argument("--out", default="out", metavar="DIR")
-    runp.add_argument("--threads", type=int, default=1,
-                      help="accepted for compatibility; analyses run serially")
     runp.add_argument("--depth-guard", type=int, default=None)
 
     valp = sub.add_parser("validate", help="Validate a config without running it.")
@@ -843,7 +841,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if any(d["level"] == "error" for d in diags) else 0
 
     try:
-        report = run(config, args.out, threads=args.threads, depth_guard=args.depth_guard)
+        report = run(config, args.out, depth_guard=args.depth_guard)
     except ConfigError as exc:
         for d in exc.diagnostics:
             print(f"{d['level']}: {d['field']}: {d['message']}", file=sys.stderr)

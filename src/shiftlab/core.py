@@ -126,8 +126,8 @@ class LanguageOracle:
     that stay in it, ``state(w)`` is the state after a whole word, and
     ``contains(w)`` asks whether it exists.  ``words(n)`` extends each
     stored (word, state) pair by one symbol and keeps the states of its
-    words in ``_states[n]``, so that what is carried over the words (the
-    window sums of ``thermo``) is carried from each word's prefix.  A
+    words in ``_states[n]``, from which the next length is read and
+    ``thermo.periodic_points`` carries each word's monoid id.  A
     finite layer (SFT, S-gap, coded and nonnegative cocyclic shifts of
     dimension <= 3, and the ``WordSet`` products; see
     :meth:`finite_state`) tabulates ``transitions`` once over numbered
@@ -190,7 +190,7 @@ class LanguageOracle:
         #: potential -> ({word: phi_hat}, {(state, last symbols): phi_tail});
         #: see phi_hat and phi_tail
         self._phi_memo: dict[Potential, tuple[dict, dict]] = {}
-        #: potential -> the window sums thermo carries over ``words``
+        #: potential -> thermo's scaled window sums for periodic-orbit classes
         self._sums: dict[Potential, object] = {}
         #: potential -> the transfer DP of the language over this layer,
         #: which thermo makes and extends

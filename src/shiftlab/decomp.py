@@ -57,7 +57,6 @@ class Verdict:
     passed: bool
     witnesses: list = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
 
 def _collection_words(ws: WordSet, n: int) -> list[Word]:
@@ -80,20 +79,15 @@ def check_spec_I(collections: TripleCollections, oracle: LanguageOracle, n: int)
         )
     words = _collection_words(good, n)
     witnesses: list[tuple[Word, Word]] = []
-    max_needed = 0
     for v, w in itertools.product(words, repeat=2):
-        hit = next(oracle.connectors(v, w, range(tau + 1), good.contains), None)
-        if hit is None:
+        if next(oracle.connectors(v, w, range(tau + 1), good.contains), None) is None:
             witnesses.append((v, w))
-        else:
-            max_needed = max(max_needed, len(hit))
     return Verdict(
         "[I]",
         n,
         not witnesses,
         witnesses[:20],
         parameters={"tau": tau},
-        extras={"max_connector": max_needed, "pairs": len(words) ** 2},
     )
 
 
@@ -105,7 +99,6 @@ def check_stay_good_III(collections: TripleCollections, oracle: LanguageOracle, 
     L = collections.L_param
     good = collections.good
     witnesses: list[tuple[Word, Word, Word]] = []
-    checked = 0
     for m in range(L, n + 1):
         for t in oracle.words(m):
             for i in range(0, m + 1):
@@ -113,7 +106,6 @@ def check_stay_good_III(collections: TripleCollections, oracle: LanguageOracle, 
                     u, v, w = t[:i], t[i:j], t[j:]
                     if not (good.contains(t[:j]) and good.contains(t[i:])):
                         continue
-                    checked += 1
                     if not (good.contains(v) and good.contains(t)):
                         witnesses.append((u, v, w))
     return Verdict(
@@ -123,7 +115,6 @@ def check_stay_good_III(collections: TripleCollections, oracle: LanguageOracle, 
         witnesses[:20],
         # recorded reports name the mode, though "full" is the only one
         parameters={"L": L, "mode": "full"},
-        extras={"instances": checked},
     )
 
 
@@ -208,8 +199,6 @@ def pressure_gap_II(
 class ObstructionPair:
     cminus: WordSet
     cplus: WordSet
-    M: int | None = None
-    tau_of_M: dict[int, int] = field(default_factory=dict)
 
 
 def good_words_from_obstructions(pair: ObstructionPair, oracle: LanguageOracle, M: int) -> WordSet:
@@ -254,7 +243,8 @@ def check_complete_list_Istar(
 ) -> Verdict:
     """[I*]: for each M, the minimal tau <= n such that all pairs from
     G(C^+-, M) up to depth n glue into the language (not necessarily into
-    the good set) with a connector of length <= tau."""
+    the good set) with a connector of length <= tau: the verdict's
+    ``parameters["tau_of_M"]``, over the M that pass."""
     table: dict[int, int] = {}
     witnesses: list = []
     for M in M_list:
@@ -269,7 +259,7 @@ def check_complete_list_Istar(
                 break
             worst = max(worst, len(c))
         else:
-            table[M] = pair.tau_of_M[M] = worst
+            table[M] = worst
     return Verdict(
         "[I*]",
         n,
@@ -310,7 +300,6 @@ def star_closure(base: WordSet, oracle: LanguageOracle, name: str = "") -> WordS
 @dataclass
 class CgcResult:
     collections: TripleCollections
-    decompose: Callable[[Word], tuple[Word, Word, Word]]
     parameters: dict
     gap_report: GapReport
 
@@ -465,37 +454,8 @@ def _assemble_cgc(pair, oracle, potential, M, N, tau, dminus, dplus, depth, marg
     if not gap.passed:
         return None
 
-    def decompose(w: Word) -> tuple[Word, Word, Word]:
-        """Greedy left-then-right stripping; pieces are reported as words."""
-        up: list[Word] = []
-        v = w
-        while v:
-            hit = None
-            for i in range(1, len(v) + 1):
-                if prefix_base.contains(v[:i]):
-                    hit = i
-                    break
-            if hit is None:
-                break
-            up.append(v[:hit])
-            v = v[hit:]
-        us: list[Word] = []
-        while v:
-            hit = None
-            for i in range(1, len(v) + 1):
-                if suffix_base.contains(v[len(v) - i :]):
-                    hit = i
-                    break
-            if hit is None:
-                break
-            us.insert(0, v[len(v) - hit :])
-            v = v[: len(v) - hit]
-        prefix = tuple(x for piece in up for x in piece)
-        suffix = tuple(x for piece in us for x in piece)
-        return prefix, v, suffix
-
     params = {"M": M, "N": N, "tau": tau, "depth": depth, "margin": margin}
-    return CgcResult(collections, decompose, params, gap)
+    return CgcResult(collections, params, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -413,14 +413,12 @@ def s_gap_shift(spec: SGapSpec, enumeration_limit: int | None = None) -> Languag
 class CodedSpec:
     generators: tuple[Word, ...]
     alphabet: Alphabet
-    truncated: bool = False
 
     @classmethod
-    def from_strings(cls, symbols: Sequence[str], generators: Sequence[str],
-                     truncated: bool = False) -> "CodedSpec":
+    def from_strings(cls, symbols: Sequence[str], generators: Sequence[str]) -> "CodedSpec":
         alphabet = Alphabet(tuple(symbols))
         gens = tuple(sorted(alphabet.word(g) for g in generators))
-        return cls(gens, alphabet, truncated)
+        return cls(gens, alphabet)
 
 
 def coded_shift(spec: CodedSpec, enumeration_limit: int | None = None) -> LanguageOracle:
@@ -439,7 +437,7 @@ def coded_shift(spec: CodedSpec, enumeration_limit: int | None = None) -> Langua
         automaton.positions,
         lambda states, a: automaton.step(states, a) or None,
         limit,
-        name=f"coded({len(gens)} gens{', truncated' if spec.truncated else ''})",
+        name=f"coded({len(gens)} gens)",
     )
 
 

@@ -67,11 +67,11 @@ def log_partition_sum(words: WordSet, potential: Potential, n: int) -> float:
 
 
 def _log_sum_and_sup(words: WordSet, potential: Potential, n: int) -> tuple[float, float]:
-    """(log Lambda_n, max phi_hat) over D_n, both -inf when D_n is empty;
-    the max is 0 at zero potential, where no word is weighed."""
+    """(log Lambda_n, max phi_hat) over D_n, both -inf when D_n is empty at
+    every potential; else the max is 0 at zero potential (no word weighed)."""
     if potential.is_zero:
         c = words.count(n)
-        return (math.log(c) if c > 0 else NEG_INF), 0.0
+        return (math.log(c), 0.0) if c > 0 else (NEG_INF, NEG_INF)
     paths = words.paths
     if paths is not None and n >= 1:
         if paths.transitions is None:
@@ -434,8 +434,6 @@ class PeriodicPoints:
     period: int
     words: tuple[Word, ...]
     exact: bool
-    #: where each of ``words`` stands in ``oracle.words(period)``
-    positions: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 def periodic_reps(oracle: LanguageOracle, n: int) -> int | None:
@@ -468,13 +466,13 @@ def periodic_points(oracle: LanguageOracle, n: int) -> PeriodicPoints:
     words = oracle.words(n)
     exact = oracle.exact_periods or oracle.locality is not None or not words
     if oracle.transitions is None:
-        keep = [i for i, p in enumerate(words) if oracle.contains(p * reps)]
+        keep = tuple(p for p in words if oracle.contains(p * reps))
     else:
         monoid = _monoid(oracle)
         ids = monoid.word_ids(oracle._states, n)
         verdict = monoid.decide(ids, reps)
-        keep = [i for i, m in enumerate(ids) if verdict[m]]
-    return PeriodicPoints(n, tuple(words[i] for i in keep), exact, tuple(keep))
+        keep = tuple(p for p, m in zip(words, ids) if verdict[m])
+    return PeriodicPoints(n, keep, exact)
 
 
 def _monoid(oracle: LanguageOracle) -> "_TransitionMonoid":
@@ -560,7 +558,7 @@ def _cyclic_birkhoff(potential: Potential, p: Word) -> float:
 
 
 def _carried(oracle: LanguageOracle, potential: Potential, n: int) -> "_CarriedSums | None":
-    """The oracle's carried window sums for the potential, made on first
+    """The oracle's scaled window sums for the potential, made on first
     use, or None where integer sums could part from ``math.fsum``: a table
     value that is not a finite float, or sums of n windows near overflow."""
     if potential not in oracle._sums:
@@ -576,14 +574,13 @@ def _carried(oracle: LanguageOracle, potential: Potential, n: int) -> "_CarriedS
 
 
 class _CarriedSums:
-    """Exact window sums over an oracle's words, length by length.  Each
-    table value is scaled by ``scale`` = 2**E to an integer, E the least
-    exponent that makes every value one.  Each word of ``oracle.words(n)``
-    carries from its prefix its last r - 1 symbols and the sum of the
-    windows that lie inside it (None once one is missing); a period adds
-    the windows that wrap around p^infinity.  CPython's int true division
-    and ``math.fsum`` are both correctly rounded, so a sum over ``scale``
-    is, bit for bit, the fsum of its windows."""
+    """Exact window sums for the class DP of ``periodic_orbit_measure``.
+    Each table value is scaled by ``scale`` = 2**E to an integer, E the
+    least exponent that makes every value one.  ``steps`` gives the scaled
+    window each symbol completes after the last r - 1 symbols read, and
+    ``wrap`` the windows that wrap around p^infinity.  CPython's int true
+    division and ``math.fsum`` are both correctly rounded, so a sum over
+    ``scale`` is, bit for bit, the fsum of its windows."""
 
     def __init__(self, potential: Potential, values: list[float]):
         self.potential = potential
@@ -594,26 +591,6 @@ class _CarriedSums:
         #: below length r, None if missing; the tail of tail.a)
         self.steps: dict[Word, dict[int, tuple[int | None, Word]]] = {(): {}}
         self.wraps: dict[Word, int | None] = {}
-        self.length, self.inner, self.tails = 0, [0], [()]
-
-    def at(self, oracle: LanguageOracle, n: int) -> tuple[list[int | None], list[Word]]:
-        """The sums and tails of the words of length n, in the order of
-        ``oracle.words(n)``, which must be listed: carried from the last
-        length read, or from the empty word.  The oracle, which keeps these
-        sums, is passed in, not held, so that no cycle keeps it alive."""
-        if n < self.length:
-            self.length, self.inner, self.tails = 0, [0], [()]
-        rows = oracle._rows
-        while self.length < n:
-            inner, tails = [], []
-            for s, t, q in zip(self.inner, self.tails, oracle._states[self.length]):
-                step = self.steps[t]
-                for a in rows[q]:
-                    v, u = step.get(a) or self._step(t, a)
-                    inner.append(None if s is None or v is None else s + v)
-                    tails.append(u)
-            self.length, self.inner, self.tails = self.length + 1, inner, tails
-        return self.inner, self.tails
 
     def _step(self, t: Word, a: int) -> tuple[int | None, Word]:
         w = t + (a,)
@@ -629,16 +606,6 @@ class _CarriedSums:
         except KeyError:
             return None
         return num * (self.scale // den)
-
-    def cyclic(self, i: int, p: Word) -> float:
-        """The Birkhoff sum of one period of p^infinity, p being word i of
-        the length last read; a missing window raises as
-        ``_cyclic_birkhoff`` does."""
-        k, r = len(p), self.potential.window
-        wrap = self.wrap(p[k - r + 1:] + p[:r - 1] if k >= r - 1 else _cyclic(p, k + r - 1))
-        if self.inner[i] is None or wrap is None:
-            return _cyclic_birkhoff(self.potential, p)
-        return (self.inner[i] + wrap) / self.scale
 
     def wrap(self, u: Word) -> int | None:
         """The scaled sum of the windows of u, or None for one the table
@@ -675,29 +642,25 @@ def periodic_orbit_measure(
     is listed: ``_class_sums`` sums the periodic words by class, keeping
     their window sums as exact integers, so no rounding grows with |phi|.
     Period k asks ``check_depth(k)`` first, as listing does, so the
-    enumeration limit still bounds the horizon.  Other layers and tables
-    weigh each word of ``periodic_points`` as its own atom, by its Birkhoff
-    sum: an exact integer carried over the oracle's words
-    (``_CarriedSums.cyclic``) where the table allows, else the fsum of its
-    windows along p^infinity (``_cyclic_birkhoff``).  Either way a missing
-    window raises what listing raises, at the same atom.
+    enumeration limit still bounds the horizon.  Stepped layers, and finite
+    layers whose table ``_carried`` refuses, weigh each word of
+    ``periodic_points`` as its own atom, by the correctly rounded fsum of
+    its windows along p^infinity (``_cyclic_birkhoff``).  Either way a
+    missing window raises what listing raises, at the same atom.
     """
     if not (n >= depth >= 1):
         raise ValueError("need horizon >= depth >= 1")
-    sums = _carried(oracle, potential, n)
-    if oracle.transitions is not None and sums is not None:
-        weights, exact = _class_sums(oracle, potential, sums, n, depth)
-        return PeriodicMeasure(n, depth, weights, exact)
+    if oracle.transitions is not None:
+        sums = _carried(oracle, potential, n)
+        if sums is not None:
+            weights, exact = _class_sums(oracle, potential, sums, n, depth)
+            return PeriodicMeasure(n, depth, weights, exact)
     atoms: list[tuple[Word, float]] = []
     exact = True
     for k in range(1, n + 1):
         per = periodic_points(oracle, k)
         exact = exact and per.exact
-        if sums is None:
-            atoms.extend((p, _cyclic_birkhoff(potential, p)) for p in per.words)
-        else:
-            sums.at(oracle, k)
-            atoms.extend((p, sums.cyclic(i, p)) for i, p in zip(per.positions, per.words))
+        atoms.extend((p, _cyclic_birkhoff(potential, p)) for p in per.words)
     if not atoms:
         raise NoPeriodicPointsError(f"no periodic points up to period {n}")
     # normalised in logs: a Birkhoff sum past ~709 overflows math.exp
@@ -830,7 +793,7 @@ def hyperbolicity_diagnostic(
     and its max-plus twin, at any n_max on a finite layer and to the
     enumeration limit on a stepped one; one phi_hat per listed word only
     where the DP meets a missing window or a word with no extension.  At
-    zero potential the sum is the oracle's count and the sup 0.
+    zero potential the sum is the oracle's count and the sup 0 (-inf with no word).
     Verdict is "hyperbolic-at-depth" iff over the last quarter of the table
     every gap exceeds 1e-9 (so rounding noise around an exact gap of 0 is
     no gap) and does not shrink on net (the oscillation tolerance scales

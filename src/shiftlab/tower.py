@@ -459,13 +459,11 @@ class FreeFamily:
 
     def __init__(self, oracle: LanguageOracle, depth: int,
                  members: dict[int, tuple[Word, ...]] | None,
-                 irreducibles: dict[int, tuple[Word, ...]], gcd_lengths: int,
-                 triple: SyncTriple | None = None):
+                 irreducibles: dict[int, tuple[Word, ...]], gcd_lengths: int):
         self.oracle = oracle
         self.depth = depth
         self.irreducibles = irreducibles
         self.gcd_lengths = gcd_lengths
-        self.triple = triple
         if members is None:
             self._code, self._final = _code_run(self.irreducible_words(), oracle.alphabet.size, depth)
         else:
@@ -514,7 +512,7 @@ def build_free_family(
             if b[: len(s)] == s and b[len(b) - len(r):] == r:
                 members.setdefault(len(c) + m, []).append(c + b)
     fam = {n: tuple(sorted(ws)) for n, ws in members.items()}
-    return _finish_family(oracle, depth, fam, triple)
+    return _finish_family(oracle, depth, fam)
 
 
 def free_family_from_irreducibles(
@@ -569,8 +567,8 @@ def free_family_from_irreducibles(
     return out
 
 
-def _finish_family(oracle, depth, fam: dict[int, tuple[Word, ...]], triple) -> FreeFamily:
-    out = FreeFamily(oracle, depth, fam, {}, 0, triple)
+def _finish_family(oracle, depth, fam: dict[int, tuple[Word, ...]]) -> FreeFamily:
+    out = FreeFamily(oracle, depth, fam, {}, 0)
     for n in sorted(fam):
         keep = tuple(w for w in fam[n] if not out.splits(w))
         if keep:

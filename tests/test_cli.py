@@ -287,9 +287,6 @@ def test_validate_rejects_lengths_below_the_library_minimum(analysis, field, lea
     # twice (entropy 0), and "011" ran as three one-symbol generators
     ({"family": "sft", "alphabet": ["0", "1"], "forbidden": "11"}, "zero", "shift.forbidden"),
     ({"family": "coded", "alphabet": ["0", "1"], "generators": "011"}, "zero", "shift.generators"),
-    # a nonempty string was truthy, so "no" labelled the set truncated
-    ({"family": "coded", "alphabet": ["0", "1"], "generators": ["0", "01"], "truncated": "no"},
-     "zero", "shift.truncated"),
     # a bool ran as an integer: the 1-symbol shift
     ({"family": "full", "k": True}, "zero", "shift.k"),
     # int() ran a period of 0 as 1 and truncated 2.5 and 1.5
@@ -1071,7 +1068,6 @@ SHIFT_POOLS = {
     "tail": st.fixed_dictionaries({"start": st.sampled_from([2, 3]) | WRONG_SHIFT},
                                   optional={"period": st.sampled_from([1, 2]) | WRONG_SHIFT}),
     "generators": st.sampled_from([["0", "011"], ["01", "1"]]),
-    "truncated": st.booleans(),
     "matrices": st.sampled_from([[[[1, 1], [0, 1]], [[1, 0], [1, 1]]], [[[1]], [[0]]]]),
     "symbols": st.sampled_from([["a", "b"], "01"]),
     "indicator": st.sampled_from(["0", "01"]), "scale": st.sampled_from([0.5, -1.0]),

@@ -1,6 +1,7 @@
 """The package imports only what pyproject.toml declares: the standard
-library and numpy (and itself), numpy only where it is used; and every definition in it has a reader in it, so that the package is
-what its front end reaches."""
+library and numpy (and itself), numpy only where it is used; and every
+definition in it, and every attribute its classes assign, has a reader in
+it, so that the package is what its front end reaches."""
 
 from __future__ import annotations
 
@@ -99,9 +100,13 @@ def _unread(sources: dict[str, str]) -> list[tuple[str, str]]:
     """(file, name) of every function, class and method that nothing reads
     outside its own body; dunder methods are exempt.  A method counts as
     read by an attribute load of its name, anything else by a name or an
-    attribute load."""
+    attribute load.  Then (file, "Class.attribute") of every attribute a
+    class assigns through ``self.`` that no attribute load in any file
+    reads.  Dataclass fields are declared, not assigned, so they are
+    exempt: ``cli`` renders result objects through ``vars``."""
     defs = []  # (file, name, is a method, first line, last line)
     reads = []  # (file, line, name, is a bare name)
+    attrs = {}  # (file, "Class.attribute") -> attribute, for every self. store
     for fname, text in sources.items():
         tree = ast.parse(text)
         methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
@@ -113,11 +118,18 @@ def _unread(sources: dict[str, str]) -> list[tuple[str, str]]:
                 reads.append((fname, node.lineno, node.id, True))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.append((fname, node.lineno, node.attr, False))
-    return [(fname, name) for fname, name, method, first, last in defs
-            if not (name.startswith("__") and name.endswith("__"))
-            and not any(n == name and not (method and bare)
-                        and (f != fname or not first <= line <= last)
-                        for f, line, n, bare in reads)]
+            if isinstance(node, ast.ClassDef):
+                for sub in ast.walk(node):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        attrs[(fname, f"{node.name}.{sub.attr}")] = sub.attr
+    unread = [(fname, name) for fname, name, method, first, last in defs
+              if not (name.startswith("__") and name.endswith("__"))
+              and not any(n == name and not (method and bare)
+                          and (f != fname or not first <= line <= last)
+                          for f, line, n, bare in reads)]
+    loaded = {n for _, _, n, bare in reads if not bare}
+    return unread + [key for key, attr in attrs.items() if attr not in loaded]
 
 
 def test_every_definition_has_a_reader_in_the_package():
@@ -129,12 +141,19 @@ def test_every_definition_has_a_reader_in_the_package():
 
 def test_an_unread_definition_is_caught():
     # loner reads only itself; spare is read only as a bare name, which is
-    # not its method; get is read as an attribute, __repr__ is exempt
+    # not its method; get is read as an attribute, __repr__ is exempt; Pair
+    # assigns lost and nothing loads it, while kept is loaded in another
+    # file, and Row's field is declared, not assigned
     sources = {
-        "a.py": "def used():\n    return 1\n\ndef loner(n):\n    return loner(n - 1)\n",
+        "a.py": ("def used():\n    return 1\n\ndef loner(n):\n    return loner(n - 1)\n\n"
+                 "def show(pair):\n    return pair.kept\n"),
         "b.py": ("from .a import used\n\nclass Box:\n    def get(self):\n        return used()\n\n"
                  "    def spare(self):\n        return 0\n\n"
                  "    def __repr__(self):\n        return 'Box'\n\n"
                  "spare = Box().get()\nprint(spare)\n"),
+        "c.py": ("from dataclasses import dataclass\nfrom .a import show\n\n"
+                 "@dataclass\nclass Row:\n    width: int\n\n"
+                 "class Pair:\n    def __init__(self):\n        self.kept, self.lost = 1, 2\n\n"
+                 "print(show(Pair()), Row(1))\n"),
     }
-    assert _unread(sources) == [("a.py", "loner"), ("b.py", "spare")]
+    assert _unread(sources) == [("a.py", "loner"), ("b.py", "spare"), ("c.py", "Pair.lost")]

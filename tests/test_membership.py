@@ -603,7 +603,6 @@ def test_sgap_periodic_points_match_the_cyclic_gaps(instance):
     for n in range(12, 0, -1):
         got = sl.periodic_points(oracle, n)
         assert got == periodic_points_listing(listed, n, check) and got.exact
-        assert tuple(oracle.words(n)[i] for i in got.positions) == got.words
 
 
 def _layer(build):
@@ -654,18 +653,27 @@ def _measure_outcome(measure):
     return "value", list(mu.cylinder_weights.items()), mu.exact_periods
 
 
+def _weighs_atoms(oracle, potential, horizon):
+    """Whether the measure weighs the listing's atoms: on a stepped layer,
+    and on a finite one whose table holds a value that is not finite or
+    whose horizon times its largest |value| reaches 1e300."""
+    values = [float(v) for v in potential.table.values()]
+    return (oracle.transitions is None or not all(map(math.isfinite, values))
+            or horizon * max(map(abs, values), default=0.0) >= 1e300)
+
+
 def _assert_measure_matches(build, spec, check, potential, horizon, depth):
     """The library's measure against the listing's, each on a fresh oracle:
     the same error (class and message), or the same keys in the same order
-    and the same exact flag.  On a finite layer, which sums classes, each
-    weight is within 1e-12 relative of the exact reference (1e-300 absolute
-    where it underflows); on a stepped layer, which weighs the listing's
-    atoms, each weight is the listing's float, bit for bit."""
+    and the same exact flag.  Where it sums classes, each weight is within
+    1e-12 relative of the exact reference (1e-300 absolute where it
+    underflows); where it weighs the listing's atoms (``_weighs_atoms``),
+    each weight is the listing's float, bit for bit."""
     oracle, listed = build(*spec), build(*spec)
     got = _measure_outcome(lambda: sl.periodic_orbit_measure(oracle, potential, horizon, depth))
     want = _measure_outcome(lambda: periodic_orbit_measure_listing(
         listed, potential, horizon, depth, check))
-    if oracle.transitions is None or got[0] == "raises" or want[0] == "raises":
+    if _weighs_atoms(oracle, potential, horizon) or got[0] == "raises" or want[0] == "raises":
         assert got == want
         return
     assert [u for u, _ in got[1]] == [u for u, _ in want[1]] and got[2] == want[2]
@@ -723,13 +731,25 @@ _SGAP_SPEC = sl.SGapSpec((1,), tail_start=3, tail_period=2)
     (lambda: sl.cocyclic_shift(sl.CocyclicSpec.from_lists(
         [[[1, -1], [0, 0]], [[1, 0], [1, 0]], [[0, 1], [1, 1]]]), 8), None,
      1, {"1": 0.1, "2": 1 / 3, "3": -2.5}, 8, 3),
+    # finite layers whose tables allow no exact integer sums, which also
+    # keep one atom per periodic word: 10 windows of 1e299 reach 1e300
+    (lambda: sl.full_shift(2), None, 2, {"00": 0.1, "01": 1e299, "10": -2.5, "11": 1 / 3}, 10, 3),
+    # the same with 110 missing: period 3 raises at 011
+    (lambda: sl.full_shift(2), None, 3,
+     {w: 1e299 * i for i, w in enumerate(["000", "001", "010", "011", "100", "101", "111"])},
+     5, 4),
+    # an infinite value, on 11, which lies on no periodic orbit
+    (lambda: sl.sft_from_forbidden(_GOLDEN_SPEC), None, 2,
+     {"00": 0.5, "01": -0.25, "10": 1e6, "11": math.inf}, 9, 2),
+    # -inf gives every orbit through 0 the weight 0
+    (lambda: sl.full_shift(2), None, 1, {"0": -math.inf, "1": 0.5}, 6, 2),
 ])
 def test_periodic_measure_matches_the_listing_on_chosen_tables(
         build, check, window, table, horizon, depth):
     # the exact reference's weights to 1e-12 relative (the listing's,
     # rounding each Birkhoff sum of about 1e7, is further off), the stepped
-    # layers' bit for bit, and a missing window raises the listing's error
-    # at the same atom
+    # layers' and the refused tables' bit for bit, and a missing window
+    # raises the listing's error at the same atom
     potential = sl.Potential.from_strings(build().alphabet, window, table)
     _assert_measure_matches(build, (), check, potential, horizon, depth)
 

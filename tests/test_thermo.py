@@ -324,6 +324,26 @@ def test_hyperbolicity_rows_with_a_range_one_potential(full2):
         assert row.gap == row.rate - row.sup_rate
 
 
+def test_an_empty_length_has_no_sup_at_any_potential():
+    # the zero potential gave the sup 0.0 of an empty D_n, where every
+    # other potential gives -inf: the avoid-symbol set of the one-symbol
+    # shift is empty at n = 3
+    one = sl.full_shift(1)
+    empty = sl.avoid_symbol_set(one, "0")
+    for potential in (zero(one), sl.Potential.from_strings(one.alphabet, 1, {"0": 0.5})):
+        assert thermo._log_sum_and_sup(empty, potential, 3) == (-math.inf, -math.inf)
+    # the cocyclic shift with both matrices [[0,1],[0,0]] has words of
+    # length 1 only (finding 13's stranded words): from n = 2 the sup rate
+    # is -inf at the zero potential as at a non-zero table, and the gap NaN
+    shift = sl.cocyclic_shift(sl.CocyclicSpec.from_lists([[[0, 1], [0, 0]]] * 2))
+    tables = (zero(shift), sl.Potential.from_strings(shift.alphabet, 1, {"1": 0.5, "2": -1.0}))
+    for potential in tables:
+        rep = sl.hyperbolicity_diagnostic(shift, potential, 5)
+        assert rep.rows[0].sup_rate > -math.inf
+        for row in rep.rows[1:]:
+            assert row.sup_rate == row.rate == -math.inf and math.isnan(row.gap)
+
+
 def test_not_hyperbolic_single_orbit():
     orbit = sl.sft_from_forbidden(sl.SftSpec.from_strings("01", ["1"]))
     rep = sl.hyperbolicity_diagnostic(orbit, zero(orbit), 8)
@@ -332,7 +352,7 @@ def test_not_hyperbolic_single_orbit():
 
 def test_not_hyperbolic_balanced_coded():
     gens = ["01", "0011", "000111", "00001111", "0000011111", "000000111111"]
-    c = sl.coded_shift(sl.CodedSpec.from_strings("01", gens, truncated=True), 20)
+    c = sl.coded_shift(sl.CodedSpec.from_strings("01", gens), 20)
     pot = sl.Potential.from_strings(c.alphabet, 1, {"0": 3.0, "1": 0.0})
     rep = sl.hyperbolicity_diagnostic(c, pot, 20)
     assert rep.verdict == "not-hyperbolic-at-depth"

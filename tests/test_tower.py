@@ -515,7 +515,7 @@ def _reference_free_family(oracle, supply, depth):
                     f"concatenation {w} leaves the language; not a free family")
         members[n] = sorted(seen)
     fam = {n: tuple(ws) for n, ws in members.items() if n > 0}
-    out = _finish_family(oracle, depth, fam, None)
+    out = _finish_family(oracle, depth, fam)
     supplied = {w for w in irr if len(w) <= depth}
     computed = {w for ws in out.irreducibles.values() for w in ws}
     if supplied != computed:
