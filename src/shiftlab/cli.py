@@ -12,7 +12,8 @@ library returns plain result objects, and this module alone renders them.
 for the potential and once per analysis, each field read: the parser that
 is the only reader of the raw value and the default (or ``REQUIRED``).
 ``validate`` and ``run`` share one pass over them, which builds the shift
-and the potential from the parsed values and hands them to each runner.
+and the potential from the parsed values and hands them to each runner,
+and warns on a key that no table declares, since nothing reads it.
 
 Exit codes: 0 = all analyses executed (failed verdicts included), 1 =
 invalid config or a shift that cannot be built (such as an empty
@@ -96,11 +97,21 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
     def warn(field: str, message: str) -> None:
         diags.append({"level": "warning", "field": field, "message": message})
 
-    def read(section: dict, table: dict, where: str, name: str) -> dict | None:
+    def unread(section: dict, declared: tuple, where: str, name: str) -> None:
+        """A warning on ``where.<key>`` for each key of ``section`` that
+        ``declared`` does not hold, which nothing would read."""
+        for key in section:
+            if key not in declared:
+                warn(f"{where}.{key}" if where else str(key),
+                     f"{name} does not read it; it reads only {', '.join(declared)}")
+
+    def read(section: dict, table: dict, where: str, name: str, *selector: str) -> dict | None:
         """The fields ``table`` declares, parsed from ``section`` or
         defaulted, or None if one is missing or malformed (an error on
         ``where.<field>``); a guarded length past the guard warns, whether
-        given or defaulted."""
+        given or defaulted, and so does a key that neither ``selector`` nor
+        ``table`` declares."""
+        unread(section, (*selector, *table), where, name)
         values, mark = {}, len(diags)
         for key, (parse, default, *guarded) in table.items():
             if key in ("cminus", "cplus") and values.get("obstructions") != "explicit":
@@ -124,12 +135,13 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
     if not isinstance(config, dict):
         err("", "config must be a JSON object")
         return diags, oracle, potential, failure, fields
+    unread(config, ("shift", "potential", "analyses", "depth_guard"), "", "a config")
     shift = config.get("shift")
     if not isinstance(shift, dict):
         err("shift", "missing shift section")
     elif not isinstance(family := shift.get("family"), str) or family not in _SHIFTS:
         err("shift.family", f"unknown family {family!r}; expected one of {sorted(_SHIFTS)}")
-    elif (f := read(shift, _SHIFTS[family][0], "shift", family)) is not None:
+    elif (f := read(shift, _SHIFTS[family][0], "shift", family, "family")) is not None:
         try:
             oracle = _SHIFTS[family][1](f, f["depth"] if "depth" in shift else depth_guard)
             alphabet = oracle.alphabet
@@ -156,7 +168,7 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
             guard = _length(-math.inf)(config["depth_guard"], None)
         except TypeError as exc:
             err("depth_guard", str(exc))
-    elif not diags and oracle is not None:
+    elif oracle is not None and not any(d["level"] == "error" for d in diags):
         guard = oracle.enumeration_limit
         counted = oracle.transitions is not None
     analyses = config.get("analyses")
@@ -175,7 +187,7 @@ def _checked(config: Any, depth_guard: int | None) -> tuple[
         if op == "entropy_exact" and oracle is not None and oracle.transitions is None:
             err(f"analyses[{i}].op",
                 f"entropy_exact needs a finite-state family; {oracle.name} has no finite layer")
-        f = fields[i] = read(a, _OPS[op][0], f"analyses[{i}]", op)
+        f = fields[i] = read(a, _OPS[op][0], f"analyses[{i}]", op, "op")
         # bounds between fields compare words, so they wait for the shift
         for key, holds, what in _BOUNDS.get(op, ()) if f and alphabet else ():
             if not holds(f):

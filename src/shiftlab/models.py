@@ -7,8 +7,20 @@ lengths, code-automaton position sets, product supports); beta shifts
 step the tie automaton of z with the length read, and the other cocyclic
 shifts the integer product of their matrices.  No constructor checks
 factoriality or extendability; the tests check them by enumeration.
-numpy is imported by the one function that uses it, so a run that needs
-no eigensolve does not load it.
+
+A finite layer's entropy is the log spectral radius rho of its transition
+matrix A on the states of bi-infinite paths, the maximum over its
+strongly connected components (Seneta, *Non-negative Matrices and Markov
+Chains*, 1981, ch. 1).  On a component with an edge, any positive x gives
+the Collatz-Wielandt bracket min (Ax)_i/x_i <= rho <= max (Ax)_i/x_i, so
+every bracket the kernel (``_perron_bracket``) returns is certified,
+whatever produced x, up to an ulp or two of rounding in each quotient.
+x starts at 1 and takes power steps of A + I, which is primitive on the
+component, so periodic components close too; a component whose bracket
+is still open after ``_POWER_STEPS`` steps (a near-cyclic layer, such as
+an S-gap shift with gaps {g, g + 1}) turns to inverse iteration with the
+shift sigma = hi.  The kernel is plain Python over the layer's sparse
+rows, with no third-party import.
 """
 
 from __future__ import annotations
@@ -68,6 +80,147 @@ def _recurrent(succ: Mapping) -> set:
         live = keep
 
 
+def _components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The strongly connected components of the graph with states 0..n-1
+    and successors ``succ[q]``, by Tarjan's algorithm with an explicit
+    stack of (state, successors left), so that a long chain does not
+    recurse."""
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    stack: list[int] = []
+    on_stack = [False] * len(succ)
+    components, count = [], 0
+    for root in range(len(succ)):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            q, todo = work[-1]
+            for t in todo:
+                if index[t] < 0:
+                    index[t] = low[t] = count
+                    count += 1
+                    stack.append(t)
+                    on_stack[t] = True
+                    work.append((t, iter(succ[t])))
+                    break
+                if on_stack[t] and index[t] < low[q]:
+                    low[q] = index[t]
+            else:
+                work.pop()
+                if work and low[q] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[q]
+                if low[q] == index[q]:
+                    component = []
+                    while not component or component[-1] != q:
+                        component.append(stack.pop())
+                        on_stack[component[-1]] = False
+                    components.append(component)
+    return components
+
+
+#: power steps of A + I a component takes before it turns to inverse
+#: iteration; every catalog layer closes its bracket within this many
+_POWER_STEPS = 64
+#: x is rescaled to a maximum of 1 once its maximum leaves
+#: [1 / _RESCALE, _RESCALE]
+_RESCALE = 2.0 ** 256
+
+
+def _collatz_wielandt(a: list[list[int]], x: list[float]) -> tuple[list[float], float, float]:
+    """Ax, and the least and greatest (Ax)_i / x_i, which bracket rho(A) for
+    an irreducible A and any positive x; each (Ax)_i is an fsum, so each
+    quotient is within an ulp of exact."""
+    ax = [math.fsum(map(x.__getitem__, row)) for row in a]
+    quotients = list(map(operator.truediv, ax, x))
+    return ax, min(quotients), max(quotients)
+
+
+def _shifted_solve(sigma: float, rows: list[list[int]], x: list[float]) -> list[float] | None:
+    """The solution z of (sigma I - A) z = x, A the matrix whose row i
+    lists the columns of its unit entries (with repeats), by Gaussian
+    elimination without pivoting over sparse rows; None at a pivot <= 0 or
+    a z that is not positive and finite.  For sigma > rho(A), A irreducible,
+    sigma I - A is a nonsingular M-matrix, whose pivots are positive and
+    whose inverse is positive, so a failure means sigma equals rho at
+    working precision."""
+    n = len(rows)
+    m: list[dict[int, float]] = []
+    below = [set() for _ in range(n)]  # below[k]: the rows after k with an entry in column k
+    for i, row in enumerate(rows):
+        r = {i: sigma}
+        for j in row:
+            r[j] = r.get(j, 0.0) - 1.0
+            if j < i:
+                below[j].add(i)
+        m.append(r)
+    b = list(x)
+    for k in range(n):
+        pivot = m[k][k]
+        if not pivot > 0.0:
+            return None
+        for i in below[k]:
+            r = m[i]
+            f = r.pop(k) / pivot
+            for j, v in m[k].items():
+                if j != k:
+                    if j not in r and j < i:
+                        below[j].add(i)
+                    r[j] = r.get(j, 0.0) - f * v
+            b[i] -= f * b[k]
+    z = [0.0] * n
+    for k in reversed(range(n)):
+        z[k] = (b[k] - math.fsum(v * z[j] for j, v in m[k].items() if j != k)) / m[k][k]
+        if not 0.0 < z[k] < math.inf:
+            return None
+    return z
+
+
+def _perron_bracket(rows: Sequence[Mapping[int, int]]) -> tuple[float, float] | None:
+    """(lo, hi) with lo <= rho <= hi, rho the spectral radius of a finite
+    layer's transition matrix on the states of bi-infinite paths, or None
+    when no state lies on one.
+
+    Those states are the ones on a cycle or on a path between two, so the
+    components with an edge of the whole layer are those of its recurrent
+    part (``_recurrent``).  Each is bracketed as the module docstring says;
+    every step intersects the bracket with the last, and the inverse steps
+    stop when it closes to 4 ulp, a solve fails or a step narrows neither
+    end (rounding holds a large layer's bracket a few ulp wider).  The
+    layer's bracket is the largest lo and the largest hi of its components.
+    A component that is one cycle has Ax = x = 1 and so the bracket [1, 1]:
+    a layer whose components are cycles has rho exactly 1, and the full
+    k-shift, one state with k loops, exactly k."""
+    succ = [list(row.values()) for row in rows]
+    brackets = []
+    for component in _components(succ):
+        component.sort()
+        local = {q: i for i, q in enumerate(component)}
+        a = [[local[t] for t in succ[q] if t in local] for q in component]
+        if not any(a):
+            continue
+        x, lo, hi = [1.0] * len(a), 0.0, math.inf
+        for step in range(2 * _POWER_STEPS):
+            ax, low, high = _collatz_wielandt(a, x)
+            if step > _POWER_STEPS and low <= lo and high >= hi:
+                break  # rounding, not the iterate, bounds the bracket now
+            lo, hi = max(lo, low), min(hi, high)
+            if hi - lo <= 4 * math.ulp(hi):
+                break
+            if step < _POWER_STEPS:
+                x = list(map(operator.add, ax, x))
+            elif (x := _shifted_solve(hi, a, x)) is None:
+                break
+            if not 1 / _RESCALE <= (top := max(x)) <= _RESCALE:
+                x = [v / top for v in x]
+        brackets.append((lo, hi))
+    return (max(lo for lo, _ in brackets), max(hi for _, hi in brackets)) if brackets else None
+
+
 def sft_from_forbidden(spec: SftSpec, enumeration_limit: int | None = None) -> LanguageOracle:
     """Language oracle for the SFT avoiding the given factors.
 
@@ -116,28 +269,25 @@ def full_shift(k: int, enumeration_limit: int | None = None) -> LanguageOracle:
 def sft_entropy_exact(source: SftSpec | LanguageOracle) -> float:
     """Exact entropy of a shift with a finite layer (SFT, S-gap, coded,
     nonnegative cocyclic of dimension <= 3): the layer is deterministic, so
-    its paths from the start are the words, and the entropy is the log
-    spectral radius of its transition matrix on the states of bi-infinite
-    paths (for an SFT, the pruned forbidden-word automaton), from one
-    eigensolve.  Raises EmptyLanguageError when no state lies on a
-    bi-infinite path, and ValueError for an oracle with no finite layer
-    (beta shifts, and cocyclic shifts that are signed or have d >= 4)."""
-    import numpy as np  # imported here, so only an eigensolve pays for it
-
+    its paths from the start are the words, and the entropy is log rho,
+    rho the spectral radius of its transition matrix on the states of
+    bi-infinite paths (for an SFT, the pruned forbidden-word automaton).
+    It is the log of the midpoint of the certified bracket of
+    ``_perron_bracket``, which closes to a few ulp, so it is exact to
+    about 1e-15 relative; a layer whose components are single cycles
+    gives exactly 0.0, and the full k-shift exactly log k.  Raises
+    EmptyLanguageError when no state lies on a bi-infinite path, and
+    ValueError for an oracle with no finite layer (beta shifts, and
+    cocyclic shifts that are signed or have d >= 4)."""
     oracle = sft_from_forbidden(source) if isinstance(source, SftSpec) else source
     rows = oracle.transitions
     if rows is None:
         raise ValueError(f"{oracle.name} has no finite layer")
-    states = sorted(_recurrent({q: row.values() for q, row in enumerate(rows)}))
-    if not states:
+    bracket = _perron_bracket(rows)
+    if bracket is None:
         raise EmptyLanguageError(f"{oracle.name} has no bi-infinite path")
-    idx = {q: i for i, q in enumerate(states)}
-    a = np.zeros((len(states), len(states)))
-    for q in states:
-        for t in rows[q].values():
-            if t in idx:
-                a[idx[q], idx[t]] += 1.0
-    return math.log(float(np.abs(np.linalg.eigvals(a)).max()))
+    lo, hi = bracket
+    return math.log((lo + hi) / 2)
 
 
 def cycle_sft(k: int, enumeration_limit: int | None = None) -> LanguageOracle:

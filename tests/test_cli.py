@@ -24,7 +24,6 @@ GOLDEN_CONFIG = {
         {"op": "entropy_exact"},
         {"op": "pressure_estimate", "n_max": 30},
     ],
-    "output": {"dir": "out"},
 }
 
 #: four 4x4 generators (a cyclic permutation, a swap, an elementary matrix
@@ -193,6 +192,44 @@ def test_validate_guard_survives_malformed_shift(shift):
 
 def test_validate_clean_config():
     assert cli.validate(GOLDEN_CONFIG) == []
+
+
+@pytest.mark.parametrize("config, field", [
+    # a misspelt forbidden list ran the full shift, a misspelt n_max ran the
+    # default, and the coded truncated field and a top-level key were ignored
+    ({"shift": {"family": "sft", "alphabet": ["0", "1"], "forbiden": ["11"]},
+      "analyses": [{"op": "entropy_exact"}]}, "shift.forbiden"),
+    ({"shift": {"family": "full", "k": 2},
+      "analyses": [{"op": "pressure_estimate", "nmax": 3}]}, "analyses[0].nmax"),
+    ({"shift": {"family": "coded", "alphabet": ["0", "1"], "generators": ["0", "1"],
+                "truncated": True}, "analyses": [{"op": "entropy_exact"}]}, "shift.truncated"),
+    ({"shift": {"family": "full", "k": 2}, "potential": {"indicator": "1", "scales": 2.0},
+      "analyses": [{"op": "entropy_exact"}]}, "potential.scales"),
+    ({"shift": {"family": "full", "k": 2}, "analyses": [{"op": "entropy_exact"}],
+      "depth_gaurd": 8}, "depth_gaurd"),
+])
+def test_validate_warns_on_a_field_no_one_reads(config, field):
+    diags = cli.validate(config)
+    assert [(d["level"], d["field"]) for d in diags] == [("warning", field)]
+    declared = {"shift.forbiden": "family, depth, alphabet, forbidden",
+                "analyses[0].nmax": "op, n_max",
+                "shift.truncated": "family, depth, alphabet, generators",
+                "potential.scales": "indicator, scale, range, table",
+                "depth_gaurd": "shift, potential, analyses, depth_guard"}[field]
+    assert diags[0]["message"].endswith(f"reads only {declared}")
+    # a warning: the run goes ahead, on what it reads
+    assert [b["status"] for b in cli.run(config)["analyses"]] == ["ok"]
+
+
+def test_an_undeclared_field_keeps_the_default_guard():
+    # the guard falls back to the oracle's limit unless an error stops the
+    # build; a warning on an unread field does not
+    cfg = {"shift": {"family": "full", "k": 2, "colour": "red"},
+           "analyses": [{"op": "qft", "depth": 30}]}
+    assert [(d["level"], d["field"], d["message"]) for d in cli.validate(cfg)] == [
+        ("warning", "shift.colour",
+         "full does not read it; it reads only family, depth, k, alphabet"),
+        ("warning", "analyses[0].depth", "30 exceeds the depth guard 24")]
 
 
 def test_validate_unknown_op():
@@ -442,8 +479,10 @@ def test_validate_warns_cylinder_n_past_guard():
         full = dict(cfg, shift={"family": "full", "k": 2}, potential=pot)
         assert cli.validate(full) == []
         assert [b["status"] for b in cli.run(full)["analyses"]] == ["ok"]
-    # other ops read no n, so an n there is neither checked nor guarded
-    assert cli.validate(dict(cfg, analyses=[{"op": "qft", "depth": 5, "n": "x"}])) == []
+    # other ops read no n, so an n there is neither checked nor guarded, only
+    # reported as a field nothing reads
+    qft = dict(cfg, analyses=[{"op": "qft", "depth": 5, "n": "x"}])
+    assert [(d["level"], d["field"]) for d in cli.validate(qft)] == [("warning", "analyses[0].n")]
 
 
 @pytest.mark.parametrize("analysis, field", [
@@ -475,13 +514,15 @@ def test_validate_rejects_words_outside_the_alphabet(analysis, field):
 
 
 def test_validate_reads_word_fields_only_where_run_does():
-    # zero_runs and qft obstructions read no cminus/cplus; qft reads no word
+    # zero_runs and qft obstructions read no cminus/cplus; qft reads no word,
+    # which is a warning, not a check of the word
     cfg = {"shift": {"family": "full", "k": 2}, "analyses": [
         {"op": "persistence", "obstructions": "zero_runs", "cminus": ["7"], "depth": 4},
         {"op": "qft", "depth": 4, "word": "7"},
         {"op": "sync_gap", "word": "01", "n_max": 6},
     ]}
-    assert cli.validate(cfg) == []
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("warning", "analyses[1].word")]
     assert [b["status"] for b in cli.run(cfg)["analyses"]] == ["ok"] * 3
 
 
@@ -520,12 +561,14 @@ def test_validate_rejects_obstructions_that_run_cannot_build(shift, obstructions
 
 
 def test_validate_reads_obstructions_only_where_run_does():
-    # an op that builds no obstruction pair ignores the field, as run does
+    # an op that builds no obstruction pair ignores the field, as run does,
+    # and validate warns that nothing reads it
     cfg = {"shift": {"family": "cycle", "k": 4}, "analyses": [
         {"op": "pressure_estimate", "n_max": 6, "obstructions": "zero_runs"},
         {"op": "persistence", "obstructions": "qft", "depth": 4},
     ]}
-    assert cli.validate(cfg) == []
+    assert [(d["level"], d["field"]) for d in cli.validate(cfg)] == [
+        ("warning", "analyses[0].obstructions")]
     assert [b["status"] for b in cli.run(cfg)["analyses"]] == ["ok"] * 2
 
 

@@ -1,5 +1,5 @@
-"""The package imports only what pyproject.toml declares: the standard
-library and numpy (and itself), numpy only where it is used; and every
+"""The package imports only what pyproject.toml declares, the standard
+library (and itself), and runs with numpy unimportable; and every
 definition in it, and every attribute its classes assign, has a reader in
 it, so that the package is what its front end reaches."""
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "shiftlab"
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "shiftlab"}
+ALLOWED = set(sys.stdlib_module_names) | {"shiftlab"}
 
 
 def _imported(tree: ast.AST):
@@ -37,8 +37,9 @@ def test_src_imports_only_declared_dependencies():
 
 
 def test_an_undeclared_import_is_caught():
-    tree = ast.parse("import os\nimport scipy.linalg\nfrom networkx import Graph\nfrom . import core\n")
-    assert [n for n in _imported(tree) if n not in ALLOWED] == ["scipy", "networkx"]
+    tree = ast.parse("import os\nimport numpy as np\nimport scipy.linalg\n"
+                     "from networkx import Graph\nfrom . import core\n")
+    assert [n for n in _imported(tree) if n not in ALLOWED] == ["numpy", "scipy", "networkx"]
 
 
 def _modules_loaded_by_validate(config: dict, run: bool = False,
@@ -58,18 +59,33 @@ def _modules_loaded_by_validate(config: dict, run: bool = False,
     return json.loads(proc.stdout)
 
 
-def test_numpy_is_imported_only_where_used_and_mpmath_nowhere():
-    # numpy serves the exact-entropy eigensolve, so validating an SFT
-    # config, whose entropy_exact does not run, does not load it; the
-    # expansion of a beta given as a number runs in integers, so running a
-    # beta base's pressure table loads neither (mpmath serves the tests'
-    # references only)
+def test_neither_numpy_nor_mpmath_is_loaded():
+    # the exact entropy is the pure-Python Perron kernel, so running it on
+    # the golden mean loads neither; the expansion of a beta given as a
+    # number runs in integers, so running a beta base's pressure table
+    # loads neither either (both serve the tests' references only)
     sft = {"shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
            "potential": "zero", "analyses": [{"op": "entropy_exact"}]}
-    assert _modules_loaded_by_validate(sft) == {"numpy": False, "mpmath": False}
+    assert _modules_loaded_by_validate(sft, run=True) == {"numpy": False, "mpmath": False}
     beta = {"shift": {"family": "beta", "beta": 1.5}, "potential": "zero",
             "analyses": [{"op": "pressure_estimate", "n_max": 8}]}
     assert _modules_loaded_by_validate(beta, run=True) == {"numpy": False, "mpmath": False}
+
+
+def test_runs_where_numpy_cannot_be_imported():
+    # sys.modules[name] = None makes every import of name raise ImportError
+    config = {"shift": {"family": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
+              "potential": {"indicator": "1", "scale": 0.5},
+              "analyses": [{"op": "entropy_exact"}, {"op": "pressure_estimate", "n_max": 8},
+                           {"op": "periodic_measure", "horizon": 6, "depth": 2}]}
+    code = ("import sys\nsys.modules['numpy'] = None\nimport shiftlab.cli\n"
+            f"report = shiftlab.cli.run({config!r})\n"
+            "print(' '.join(b['status'] for b in report['analyses']))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"] * 3
 
 
 def test_decomp_and_tower_are_imported_only_where_used():
