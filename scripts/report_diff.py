@@ -9,6 +9,7 @@ raises is stored as {"raised": "<ExceptionType>: <message>"}.
 ``A B`` compares two dumps and prints each value that differs::
 
     <config id> <path> <relative difference>     a float that moved
+    <config id> <path> message only: <A> -> <B>   an error that kept its class
     <config id> <path> <A value> -> <B value>     anything else that moved
     <config id> max <largest relative difference of its floats>
 
@@ -16,8 +17,11 @@ Floats are the 17-digit strings that reports write, or JSON numbers with
 a fraction; a pair of digit strings with no point or exponent on either
 side (a word such as "01", or a float written "0") counts as another
 value.  The relative difference is |a - b| / max(|a|, |b|).  The last
-line counts the configs that differ.  The exit status is 1 if anything
-other than a float value moved (a key, a length, a status, an error, a
+line counts the configs that differ.  An error (an analysis's ``error``
+or a config's ``raised``, "<ExceptionType>: <message>") whose type stays
+and whose message moves is printed as message only: the benchmark's check
+compares an error's class, not its message.  The exit status is 1 if
+anything else moved (a key, a length, a status, an error's class, a
 verdict, a count), else 0.  So a change that should move floats only in
 their last bits is checked by::
 
@@ -106,8 +110,15 @@ def differences(a, b, path: str = ""):
         yield path, _relative(fa, fb) if both else None, a, b
 
 
+def _message_only(path: str, a, b) -> bool:
+    """Whether a and b are errors of one class with different messages."""
+    return (path.rsplit(".", 1)[-1] in ("error", "raised") and isinstance(a, str)
+            and isinstance(b, str) and a.split(":", 1)[0] == b.split(":", 1)[0])
+
+
 def compare(before: dict, after: dict) -> int:
-    """Print the differences of two dumps; 1 if a non-float value moved."""
+    """Print the differences of two dumps; 1 if a value other than a float
+    or an error message moved."""
     moved, other = 0, False
     for cid in sorted(before.keys() | after.keys()):
         if cid not in before or cid not in after:
@@ -120,7 +131,9 @@ def compare(before: dict, after: dict) -> int:
         moved += 1
         worst = 0.0
         for path, rel, a, b in diffs:
-            if rel is None:
+            if rel is None and _message_only(path, a, b):
+                print(f"{cid} {path} message only: {json.dumps(a)} -> {json.dumps(b)}")
+            elif rel is None:
                 other = True
                 print(f"{cid} {path} {json.dumps(a)} -> {json.dumps(b)}")
             else:

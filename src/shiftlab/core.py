@@ -474,7 +474,8 @@ def _first_indices(keys: Iterable) -> dict:
 def path_counts(start, successors: Callable) -> Iterator[dict]:
     """Exact number of paths from ``start`` to each state after 0, 1, 2, ...
     steps, one {state: count} dict per step count, for as long as asked
-    (the one count DP of finite layers, code automata and tower graphs)."""
+    (the one count DP of layers: ``LanguageOracle.count`` and the
+    zero-potential cylinder rows)."""
     vec = {start: 1}
     while True:
         yield vec

@@ -52,7 +52,9 @@ class NoValidParametersError(ShiftLabError):
 
 
 class InconsistentDecipherabilityError(ShiftLabError):
-    """Graph-side and word-side loop sums disagree beyond tolerance."""
+    """A tower's irreducible words fail its loop-sum check: at zero potential
+    Sardinas-Patterson finds them not uniquely decipherable, elsewhere the
+    graph-side and word-side loop sums disagree beyond tolerance."""
 
 
 class ConfigError(ShiftLabError):

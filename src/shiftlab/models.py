@@ -69,15 +69,32 @@ class SftSpec:
 
 def _recurrent(succ: Mapping) -> set:
     """The states of a graph (state -> successors) that lie on a
-    bi-infinite path: states with no in-edge or no out-edge among the rest
-    are dropped, to a fixpoint."""
-    live = set(succ)
-    while True:
-        entered = {t for q in live for t in succ[q] if t in live}
-        keep = {q for q in live & entered if any(t in live for t in succ[q])}
-        if keep == live:
-            return live
-        live = keep
+    bi-infinite path, in linear time: a state whose in- or out-degree
+    among the rest (edges counted with multiplicity) falls to zero is
+    queued, and dropping it lowers its neighbours' degrees."""
+    out = {q: [t for t in succ[q] if t in succ] for q in succ}
+    preds: dict = {q: [] for q in out}
+    for q, targets in out.items():
+        for t in targets:
+            preds[t].append(q)
+    indeg = {q: len(p) for q, p in preds.items()}
+    outdeg = {q: len(t) for q, t in out.items()}
+    live = set(out)
+    queue = [q for q in out if not indeg[q] or not outdeg[q]]
+    while queue:
+        q = queue.pop()
+        if q not in live:
+            continue
+        live.remove(q)
+        for t in out[q]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                queue.append(t)
+        for p in preds[q]:
+            outdeg[p] -= 1
+            if not outdeg[p]:
+                queue.append(p)
+    return live
 
 
 def _components(succ: Sequence[Sequence[int]]) -> list[list[int]]:

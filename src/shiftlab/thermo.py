@@ -557,10 +557,10 @@ def _cyclic_birkhoff(potential: Potential, p: Word) -> float:
     return potential.window_sum(_cyclic(p, k + potential.window - 1), 0, k)
 
 
-def _carried(oracle: LanguageOracle, potential: Potential, n: int) -> "_CarriedSums | None":
+def _carried(oracle: LanguageOracle, potential: Potential) -> "_CarriedSums | None":
     """The oracle's scaled window sums for the potential, made on first
-    use, or None where integer sums could part from ``math.fsum``: a table
-    value that is not a finite float, or sums of n windows near overflow."""
+    use, or None for a table value that is not a finite float, which no
+    integer holds."""
     if potential not in oracle._sums:
         try:
             values = [float(v) for v in potential.table.values()]
@@ -569,8 +569,7 @@ def _carried(oracle: LanguageOracle, potential: Potential, n: int) -> "_CarriedS
         oracle._sums[potential] = (
             _CarriedSums(potential, values)
             if values is not None and all(map(math.isfinite, values)) else None)
-    sums = oracle._sums[potential]
-    return None if sums is None or n * sums.bound >= 1e300 else sums
+    return oracle._sums[potential]
 
 
 class _CarriedSums:
@@ -586,7 +585,6 @@ class _CarriedSums:
         self.potential = potential
         self.scale = 1 << max((v.as_integer_ratio()[1].bit_length() - 1 for v in values),
                               default=0)
-        self.bound = max(map(abs, values), default=0.0)
         #: steps[tail][a]: (the value of the window tail.a completes, 0
         #: below length r, None if missing; the tail of tail.a)
         self.steps: dict[Word, dict[int, tuple[int | None, Word]]] = {(): {}}
@@ -651,7 +649,7 @@ def periodic_orbit_measure(
     if not (n >= depth >= 1):
         raise ValueError("need horizon >= depth >= 1")
     if oracle.transitions is not None:
-        sums = _carried(oracle, potential, n)
+        sums = _carried(oracle, potential)
         if sums is not None:
             weights, exact = _class_sums(oracle, potential, sums, n, depth)
             return PeriodicMeasure(n, depth, weights, exact)
@@ -706,7 +704,8 @@ def _class_sums(oracle: LanguageOracle, potential: Potential, sums: "_CarriedSum
     if not cylinders:
         raise NoPeriodicPointsError(f"no periodic points up to period {n}")
     top = max(ref for ref, _ in cylinders.values())
-    terms = {u: mant * math.exp((ref - top) / scale) for u, (ref, mant) in cylinders.items()}
+    terms = {u: mant * math.exp(max(ref - top, -1100 * scale) / scale)
+             for u, (ref, mant) in cylinders.items()}
     total = math.fsum(terms.values())
     return {u: term / total for u, term in terms.items()}, exact
 
@@ -743,16 +742,21 @@ def _merged(old: tuple[int | None, float] | None, ref: int | None, mant: float,
     """old's m e^{R/scale} plus mant e^{ref/scale}, as (R, m): the larger R
     is kept and the other mantissa scaled by exp of the exact integer
     difference over scale, correctly rounded, so no rounding grows with
-    |R|.  Mantissas start at 1 and never fall below it.  A None R marks a
-    missing window, and the mark is kept."""
+    |R|.  A difference too large for the int division to give a float
+    scales by 0.0, as exp of any float below -746 does.  Mantissas start
+    at 1 and never fall below it.  A None R marks a missing window, and
+    the mark is kept."""
     if old is None:
         return ref, mant
     ref0, mant0 = old
     if ref is None or ref0 is None:
         return None, mant
-    if ref >= ref0:
+    if ref < ref0:
+        ref, mant, ref0, mant0 = ref0, mant0, ref, mant
+    try:
         return ref, mant + mant0 * math.exp((ref0 - ref) / scale)
-    return ref0, mant0 + mant * math.exp((ref - ref0) / scale)
+    except OverflowError:
+        return ref, mant
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .core import (
     Word,
     WordSet,
     distortion_bound,
-    path_counts,
     phi_hat,
 )
 from .errors import (
@@ -724,9 +723,6 @@ class LoopTable:
     base: tuple[Word, int]
     n_max: int
     rows: list[LoopRow]
-    word_side: dict[int, float]  # n -> log of word-side sum (phi-hat weighted parses)
-    cross_check_tolerance: float
-    cross_check_max_gap: float
 
     def z_rate_estimate(self) -> float:
         return rate_estimate((r.n, r.z) for r in self.rows)
@@ -743,20 +739,6 @@ class LoopTable:
             if r.z > NEG_INF:
                 g = math.gcd(g, r.n)
         return g
-
-
-def _distinct_star_counts(irreducibles: Sequence[Word], n_max: int, n_symbols: int) -> list[int]:
-    """Exact counts of *distinct* words of each length in the star closure,
-    by counting the runs of the code's tabulated subset automaton from the
-    boundary that end on a final state (each word has one run).
-
-    Counting distinct words (rather than parses) is what makes the
-    loop-sum cross-check sensitive to failures of unique decipherability.
-    """
-    run, final = _code_run(irreducibles, n_symbols, n_max)
-    rows = run.transitions
-    return [sum(c for q, c in vec.items() if final[q])
-            for _, vec in zip(range(n_max + 1), path_counts(run.start, lambda q: rows[q].values()))]
 
 
 def _loop_counts(tower: TowerGraph, n_max: int, star: bool) -> list[int]:
@@ -863,10 +845,14 @@ def loop_sums(
     on the tower's (r-1)-block graph, built once for both tables (see
     _block_graph and _loop_logs), exact for every n.
     The ``rate`` column is ``rate_estimate`` of the supported rows so far.
-    When requested, the table is cross-checked against the word-side sums
-    over parses of the family words: under unique decipherability the two
-    agree exactly at zero potential and within a distortion envelope
-    otherwise; a larger disagreement raises InconsistentDecipherabilityError.
+
+    The counts and sums run over parses, so they count loops only when the
+    irreducible words are uniquely decipherable.  ``cross_check`` asks
+    that: at zero potential by Sardinas-Patterson, naming the witness and
+    its two parses, otherwise by comparing the loop sums with the words'
+    phi_hat sums over parses within a distortion envelope, which cannot
+    see a failure (ROADMAP finding 10).  A failure raises
+    InconsistentDecipherabilityError.
     """
     base_word = tower.base[0]
     rows: list[LoopRow] = []
@@ -891,59 +877,44 @@ def loop_sums(
         rate_star = zs / n if zs > NEG_INF else NEG_INF
         rows.append(LoopRow(n, z, zc, zs, zsc, rate, rate_star))
 
-    word_side: dict[int, float] = {}
-    max_gap = 0.0
-    tol = 0.0
-    if cross_check:
-        irr = list(tower.irreducibles)
+    if cross_check and zero:
+        verdict = is_uniquely_decipherable(tower.irreducibles)
+        if not verdict.passed:
+            text = tower.oracle.alphabet.text
+            ahead, behind = ("|".join(map(text, parse)) for parse in verdict.parses)
+            raise InconsistentDecipherabilityError(
+                f"the irreducible words are not uniquely decipherable: {text(verdict.witness)} "
+                f"parses as {ahead} and as {behind}"
+            )
+    elif cross_check:
+        irr = tower.irreducibles
         lmin = min(len(w) for w in irr)
-        if zero:
-            k = tower.oracle.alphabet.size
-            g = _distinct_star_counts(irr, n_max, k)
-            g_star = _distinct_star_counts([w for w in irr if w != base_word], n_max, k)
-            for n in range(1, n_max + 1):
-                m = n - len(base_word)
-                if m < 0:
-                    word_side[n] = NEG_INF
-                    continue
-                word_side[n] = math.log(g[m]) if g[m] else NEG_INF
-                row = rows[n - 1]
-                if (row.z_count or 0) != g[m] or (row.z_star_count or 0) != g_star[m]:
+        oracle = tower.oracle
+        weights = {w: phi_hat(potential, oracle, w) for w in irr}
+        glog = [NEG_INF] * (n_max + 1)
+        glog[0] = 0.0
+        for m in range(1, n_max + 1):
+            acc = NEG_INF
+            for w in irr:
+                L = len(w)
+                if L <= m and glog[m - L] > NEG_INF:
+                    acc = _logaddexp(acc, weights[w] + glog[m - L])
+            glog[m] = acc
+        dist = distortion_bound(potential)
+        sup = potential.sup_norm()
+        base_hat = phi_hat(potential, oracle, base_word)
+        for row in rows:
+            n, m = row.n, row.n - len(base_word)
+            ws = (glog[m] + base_hat) if m >= 0 else NEG_INF
+            if ws > NEG_INF and row.z > NEG_INF:
+                parts = 1 + n // lmin
+                tol = dist * (2 + parts) + len(base_word) * sup + 1e-9  # float slack
+                gap = abs(row.z - ws)
+                if gap > tol:
                     raise InconsistentDecipherabilityError(
-                        f"loop counts ({row.z_count}, {row.z_star_count}) != distinct word "
-                        f"counts ({g[m]}, {g_star[m]}) at n={n}; the irreducible set is "
-                        "not uniquely decipherable"
+                        f"loop sum and word-side sum differ by {gap:.6g} > {tol:.6g} at n={n}"
                     )
-        else:
-            oracle = tower.oracle
-            weights = {w: phi_hat(potential, oracle, w) for w in irr}
-            glog = [NEG_INF] * (n_max + 1)
-            glog[0] = 0.0
-            for m in range(1, n_max + 1):
-                acc = NEG_INF
-                for w in irr:
-                    L = len(w)
-                    if L <= m and glog[m - L] > NEG_INF:
-                        acc = _logaddexp(acc, weights[w] + glog[m - L])
-                glog[m] = acc
-            dist = distortion_bound(potential)
-            sup = potential.sup_norm()
-            base_hat = phi_hat(potential, oracle, base_word)
-            for n in range(1, n_max + 1):
-                m = n - len(base_word)
-                ws = (glog[m] + base_hat) if m >= 0 else NEG_INF
-                word_side[n] = ws
-                row = rows[n - 1]
-                if ws > NEG_INF and row.z > NEG_INF:
-                    parts = 1 + n // lmin
-                    tol = dist * (2 + parts) + len(base_word) * sup + 1e-9  # float slack
-                    gap = abs(row.z - ws)
-                    max_gap = max(max_gap, gap)
-                    if gap > tol:
-                        raise InconsistentDecipherabilityError(
-                            f"loop sum and word-side sum differ by {gap:.6g} > {tol:.6g} at n={n}"
-                        )
-    return LoopTable(tower.base, n_max, rows, word_side, tol, max_gap)
+    return LoopTable(tower.base, n_max, rows)
 
 
 @dataclass

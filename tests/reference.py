@@ -5,7 +5,9 @@ arithmetic with 50-digit partition sums, the quasi-greedy expansion of 1
 in mpmath, cylinder tables one start position's word set at a time, the
 enumeration checks of factoriality and extendability, beta membership by the suffix scan,
 periodic points and orbit measures by listing, S-gap periodic points by
-their cyclic gaps, the parse count behind unique decipherability, the obstruction complement of a decomposition, the
+their cyclic gaps, the distinct words of a code's star closure by
+listing, the recurrent states of a graph by a fixpoint, the parse count
+behind unique decipherability, the obstruction complement of a decomposition, the
 synchronising times of a word, the union lemma on marking sets, and the
 binomial-entropy lemma of the proofs, and ``cgc``'s near obstructions by a
 connector search per word.  None of them runs in the library."""
@@ -373,6 +375,29 @@ def periodic_orbit_measure_exact(oracle: LanguageOracle, potential: Potential, n
         total = mpmath.fsum(terms.values())
         weights = {u: float(x / total) for u, x in terms.items()}
     return PeriodicMeasure(n, depth, weights, exact)
+
+
+def reference_star_counts(gens: Iterable[Word], n_max: int) -> list[int]:
+    """Number of distinct concatenations of the words gens of each length
+    0..n_max, by listing them."""
+    gens = list(gens)
+    levels = [{()}]
+    for n in range(1, n_max + 1):
+        levels.append({g + v for g in gens if len(g) <= n for v in levels[n - len(g)]})
+    return [len(words) for words in levels]
+
+
+def recurrent_fixpoint(succ) -> set:
+    """The states of a graph (state -> successors) that lie on a
+    bi-infinite path, by dropping every state with no in-edge or no
+    out-edge among the rest, all at once, until none is dropped."""
+    live = set(succ)
+    while True:
+        entered = {t for q in live for t in succ[q] if t in live}
+        keep = {q for q in live & entered if any(t in live for t in succ[q])}
+        if keep == live:
+            return live
+        live = keep
 
 
 def factorisation_count(irreducibles: Iterable[Word], w: Word) -> int:

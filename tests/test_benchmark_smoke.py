@@ -164,11 +164,13 @@ report_diff = importlib.util.module_from_spec(_diff_spec)
 _diff_spec.loader.exec_module(report_diff)
 
 
-def _dump(log_sum="0.69314718055994529", zero="0", word="01", status="ok"):
+def _dump(log_sum="0.69314718055994529", zero="0", word="01", status="ok",
+          raised="ConfigError: config invalid", error="NotInLanguageError: 11 is no word"):
     return {"x.000": [{"op": "pressure_estimate", "status": status,
                        "result": {"rows": [{"log_sum": log_sum, "n": 3}], "sup": zero,
-                                  "word": word}}],
-            "x.001": {"raised": "ConfigError: config invalid"}}
+                                  "word": word}},
+                      {"op": "marking", "status": "error", "error": error}],
+            "x.001": {"raised": raised}}
 
 
 def test_report_diff_prints_moved_floats_and_exits_zero(tmp_path, capsys):
@@ -184,10 +186,30 @@ def test_report_diff_prints_moved_floats_and_exits_zero(tmp_path, capsys):
     assert capsys.readouterr().out == "0 configs differ\n"
 
 
+def test_report_diff_prints_moved_error_messages_and_exits_zero(tmp_path, capsys):
+    # the benchmark's check compares an error's class, not its message
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(_dump()))
+    b.write_text(json.dumps(_dump(raised="ConfigError: shift invalid",
+                                  error="NotInLanguageError: 011 is no word")))
+    assert report_diff.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        'x.000 [1].error message only: "NotInLanguageError: 11 is no word" -> '
+        '"NotInLanguageError: 011 is no word"',
+        "x.000 max 0",
+        'x.001 raised message only: "ConfigError: config invalid" -> "ConfigError: shift invalid"',
+        "x.001 max 0",
+        "2 configs differ"]
+
+
 @pytest.mark.parametrize("changed, line", [
     (_dump(word="10"), 'x.000 [0].result.word "01" -> "10"'),
     (_dump(status="error"), 'x.000 [0].status "ok" -> "error"'),
-    ({"x.000": [], "x.001": _dump()["x.001"]}, "x.000 length 1 -> 0"),
+    (_dump(raised="ValueError: config invalid"),
+     'x.001 raised "ConfigError: config invalid" -> "ValueError: config invalid"'),
+    (_dump(error="ValueError: 11 is no word"),
+     'x.000 [1].error "NotInLanguageError: 11 is no word" -> "ValueError: 11 is no word"'),
+    ({"x.000": [], "x.001": _dump()["x.001"]}, "x.000 length 2 -> 0"),
     ({"x.000": _dump()["x.000"]}, "x.001 only in A"),
 ])
 def test_report_diff_exits_one_when_another_value_moves(tmp_path, capsys, changed, line):

@@ -52,7 +52,6 @@ from shiftlab.errors import (
     ExpansionUncertainError,
     ShiftLabError,
 )
-from shiftlab.tower import _distinct_star_counts
 
 from reference import (
     beta_suffix_scan,
@@ -307,14 +306,6 @@ def reference_coded_contains(k, gens):
     return lambda w: _valid(k, w) and (len(w) == 0 or member(w))
 
 
-def reference_star_counts(gens, n_max):
-    """Number of distinct concatenations of each length, by listing them."""
-    levels = [{()}]
-    for n in range(1, n_max + 1):
-        levels.append({g + v for g in gens if len(g) <= n for v in levels[n - len(g)]})
-    return [len(words) for words in levels]
-
-
 @st.composite
 def coded_instances(draw):
     k = draw(st.integers(2, 3))
@@ -331,16 +322,6 @@ def test_coded_membership_matches_reference(instance):
     k, gens, drawn = instance
     oracle = sl.coded_shift(sl.CodedSpec(gens, sl.Alphabet.of_size(k)))
     _assert_agree(oracle, reference_coded_contains(k, gens), drawn)
-
-
-@settings(max_examples=40, deadline=None)
-@given(coded_instances())
-def test_distinct_star_counts_match_listing(instance):
-    # 12 symbols over two letters; over three the closure can hold 3**12
-    # words, so the listing stops at 10
-    k, gens, _ = instance
-    n_max = 12 if k == 2 else 10
-    assert _distinct_star_counts(gens, n_max, k) == reference_star_counts(gens, n_max)
 
 
 # -- cocyclic shifts -------------------------------------------------------------
@@ -655,11 +636,9 @@ def _measure_outcome(measure):
 
 def _weighs_atoms(oracle, potential, horizon):
     """Whether the measure weighs the listing's atoms: on a stepped layer,
-    and on a finite one whose table holds a value that is not finite or
-    whose horizon times its largest |value| reaches 1e300."""
+    and on a finite one whose table holds a value that is not finite."""
     values = [float(v) for v in potential.table.values()]
-    return (oracle.transitions is None or not all(map(math.isfinite, values))
-            or horizon * max(map(abs, values), default=0.0) >= 1e300)
+    return oracle.transitions is None or not all(map(math.isfinite, values))
 
 
 def _assert_measure_matches(build, spec, check, potential, horizon, depth):
@@ -731,14 +710,16 @@ _SGAP_SPEC = sl.SGapSpec((1,), tail_start=3, tail_period=2)
     (lambda: sl.cocyclic_shift(sl.CocyclicSpec.from_lists(
         [[[1, -1], [0, 0]], [[1, 0], [1, 0]], [[0, 1], [1, 1]]]), 8), None,
      1, {"1": 0.1, "2": 1 / 3, "3": -2.5}, 8, 3),
-    # finite layers whose tables allow no exact integer sums, which also
-    # keep one atom per periodic word: 10 windows of 1e299 reach 1e300
+    # Birkhoff sums past the float range: 5 windows of 1e299 in a period
+    # of 10, summed as exact integers by the class DP
     (lambda: sl.full_shift(2), None, 2, {"00": 0.1, "01": 1e299, "10": -2.5, "11": 1 / 3}, 10, 3),
-    # the same with 110 missing: period 3 raises at 011
+    # windows of up to 6e299 with 110 missing: period 3 raises at 011
     (lambda: sl.full_shift(2), None, 3,
      {w: 1e299 * i for i, w in enumerate(["000", "001", "010", "011", "100", "101", "111"])},
      5, 4),
-    # an infinite value, on 11, which lies on no periodic orbit
+    # finite layers whose tables allow no exact integer sums, which keep
+    # one atom per periodic word: an infinite value, on 11, which lies on
+    # no periodic orbit
     (lambda: sl.sft_from_forbidden(_GOLDEN_SPEC), None, 2,
      {"00": 0.5, "01": -0.25, "10": 1e6, "11": math.inf}, 9, 2),
     # -inf gives every orbit through 0 the weight 0
@@ -752,6 +733,23 @@ def test_periodic_measure_matches_the_listing_on_chosen_tables(
     # raises the listing's error at the same atom
     potential = sl.Potential.from_strings(build().alphabet, window, table)
     _assert_measure_matches(build, (), check, potential, horizon, depth)
+
+
+def test_periodic_measure_past_the_float_range_sums_to_one():
+    # Birkhoff sums of about 5e299, far past where a float log-sum-exp
+    # can add log 2 to its largest term: the two points of the orbit of
+    # (01)^5 carry all the weight, half each (ROADMAP finding 20)
+    oracle = sl.full_shift(2)
+    potential = sl.Potential.from_strings(
+        oracle.alphabet, 2, {"00": 0.1, "01": 1e299, "10": -2.5, "11": 1 / 3})
+    weights = sl.periodic_orbit_measure(oracle, potential, 10, 3).cylinder_weights
+    assert weights[(0, 1, 0)] == weights[(1, 0, 1)] == 0.5
+    assert math.fsum(weights.values()) == 1.0
+    # sums 4e308 apart, past the float range themselves: exp gives 0.0
+    # to the lighter cylinder, as it would to any difference below -745
+    potential = sl.Potential.from_strings(oracle.alphabet, 1, {"0": 1e308, "1": -1e308})
+    assert sl.periodic_orbit_measure(oracle, potential, 2, 1).cylinder_weights == \
+        {(0,): 1.0, (1,): 0.0}
 
 
 # -- memoised predicate word sets ------------------------------------------------

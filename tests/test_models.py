@@ -11,7 +11,12 @@ from shiftlab import models
 from shiftlab.errors import DepthExceededError, EmptyLanguageError, ExpansionUncertainError
 from shiftlab.models import _quasi_greedy_digits
 
-from reference import check_extendable, check_factorial, quasi_greedy_digits_mpmath
+from reference import (
+    check_extendable,
+    check_factorial,
+    quasi_greedy_digits_mpmath,
+    recurrent_fixpoint,
+)
 from test_transfer import finite_layers
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
@@ -81,6 +86,34 @@ def test_entropy_exact_with_no_recurrent_state_raises_empty_language():
     report = cli.run({"shift": {"family": "cocyclic", "matrices": matrices},
                       "analyses": [{"op": "entropy_exact"}]})
     assert report["analyses"][0]["error"].startswith("EmptyLanguageError: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_recurrent_states_match_the_fixpoint(data):
+    # the queue against the plain fixpoint on generated graphs: repeated
+    # edges, self-loops, and successors that are no state of the graph
+    n = data.draw(st.integers(0, 12))
+    succ = {q: data.draw(st.lists(st.integers(-1, n), max_size=4)) for q in range(n)}
+    assert models._recurrent(succ) == recurrent_fixpoint(succ)
+
+
+class _CountedGraph(dict):
+    reads = 0
+
+    def __getitem__(self, q):
+        self.reads += 1
+        return super().__getitem__(q)
+
+
+def test_recurrent_reads_each_state_once():
+    # a chain into a self-loop loses one state per round of the fixpoint,
+    # so the fixpoint reads the successors of the chain n times over
+    n = 2_000
+    succ = _CountedGraph({q: [q + 1] for q in range(n - 1)})
+    succ[n - 1] = [n - 1, n - 1]
+    assert models._recurrent(succ) == {n - 1}
+    assert succ.reads == n
 
 
 def test_entropy_oracles(golden, forbid111):

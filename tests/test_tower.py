@@ -29,7 +29,7 @@ from shiftlab.tower import (
     overlap_violations,
 )
 
-from reference import factorisation_count, sync_times, union_closure
+from reference import factorisation_count, reference_star_counts, sync_times, union_closure
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 
@@ -304,12 +304,63 @@ def test_loops_fibonacci_compositions(full2):
     assert stars == [1 if (n - 1) % 2 == 0 else 0 for n in range(1, 17)]
 
 
-def test_loops_word_side_exact_at_zero(full2):
+@st.composite
+def _codes(draw):
+    k = draw(st.integers(2, 3))
+    code = sorted(draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=4).map(tuple),
+                                min_size=1, max_size=4, unique=True)))
+    return k, code, draw(st.sampled_from(code))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_codes())
+@example((2, [(0,), (0, 1), (1, 0)], (0, 1)))
+@example((2, [(0,), (0, 1)], (0,)))
+def test_loops_cross_check_at_zero_matches_the_distinct_closure_words(instance):
+    # a table that passes the check counts distinct words: Z_n is the
+    # number of words of length n - |b| in the closure of the code, and
+    # Z*_n that of the code less b, by listing them (12 symbols over two
+    # letters, 10 over three).  A code that fails it has a witness with two
+    # parses, by the reference parse count
+    k, code, base = instance
+    oracle = sl.full_shift(k)
+    n_max = 12 if k == 2 else 10
+    tw = sl.build_tower_over(oracle, code, 4, base)
+    verdict = sl.is_uniquely_decipherable(code)
+    if not verdict.passed:
+        assert factorisation_count(code, verdict.witness) >= 2
+        with pytest.raises(InconsistentDecipherabilityError,
+                           match=f": {oracle.alphabet.text(verdict.witness)} parses as "):
+            loop_sums(tw, zero(oracle), n_max)
+        return
+    table = loop_sums(tw, zero(oracle), n_max)
+    g = reference_star_counts(code, n_max)
+    g_star = reference_star_counts([w for w in code if w != base], n_max)
+    m = len(base)
+    assert [(r.z_count, r.z_star_count) for r in table.rows] == \
+        [(g[n - m], g_star[n - m]) if n >= m else (0, 0) for n in range(1, n_max + 1)]
+
+
+def test_loops_one_word_tower(full2):
+    # the code less its base word is empty, and its closure holds the empty
+    # word alone
     a = full2.alphabet
-    tw = sl.build_tower_over(full2, [a.word("0"), a.word("01")], 2, a.word("0"))
-    table = loop_sums(tw, zero(full2), 20, cross_check=True)
-    for row in table.rows:
-        assert table.word_side[row.n] == row.z
+    table = loop_sums(sl.build_tower_over(full2, [a.word("0")], 1, a.word("0")), zero(full2), 6)
+    assert [(r.z_count, r.z_star_count) for r in table.rows] == [(1, 1)] + [(1, 0)] * 5
+
+
+def test_loops_cross_check_sees_a_witness_past_the_table(full2):
+    # 010 = 01.0 = 0.10, but a table to n_max = 4 at base 01 ends before
+    # the two parses part: its counts [0, 1, 1, 3] are those of distinct
+    # words, and only the decision on the whole code sees the witness
+    a = full2.alphabet
+    code = [a.word("0"), a.word("01"), a.word("10")]
+    tw = sl.build_tower_over(full2, code, 2, a.word("01"))
+    rows = loop_sums(tw, zero(full2), 4, cross_check=False).rows
+    assert [r.z_count for r in rows] == [0, 1, 1, 3]
+    with pytest.raises(InconsistentDecipherabilityError,
+                       match=r": 010 parses as 0\|10 and as 01\|0$"):
+        loop_sums(tw, zero(full2), 4)
 
 
 def test_loops_cross_check_detects_non_ud(forbid111):
@@ -355,8 +406,10 @@ def test_loops_with_potential_word_side_envelope(full2):
     a = full2.alphabet
     tw = sl.build_tower_over(full2, [a.word("0"), a.word("01")], 2, a.word("0"))
     pot = sl.Potential.from_strings(a, 2, {"00": 0.3, "01": -0.4, "10": 0.2, "11": 0.7})
+    # {0, 01} is uniquely decipherable, so the checked call returns the
+    # table of the unchecked one
     table = loop_sums(tw, pot, 14, cross_check=True)
-    assert table.cross_check_max_gap <= table.cross_check_tolerance
+    assert table.rows == loop_sums(tw, pot, 14, cross_check=False).rows
 
 
 def test_loops_range3_star_multi_code_brute(full2):
@@ -374,43 +427,6 @@ def test_loops_range3_star_multi_code_brute(full2):
                 assert dp == float("-inf")
             else:
                 assert dp == pytest.approx(brute, abs=1e-10)
-
-
-def test_distinct_star_counts_brute(full2):
-    import itertools
-
-    from shiftlab.tower import _distinct_star_counts
-
-    a = full2.alphabet
-    irr = [a.word("0"), a.word("01"), a.word("10")]
-    counts = _distinct_star_counts(irr, 9, 2)
-    for m in range(0, 10):
-        brute = 0
-        for w in itertools.product((0, 1), repeat=m):
-            reach = [False] * (m + 1)
-            reach[0] = True
-            for i in range(m):
-                if reach[i]:
-                    for u in irr:
-                        if w[i : i + len(u)] == u:
-                            reach[i + len(u)] = True
-            brute += reach[m]
-        assert counts[m] == brute
-
-
-def test_distinct_star_counts_without_the_base_word(full2):
-    # the cross-check counts the closure of the code less its base word
-    # (g_star); a one-word code leaves the empty code, whose closure holds
-    # the empty word alone
-    from shiftlab.tower import _distinct_star_counts
-
-    a = full2.alphabet
-    assert _distinct_star_counts([], 6, 2) == [1, 0, 0, 0, 0, 0, 0]
-    irr = [a.word("0"), a.word("01"), a.word("10")]
-    assert _distinct_star_counts([w for w in irr if w != a.word("0")], 9, 2) == \
-        [1, 0, 2, 0, 4, 0, 8, 0, 16, 0]
-    table = loop_sums(sl.build_tower_over(full2, [a.word("0")], 1, a.word("0")), zero(full2), 6)
-    assert [(r.z_count, r.z_star_count) for r in table.rows] == [(1, 1)] + [(1, 0)] * 5
 
 
 def test_loops_range3_potential_brute(full2):
